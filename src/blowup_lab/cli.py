@@ -9,7 +9,9 @@ per recorded table, the canonical effective configuration, and a
 wall clock, hostname, or thread count, so reruns are byte-identical.
 
 Exit codes: 0 run completed and all checks passed; 1 run completed but a
-check failed; 2 configuration or usage error; 3 numerical failure.
+check failed; 2 configuration or usage error, including a grid too narrow
+for the kind's spectral decompositions; 3 numerical failure, including any
+ValueError a run raises after validation.  Codes 2 and 3 write nothing.
 
 BLAS/OpenMP thread counts are pinned to 1 before numpy is first imported
 (unless the caller already set them), since reduction order varies with
@@ -120,16 +122,14 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     from .experiments import run_experiment
-    from .solver import DivergenceError
 
     kind = cfg["experiment"]["kind"]
     print(f"running {kind} ...")
     try:
         report, tables, ok = run_experiment(cfg)
-    except DivergenceError as err:
-        print(f"numerical failure: {err}", file=sys.stderr)
-        return 3
-    except (FloatingPointError, RuntimeError) as err:
+    except (FloatingPointError, RuntimeError, ValueError) as err:
+        # RuntimeError covers solver divergence; a ValueError that survives
+        # config validation is a numerical failure of the run as well
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
 

@@ -43,15 +43,7 @@ __all__ = ["run_experiment"]
 
 
 def _params(cfg: dict):
-    m = cfg["model"]
-    return make_params(
-        m["p"],
-        alpha=m["alpha"],
-        alpha_bar=m["alpha_bar"],
-        mu=m["mu"],
-        mu_bar=m["mu_bar"],
-        mu0=m["mu0"],
-    )
+    return make_params(**cfg["model"])
 
 
 def _grid(cfg: dict, s_max: float):
@@ -61,36 +53,11 @@ def _grid(cfg: dict, s_max: float):
     return make_grid(y_max, cfg["grid"]["dy"])
 
 
-def _solver_cfg(cfg: dict, ds: float | None = None) -> SolverConfig:
-    sv = cfg["solver"]
-    return SolverConfig(
-        ds=sv["ds"] if ds is None else ds,
-        scheme=sv["scheme"],
-        bc=sv["bc"],
-        include_potential=sv["include_potential"],
-        include_nonlinear=sv["include_nonlinear"],
-        include_residual=sv["include_residual"],
-        include_perturbation=sv["include_perturbation"],
-    )
-
-
-def _phys_cfg(ph: dict, **overrides) -> PhysicalConfig:
-    kwargs = dict(
-        s0=ph["s0"],
-        d0=ph["d0"],
-        d1=ph["d1"],
-        z_max=ph["z_max"],
-        n_x=ph["n_x"],
-        cfl=ph["cfl"],
-        lam=ph["lam"],
-        dt0=ph["dt0"],
-        stop_factor=ph["stop_factor"],
-        fit_lo=ph["fit_lo"],
-        fit_hi=ph["fit_hi"],
-        t_budget=ph["t_budget"],
-    )
-    kwargs.update(overrides)
-    return PhysicalConfig(**kwargs)
+def _phys_cfg(cfg: dict) -> PhysicalConfig:
+    # t_rel_tol is the experiment's own tolerance, not a run control
+    ph = dict(cfg["physical"])
+    del ph["t_rel_tol"]
+    return PhysicalConfig(**ph)
 
 
 def run_spectral_checks(cfg: dict):
@@ -122,7 +89,7 @@ def run_spectral_checks(cfg: dict):
     v_far = float(abs(v100[0] + params.p / (params.p - 1.0)))
 
     # one decomposition round trip on a synthetic field
-    trap = TrapParams(A=cfg["trap"]["A"], K0=cfg["trap"]["K0"])
+    trap = TrapParams(**cfg["trap"])
     rng_free = 1e-3 * (np.exp(-(y**2) / 6.0) * (1.0 + 0.3 * y)) + 2e-4 * np.tanh(y / 3.0)
     d = decompose(Field(grid=grid, values=rng_free, s=s0), trap.K0)
     recon_err = float(np.max(np.abs(d.reconstruct() - rng_free)))
@@ -248,8 +215,8 @@ def run_trajectory_experiment(cfg: dict):
     params = _params(cfg)
     tj = cfg["trajectory"]
     grid = _grid(cfg, tj["s_end"])
-    trap = TrapParams(A=cfg["trap"]["A"], K0=cfg["trap"]["K0"])
-    scfg = _solver_cfg(cfg)
+    trap = TrapParams(**cfg["trap"])
+    scfg = SolverConfig(**cfg["solver"])
     init = initial_q(
         params, grid, InitialDataParams(d0=tj["d0"], d1=tj["d1"], s0=tj["s0"])
     )
@@ -292,8 +259,8 @@ def run_shoot_experiment(cfg: dict):
     params = _params(cfg)
     sh = cfg["shooting"]
     grid = _grid(cfg, sh["s_end"])
-    trap = TrapParams(A=cfg["trap"]["A"], K0=cfg["trap"]["K0"])
-    scfg = _solver_cfg(cfg, ds=sh["ds"])
+    trap = TrapParams(**cfg["trap"])
+    scfg = SolverConfig(**(cfg["solver"] | {"ds": sh["ds"]}))
     mode_map = initial_mode_map(params, grid, sh["s0"], trap.K0)
     rect0 = initial_rectangle(mode_map, trap)
     init_chk = initial_components_check(params, grid, sh["s0"], trap, rect0)
@@ -328,7 +295,7 @@ def run_shoot_experiment(cfg: dict):
 def run_physical_experiment(cfg: dict):
     params = _params(cfg)
     ph = cfg["physical"]
-    pcfg = _phys_cfg(ph)
+    pcfg = _phys_cfg(cfg)
     est = integrate_u(params, pcfg)
     T = pcfg.T
     stride = max(1, est.sample_t.size // 2000)
@@ -379,7 +346,7 @@ def run_physical_experiment(cfg: dict):
 
 def run_stability_experiment(cfg: dict):
     params = _params(cfg)
-    pcfg = _phys_cfg(cfg["physical"])
+    pcfg = _phys_cfg(cfg)
     probe = stability_probe(params, pcfg)
     rows = probe["rows"]
     eps_values = sorted({r["eps"] for r in rows}, reverse=True)

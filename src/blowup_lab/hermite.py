@@ -45,6 +45,7 @@ __all__ = [
     "inner_rho",
     "cutoff_chi",
     "SpectralDecomp",
+    "check_cutoff_support",
     "decompose",
     "seminorm_minus",
     "cubic_weighted_sup",
@@ -141,18 +142,24 @@ class SpectralDecomp:
         return out + self.q_minus.values + self.q_e.values
 
 
+def check_cutoff_support(y_max: float, K0: float, s: float) -> None:
+    """Raise ValueError unless a grid of half-width y_max holds the cutoff
+    support at time s, 2*K0*sqrt(s) <= y_max."""
+    if 2.0 * K0 * np.sqrt(s) > y_max + 1e-9:
+        raise ValueError(
+            f"grid too narrow: need y_max >= 2*K0*sqrt(s) = "
+            f"{2.0 * K0 * np.sqrt(s):.2f}, have y_max = {y_max:.2f}"
+        )
+
+
 def decompose(q: Field, K0: float) -> SpectralDecomp:
     """Split q into mode amplitudes, projection residue, and outer part.
 
-    Requires the grid to contain the full cutoff support,
-    2*K0*sqrt(s) <= y_max; the projections use the analytic norms 2^m m!.
+    Requires the grid to contain the full cutoff support (see
+    `check_cutoff_support`); the projections use the analytic norms 2^m m!.
     """
     grid, s = q.grid, q.s
-    if 2.0 * K0 * np.sqrt(s) > grid.y_max + 1e-9:
-        raise ValueError(
-            f"grid too narrow: need y_max >= 2*K0*sqrt(s) = "
-            f"{2.0 * K0 * np.sqrt(s):.2f}, have y_max = {grid.y_max:.2f}"
-        )
+    check_cutoff_support(grid.y_max, K0, s)
     chi = cutoff_chi(grid.y, s, K0)
     qb = q.values * chi
     qe = q.values * (1.0 - chi)

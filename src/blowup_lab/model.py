@@ -110,6 +110,11 @@ class ModelParams:
     kappa: float
     p_bar: float
 
+    @property
+    def perturbed(self) -> bool:
+        """True when any perturbation amplitude is non-zero."""
+        return self.mu != 0.0 or self.mu_bar != 0.0 or self.mu0 != 0.0
+
 
 def make_params(
     p: float,
@@ -289,33 +294,25 @@ def remainder_R(params: ModelParams, y, s: float):
     )
 
 
-def perturbation_N(
-    params: ModelParams,
-    phi_grad,
-    q_grad,
-    phi_val,
-    q_val,
-    s: float,
-):
-    """Rescaled perturbation term of the deviation equation.
+def perturbation_N(params: ModelParams, w_grad, w_val, s: float):
+    """Rescaled perturbation term, evaluated on the full field w = phi + q.
 
-    N = mu |phi_y + q_y|^alpha e^(-beta s)
-        + mu_bar |phi + q|^alpha_bar e^(-beta_bar s)
+    N = mu |w_y|^alpha e^(-beta s)
+        + mu_bar |w|^alpha_bar e^(-beta_bar s)
         + mu0 e^(-p s/(p-1)).
 
-    All three pieces decay exponentially in s by subcriticality.
+    All three pieces decay exponentially in s by subcriticality.  At s = 0
+    (T - t = 1) the similarity variables are the physical ones up to a
+    shift in x, so N(u_x, u, 0) is the perturbation of the physical equation.
+    w_grad is read only when mu != 0, so a caller may pass 0.0 otherwise.
     """
-    out = np.zeros(np.broadcast(np.asarray(phi_val), np.asarray(q_val)).shape)
-    if params.mu != 0.0:
-        grad = np.asarray(phi_grad, dtype=float) + np.asarray(q_grad, dtype=float)
-        out = out + params.mu * np.abs(grad) ** params.alpha * np.exp(
-            -params.beta * s
-        )
-    if params.mu_bar != 0.0:
-        tot = np.asarray(phi_val, dtype=float) + np.asarray(q_val, dtype=float)
-        out = out + params.mu_bar * np.abs(tot) ** params.alpha_bar * np.exp(
-            -params.beta_bar * s
-        )
-    if params.mu0 != 0.0:
-        out = out + params.mu0 * np.exp(-params.p * s / (params.p - 1.0))
+    p = params
+    e1 = p.mu * np.exp(-p.beta * s) if p.mu != 0.0 else 0.0
+    e2 = p.mu_bar * np.exp(-p.beta_bar * s) if p.mu_bar != 0.0 else 0.0
+    e3 = p.mu0 * np.exp(-p.p * s / (p.p - 1.0)) if p.mu0 != 0.0 else 0.0
+    out = np.full(np.broadcast(np.asarray(w_grad), np.asarray(w_val)).shape, e3)
+    if e1 != 0.0:
+        out += e1 * np.abs(w_grad) ** p.alpha
+    if e2 != 0.0:
+        out += e2 * np.abs(w_val) ** p.alpha_bar
     return out

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .model import ModelParams, phi, profile_f
+from .model import ModelParams, perturbation_N, phi, phi_dy, profile_f
 
 __all__ = [
     "PhysicalConfig",
@@ -73,6 +73,12 @@ class PhysicalConfig:
             raise ValueError("n_x must be an odd integer >= 17 (peak at a node)")
         if not (1.0 < self.fit_lo < self.fit_hi < self.stop_factor):
             raise ValueError("need 1 < fit_lo < fit_hi < stop_factor")
+        for name in ("z_max", "cfl", "lam"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
+        for name in ("dt0", "t_budget"):  # 0 disables either
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
 
     @property
     def T(self) -> float:
@@ -117,13 +123,9 @@ def _rhs(u: np.ndarray, dx: float, params: ModelParams) -> np.ndarray:
     du = np.zeros_like(u)
     du[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dx**2
     du[1:-1] += np.abs(u[1:-1]) ** (params.p - 1.0) * u[1:-1]
-    if params.mu != 0.0:
-        ux = (u[2:] - u[:-2]) / (2.0 * dx)
-        du[1:-1] += params.mu * np.abs(ux) ** params.alpha
-    if params.mu_bar != 0.0:
-        du[1:-1] += params.mu_bar * np.abs(u[1:-1]) ** params.alpha_bar
-    if params.mu0 != 0.0:
-        du[1:-1] += params.mu0
+    if params.perturbed:
+        ux = (u[2:] - u[:-2]) / (2.0 * dx) if params.mu != 0.0 else 0.0
+        du[1:-1] += perturbation_N(params, ux, u[1:-1], 0.0)
     return du  # ends stay zero: frozen Dirichlet data
 
 
@@ -368,14 +370,7 @@ def profile_error(
     dw_num = spline(y_grid, 1)
     f_ref = profile_f(params, y_grid / np.sqrt(s))
     phi_ref = phi(params, y_grid, s)
-    zg = y_grid / np.sqrt(s)
-    gb = params.p - 1.0 + (params.p - 1.0) ** 2 / (4.0 * params.p) * zg**2
-    df_ref = (
-        -((params.p - 1.0) / (2.0 * params.p))
-        * zg
-        * gb ** (-params.p / (params.p - 1.0))
-        / np.sqrt(s)
-    )
+    df_ref = phi_dy(params, y_grid, s)
     w_center = float(spline(0.0))
     return {
         "s": float(s),

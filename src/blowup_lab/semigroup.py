@@ -17,7 +17,12 @@ directly from the convolution structure and are checked numerically here:
 
 Discrete application is plain trapezoid quadrature of the kernel, one dense
 matrix per (theta, grid), cached; exactness of the Gaussian quadrature on
-these grids matters more than speed, so no FFT shortcut is taken.
+these grids matters more than speed, so no FFT shortcut is taken.  For a
+short step the kernel underflows to exact zeros a few widths off the
+diagonal, so the product skips those entries: each block of rows is
+multiplied over the columns that hold its nonzero entries only.  The sum
+has the same terms, in a different order, so it agrees with the full
+product to roundoff.
 """
 
 from __future__ import annotations
@@ -35,8 +40,11 @@ __all__ = [
     "kernel_comparison_check",
 ]
 
-_MATRIX_CACHE: dict[tuple, np.ndarray] = {}
+# (theta, grid) -> (matrix, its row blocks as (row start, row end, column
+# start, column end), each column span holding that block's nonzero entries)
+_MATRIX_CACHE: dict[tuple, tuple[np.ndarray, list[tuple[int, int, int, int]]]] = {}
 _MATRIX_CACHE_LIMIT = 40
+_BLOCK_ROWS = 64
 
 
 def kernel_eval(theta: float, y, x):
@@ -51,21 +59,43 @@ def kernel_eval(theta: float, y, x):
     return pref * np.exp(-arg)
 
 
+def _cache_key(theta: float, grid: Grid) -> tuple:
+    return (round(float(theta), 14), grid.key())
+
+
+def _row_blocks(mat: np.ndarray) -> list[tuple[int, int, int, int]]:
+    """Blocks of _BLOCK_ROWS rows, each with the column span of its nonzeros."""
+    n_rows, n_cols = mat.shape
+    nonzero = mat != 0.0
+    first = np.argmax(nonzero, axis=1)  # an all-zero row spans every column
+    stop = n_cols - np.argmax(nonzero[:, ::-1], axis=1)
+    blocks = []
+    for r0 in range(0, n_rows, _BLOCK_ROWS):
+        r1 = min(n_rows, r0 + _BLOCK_ROWS)
+        blocks.append((r0, r1, int(first[r0:r1].min()), int(stop[r0:r1].max())))
+    return blocks
+
+
 def kernel_matrix(theta: float, grid: Grid) -> np.ndarray:
     """Dense quadrature matrix A[i, j] = w_j * kernel(theta, y_i, x_j), cached."""
-    key = (round(float(theta), 14), grid.key())
-    mat = _MATRIX_CACHE.get(key)
-    if mat is None:
+    key = _cache_key(theta, grid)
+    entry = _MATRIX_CACHE.get(key)
+    if entry is None:
         y = grid.y
         mat = kernel_eval(theta, y[:, None], y[None, :]) * grid.weights[None, :]
         if len(_MATRIX_CACHE) >= _MATRIX_CACHE_LIMIT:
             _MATRIX_CACHE.clear()
-        _MATRIX_CACHE[key] = mat
-    return mat
+        entry = _MATRIX_CACHE[key] = (mat, _row_blocks(mat))
+    return entry[0]
 
 
 def apply_semigroup_values(theta: float, grid: Grid, values: np.ndarray) -> np.ndarray:
-    return kernel_matrix(theta, grid) @ values
+    """kernel_matrix(theta, grid) @ values, skipping the kernel's zero entries."""
+    mat = kernel_matrix(theta, grid)
+    out = np.empty(np.shape(values))
+    for r0, r1, c0, c1 in _MATRIX_CACHE[_cache_key(theta, grid)][1]:
+        out[r0:r1] = mat[r0:r1, c0:c1] @ values[c0:c1]
+    return out
 
 
 def apply_semigroup(theta: float, f: Field) -> Field:

@@ -58,7 +58,9 @@ class InitialDataParams:
 
     def __post_init__(self) -> None:
         if self.s0 < np.e:
-            raise ValueError(f"starting time must satisfy s0 >= e, got {self.s0!r}")
+            raise ValueError(
+                f"starting time must be >= e (s0 >= e), got s0={self.s0!r}"
+            )
 
 
 def initial_q(params: ModelParams, grid: Grid, init: InitialDataParams) -> Field:
@@ -218,7 +220,6 @@ def shoot(
     s_end: float,
     rect0: np.ndarray | None = None,
     max_levels: int = 64,
-    progress: bool = False,
 ) -> ShootResult:
     """Enclose the critical (d0, d1) by quadrisection until survival.
 
@@ -355,12 +356,6 @@ def shoot(
             rect[1] = [rect[1, 0], m1]
         else:
             rect[1] = [m1, rect[1, 1]]
-
-        if progress:
-            print(
-                f"level {level:3d}: d0 in [{rect[0,0]:.17g}, {rect[0,1]:.17g}] "
-                f"width {rect[0,1]-rect[0,0]:.3e}, longest run s*={max(p.s_star for p in plus):.3f}"
-            )
 
     best = evaluate(0.5 * (rect[0, 0] + rect[0, 1]), 0.5 * (rect[1, 0] + rect[1, 1]))
     if best.survived:

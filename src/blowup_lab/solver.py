@@ -10,12 +10,15 @@ Two equivalent forms are advanced on a fixed grid in y:
 
 Both use Strang splitting: an explicit half step of the local-in-y terms,
 an exact application of the linear semigroup via the Gaussian kernel, and
-a second explicit half step.  Local coefficients (potential, residual,
-perturbation prefactors, profile) are frozen at the step midpoint time
-s + ds/2 for both halves, which keeps the composition time-symmetric and
-the scheme second order.  In the w form the power nonlinearity w' = |w|^{p-1} w
-is integrated in closed form, so the constant steady state kappa is preserved
-to O(ds^3) per step.
+a second explicit half step.  The local sources Vq, B, R and N of the q
+form come from one `SourceTerms` object, whose coefficient fields (profile,
+potential, residual, profile gradient) are frozen at one time: the step
+midpoint s + ds/2 for both halves, which keeps the composition
+time-symmetric and the scheme second order.  The per-step source sups of a
+trajectory record and the integral-form check read the same object.  The
+w form adds the same perturbation N (`model.perturbation_N`) and integrates
+the power nonlinearity w' = |w|^{p-1} w in closed form, so the constant
+steady state kappa is preserved to O(ds^3) per step.
 
 A trajectory run records the spectral decomposition of the deviation at
 every step, checks trap membership, and stops at the first exit or at any
@@ -25,6 +28,7 @@ divergence of the field.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -45,6 +49,7 @@ from .trapset import ExitInfo, TrapParams, check_membership, exit_classify
 
 __all__ = [
     "SolverConfig",
+    "SourceTerms",
     "DivergenceError",
     "TrajectoryRecord",
     "step_q",
@@ -88,14 +93,14 @@ class SolverConfig:
 
     def __post_init__(self) -> None:
         if not (0.0 < self.ds <= 0.5):
-            raise ValueError(f"step size out of range (0, 0.5]: ds={self.ds!r}")
+            raise ValueError(f"step size must be in (0, 0.5], got ds={self.ds!r}")
         if self.scheme not in _SCHEME_CHOICES:
             raise ValueError(
-                f"unknown scheme {self.scheme!r}; choose from {_SCHEME_CHOICES}"
+                f"unknown scheme {self.scheme!r}; must be one of {_SCHEME_CHOICES}"
             )
         if self.bc not in _BC_CHOICES:
             raise ValueError(
-                f"unknown boundary condition {self.bc!r}; choose from {_BC_CHOICES}"
+                f"unknown boundary condition {self.bc!r}; must be one of {_BC_CHOICES}"
             )
 
 
@@ -107,54 +112,62 @@ class DivergenceError(RuntimeError):
         self.s = s
 
 
-def _perturbation_factors(params: ModelParams, s: float) -> tuple[float, float, float]:
-    e1 = params.mu * np.exp(-params.beta * s) if params.mu != 0.0 else 0.0
-    e2 = params.mu_bar * np.exp(-params.beta_bar * s) if params.mu_bar != 0.0 else 0.0
-    e3 = params.mu0 * np.exp(-params.p * s / (params.p - 1.0)) if params.mu0 != 0.0 else 0.0
-    return e1, e2, e3
+class SourceTerms:
+    """Local sources Vq, B(q), R and N of the deviation equation at time s.
 
+    The coefficient fields are evaluated on first use and then kept, so a
+    caller pays only for the fields it reads.
+    """
 
-class _QCoeffs:
-    """Coefficient fields of the local q-terms, frozen at one time."""
-
-    def __init__(self, params: ModelParams, grid: Grid, s: float, cfg: SolverConfig):
-        y = grid.y
+    def __init__(self, params: ModelParams, grid: Grid, s: float):
         self.params = params
         self.grid = grid
-        self.cfg = cfg
-        self.phi = phi(params, y, s)
-        self.V = potential_V(params, y, s) if cfg.include_potential else None
-        self.R = remainder_R(params, y, s) if cfg.include_residual else None
-        e1, e2, e3 = _perturbation_factors(params, s)
-        self.has_N = cfg.include_perturbation and (e1 != 0.0 or e2 != 0.0 or e3 != 0.0)
-        if self.has_N:
-            self.e1, self.e2, self.e3 = e1, e2, e3
-            self.phi_dy = phi_dy(params, y, s)
+        self.s = s
 
-    def rhs(self, qv: np.ndarray) -> np.ndarray:
-        p = self.params
+    @cached_property
+    def phi_val(self) -> np.ndarray:
+        return phi(self.params, self.grid.y, self.s)
+
+    @cached_property
+    def phi_y(self) -> np.ndarray:
+        return phi_dy(self.params, self.grid.y, self.s)
+
+    @cached_property
+    def V(self) -> np.ndarray:
+        return potential_V(self.params, self.grid.y, self.s)
+
+    @cached_property
+    def R(self) -> np.ndarray:
+        return remainder_R(self.params, self.grid.y, self.s)
+
+    def B(self, qv: np.ndarray) -> np.ndarray:
+        return nonlinear_B(self.params, self.phi_val, qv)
+
+    def N(self, qv: np.ndarray, qy: np.ndarray | None = None) -> np.ndarray:
+        """Perturbation source; qy is the gradient of qv when already known."""
+        w_grad = 0.0  # read by the gradient term only, which needs mu != 0
+        if self.params.mu != 0.0:
+            w_grad = self.phi_y + (gradient(self.grid, qv) if qy is None else qy)
+        return perturbation_N(self.params, w_grad, self.phi_val + qv, self.s)
+
+    def rhs(self, qv: np.ndarray, cfg: SolverConfig) -> np.ndarray:
+        """Vq + B(q) + R + N, restricted to the terms cfg switches on."""
         out = np.zeros_like(qv)
-        if self.V is not None:
+        if cfg.include_potential:
             out += self.V * qv
-        if self.cfg.include_nonlinear:
-            out += nonlinear_B(p, self.phi, qv)
-        if self.R is not None:
+        if cfg.include_nonlinear:
+            out += self.B(qv)
+        if cfg.include_residual:
             out += self.R
-        if self.has_N:
-            if self.e1 != 0.0:
-                wy = self.phi_dy + gradient(self.grid, qv)
-                out += self.e1 * np.abs(wy) ** p.alpha
-            if self.e2 != 0.0:
-                out += self.e2 * np.abs(self.phi + qv) ** p.alpha_bar
-            if self.e3 != 0.0:
-                out += self.e3
+        if cfg.include_perturbation and self.params.perturbed:
+            out += self.N(qv)
         return out
 
 
-def _midpoint_half(coeffs: _QCoeffs, qv: np.ndarray, h: float) -> np.ndarray:
-    k1 = coeffs.rhs(qv)
-    k2 = coeffs.rhs(qv + 0.5 * h * k1)
-    return qv + h * k2
+def _midpoint_half(rhs, v: np.ndarray, h: float) -> np.ndarray:
+    k1 = rhs(v)
+    k2 = rhs(v + 0.5 * h * k1)
+    return v + h * k2
 
 
 def _apply_bc_q(values: np.ndarray, params: ModelParams, grid: Grid, s: float, bc: str) -> None:
@@ -247,10 +260,10 @@ def step_q(q: Field, params: ModelParams, cfg: SolverConfig) -> Field:
     """Advance the deviation by one step of size cfg.ds."""
     ds = cfg.ds
     s_new = q.s + ds
-    coeffs = _QCoeffs(params, q.grid, q.s + 0.5 * ds, cfg)
-    v = _midpoint_half(coeffs, q.values, 0.5 * ds)
+    rhs = partial(SourceTerms(params, q.grid, q.s + 0.5 * ds).rhs, cfg=cfg)
+    v = _midpoint_half(rhs, q.values, 0.5 * ds)
     v = _linear_substep(q.grid, v, ds, cfg)
-    v = _midpoint_half(coeffs, v, 0.5 * ds)
+    v = _midpoint_half(rhs, v, 0.5 * ds)
     _apply_bc_q(v, params, q.grid, s_new, cfg.bc)
     _guard(v, s_new, cfg.overflow)
     return Field(grid=q.grid, values=v, s=s_new)
@@ -275,31 +288,20 @@ def step_w(w: Field, params: ModelParams, cfg: SolverConfig) -> Field:
     ds = cfg.ds
     s_new = w.s + ds
     sm = w.s + 0.5 * ds
-    e1, e2, e3 = _perturbation_factors(params, sm)
-    has_N = cfg.include_perturbation and (e1 != 0.0 or e2 != 0.0 or e3 != 0.0)
     grid = w.grid
     p = params
 
-    def_n = None
-    if has_N:
+    has_N = cfg.include_perturbation and params.perturbed
 
-        def pert(wv: np.ndarray) -> np.ndarray:
-            out = np.full_like(wv, e3)
-            if e1 != 0.0:
-                out += e1 * np.abs(gradient(grid, wv)) ** p.alpha
-            if e2 != 0.0:
-                out += e2 * np.abs(wv) ** p.alpha_bar
-            return out
-
-        def_n = pert
+    def pert(wv: np.ndarray) -> np.ndarray:
+        w_grad = gradient(grid, wv) if params.mu != 0.0 else 0.0
+        return perturbation_N(params, w_grad, wv, sm)
 
     def half(wv: np.ndarray, h: float) -> np.ndarray:
-        if def_n is None:
+        if not has_N:
             return _power_flow(params, wv, h, sm)
         v = _power_flow(params, wv, 0.5 * h, sm)
-        k1 = def_n(v)
-        k2 = def_n(v + 0.5 * h * k1)
-        v = v + h * k2
+        v = _midpoint_half(pert, v, h)
         return _power_flow(params, v, 0.5 * h, sm)
 
     v = half(w.values, 0.5 * ds)
@@ -345,23 +347,17 @@ def _field_sups(
     q: Field, params: ModelParams, trap: TrapParams
 ) -> tuple[float, float, float, float]:
     y, s = q.grid.y, q.s
-    phi_val = phi(params, y, s)
-    b = nonlinear_B(params, phi_val, q.values)
-    r = remainder_R(params, y, s)
+    src = SourceTerms(params, q.grid, s)
     qy = gradient(q.grid, q.values)
-    if params.mu != 0.0 or params.mu_bar != 0.0 or params.mu0 != 0.0:
-        n = perturbation_N(params, phi_dy(params, y, s), qy, phi_val, q.values, s)
-        n_sup = float(np.max(np.abs(n)))
-    else:
-        n_sup = 0.0
+    n_sup = float(np.max(np.abs(src.N(q.values, qy)))) if params.perturbed else 0.0
     # The gradient sup is a decay diagnostic, so it is restricted to the
     # cutoff support |y| <= 2 K0 sqrt(s) (same region as the seminorm):
     # outside it the deviation is pinned by the boundary condition and the
     # collar gradient reflects domain truncation, not the solution.
     core = np.abs(y) <= 2.0 * trap.K0 * np.sqrt(s)
     return (
-        float(np.max(np.abs(b))),
-        float(np.max(np.abs(r))),
+        float(np.max(np.abs(src.B(q.values)))),
+        float(np.max(np.abs(src.R))),
         n_sup,
         float(np.max(np.abs(qy[core]))),
     )
@@ -544,17 +540,10 @@ def duhamel_split_check(
     quad_marks = sorted({int(round(x)) for x in np.linspace(0.0, n_steps, n_quad)})
 
     def sources(q: Field) -> dict:
-        y, s = grid.y, q.s
-        phi_val = phi(params, y, s)
-        qy = gradient(grid, q.values)
-        b = nonlinear_B(params, phi_val, q.values)
-        r = remainder_R(params, y, s)
-        if params.mu != 0.0 or params.mu_bar != 0.0 or params.mu0 != 0.0:
-            n = perturbation_N(params, phi_dy(params, y, s), qy, phi_val, q.values, s)
-        else:
-            n = np.zeros_like(q.values)
-        vq = potential_V(params, y, s) * q.values
-        return {"s": s, "B": b, "R": r, "N": n, "V": vq}
+        src = SourceTerms(params, grid, q.s)
+        n = src.N(q.values) if params.perturbed else np.zeros_like(q.values)
+        vq = src.V * q.values
+        return {"s": q.s, "B": src.B(q.values), "R": src.R, "N": n, "V": vq}
 
     samples = []
     q = q_tau.copy()

@@ -156,3 +156,41 @@ def test_numerical_failure_returns_three(base_ini, tmp_path, capsys):
     assert rc == 3
     assert "numerical failure" in capsys.readouterr().err
     assert not out.exists()  # nothing half-written
+
+
+@pytest.mark.parametrize("kind", ["trajectory", "spectral-checks", "shoot"])
+def test_grid_too_narrow_for_decomposition_returns_two(
+    base_ini, tmp_path, capsys, kind
+):
+    out = tmp_path / "res"
+    rc = main([
+        "run", str(base_ini), "--out", str(out), "--kind", kind,
+        "--override", "grid.y_max=10",
+    ])
+    assert rc == 2
+    assert "config error: [grid] y_max" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_value_error_during_run_returns_three(base_ini, tmp_path, capsys):
+    # the eigenfunction check masks an ~8-sigma collar, which leaves no
+    # node on a grid this narrow; the run fails before writing anything
+    out = tmp_path / "res"
+    rc = main([
+        "run", str(base_ini), "--out", str(out), "--kind", "semigroup-checks",
+        "--override", "grid.y_max=10",
+    ])
+    assert rc == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_zero_cfl_returns_two(base_ini, tmp_path, capsys):
+    out = tmp_path / "res"
+    rc = main([
+        "run", str(base_ini), "--out", str(out), "--kind", "physical",
+        "--override", "physical.cfl=0",
+    ])
+    assert rc == 2
+    assert "config error: [physical] cfl must be > 0" in capsys.readouterr().err
+    assert not out.exists()

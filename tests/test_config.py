@@ -116,6 +116,9 @@ def test_override_syntax_errors():
     ("physical", "n_x", 1600, "odd integer"),
     ("physical", "fit_hi", 1e6, "fit_lo < fit_hi < stop_factor"),
     ("physical", "t_rel_tol", -1.0, "must be >= 0"),
+    ("physical", "cfl", 0.0, r"\[physical\] cfl must be > 0"),
+    ("physical", "lam", 0.0, r"\[physical\] lam must be > 0"),
+    ("physical", "z_max", -1.0, r"\[physical\] z_max must be > 0"),
     ("experiment", "kind", "warp", "must be one of"),
 ])
 def test_validation_messages(section, key, value, msg):
@@ -132,6 +135,27 @@ def test_validation_defers_model_coupling_to_params():
     cfg["model"]["mu"] = 1.0
     with pytest.raises(ConfigError, match=r"\[model\] supercritical alpha"):
         validate_config(cfg)
+
+
+def test_s0_between_e_and_2_8_validates():
+    # the starting-time rule is s0 >= e, as InitialDataParams states it
+    cfg = default_config()
+    cfg["trajectory"]["s0"] = 2.75
+    validate_config(cfg)
+
+
+@pytest.mark.parametrize("y_max,ok", [(39.98, True), (39.9, False)])
+def test_y_max_checked_on_the_grid_the_run_builds(y_max, ok):
+    # trajectory decomposes at s_end = 25, needing 2*K0*sqrt(25) = 40; the
+    # run rounds y_max up to a multiple of dy, so 39.98 gives a 40.0 grid
+    cfg = default_config()
+    cfg["trajectory"]["s_end"] = 25.0
+    cfg["grid"]["y_max"] = y_max
+    if ok:
+        validate_config(cfg)
+    else:
+        with pytest.raises(ConfigError, match=r"\[grid\] y_max: .*grid too narrow"):
+            validate_config(cfg)
 
 
 def test_trajectory_shoot_s0_checked_separately():
@@ -162,7 +186,6 @@ def test_config_text_is_sorted_and_canonical():
     assert text.endswith("\n")
     assert "solver.include_residual=true" in lines
     assert "solver.ds=0.01" in lines
-    assert "experiment.seed=0" in lines
 
 
 def test_hash_stability_and_sensitivity(tmp_path):

@@ -289,21 +289,21 @@ def test_remainder_R_sup_decay():
 def test_perturbation_N_zero_in_pure_case():
     pr = make_params(2.0)
     y = np.linspace(-5.0, 5.0, 11)
-    n = perturbation_N(pr, phi_dy(pr, y, 20.0), 0.0 * y, phi(pr, y, 20.0), 0.0 * y, 20.0)
+    n = perturbation_N(pr, phi_dy(pr, y, 20.0), phi(pr, y, 20.0), 20.0)
     assert np.all(n == 0.0)
 
 
 def test_perturbation_N_constant_term_only():
     pr = make_params(2.0, mu0=3.0)
     # N = mu0 e^{-ps/(p-1)} = 3 e^{-2s}
-    n = perturbation_N(pr, 0.0, 0.0, 1.0, 0.0, 5.0)
+    n = perturbation_N(pr, 0.0, 1.0, 5.0)
     assert float(n) == pytest.approx(3.0 * np.exp(-10.0), rel=1e-14)
 
 
 def test_perturbation_N_gradient_term():
     pr = make_params(2.0, alpha=1.0, mu=2.0)
-    # N = 2 |phi_y + q_y| e^{-beta s}, beta = 1/2 here
-    n = perturbation_N(pr, 0.3, 0.1, 1.0, 0.0, 10.0)
+    # N = 2 |w_y| e^{-beta s} with w_y = phi_y + q_y = 0.3 + 0.1, beta = 1/2 here
+    n = perturbation_N(pr, 0.3 + 0.1, 1.0, 10.0)
     assert float(n) == pytest.approx(2.0 * 0.4 * np.exp(-5.0), rel=1e-14)
 
 
@@ -311,12 +311,7 @@ def test_perturbation_N_all_terms_and_broadcast(perturbed_p2):
     y = np.linspace(-2.0, 2.0, 5)
     s = 20.0
     n = perturbation_N(
-        perturbed_p2,
-        phi_dy(perturbed_p2, y, s),
-        np.zeros_like(y),
-        phi(perturbed_p2, y, s),
-        np.zeros_like(y),
-        s,
+        perturbed_p2, phi_dy(perturbed_p2, y, s), phi(perturbed_p2, y, s), s
     )
     assert n.shape == y.shape
     by_hand = (

@@ -54,6 +54,12 @@ def test_config_validation():
         PhysicalConfig(fit_lo=0.5)
     with pytest.raises(ValueError, match="fit_lo"):
         PhysicalConfig(fit_hi=2e4)
+    with pytest.raises(ValueError, match="cfl must be > 0"):
+        PhysicalConfig(cfl=0.0)
+    with pytest.raises(ValueError, match="lam must be > 0"):
+        PhysicalConfig(lam=0.0)
+    with pytest.raises(ValueError, match="z_max must be > 0"):
+        PhysicalConfig(z_max=0.0)
 
 
 def test_nominal_blowup_time():

@@ -99,6 +99,19 @@ def test_apply_semigroup_keeps_time_label(grid20):
     assert apply_semigroup(0.5, f).s == 23.5
 
 
+@pytest.mark.parametrize("theta", [1e-3, 0.02, 0.37])
+def test_apply_matches_full_kernel_product(theta):
+    # the apply skips the kernel's underflowed entries, which reorders the
+    # sum only; a wide kernel's blocks span (nearly) every column
+    grid = make_grid(40.0, 0.05)
+    vals = np.random.default_rng(7).standard_normal((grid.n, 2))
+    full = kernel_matrix(theta, grid) @ vals
+    for v, ref in ((vals, full), (vals[:, 1], full[:, 1])):
+        out = apply_semigroup_values(theta, grid, v)
+        assert out.shape == ref.shape
+        assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 def test_matrix_cache_consistency(grid20):
     a = kernel_matrix(0.37, grid20)
     b = kernel_matrix(0.37, grid20)

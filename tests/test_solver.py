@@ -8,13 +8,22 @@ splitting, not against schema or tolerance drift elsewhere.
 import numpy as np
 import pytest
 
-from blowup_lab.grids import Field, default_y_max, make_grid
+from blowup_lab.grids import Field, default_y_max, gradient, make_grid
 from blowup_lab.hermite import hermite_h
-from blowup_lab.model import make_params, phi
+from blowup_lab.model import (
+    make_params,
+    nonlinear_B,
+    perturbation_N,
+    phi,
+    phi_dy,
+    potential_V,
+    remainder_R,
+)
 from blowup_lab.shooting import InitialDataParams, initial_q
 from blowup_lab.solver import (
     DivergenceError,
     SolverConfig,
+    SourceTerms,
     _cn_apply,
     duhamel_split_check,
     forms_consistency_check,
@@ -51,6 +60,32 @@ def test_config_validation():
         SolverConfig(scheme="spectral")
     with pytest.raises(ValueError, match="unknown boundary"):
         SolverConfig(bc="periodic")
+
+
+# ---------------------------------------------------------------------------
+# source terms
+
+
+@pytest.mark.parametrize("lane", ["pure_p2", "perturbed_p2"])
+def test_source_terms_rhs_matches_model_functions(lane, request):
+    pr = request.getfixturevalue(lane)
+    g = _traj_grid()
+    s = 20.5
+    qv = initial_q(pr, g, InitialDataParams(d0=0.01, d1=-0.003, s0=s)).values
+    rhs = SourceTerms(pr, g, s).rhs(qv, SolverConfig())
+    phi_val = phi(pr, g.y, s)
+    by_hand = (
+        potential_V(pr, g.y, s) * qv
+        + nonlinear_B(pr, phi_val, qv)
+        + remainder_R(pr, g.y, s)
+    )
+    if lane == "pure_p2":
+        np.testing.assert_array_equal(rhs, by_hand)
+    else:
+        w_y = phi_dy(pr, g.y, s) + gradient(g, qv)
+        by_hand = by_hand + perturbation_N(pr, w_y, phi_val + qv, s)
+        assert np.max(np.abs(rhs - by_hand)) <= 1e-15 * np.max(np.abs(by_hand))
+    assert not np.any(SourceTerms(pr, g, s).rhs(qv, SolverConfig(**ALL_OFF)))
 
 
 # ---------------------------------------------------------------------------
