@@ -23,6 +23,7 @@ from .grids import make_grid
 from .hermite import check_cutoff_support
 from .model import make_params
 from .physical import PhysicalConfig
+from .semigroup import interior_mask
 from .shooting import InitialDataParams
 from .solver import SolverConfig
 from .trapset import TrapParams
@@ -111,6 +112,9 @@ _DECOMPOSE_AT = {
     "shoot": (("shooting", "s_end"),),
     "full-pipeline": (("trajectory", "s0"), ("shooting", "s_end")),
 }
+
+# experiment kinds that check the kernel on the grid's interior
+_KERNEL_CHECKS = ("semigroup-checks", "full-pipeline")
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
@@ -219,12 +223,17 @@ def validate_config(cfg: dict) -> None:
     if kind not in EXPERIMENT_KINDS:
         bad("experiment", "kind", f"must be one of {EXPERIMENT_KINDS}")
     if cfg["grid"]["y_max"] > 0:  # 0 derives a wide enough grid
-        y_max = make_grid(cfg["grid"]["y_max"], cfg["grid"]["dy"]).y_max
+        grid = make_grid(cfg["grid"]["y_max"], cfg["grid"]["dy"])
         for sec, key in _DECOMPOSE_AT.get(kind, ()):
             try:
-                check_cutoff_support(y_max, cfg["trap"]["K0"], cfg[sec][key])
+                check_cutoff_support(grid.y_max, cfg["trap"]["K0"], cfg[sec][key])
             except ValueError as err:
                 bad("grid", "y_max", f"{kind} decomposes at [{sec}] {key}; {err}")
+        if kind in _KERNEL_CHECKS:
+            try:
+                interior_mask(grid)
+            except ValueError as err:
+                bad("grid", "y_max", f"{kind} checks the kernel inside the edge; {err}")
 
 
 def _canon(value) -> str:

@@ -23,6 +23,7 @@ from .hermite import (
 from .model import make_params, potential_V, profile_f, profile_residual
 from .semigroup import (
     apply_semigroup,
+    interior_mask,
     kernel_comparison_check,
     verify_smoothing,
 )
@@ -128,8 +129,7 @@ def run_semigroup_checks(cfg: dict):
     thetas = (0.01, 0.1, 0.5, 1.0, 2.0)
     eig_rows = []
     eig_err = 0.0
-    margin = grid.y_max - 8.0 * np.sqrt(2.0)
-    mask = np.abs(y) <= margin
+    mask = interior_mask(grid)
     for m in range(4):
         h = Field(grid=grid, values=hermite_h(m, y), s=0.0)
         for theta in thetas:

@@ -15,19 +15,19 @@ directly from the convolution structure and are checked numerically here:
     ||d/dy e^(theta L) r||_inf <= C e^(theta/2)/sqrt(1-e^-theta) ||r||_inf
                                                                        (case 2)
 
-Discrete application is plain trapezoid quadrature of the kernel, one dense
-matrix per (theta, grid), cached; exactness of the Gaussian quadrature on
-these grids matters more than speed, so no FFT shortcut is taken.  For a
-short step the kernel underflows to exact zeros a few widths off the
-diagonal, so the product skips those entries: each block of rows is
-multiplied over the columns that hold its nonzero entries only.  The sum
-has the same terms, in a different order, so it agrees with the full
-product to roundoff.
+Discrete application is plain trapezoid quadrature of the kernel, so the
+quadrature exactness of the Gaussian integrands on these grids is kept.
+The matrix is stored banded, one CSR matrix per (theta, grid), cached:
+row i is a Gaussian centred at y_i e^(-theta/2), and only its entries at
+or above KERNEL_FLOOR = 1e-17 of the row's max are built and kept.  The
+dropped mass is below 1e-16 of the row sum, a truncation below roundoff,
+and every kept entry is bitwise the dense one.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .grids import Field, Grid, gradient
 
@@ -36,15 +36,21 @@ __all__ = [
     "kernel_matrix",
     "apply_semigroup",
     "apply_semigroup_values",
+    "interior_mask",
     "verify_smoothing",
     "kernel_comparison_check",
 ]
 
-# (theta, grid) -> (matrix, its row blocks as (row start, row end, column
-# start, column end), each column span holding that block's nonzero entries)
-_MATRIX_CACHE: dict[tuple, tuple[np.ndarray, list[tuple[int, int, int, int]]]] = {}
+# entries below this fraction of their row's max are not stored
+KERNEL_FLOOR = 1e-17
+
+# Nodes within 8 standard deviations of the widest kernel (variance
+# 2(1 - e^-theta) < 2) of the grid edge see it clipped by the finite domain.
+_EDGE_COLLAR = 8.0 * np.sqrt(2.0)
+
+# (theta, grid) -> banded quadrature matrix
+_MATRIX_CACHE: dict[tuple, csr_array] = {}
 _MATRIX_CACHE_LIMIT = 40
-_BLOCK_ROWS = 64
 
 
 def kernel_eval(theta: float, y, x):
@@ -63,44 +69,65 @@ def _cache_key(theta: float, grid: Grid) -> tuple:
     return (round(float(theta), 14), grid.key())
 
 
-def _row_blocks(mat: np.ndarray) -> list[tuple[int, int, int, int]]:
-    """Blocks of _BLOCK_ROWS rows, each with the column span of its nonzeros."""
-    n_rows, n_cols = mat.shape
-    nonzero = mat != 0.0
-    first = np.argmax(nonzero, axis=1)  # an all-zero row spans every column
-    stop = n_cols - np.argmax(nonzero[:, ::-1], axis=1)
-    blocks = []
-    for r0 in range(0, n_rows, _BLOCK_ROWS):
-        r1 = min(n_rows, r0 + _BLOCK_ROWS)
-        blocks.append((r0, r1, int(first[r0:r1].min()), int(stop[r0:r1].max())))
-    return blocks
+def _banded_kernel(theta: float, grid: Grid) -> csr_array:
+    """A[i, j] = w_j * kernel(theta, y_i, x_j) where >= KERNEL_FLOOR * max_j A[i, j].
+
+    Each row is evaluated on a window of columns of one width, clipped into
+    the grid, around the node nearest its centre y_i e^(-theta/2).  The
+    window reaches sqrt(4 (1 - e^-theta) ln(2 / KERNEL_FLOOR)) + 2 dy past
+    that node, which holds every entry at or above the floor: the row max
+    is at least the entry of that node, which is within dy/2 of the centre
+    and may be a half-weight end node, hence the ln 2.
+    """
+    y, n = grid.y, grid.n
+    half = np.sqrt(4.0 * (1.0 - np.exp(-theta)) * np.log(2.0 / KERNEL_FLOOR))
+    reach = int(np.ceil(half / grid.dy)) + 2
+    width = min(n, 2 * reach + 1)
+    centre = np.rint(y * np.exp(-0.5 * theta) / grid.dy).astype(int) + grid.n_half
+    first = np.clip(centre - reach, 0, n - width)
+    cols = first[:, None] + np.arange(width)
+    vals = kernel_eval(theta, y[:, None], y[cols]) * grid.weights[cols]
+    keep = vals >= KERNEL_FLOOR * vals.max(axis=1, keepdims=True)
+    indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
+    return csr_array((vals[keep], cols[keep], indptr), shape=(n, n))
 
 
-def kernel_matrix(theta: float, grid: Grid) -> np.ndarray:
-    """Dense quadrature matrix A[i, j] = w_j * kernel(theta, y_i, x_j), cached."""
+def kernel_matrix(theta: float, grid: Grid) -> csr_array:
+    """Banded quadrature matrix A[i, j] = w_j * kernel(theta, y_i, x_j), cached."""
     key = _cache_key(theta, grid)
-    entry = _MATRIX_CACHE.get(key)
-    if entry is None:
-        y = grid.y
-        mat = kernel_eval(theta, y[:, None], y[None, :]) * grid.weights[None, :]
+    mat = _MATRIX_CACHE.get(key)
+    if mat is None:
+        if theta <= 0:
+            raise ValueError(f"theta must be > 0, got {theta!r}")
         if len(_MATRIX_CACHE) >= _MATRIX_CACHE_LIMIT:
             _MATRIX_CACHE.clear()
-        entry = _MATRIX_CACHE[key] = (mat, _row_blocks(mat))
-    return entry[0]
+        mat = _MATRIX_CACHE[key] = _banded_kernel(theta, grid)
+    return mat
 
 
 def apply_semigroup_values(theta: float, grid: Grid, values: np.ndarray) -> np.ndarray:
-    """kernel_matrix(theta, grid) @ values, skipping the kernel's zero entries."""
-    mat = kernel_matrix(theta, grid)
-    out = np.empty(np.shape(values))
-    for r0, r1, c0, c1 in _MATRIX_CACHE[_cache_key(theta, grid)][1]:
-        out[r0:r1] = mat[r0:r1, c0:c1] @ values[c0:c1]
-    return out
+    """e^(theta L) on grid values (1-d, or one column per field)."""
+    return kernel_matrix(theta, grid) @ values
 
 
 def apply_semigroup(theta: float, f: Field) -> Field:
     """Propagate a field by e^(theta L); rescaled time label is unchanged."""
     return Field(f.grid, apply_semigroup_values(theta, f.grid, f.values), f.s)
+
+
+def interior_mask(grid: Grid) -> np.ndarray:
+    """Nodes far enough inside the grid edge to check the kernel against
+    its whole-line identities.
+
+    Raises ValueError unless y = 0 and both its neighbours are among them.
+    """
+    margin = grid.y_max - _EDGE_COLLAR
+    if margin < grid.dy:
+        raise ValueError(
+            f"grid half-width {grid.y_max!r} leaves no interior beyond the "
+            f"kernel's edge collar of 8 sqrt(2) = {_EDGE_COLLAR:.4f}"
+        )
+    return np.abs(grid.y) <= margin
 
 
 def _smoothing_sample(grid: Grid) -> list[np.ndarray]:

@@ -158,7 +158,9 @@ def test_numerical_failure_returns_three(base_ini, tmp_path, capsys):
     assert not out.exists()  # nothing half-written
 
 
-@pytest.mark.parametrize("kind", ["trajectory", "spectral-checks", "shoot"])
+@pytest.mark.parametrize(
+    "kind", ["trajectory", "spectral-checks", "shoot", "semigroup-checks"]
+)
 def test_grid_too_narrow_for_decomposition_returns_two(
     base_ini, tmp_path, capsys, kind
 ):
@@ -172,14 +174,15 @@ def test_grid_too_narrow_for_decomposition_returns_two(
     assert not out.exists()
 
 
-def test_value_error_during_run_returns_three(base_ini, tmp_path, capsys):
-    # the eigenfunction check masks an ~8-sigma collar, which leaves no
-    # node on a grid this narrow; the run fails before writing anything
+def test_value_error_during_run_returns_three(base_ini, tmp_path, capsys, monkeypatch):
+    # a ValueError that survives validation is a numerical failure, and
+    # the run writes nothing
+    def fail(cfg):
+        raise ValueError("zero-size array")
+
+    monkeypatch.setattr("blowup_lab.experiments.run_experiment", fail)
     out = tmp_path / "res"
-    rc = main([
-        "run", str(base_ini), "--out", str(out), "--kind", "semigroup-checks",
-        "--override", "grid.y_max=10",
-    ])
+    rc = main(["run", str(base_ini), "--out", str(out)])
     assert rc == 3
     assert "numerical failure" in capsys.readouterr().err
     assert not out.exists()

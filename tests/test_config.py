@@ -158,6 +158,21 @@ def test_y_max_checked_on_the_grid_the_run_builds(y_max, ok):
             validate_config(cfg)
 
 
+@pytest.mark.parametrize("y_max, ok", [(11.3, False), (11.35, False), (11.37, True)])
+def test_semigroup_checks_need_an_interior_beyond_the_edge_collar(y_max, ok):
+    # the kernel checks keep nodes 8 sqrt(2) ~ 11.314 inside the edge and
+    # need y = 0 and its two neighbours among them: y_max >= 11.364 at
+    # dy = 0.05, on the grid the run builds (11.37 rounds up to 11.4)
+    cfg = default_config()
+    cfg["experiment"]["kind"] = "semigroup-checks"
+    cfg["grid"]["y_max"] = y_max
+    if ok:
+        validate_config(cfg)
+    else:
+        with pytest.raises(ConfigError, match=r"\[grid\] y_max: .*edge collar"):
+            validate_config(cfg)
+
+
 def test_trajectory_shoot_s0_checked_separately():
     cfg = default_config()
     cfg["shooting"]["s_end"] = 5.0

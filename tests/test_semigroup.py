@@ -8,7 +8,7 @@ at the domain edge; assertions are masked away from the edge accordingly.
 import numpy as np
 import pytest
 
-from blowup_lab.grids import Field, make_grid
+from blowup_lab.grids import Field, default_y_max, make_grid
 from blowup_lab.hermite import hermite_h
 from blowup_lab.semigroup import (
     apply_semigroup,
@@ -99,17 +99,35 @@ def test_apply_semigroup_keeps_time_label(grid20):
     assert apply_semigroup(0.5, f).s == 23.5
 
 
-@pytest.mark.parametrize("theta", [1e-3, 0.02, 0.37])
+def _dense_kernel(theta, grid):
+    return kernel_eval(theta, grid.y[:, None], grid.y[None, :]) * grid.weights
+
+
+@pytest.mark.parametrize("theta", [1e-3, 0.02, 0.37, 1.0, 5.0])
 def test_apply_matches_full_kernel_product(theta):
-    # the apply skips the kernel's underflowed entries, which reorders the
-    # sum only; a wide kernel's blocks span (nearly) every column
-    grid = make_grid(40.0, 0.05)
-    vals = np.random.default_rng(7).standard_normal((grid.n, 2))
-    full = kernel_matrix(theta, grid) @ vals
-    for v, ref in ((vals, full), (vals[:, 1], full[:, 1])):
-        out = apply_semigroup_values(theta, grid, v)
-        assert out.shape == ref.shape
-        assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+    # the banded kernel drops entries below 1e-17 of their row's max and
+    # sums the rest in another order; the dense product is the oracle
+    for dy in (0.05, 0.025):
+        grid = make_grid(40.0, dy)
+        vals = np.random.default_rng(7).standard_normal((grid.n, 2))
+        full = _dense_kernel(theta, grid) @ vals
+        for v, ref in ((vals, full), (vals[:, 1], full[:, 1])):
+            out = apply_semigroup_values(theta, grid, v)
+            assert out.shape == ref.shape
+            assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("theta", [1e-3, 0.02, 1.0, 5.0])
+def test_kernel_stores_exactly_the_entries_above_the_floor(theta):
+    grid = make_grid(default_y_max(4.0, 50.0), 0.05)
+    dense = _dense_kernel(theta, grid)
+    keep = dense >= 1e-17 * dense.max(axis=1, keepdims=True)
+    banded = kernel_matrix(theta, grid)
+    stored = banded.toarray()
+    assert np.array_equal(stored != 0.0, keep)
+    assert np.array_equal(stored[keep], dense[keep])  # bitwise
+    if theta == 0.02:  # the solver's step on the acceptance grid
+        assert banded.nnz < 0.05 * grid.n**2
 
 
 def test_matrix_cache_consistency(grid20):
@@ -117,7 +135,7 @@ def test_matrix_cache_consistency(grid20):
     b = kernel_matrix(0.37, grid20)
     assert a is b  # cached object
     c = kernel_matrix(0.37, make_grid(20.0, 0.05))
-    assert np.array_equal(a, c)
+    assert a.shape == c.shape and (a != c).nnz == 0
 
 
 def test_smoothing_constants_bounded(grid20):
