@@ -5,6 +5,10 @@ Every spatial object in the package lives on a uniform grid over
 reflection symmetry is exactly representable.  Quadrature against the grid
 is composite trapezoid (interior weight dy, endpoint weight dy/2), which is
 spectrally accurate for the Gaussian-decaying integrands used here.
+
+A field holds one set of grid values, shape (n,), or a stack of K fields
+at the same time as the rows of a C-contiguous (K, n) array; row-wise
+operations (sup, gradient) act along the last axis.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = ["Grid", "Field", "make_grid", "default_y_max", "gradient"]
+__all__ = ["Grid", "Field", "make_grid", "default_y_max", "gradient", "per_row"]
 
 
 @dataclass(frozen=True, eq=True)
@@ -65,7 +69,7 @@ def default_y_max(K0: float, s_max: float, floor: float = 20.0, margin: float = 
 
 @dataclass
 class Field:
-    """Values sampled on a grid at rescaled time s."""
+    """Values sampled on a grid at rescaled time s, one field or K rows."""
 
     grid: Grid
     values: np.ndarray
@@ -73,7 +77,7 @@ class Field:
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.n,):
+        if self.values.ndim not in (1, 2) or self.values.shape[-1] != self.grid.n:
             raise ValueError(
                 f"field shape {self.values.shape} does not match grid n={self.grid.n}"
             )
@@ -81,13 +85,20 @@ class Field:
     def copy(self) -> "Field":
         return Field(self.grid, self.values.copy(), self.s)
 
-    def sup(self) -> float:
-        return float(np.max(np.abs(self.values)))
+    def sup(self):
+        """Sup norm: a float for one field, one per row for a stack."""
+        return per_row(np.max(np.abs(self.values), axis=-1))
 
     def is_finite(self) -> bool:
         return bool(np.all(np.isfinite(self.values)))
 
 
+def per_row(x):
+    """A row-wise reduction as a float for one field, as is for a stack."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
 def gradient(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Centered first differences, one-sided at the two boundary nodes."""
-    return np.gradient(values, grid.dy)
+    """Centered first differences, one-sided at the two boundary nodes (per
+    row)."""
+    return np.gradient(values, grid.dy, axis=-1)

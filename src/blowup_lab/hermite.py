@@ -26,16 +26,22 @@ outside twice that radius) set q_b = q*chi and q_e = q*(1-chi); then
 where q_m are the rho-projections of q_b onto h_m and q_minus is the
 projection residue q_b - sum(q_m h_m), rho-orthogonal to h_0, h_1, h_2.
 The reconstruction above is exact at every node by construction.
+
+The decomposition and the seminorm act row-wise on a stack of fields
+(see `grids`): one cutoff chi serves every row, and rho and h_0..h_2 are
+built once per grid.  Each row's amplitudes are the same trapezoid sums,
+in the same order, as for that field alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial
 
 import numpy as np
 
-from .grids import Field, Grid
+from .grids import Field, Grid, per_row
 
 __all__ = [
     "weight_rho",
@@ -92,9 +98,21 @@ def hermite_norm_sq(m: int) -> float:
     return float(2**m * factorial(m))
 
 
-def inner_rho(grid: Grid, fvals: np.ndarray, gvals: np.ndarray) -> float:
-    """Trapezoid quadrature of f*g against the Gaussian weight."""
-    return float(np.sum(grid.weights * fvals * gvals * weight_rho(grid.y)))
+@lru_cache(maxsize=8)
+def _mode_rows(grid: Grid) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """rho and h_0, h_1, h_2 on the nodes of a grid, built once per grid."""
+    rows = (weight_rho(grid.y),) + tuple(hermite_h(m, grid.y) for m in range(3))
+    for row in rows:
+        row.flags.writeable = False
+    return rows[0], rows[1:]
+
+
+def inner_rho(grid: Grid, fvals: np.ndarray, gvals: np.ndarray):
+    """Trapezoid quadrature of f*g against the Gaussian weight; per row for
+    a stack, summed along the row so that a stacked row matches its lone
+    field."""
+    rho, _ = _mode_rows(grid)
+    return per_row(np.sum(grid.weights * fvals * gvals * rho, axis=-1))
 
 
 def cutoff_chi(y, s: float, K0: float):
@@ -120,12 +138,13 @@ class SpectralDecomp:
 
     q0, q1, q2 are the expanding/neutral mode amplitudes of the cutoff part;
     q_minus is the projection residue (rho-orthogonal to h_0, h_1, h_2) and
-    q_e the outer part supported where the cutoff has died.
+    q_e the outer part supported where the cutoff has died.  For a stack
+    of fields the amplitudes are arrays with one entry per row.
     """
 
-    q0: float
-    q1: float
-    q2: float
+    q0: float | np.ndarray
+    q1: float | np.ndarray
+    q2: float | np.ndarray
     q_minus: Field
     q_e: Field
     K0: float
@@ -153,7 +172,8 @@ def check_cutoff_support(y_max: float, K0: float, s: float) -> None:
 
 
 def decompose(q: Field, K0: float) -> SpectralDecomp:
-    """Split q into mode amplitudes, projection residue, and outer part.
+    """Split q (one field or a stack) into mode amplitudes, projection
+    residue, and outer part.
 
     Requires the grid to contain the full cutoff support (see
     `check_cutoff_support`); the projections use the analytic norms 2^m m!.
@@ -163,13 +183,13 @@ def decompose(q: Field, K0: float) -> SpectralDecomp:
     chi = cutoff_chi(grid.y, s, K0)
     qb = q.values * chi
     qe = q.values * (1.0 - chi)
+    _, modes = _mode_rows(grid)
     coeffs = []
     recon = np.zeros_like(qb)
-    for m in range(3):
-        hm = hermite_h(m, grid.y)
+    for m, hm in enumerate(modes):
         qm = inner_rho(grid, qb, hm) / hermite_norm_sq(m)
         coeffs.append(qm)
-        recon = recon + qm * hm
+        recon = recon + np.expand_dims(qm, -1) * hm
     q_minus = Field(grid, qb - recon, s)
     return SpectralDecomp(
         q0=coeffs[0],
@@ -182,17 +202,26 @@ def decompose(q: Field, K0: float) -> SpectralDecomp:
     )
 
 
-def cubic_weighted_sup(grid: Grid, values: np.ndarray, mask=None) -> float:
-    """sup over nodes of |values| / (1 + |y|^3), optionally masked."""
-    ratio = np.abs(values) / (1.0 + np.abs(grid.y) ** 3)
+@lru_cache(maxsize=8)
+def _cubic_weight(grid: Grid) -> np.ndarray:
+    """1 + |y|^3 on the nodes of a grid, built once per grid."""
+    out = 1.0 + np.abs(grid.y) ** 3
+    out.flags.writeable = False
+    return out
+
+
+def cubic_weighted_sup(grid: Grid, values: np.ndarray, mask=None):
+    """sup over nodes of |values| / (1 + |y|^3), optionally masked; per row
+    for a stack."""
+    weight = _cubic_weight(grid)
     if mask is not None:
-        ratio = ratio[mask]
-        if ratio.size == 0:
-            return 0.0
-    return float(np.max(ratio))
+        values, weight = values[..., mask], weight[mask]
+        if weight.size == 0:
+            return per_row(np.zeros(values.shape[:-1]))
+    return per_row(np.max(np.abs(values) / weight, axis=-1))
 
 
-def seminorm_minus(d: SpectralDecomp, restrict_to_support: bool = True) -> float:
+def seminorm_minus(d: SpectralDecomp, restrict_to_support: bool = True):
     """Cubic-weighted sup of the projection residue.
 
     By default restricted to the cutoff support |y| <= 2*K0*sqrt(s), the

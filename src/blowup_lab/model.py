@@ -249,14 +249,16 @@ def phi_ds(params: ModelParams, y, s: float):
 # linearization ingredients
 
 
-def potential_V(params: ModelParams, y, s: float):
+def potential_V(params: ModelParams, y, s: float, phi_val=None):
     """Linearization potential V(y,s) = p phi^(p-1) - p/(p-1).
 
     Vanishes like 1/s near y = 0 and tends to -p/(p-1) along |y|/sqrt(s)
-    -> infinity; both limits are exercised by the tests.
+    -> infinity; both limits are exercised by the tests.  phi_val, when
+    given, is phi(params, y, s) already evaluated by the caller.
     """
     p = params.p
-    return p * phi(params, y, s) ** (p - 1.0) - p / (p - 1.0)
+    pv = phi(params, y, s) if phi_val is None else phi_val
+    return p * pv ** (p - 1.0) - p / (p - 1.0)
 
 
 def nonlinear_B(params: ModelParams, phi_val, q_val):
@@ -276,18 +278,21 @@ def nonlinear_B(params: ModelParams, phi_val, q_val):
     )
 
 
-def remainder_R(params: ModelParams, y, s: float):
+def remainder_R(params: ModelParams, y, s: float, phi_val=None, phi_y=None):
     """Residual of the ansatz in the rescaled equation.
 
     R = phi_yy - y/2 phi_y - phi/(p-1) + phi^p - phi_s, all terms from the
-    closed-form derivatives above.  Its sup norm decays like 1/s.
+    closed-form derivatives above.  Its sup norm decays like 1/s.  phi_val
+    and phi_y, when given, are phi and phi_dy at (y, s) already evaluated
+    by the caller.
     """
     p = params.p
     y = np.asarray(y, dtype=float)
-    pv = phi(params, y, s)
+    pv = phi(params, y, s) if phi_val is None else phi_val
+    py = phi_dy(params, y, s) if phi_y is None else phi_y
     return (
         phi_laplacian(params, y, s)
-        - 0.5 * y * phi_dy(params, y, s)
+        - 0.5 * y * py
         - pv / (p - 1.0)
         + pv**p
         - phi_ds(params, y, s)

@@ -17,11 +17,13 @@ directly from the convolution structure and are checked numerically here:
 
 Discrete application is plain trapezoid quadrature of the kernel, so the
 quadrature exactness of the Gaussian integrands on these grids is kept.
-The matrix is stored banded, one CSR matrix per (theta, grid), cached:
-row i is a Gaussian centred at y_i e^(-theta/2), and only its entries at
-or above KERNEL_FLOOR = 1e-17 of the row's max are built and kept.  The
+The matrix is stored banded as one CSR matrix with int32 indices: row i
+is a Gaussian centred at y_i e^(-theta/2), and only its entries at or
+above KERNEL_FLOOR = 1e-17 of the row's max are built and kept.  The
 dropped mass is below 1e-16 of the row sum, a truncation below roundoff,
-and every kept entry is bitwise the dense one.
+and every kept entry is bitwise the dense one.  `kernel_matrix` caches one
+matrix per (theta, grid) for the step sizes used again and again;
+`banded_kernel` builds one for a theta used once, which is then let go.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .grids import Field, Grid, gradient
 
 __all__ = [
     "kernel_eval",
+    "banded_kernel",
     "kernel_matrix",
     "apply_semigroup",
     "apply_semigroup_values",
@@ -69,26 +72,33 @@ def _cache_key(theta: float, grid: Grid) -> tuple:
     return (round(float(theta), 14), grid.key())
 
 
-def _banded_kernel(theta: float, grid: Grid) -> csr_array:
+def banded_kernel(theta: float, grid: Grid) -> csr_array:
     """A[i, j] = w_j * kernel(theta, y_i, x_j) where >= KERNEL_FLOOR * max_j A[i, j].
+
+    Built afresh on every call; `kernel_matrix` is the cached form.
 
     Each row is evaluated on a window of columns of one width, clipped into
     the grid, around the node nearest its centre y_i e^(-theta/2).  The
     window reaches sqrt(4 (1 - e^-theta) ln(2 / KERNEL_FLOOR)) + 2 dy past
     that node, which holds every entry at or above the floor: the row max
     is at least the entry of that node, which is within dy/2 of the centre
-    and may be a half-weight end node, hence the ln 2.
+    and may be a half-weight end node, hence the ln 2.  The indices are
+    int32 whenever the n * width window entries fit, as on every grid here.
     """
+    if theta <= 0:
+        raise ValueError(f"theta must be > 0, got {theta!r}")
     y, n = grid.y, grid.n
     half = np.sqrt(4.0 * (1.0 - np.exp(-theta)) * np.log(2.0 / KERNEL_FLOOR))
     reach = int(np.ceil(half / grid.dy)) + 2
     width = min(n, 2 * reach + 1)
-    centre = np.rint(y * np.exp(-0.5 * theta) / grid.dy).astype(int) + grid.n_half
+    index = np.int32 if n * width <= np.iinfo(np.int32).max else np.int64
+    centre = np.rint(y * np.exp(-0.5 * theta) / grid.dy).astype(index) + grid.n_half
     first = np.clip(centre - reach, 0, n - width)
-    cols = first[:, None] + np.arange(width)
+    cols = first[:, None] + np.arange(width, dtype=index)
     vals = kernel_eval(theta, y[:, None], y[cols]) * grid.weights[cols]
     keep = vals >= KERNEL_FLOOR * vals.max(axis=1, keepdims=True)
-    indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
     return csr_array((vals[keep], cols[keep], indptr), shape=(n, n))
 
 
@@ -97,17 +107,20 @@ def kernel_matrix(theta: float, grid: Grid) -> csr_array:
     key = _cache_key(theta, grid)
     mat = _MATRIX_CACHE.get(key)
     if mat is None:
-        if theta <= 0:
-            raise ValueError(f"theta must be > 0, got {theta!r}")
+        mat = banded_kernel(theta, grid)
         if len(_MATRIX_CACHE) >= _MATRIX_CACHE_LIMIT:
             _MATRIX_CACHE.clear()
-        mat = _MATRIX_CACHE[key] = _banded_kernel(theta, grid)
+        _MATRIX_CACHE[key] = mat
     return mat
 
 
 def apply_semigroup_values(theta: float, grid: Grid, values: np.ndarray) -> np.ndarray:
-    """e^(theta L) on grid values (1-d, or one column per field)."""
-    return kernel_matrix(theta, grid) @ values
+    """e^(theta L) on grid values: one field, or a (K, n) stack of rows,
+    each propagated as it would be alone."""
+    mat = kernel_matrix(theta, grid)
+    if values.ndim == 2:
+        return np.stack([mat @ row for row in values])
+    return mat @ values
 
 
 def apply_semigroup(theta: float, f: Field) -> Field:
@@ -196,7 +209,8 @@ def kernel_comparison_check(
     trapezoid in tau (the integrand at tau = s needs no kernel) and
     compares against envelope_scale * (s - sigma) * e^(s - sigma); with the
     default envelope_scale = sup|n_field| this is the crude mass bound, so
-    the reported ratio must be <= 1 up to quadrature error.
+    the reported ratio must be <= 1 up to quadrature error.  Each of the
+    n_time - 1 kernels is used once, so none is cached.
     """
     if not s > sigma:
         raise ValueError(f"need s > sigma, got s={s!r}, sigma={sigma!r}")
@@ -209,7 +223,7 @@ def kernel_comparison_check(
     wts[-1] *= 0.5
     for tau, wt in zip(taus, wts):
         theta = s - tau
-        vals = av if theta <= 0 else apply_semigroup_values(theta, grid, av)
+        vals = av if theta <= 0 else banded_kernel(theta, grid) @ av
         acc = acc + wt * vals
     bound_sup = float(np.max(acc))
     scale = float(np.max(av)) if envelope_scale is None else float(envelope_scale)

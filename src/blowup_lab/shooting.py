@@ -13,7 +13,9 @@ not exactly tuned leaves the trap through a mode face with a definite
 sign, and the critical parameter pair can be enclosed by quadrisection:
 each level evaluates a plus-pattern of trajectories (two endpoints per
 axis and the center), halves the d0 interval by the sign of q0 at exit,
-and halves the d1 interval by the sign of q1 at exit.
+and halves the d1 interval by the sign of q1 at exit.  The points of a
+level that are not cached from earlier levels run as one ensemble
+(`solver.run_trajectories`), all of them before any survival check.
 
 The search stops as soon as any evaluated trajectory survives to the
 requested time (the certificate), and reports failure honestly: exits
@@ -32,7 +34,9 @@ import numpy as np
 from .grids import Field, Grid
 from .hermite import decompose
 from .model import ModelParams, profile_f
-from .solver import SolverConfig, TrajectoryRecord, run_trajectory
+# run_trajectory stays a name of this module for perfbench/tracing.py,
+# which wraps it here
+from .solver import SolverConfig, TrajectoryRecord, run_trajectories, run_trajectory
 from .trapset import TrapParams, check_membership
 
 __all__ = [
@@ -237,28 +241,30 @@ def shoot(
     n_evals = 0
     level_stats: list[dict] = []
 
-    def evaluate(d0: float, d1: float) -> _PointOutcome:
+    def evaluate(*points: tuple[float, float]) -> list[_PointOutcome]:
+        """Outcomes of the (d0, d1) points; the uncached ones run together."""
         nonlocal n_evals
-        key = (d0, d1)
-        if key in cache:
-            return cache[key]
-        q = initial_q(params, grid, InitialDataParams(d0=d0, d1=d1, s0=s0))
-        rec = run_trajectory(q, params, trap, cfg, s_end)
-        n_evals += 1
-        survived = rec.survived(s_end)
-        floor = 1e-9 * trap.A / rec.final_s**2
-        out = _PointOutcome(
-            d0=d0,
-            d1=d1,
-            survived=survived,
-            s_star=rec.final_s,
-            component=None if rec.exit is None else rec.exit.component,
-            sign_q0=_sign_with_floor(float(rec.q0[-1]), floor),
-            sign_q1=_sign_with_floor(float(rec.q1[-1]), floor),
-            record=rec,
-        )
-        cache[key] = out
-        return out
+        new = [key for key in dict.fromkeys(points) if key not in cache]
+        if new:
+            inits = [
+                initial_q(params, grid, InitialDataParams(d0=d0, d1=d1, s0=s0))
+                for d0, d1 in new
+            ]
+            records = run_trajectories(inits, params, trap, cfg, s_end)
+            n_evals += len(new)
+            for (d0, d1), rec in zip(new, records):
+                floor = 1e-9 * trap.A / rec.final_s**2
+                cache[(d0, d1)] = _PointOutcome(
+                    d0=d0,
+                    d1=d1,
+                    survived=rec.survived(s_end),
+                    s_star=rec.final_s,
+                    component=None if rec.exit is None else rec.exit.component,
+                    sign_q0=_sign_with_floor(float(rec.q0[-1]), floor),
+                    sign_q1=_sign_with_floor(float(rec.q1[-1]), floor),
+                    record=rec,
+                )
+        return [cache[key] for key in points]
 
     def finish(status: str, point: _PointOutcome | None, level: int, note: str = "") -> ShootResult:
         return ShootResult(
@@ -284,7 +290,7 @@ def shoot(
         if granular0 and granular1:
             # the rectangle has collapsed to floating point resolution; the
             # sign tests below would compare a point against itself
-            center = evaluate(m0, m1)
+            (center,) = evaluate((m0, m1))
             if center.survived:
                 return finish("survived", center, level)
             return finish(
@@ -293,13 +299,13 @@ def shoot(
                 level,
                 note="both parameter intervals reached floating point granularity",
             )
-        plus = [
-            evaluate(rect[0, 0], m1),
-            evaluate(rect[0, 1], m1),
-            evaluate(m0, m1),
-            evaluate(m0, rect[1, 0]),
-            evaluate(m0, rect[1, 1]),
-        ]
+        plus = evaluate(
+            (rect[0, 0], m1),
+            (rect[0, 1], m1),
+            (m0, m1),
+            (m0, rect[1, 0]),
+            (m0, rect[1, 1]),
+        )
         exits = [pt.s_star for pt in plus if not pt.survived]
         level_stats.append(
             {
@@ -357,7 +363,7 @@ def shoot(
         else:
             rect[1] = [m1, rect[1, 1]]
 
-    best = evaluate(0.5 * (rect[0, 0] + rect[0, 1]), 0.5 * (rect[1, 0] + rect[1, 1]))
+    (best,) = evaluate((0.5 * (rect[0, 0] + rect[0, 1]), 0.5 * (rect[1, 0] + rect[1, 1])))
     if best.survived:
         return finish("survived", best, max_levels)
     return finish("max-levels", best, max_levels, note="refinement budget exhausted")

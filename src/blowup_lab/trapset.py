@@ -64,11 +64,11 @@ class TrapStatus:
     """Signed margins (bound - measured) per component at one time."""
 
     s: float
-    inside: bool
+    inside: bool | np.ndarray
     measured: np.ndarray
     bounds: np.ndarray
     margins: np.ndarray
-    violated: str | None
+    violated: str | None | list
 
 
 @dataclass
@@ -102,14 +102,16 @@ def component_bounds(trap: TrapParams, s: float) -> np.ndarray:
 
 
 def measured_components(d: SpectralDecomp) -> np.ndarray:
-    return np.array(
+    """The five measured components, one row of them per field of a stack."""
+    return np.stack(
         [
-            abs(d.q0),
-            abs(d.q1),
-            abs(d.q2),
+            np.abs(d.q0),
+            np.abs(d.q1),
+            np.abs(d.q2),
             seminorm_minus(d),
             d.q_e.sup(),
-        ]
+        ],
+        axis=-1,
     )
 
 
@@ -117,13 +119,19 @@ def check_membership(d: SpectralDecomp, trap: TrapParams) -> TrapStatus:
     """Compare a decomposition against the bounds at its own time.
 
     Ties in the most-violated component resolve to the lowest index, so
-    the outcome is deterministic.
+    the outcome is deterministic.  For a stack of fields, `measured`,
+    `margins` and `inside` have one row per field and `violated` is a list.
     """
     bounds = component_bounds(trap, d.s)
     measured = measured_components(d)
     margins = bounds - measured
-    inside = bool(np.all(margins >= 0.0))
-    violated = None if inside else COMPONENTS[int(np.argmin(margins))]
+    inside = np.all(margins >= 0.0, axis=-1)
+    worst = np.argmin(margins, axis=-1)
+    if margins.ndim == 1:
+        inside = bool(inside)
+        violated = None if inside else COMPONENTS[int(worst)]
+    else:
+        violated = [None if ok else COMPONENTS[i] for ok, i in zip(inside, worst)]
     return TrapStatus(
         s=d.s,
         inside=inside,

@@ -45,6 +45,7 @@ from blowup_lab.solver import (
     SolverConfig,
     duhamel_split_check,
     mode_ode_check,
+    run_trajectories,
     run_trajectory,
     step_w,
 )
@@ -132,13 +133,12 @@ def _doubling_ratio(params):
 def _witness(params, grid):
     """7x7 exit statistics over the mapped initial-data rectangle."""
     rect = initial_rectangle(initial_mode_map(params, grid, S0, TRAP.K0), TRAP)
-    records = []
-    for d0v in np.linspace(rect[0, 0], rect[0, 1], 7):
-        for d1v in np.linspace(rect[1, 0], rect[1, 1], 7):
-            q = initial_q(
-                params, grid, InitialDataParams(d0=float(d0v), d1=float(d1v), s0=S0)
-            )
-            records.append(run_trajectory(q, params, TRAP, SolverConfig(ds=DS), 26.0))
+    inits = [
+        initial_q(params, grid, InitialDataParams(d0=float(d0v), d1=float(d1v), s0=S0))
+        for d0v in np.linspace(rect[0, 0], rect[0, 1], 7)
+        for d1v in np.linspace(rect[1, 0], rect[1, 1], 7)
+    ]
+    records = run_trajectories(inits, params, TRAP, SolverConfig(ds=DS), 26.0)
     return reduction_witness(records, TRAP)
 
 

@@ -111,10 +111,19 @@ def test_apply_matches_full_kernel_product(theta):
         grid = make_grid(40.0, dy)
         vals = np.random.default_rng(7).standard_normal((grid.n, 2))
         full = _dense_kernel(theta, grid) @ vals
-        for v, ref in ((vals, full), (vals[:, 1], full[:, 1])):
+        for v, ref in ((vals.T, full.T), (vals[:, 1], full[:, 1])):
             out = apply_semigroup_values(theta, grid, v)
             assert out.shape == ref.shape
             assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_stacked_apply_matches_lone_rows():
+    grid = make_grid(default_y_max(4.0, 50.0), 0.05)
+    vals = np.random.default_rng(3).standard_normal((3, grid.n))
+    out = apply_semigroup_values(0.02, grid, vals)
+    assert out.shape == (3, grid.n)
+    for k in range(3):
+        assert out[k].tobytes() == apply_semigroup_values(0.02, grid, vals[k]).tobytes()
 
 
 @pytest.mark.parametrize("theta", [1e-3, 0.02, 1.0, 5.0])
@@ -128,6 +137,8 @@ def test_kernel_stores_exactly_the_entries_above_the_floor(theta):
     assert np.array_equal(stored[keep], dense[keep])  # bitwise
     if theta == 0.02:  # the solver's step on the acceptance grid
         assert banded.nnz < 0.05 * grid.n**2
+    assert kernel_matrix(0.02, grid).indices.dtype == np.int32
+    assert banded.indptr.dtype == np.int32
 
 
 def test_matrix_cache_consistency(grid20):

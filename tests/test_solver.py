@@ -19,15 +19,23 @@ from blowup_lab.model import (
     potential_V,
     remainder_R,
 )
-from blowup_lab.shooting import InitialDataParams, initial_q
+from blowup_lab.semigroup import _MATRIX_CACHE, kernel_matrix
+from blowup_lab.shooting import (
+    InitialDataParams,
+    initial_mode_map,
+    initial_q,
+    initial_rectangle,
+)
 from blowup_lab.solver import (
     DivergenceError,
     SolverConfig,
     SourceTerms,
+    TrajectoryRecord,
     _cn_apply,
     duhamel_split_check,
     forms_consistency_check,
     mode_ode_check,
+    run_trajectories,
     run_trajectory,
     step_q,
     step_w,
@@ -373,6 +381,88 @@ def test_snapshots_and_stride():
     assert rec.s.size == 9
 
 
+def _assert_records_equal(a: TrajectoryRecord, b: TrajectoryRecord) -> None:
+    for name in (
+        "s", "q0", "q1", "q2", "sem_minus", "qe_sup", "q_sup", "gradq_sup",
+        "B_sup", "R_sup", "N_sup", "margins", "inside",
+    ):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape, name
+        assert x.tobytes() == y.tobytes(), name  # bitwise, NaN-safe
+    assert repr(a.exit) == repr(b.exit)
+    assert a.snapshots.keys() == b.snapshots.keys()
+    for key, snap in a.snapshots.items():
+        assert snap.s == b.snapshots[key].s
+        assert snap.values.tobytes() == b.snapshots[key].values.tobytes()
+
+
+@pytest.mark.parametrize(
+    "lane,scheme,bc",
+    [
+        ("pure_p2", "semigroup-split", "dirichlet-profile"),
+        ("perturbed_p2", "semigroup-split", "extrapolation"),
+        ("pure_p2", "imex-cn", "dirichlet-zero"),
+        ("perturbed_p2", "imex-cn", "dirichlet-profile"),
+    ],
+)
+@pytest.mark.parametrize("stop_on_exit", [True, False])
+def test_batched_rows_match_single_runs(lane, scheme, bc, stop_on_exit, request):
+    """Row k of a K = 5 ensemble is bit for bit the trajectory run alone."""
+    pr = request.getfixturevalue(lane)
+    g = _traj_grid(21.0)
+    trap = TrapParams(A=8.0, K0=4.0)
+    s0, ds = 20.0, 0.02
+    rect = initial_rectangle(initial_mode_map(pr, g, s0, trap.K0), trap)
+    mid = rect.mean(axis=1)
+    half = 0.5 * (rect[:, 1] - rect[:, 0])
+    points = [
+        mid,
+        (rect[0, 1], mid[1]),  # on the q0 face: leaves the trap at step 1
+        mid + 0.2 * half,
+        None,  # far outside: leaves at once, or diverges when not stopped
+        mid - 0.2 * half,
+    ]
+    inits = [
+        Field(grid=g, values=np.full(g.n, 50.0), s=s0) if pt is None
+        else initial_q(pr, g, InitialDataParams(d0=pt[0], d1=pt[1], s0=s0))
+        for pt in points
+    ]
+    cfg = SolverConfig(ds=ds, scheme=scheme, bc=bc, overflow=1e3)
+    kwargs = dict(
+        record_stride=3, snapshot_s=[s0 + ds, s0 + 0.3], stop_on_exit=stop_on_exit
+    )
+    batched = run_trajectories(inits, pr, trap, cfg, s0 + 0.6, **kwargs)
+    assert len(batched) == len(inits)
+    for q, rec in zip(inits, batched):
+        (alone,) = run_trajectories([q], pr, trap, cfg, s0 + 0.6, **kwargs)
+        _assert_records_equal(rec, alone)
+
+    # the three inner rows survive next to an early exit and a divergence
+    for k in (0, 2, 4):
+        assert batched[k].exit is None and batched[k].survived(s0 + 0.6)
+    edge, far = batched[1], batched[3]
+    assert edge.s[1] == pytest.approx(s0 + ds) and not edge.inside[1]
+    if stop_on_exit:
+        assert edge.exit.component == "q0" and edge.exit.s_star == edge.s[1]
+        assert edge.s.size == 2
+        assert far.exit.reason == "trap-exit" and far.s.size == 1
+    else:
+        assert edge.final_s == pytest.approx(s0 + 0.6)
+        assert far.exit.reason == "divergence" and far.s.size < edge.s.size
+
+
+def test_run_trajectories_argument_checks():
+    pr = make_params(2.0)
+    g = make_grid(10.0, 0.1)
+    trap = TrapParams(A=8.0, K0=1.0)
+    q = Field(grid=g, values=np.zeros(g.n), s=20.0)
+    with pytest.raises(ValueError, match="at least one"):
+        run_trajectories([], pr, trap, SolverConfig(), 21.0)
+    later = Field(grid=g, values=np.zeros(g.n), s=20.5)
+    with pytest.raises(ValueError, match="one grid and one initial time"):
+        run_trajectories([q, later], pr, trap, SolverConfig(), 21.0)
+
+
 # ---------------------------------------------------------------------------
 # integral form
 
@@ -418,3 +508,48 @@ def test_duhamel_split_perturbed_case():
     assert out["C_delta_minus"] < 1e-2  # measured 6.68e-4
     assert out["C_delta_e"] < 5e-2  # measured 7.63e-3
     assert out["reconstruction_residual"] < 0.25 * out["q_sup"]
+
+
+def test_duhamel_kernels_stay_out_of_the_cache(perturbed_p2):
+    """The one-shot quadrature kernels are not cached, and one stacked
+    product per quadrature time gives the four separate products bit for bit."""
+    pr = perturbed_p2
+    g = _traj_grid()
+    trap = TrapParams(A=8.0, K0=4.0)
+    init = initial_q(pr, g, InitialDataParams(d0=0.0128, d1=0.0, s0=20.0))
+    cfg = SolverConfig(ds=0.01)
+    kernel_matrix(cfg.ds, g)  # the stepping kernel, cached before the check
+    before = list(_MATRIX_CACHE)
+    out = duhamel_split_check(init, pr, trap, cfg, 20.2, n_quad=5)
+    assert list(_MATRIX_CACHE) == before
+
+    # the same sums with one product per source and quadrature time
+    samples, q = [], init.copy()
+    for k in range(21):
+        if k:
+            q = step_q(q, pr, cfg)
+            q.s = 20.0 + k * cfg.ds
+        if k % 5 == 0:  # the quadrature marks of n_quad = 5 over 20 steps
+            src = SourceTerms(pr, g, q.s)
+            samples.append(
+                (q.s, [src.B(q.values), src.R, src.N(q.values), src.V * q.values])
+            )
+    sigma = np.array([s for s, _ in samples])
+    weights = np.zeros_like(sigma)
+    weights[:-1] += 0.5 * np.diff(sigma)
+    weights[1:] += 0.5 * np.diff(sigma)
+    pieces = [np.zeros(g.n) for _ in range(4)]
+    for wgt, (s, rows) in zip(weights, samples):
+        for acc, row in zip(pieces, rows):
+            theta = q.s - s
+            acc += wgt * (row.copy() if theta <= 1e-12 else kernel_matrix(theta, g) @ row)
+    beta, gamma, delta, vpart = pieces
+    alpha = kernel_matrix(q.s - 20.0, g) @ init.values
+    assert out["n_quad"] == 5
+    assert out["alpha_sup"] == np.max(np.abs(alpha))
+    assert out["beta_sup"] == np.max(np.abs(beta))
+    assert out["gamma_sup"] == np.max(np.abs(gamma))
+    assert out["delta_sup"] == np.max(np.abs(delta))
+    assert out["v_sup"] == np.max(np.abs(vpart))
+    resid = np.max(np.abs(alpha + beta + gamma + delta + vpart - q.values))
+    assert out["reconstruction_residual"] == resid
