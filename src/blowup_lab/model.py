@@ -64,6 +64,7 @@ __all__ = [
     "phi_dy",
     "phi_laplacian",
     "phi_ds",
+    "phi_powers",
     "potential_V",
     "nonlinear_B",
     "remainder_R",
@@ -249,33 +250,40 @@ def phi_ds(params: ModelParams, y, s: float):
 # linearization ingredients
 
 
-def potential_V(params: ModelParams, y, s: float, phi_val=None):
+def phi_powers(params: ModelParams, phi_val):
+    """(phi^p, p phi^(p-1)): the powers of the profile that B and V use."""
+    p = params.p
+    return phi_val**p, p * phi_val ** (p - 1.0)
+
+
+def potential_V(params: ModelParams, y, s: float, phi_val=None, dphi_p=None):
     """Linearization potential V(y,s) = p phi^(p-1) - p/(p-1).
 
     Vanishes like 1/s near y = 0 and tends to -p/(p-1) along |y|/sqrt(s)
     -> infinity; both limits are exercised by the tests.  phi_val, when
-    given, is phi(params, y, s) already evaluated by the caller.
+    given, is phi(params, y, s) already evaluated by the caller, and
+    dphi_p, when given, is p phi^(p-1) from `phi_powers`.
     """
     p = params.p
-    pv = phi(params, y, s) if phi_val is None else phi_val
-    return p * pv ** (p - 1.0) - p / (p - 1.0)
+    if dphi_p is None:
+        pv = phi(params, y, s) if phi_val is None else phi_val
+        dphi_p = phi_powers(params, pv)[1]
+    return dphi_p - p / (p - 1.0)
 
 
-def nonlinear_B(params: ModelParams, phi_val, q_val):
+def nonlinear_B(params: ModelParams, phi_val, q_val, powers=None):
     """Quadratic remainder of the nonlinearity around the ansatz.
 
     B(q) = |phi+q|^(p-1)(phi+q) - phi^p - p phi^(p-1) q.  Bounded by
-    C |q|^min(p,2) uniformly over the relevant phi range.
+    C |q|^min(p,2) uniformly over the relevant phi range.  powers, when
+    given, is `phi_powers(params, phi_val)` already evaluated by the caller.
     """
     p = params.p
     phi_val = np.asarray(phi_val, dtype=float)
     q_val = np.asarray(q_val, dtype=float)
+    phi_p, dphi_p = phi_powers(params, phi_val) if powers is None else powers
     tot = phi_val + q_val
-    return (
-        np.abs(tot) ** (p - 1.0) * tot
-        - phi_val**p
-        - p * phi_val ** (p - 1.0) * q_val
-    )
+    return np.abs(tot) ** (p - 1.0) * tot - phi_p - dphi_p * q_val
 
 
 def remainder_R(params: ModelParams, y, s: float, phi_val=None, phi_y=None):

@@ -10,19 +10,33 @@ affine; its preimage of the mode box [-A/s0^2, A/s0^2]^2 is the shooting
 rectangle.  Because the q0 and q1 directions are the only linearly
 expanding ones, a trajectory that starts anywhere in the rectangle and is
 not exactly tuned leaves the trap through a mode face with a definite
-sign, and the critical parameter pair can be enclosed by quadrisection:
-each level evaluates a plus-pattern of trajectories (two endpoints per
-axis and the center), halves the d0 interval by the sign of q0 at exit,
-and halves the d1 interval by the sign of q1 at exit.  The points of a
-level that are not cached from earlier levels run as one ensemble
+sign, so each parameter interval brackets the critical value between ends
+of opposite exit sign.
+
+Each level evaluates a plus-pattern of trajectories: the two ends of the
+d0 bracket at the center's d1, the two ends of the d1 bracket at the
+center's d0, and the center.  Linearly q_m grows like
+e^((1 - m/2)(s - s0)), so the back-projected exit amplitude
+a_m = q_m(s*) e^(-(1 - m/2)(s* - s0)) is close to affine in d_m - d_m*.
+The center's d_m is the root of the secant through the two points of
+smallest |a_m| among those evaluated so far on axis m's arm of the
+pattern (its ends and the center): they lie nearest the root, where a_m
+is most nearly affine, while regula falsi would keep a far bracket end in
+every estimate.  The root is kept only strictly inside the bracket;
+otherwise, and on the level after an interpolated cut that did not halve
+the bracket, the center is the midpoint, so every bracket at least halves
+over any two levels.  The bracket then keeps the part between the center
+and the end of opposite exit sign; a center whose sign is below the noise
+floor instead shrinks it to half its width around the center.  The points
+of a level that are not cached from earlier levels run as one ensemble
 (`solver.run_trajectories`), all of them before any survival check.
 
 The search stops as soon as any evaluated trajectory survives to the
 requested time (the certificate), and reports failure honestly: exits
 through a non-expanding component mean the trap does not funnel at this
-amplitude ("degenerate-exit", the expected outcome for A = 1), equal exit
-signs at both ends mean lost enclosure, and intervals shrunk to floating
-point granularity mean the window is numerically out of reach.
+amplitude ("degenerate-exit"), equal exit signs at both ends mean lost
+enclosure, and intervals shrunk to floating point granularity mean the
+window is numerically out of reach.
 """
 
 from __future__ import annotations
@@ -184,14 +198,16 @@ class _PointOutcome:
     survived: bool
     s_star: float
     component: str | None
-    sign_q0: float
-    sign_q1: float
+    # exit sign of q_m, 0 below the noise floor, for m = 0, 1
+    sign: tuple[float, float]
+    # back-projected exit amplitude q_m(s*) e^(-(1 - m/2)(s* - s0)), m = 0, 1
+    amplitude: tuple[float, float]
     record: TrajectoryRecord
 
 
 @dataclass
 class ShootResult:
-    """Outcome of the quadrisection search."""
+    """Outcome of the shooting search."""
 
     status: str  # "survived" | "degenerate-exit" | "enclosure-lost" | "granularity" | "max-levels"
     d0: float
@@ -204,8 +220,11 @@ class ShootResult:
     rect: np.ndarray
     record: TrajectoryRecord | None
     note: str = ""
-    # one row per refinement level: (level, d0_width, d1_width, min exit s*,
-    # max exit s*) over the five evaluated points of that level
+    # one row per refinement level: level, min and max exit s* over the five
+    # evaluated points, and per axis m the bracket [lo, hi] the level
+    # started from (dm_bracket), the exit signs of q_m at its two ends
+    # (dm_end_signs) and the step taken (dm_step): "interp", "bisect" or
+    # "shrink"
     level_stats: list = None
 
 
@@ -213,6 +232,16 @@ def _sign_with_floor(x: float, floor: float) -> float:
     if abs(x) <= floor:
         return 0.0
     return 1.0 if x > 0 else -1.0
+
+
+def _secant_root(amplitudes: dict[float, float]) -> float | None:
+    """Root of the line through the two points of smallest |amplitude|."""
+    if len(amplitudes) < 2:
+        return None
+    (x1, a1), (x2, a2) = sorted(amplitudes.items(), key=lambda xa: abs(xa[1]))[:2]
+    if a1 == a2:
+        return None
+    return x1 - a1 * (x1 - x2) / (a1 - a2)
 
 
 def shoot(
@@ -225,13 +254,13 @@ def shoot(
     rect0: np.ndarray | None = None,
     max_levels: int = 64,
 ) -> ShootResult:
-    """Enclose the critical (d0, d1) by quadrisection until survival.
+    """Enclose the critical (d0, d1) by safeguarded secant steps until survival.
 
     Returns with status "survived" and the surviving trajectory record as
     soon as any evaluated point stays in the trap up to s_end.  A zero exit
     sign at the center (the classified mode is below the noise floor)
-    triggers a centered half-width shrink instead of a halving, which
-    preserves containment unconditionally.
+    triggers a half-width shrink around the center, clipped to the
+    bracket, instead of a cut, which preserves containment unconditionally.
     """
     if rect0 is None:
         mode_map = initial_mode_map(params, grid, s0, trap.K0)
@@ -240,6 +269,9 @@ def shoot(
     cache: dict[tuple[float, float], _PointOutcome] = {}
     n_evals = 0
     level_stats: list[dict] = []
+    # per axis m: coordinate d_m -> back-projected amplitude a_m of every
+    # point evaluated on that axis's arm of the plus-pattern
+    amplitudes: tuple[dict[float, float], dict[float, float]] = ({}, {})
 
     def evaluate(*points: tuple[float, float]) -> list[_PointOutcome]:
         """Outcomes of the (d0, d1) points; the uncached ones run together."""
@@ -254,14 +286,20 @@ def shoot(
             n_evals += len(new)
             for (d0, d1), rec in zip(new, records):
                 floor = 1e-9 * trap.A / rec.final_s**2
+                q_exit = (float(rec.q0[-1]), float(rec.q1[-1]))
+                sign = tuple(_sign_with_floor(q, floor) for q in q_exit)
                 cache[(d0, d1)] = _PointOutcome(
                     d0=d0,
                     d1=d1,
                     survived=rec.survived(s_end),
                     s_star=rec.final_s,
                     component=None if rec.exit is None else rec.exit.component,
-                    sign_q0=_sign_with_floor(float(rec.q0[-1]), floor),
-                    sign_q1=_sign_with_floor(float(rec.q1[-1]), floor),
+                    sign=sign,
+                    # below the noise floor the point counts as a root
+                    amplitude=tuple(
+                        sign[m] and q * np.exp(-(1.0 - 0.5 * m) * (rec.final_s - s0))
+                        for m, q in enumerate(q_exit)
+                    ),
                     record=rec,
                 )
         return [cache[key] for key in points]
@@ -282,15 +320,29 @@ def shoot(
             level_stats=list(level_stats),
         )
 
+    last_width, last_steps = rect[:, 1] - rect[:, 0], ["bisect", "bisect"]
     for level in range(max_levels):
-        m0 = 0.5 * (rect[0, 0] + rect[0, 1])
-        m1 = 0.5 * (rect[1, 0] + rect[1, 1])
-        granular0 = rect[0, 1] - rect[0, 0] < 4.0 * np.spacing(abs(m0) + 1e-30)
-        granular1 = rect[1, 1] - rect[1, 0] < 4.0 * np.spacing(abs(m1) + 1e-30)
+        width = rect[:, 1] - rect[:, 0]
+        cuts, steps = [], []
+        for m in range(2):
+            # the safeguard: an interpolated cut that did not halve the
+            # bracket is followed by a bisection, so every width at least
+            # halves over any two levels
+            stalled = last_steps[m] == "interp" and width[m] > 0.5 * last_width[m]
+            guess = None if stalled else _secant_root(amplitudes[m])
+            if guess is not None and rect[m, 0] < guess < rect[m, 1]:
+                cuts.append(guess)
+                steps.append("interp")
+            else:
+                cuts.append(0.5 * (rect[m, 0] + rect[m, 1]))
+                steps.append("bisect")
+        c0, c1 = cuts
+        granular0 = width[0] < 4.0 * np.spacing(abs(c0) + 1e-30)
+        granular1 = width[1] < 4.0 * np.spacing(abs(c1) + 1e-30)
         if granular0 and granular1:
             # the rectangle has collapsed to floating point resolution; the
             # sign tests below would compare a point against itself
-            (center,) = evaluate((m0, m1))
+            (center,) = evaluate((c0, c1))
             if center.survived:
                 return finish("survived", center, level)
             return finish(
@@ -300,22 +352,25 @@ def shoot(
                 note="both parameter intervals reached floating point granularity",
             )
         plus = evaluate(
-            (rect[0, 0], m1),
-            (rect[0, 1], m1),
-            (m0, m1),
-            (m0, rect[1, 0]),
-            (m0, rect[1, 1]),
+            (rect[0, 0], c1),
+            (rect[0, 1], c1),
+            (c0, c1),
+            (c0, rect[1, 0]),
+            (c0, rect[1, 1]),
         )
+        left, right, center, down, up = plus
+        arms = ((left, right), (down, up))
         exits = [pt.s_star for pt in plus if not pt.survived]
-        level_stats.append(
-            {
-                "level": level,
-                "d0_width": float(rect[0, 1] - rect[0, 0]),
-                "d1_width": float(rect[1, 1] - rect[1, 0]),
-                "min_exit_s": float(min(exits)) if exits else None,
-                "max_exit_s": float(max(exits)) if exits else None,
-            }
-        )
+        row = {
+            "level": level,
+            "min_exit_s": float(min(exits)) if exits else None,
+            "max_exit_s": float(max(exits)) if exits else None,
+        }
+        for m, (low, high) in enumerate(arms):
+            row[f"d{m}_bracket"] = rect[m].tolist()
+            row[f"d{m}_end_signs"] = [low.sign[m], high.sign[m]]
+            row[f"d{m}_step"] = steps[m]
+        level_stats.append(row)
         for pt in plus:
             if pt.survived:
                 return finish("survived", pt, level)
@@ -327,41 +382,27 @@ def shoot(
                     level,
                     note=f"exit through {pt.component} at (d0={pt.d0:.6g}, d1={pt.d1:.6g})",
                 )
-        left, right, center, down, up = plus
-
-        if left.sign_q0 * right.sign_q0 >= 0 and not (
-            left.sign_q0 == 0 or right.sign_q0 == 0
-        ):
-            return finish(
-                "enclosure-lost",
-                center,
-                level,
-                note=f"q0 exit sign {left.sign_q0:+.0f} at both d0 ends",
-            )
-        if center.sign_q0 == 0:
-            w = 0.25 * (rect[0, 1] - rect[0, 0])
-            rect[0] = [m0 - w, m0 + w]
-        elif left.sign_q0 * center.sign_q0 < 0:
-            rect[0] = [rect[0, 0], m0]
-        else:
-            rect[0] = [m0, rect[0, 1]]
-
-        if down.sign_q1 * up.sign_q1 >= 0 and not (
-            down.sign_q1 == 0 or up.sign_q1 == 0
-        ):
-            return finish(
-                "enclosure-lost",
-                center,
-                level,
-                note=f"q1 exit sign {down.sign_q1:+.0f} at both d1 ends",
-            )
-        if center.sign_q1 == 0:
-            w = 0.25 * (rect[1, 1] - rect[1, 0])
-            rect[1] = [m1 - w, m1 + w]
-        elif down.sign_q1 * center.sign_q1 < 0:
-            rect[1] = [rect[1, 0], m1]
-        else:
-            rect[1] = [m1, rect[1, 1]]
+        for m, (low, high) in enumerate(arms):
+            arm = (low, high, center)
+            amplitudes[m].update({(pt.d0, pt.d1)[m]: pt.amplitude[m] for pt in arm})
+            s_low, s_high, s_center = (pt.sign[m] for pt in arm)
+            if s_low * s_high >= 0 and not (s_low == 0 or s_high == 0):
+                return finish(
+                    "enclosure-lost",
+                    center,
+                    level,
+                    note=f"q{m} exit sign {s_low:+.0f} at both d{m} ends",
+                )
+            lo, hi = rect[m]
+            if s_center == 0:
+                w = 0.25 * (hi - lo)
+                rect[m] = [max(lo, cuts[m] - w), min(hi, cuts[m] + w)]
+                row[f"d{m}_step"] = "shrink"
+            elif s_low * s_center < 0:
+                rect[m] = [lo, cuts[m]]
+            else:
+                rect[m] = [cuts[m], hi]
+        last_width, last_steps = width, [row["d0_step"], row["d1_step"]]
 
     (best,) = evaluate((0.5 * (rect[0, 0] + rect[0, 1]), 0.5 * (rect[1, 0] + rect[1, 1])))
     if best.survived:

@@ -48,6 +48,7 @@ from .model import (
     perturbation_N,
     phi,
     phi_dy,
+    phi_powers,
     potential_V,
     profile_f,
     remainder_R,
@@ -132,9 +133,10 @@ class SourceTerms:
     """Local sources Vq, B(q), R and N of the deviation equation at time s.
 
     The coefficient fields are evaluated on first use and then kept, so a
-    caller pays only for the fields it reads, and phi and phi_y are
-    evaluated once for V, R, B and N.  qv may be one field or a stack of
-    rows; the coefficient fields are shared by every row.
+    caller pays only for the fields it reads: phi and phi_y are evaluated
+    once for V, R, B and N, and the powers of phi once for V and B.  qv may
+    be one field or a stack of rows; the coefficient fields are shared by
+    every row.
     """
 
     def __init__(self, params: ModelParams, grid: Grid, s: float):
@@ -151,15 +153,20 @@ class SourceTerms:
         return phi_dy(self.params, self.grid.y, self.s)
 
     @cached_property
+    def powers(self) -> tuple[np.ndarray, np.ndarray]:
+        """phi^p and p phi^(p-1), shared by B and V."""
+        return phi_powers(self.params, self.phi_val)
+
+    @cached_property
     def V(self) -> np.ndarray:
-        return potential_V(self.params, self.grid.y, self.s, self.phi_val)
+        return potential_V(self.params, self.grid.y, self.s, dphi_p=self.powers[1])
 
     @cached_property
     def R(self) -> np.ndarray:
         return remainder_R(self.params, self.grid.y, self.s, self.phi_val, self.phi_y)
 
     def B(self, qv: np.ndarray) -> np.ndarray:
-        return nonlinear_B(self.params, self.phi_val, qv)
+        return nonlinear_B(self.params, self.phi_val, qv, self.powers)
 
     def N(self, qv: np.ndarray, qy: np.ndarray | None = None) -> np.ndarray:
         """Perturbation source; qy is the gradient of qv when already known."""

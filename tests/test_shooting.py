@@ -1,10 +1,11 @@
-"""Prepared data, the affine mode map, and the quadrisection search."""
+"""Prepared data, the affine mode map, and the shooting search."""
 
 import json
 
 import numpy as np
 import pytest
 
+from blowup_lab import shooting
 from blowup_lab.grids import default_y_max, make_grid
 from blowup_lab.model import make_params
 from blowup_lab.shooting import (
@@ -16,8 +17,8 @@ from blowup_lab.shooting import (
     initial_rectangle,
     shoot,
 )
-from blowup_lab.solver import SolverConfig
-from blowup_lab.trapset import TrapParams
+from blowup_lab.solver import SolverConfig, TrajectoryRecord
+from blowup_lab.trapset import ExitInfo, TrapParams
 
 
 @pytest.fixture(scope="module")
@@ -144,7 +145,7 @@ def test_initial_components_check_saturates_mode_faces(shoot_grid, trap8):
 
 
 # ---------------------------------------------------------------------------
-# quadrisection
+# the search
 
 
 def test_shoot_short_window_survives_at_center(shoot_grid, trap8):
@@ -159,21 +160,36 @@ def test_shoot_short_window_survives_at_center(shoot_grid, trap8):
     assert res.record is not None and res.record.survived(22.0)
 
 
+def _assert_search_invariants(res):
+    """Nested brackets, halving over any two levels, opposite end signs."""
+    rows = res.level_stats
+    for m in range(2):
+        brackets = [row[f"d{m}_bracket"] for row in rows]
+        assert all(a[0] <= b[0] and b[1] <= a[1] for a, b in zip(brackets, brackets[1:]))
+        widths = [hi - lo for lo, hi in brackets]
+        assert all(c <= 0.5 * a * (1 + 1e-12) for a, c in zip(widths, widths[2:]))
+        assert all(lo * hi < 0 for lo, hi in (row[f"d{m}_end_signs"] for row in rows))
+
+
 def test_shoot_longer_window_refines(shoot_grid, trap8):
     pr = make_params(2.0)
     res = shoot(pr, shoot_grid, trap8, SolverConfig(ds=0.02), 20.0, 24.0)
     assert res.status == "survived"
-    assert res.levels == 5
-    assert res.n_evals == 20  # plus-pattern shares cached points across levels
-    assert res.d0 == pytest.approx(0.0121632647, abs=1e-9)
+    assert res.levels == 1
+    assert res.n_evals == 8  # plus-pattern shares cached points across levels
+    assert res.d0 == pytest.approx(0.0121185874179, abs=1e-9)
+    # any point of the s_end = 24 basin certifies; the bisection search
+    # certified d0 = 0.0121632647
+    m00 = initial_mode_map(pr, shoot_grid, 20.0, 4.0).M[0, 0]
+    basin = 2.0 * trap8.A * np.exp(-4.0) / (24.0**2 * abs(m00))
+    assert abs(res.d0 - 0.0121632647) <= basin
     cert = certificate_dict(res)
     assert cert["final_s"] == 24.0
     assert cert["min_margin"] > 0.0
     assert len(cert["level_stats"]) == res.levels + 1
     # refining toward the tuned point postpones the earliest exit
     assert cert["min_exit_monotone"] is True
-    widths = [row["d0_width"] for row in cert["level_stats"]]
-    assert all(b <= 0.5 * a * (1 + 1e-12) for a, b in zip(widths, widths[1:]))
+    _assert_search_invariants(res)
 
 
 def test_shoot_small_amplitude_trap(shoot_grid):
@@ -181,8 +197,103 @@ def test_shoot_small_amplitude_trap(shoot_grid):
     pr = make_params(2.0)
     res = shoot(pr, shoot_grid, TrapParams(A=1.0, K0=4.0), SolverConfig(ds=0.02), 20.0, 23.0)
     assert res.status == "survived"
-    assert res.levels == 2 and res.n_evals == 11
+    assert res.levels == 3 and res.n_evals == 14
     assert certificate_dict(res)["min_margin"] > 0.0
+    _assert_search_invariants(res)
+
+
+def test_shoot_reports_max_levels(shoot_grid, trap8):
+    # the s_end = 24 window needs two levels
+    pr = make_params(2.0)
+    res = shoot(pr, shoot_grid, trap8, SolverConfig(ds=0.02), 20.0, 24.0, max_levels=1)
+    assert res.status == "max-levels"
+    assert res.levels == 1 and res.n_evals == 6
+    assert res.note == "refinement budget exhausted"
+    # the last point evaluated is the center of the refined rectangle
+    assert res.d0 == 0.5 * (res.rect[0, 0] + res.rect[0, 1])
+    assert not res.record.survived(24.0)
+    assert len(res.level_stats) == 1
+
+
+def _linear_trajectories(a0, a1=lambda d1: d1, component=None):
+    """Stand-in for run_trajectories on the InitialDataParams themselves.
+
+    q_m(s) = a_m e^((1 - m/2)(s - s0)) exactly, with a0 = a0(d0) and
+    a1 = a1(d1), and a point exits through q_m (or through `component`)
+    when |q_m| first reaches 1, so the back-projected exit amplitude is a_m.
+    """
+
+    def run(inits, params, trap, cfg, s_end):
+        records = []
+        for init in inits:
+            amp = np.array([a0(init.d0), a1(init.d1)])
+            rates = np.array([1.0, 0.5])
+            with np.errstate(divide="ignore"):
+                reach = -np.log(np.abs(amp)) / rates
+            m = int(np.argmin(reach))
+            s_star = min(init.s0 + reach[m], s_end)
+            q = amp * np.exp(rates * (s_star - init.s0))
+            exit = None
+            if s_star < s_end:
+                exit = ExitInfo(s_star=s_star, reason="trap-exit",
+                                component=component or f"q{m}", margins=None)
+            records.append(TrajectoryRecord(
+                params=params, trap=trap, cfg=cfg, s=np.array([init.s0, s_star]),
+                q0=np.array([amp[0], q[0]]), q1=np.array([amp[1], q[1]]), exit=exit,
+            ))
+        return records
+
+    return run
+
+
+def _linear_shoot(monkeypatch, trap8, s_end, **kwargs):
+    monkeypatch.setattr(shooting, "initial_q", lambda params, grid, init: init)
+    monkeypatch.setattr(shooting, "run_trajectories", _linear_trajectories(**kwargs))
+    rect0 = np.array([[0.0, 1.0], [-1.0, 1.0]])
+    return shoot(None, None, trap8, None, 20.0, s_end, rect0=rect0)
+
+
+def test_shoot_rejects_a_secant_root_outside_the_bracket(monkeypatch, trap8):
+    # a0 is flat (slope 0.2) right of d0 = 0.25 and steep left of it, with
+    # its root at 0.25 - 0.45/41.8; after level 0 keeps [0, 0.5], the two
+    # points of smallest |a0| (0.5 and 1) put the secant root at -2
+    def a0(d):
+        return 0.5 + 0.2 * (d - 0.5) if d >= 0.25 else 0.45 + 41.8 * (d - 0.25)
+
+    res = _linear_shoot(monkeypatch, trap8, 40.0, a0=a0)
+    assert res.status == "survived"
+    steps = [row["d0_step"] for row in res.level_stats]
+    assert steps == ["bisect"] * 6 + ["interp"]
+    assert res.level_stats[1]["d0_bracket"] == [0.0, 0.5]
+    # two points on the steep side make the secant exact
+    assert res.d0 == pytest.approx(0.25 - 0.45 / 41.8, abs=1e-12)
+    # the d1 center has a1 = 0 exactly: a zero exit sign, so a shrink
+    assert {row["d1_step"] for row in res.level_stats[:-1]} == {"shrink"}
+    _assert_search_invariants(res)
+
+
+def test_shoot_bisects_after_an_interpolated_cut_that_did_not_halve(monkeypatch, trap8):
+    res = _linear_shoot(monkeypatch, trap8, 40.0, a0=lambda d: np.expm1(6.0 * (d - 0.3)))
+    assert res.status == "survived"
+    assert res.d0 == pytest.approx(0.3, abs=1e-9)
+    rows = res.level_stats
+    widths = [row["d0_bracket"][1] - row["d0_bracket"][0] for row in rows]
+    stalled = [
+        k for k in range(1, len(rows))
+        if rows[k - 1]["d0_step"] == "interp" and widths[k] > 0.5 * widths[k - 1]
+    ]
+    assert stalled  # the convex a0 keeps its far bracket end
+    assert all(rows[k]["d0_step"] == "bisect" for k in stalled)
+    assert sum(row["d0_step"] == "interp" for row in rows) >= 3
+    _assert_search_invariants(res)
+
+
+def test_shoot_reports_degenerate_exit(monkeypatch, trap8):
+    res = _linear_shoot(monkeypatch, trap8, 40.0, a0=lambda d: d - 0.3, component="q2")
+    assert res.status == "degenerate-exit"
+    assert res.levels == 0 and res.n_evals == 5
+    assert res.record.exit.component == "q2"
+    assert res.note.startswith("exit through q2 at (d0=0, d1=0)")
 
 
 def test_shoot_reports_lost_enclosure(shoot_grid, trap8):
