@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import fields
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from .model import make_params
 from .physical import PhysicalConfig
 from .semigroup import interior_mask
 from .shooting import InitialDataParams
-from .solver import SolverConfig
+from .solver import SolverConfig, window_steps
 from .trapset import TrapParams
 
 __all__ = [
@@ -63,7 +64,7 @@ def _fields_schema(cls, skip: tuple[str, ...]) -> dict[str, tuple[type, object]]
     }
 
 
-# section -> key -> (type, default).  Booleans accept true/false/1/0/yes/no.
+# section -> key -> (type, default).  A float must be finite.
 SCHEMA: dict[str, dict[str, tuple[type, object]]] = {
     "model": {
         "p": (float, 2.0),
@@ -116,9 +117,6 @@ _DECOMPOSE_AT = {
 # experiment kinds that check the kernel on the grid's interior
 _KERNEL_CHECKS = ("semigroup-checks", "full-pipeline")
 
-_TRUE = {"1", "true", "yes", "on"}
-_FALSE = {"0", "false", "no", "off"}
-
 
 def default_config() -> dict:
     return {sec: {k: v for k, (_, v) in keys.items()} for sec, keys in SCHEMA.items()}
@@ -127,23 +125,17 @@ def default_config() -> dict:
 def _parse_value(section: str, key: str, raw: str):
     typ, _ = SCHEMA[section][key]
     raw = raw.strip()
-    if typ is bool:
-        low = raw.lower()
-        if low in _TRUE:
-            return True
-        if low in _FALSE:
-            return False
-        raise ConfigError(f"[{section}] {key}: expected a boolean, got {raw!r}")
+    if typ is str:
+        return raw
     try:
-        if typ is int:
-            return int(raw)
-        if typ is float:
-            return float(raw)
+        value = typ(raw)
     except ValueError:
         raise ConfigError(
             f"[{section}] {key}: expected {typ.__name__}, got {raw!r}"
         ) from None
-    return raw
+    if not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key}: expected a finite number, got {raw!r}")
+    return value
 
 
 def load_config(path: str | Path) -> dict:
@@ -206,13 +198,18 @@ def validate_config(cfg: dict) -> None:
         bad("grid", "y_max", "must be >= 0 (0 derives it from the trap)")
     _build("trap", TrapParams, **cfg["trap"])
     _build("solver", SolverConfig, **cfg["solver"])
-    for sec in ("trajectory", "shooting"):
-        if cfg[sec]["s_end"] <= cfg[sec]["s0"]:
+    _build("shooting", SolverConfig, **(cfg["solver"] | {"ds": cfg["shooting"]["ds"]}))
+    for sec, ds in (("trajectory", cfg["solver"]["ds"]), ("shooting", cfg["shooting"]["ds"])):
+        s0, s_end = cfg[sec]["s0"], cfg[sec]["s_end"]
+        if s_end <= s0:
             bad(sec, "s_end", f"must exceed [{sec}] s0")
-        _build(sec, InitialDataParams, d0=0.0, d1=0.0, s0=cfg[sec]["s0"])
+        try:
+            window_steps(s0, s_end, ds)
+        except ValueError as err:
+            bad(sec, "s_end", str(err))
+        _build(sec, InitialDataParams, d0=0.0, d1=0.0, s0=s0)
     if cfg["trajectory"]["record_stride"] < 1:
         bad("trajectory", "record_stride", "must be >= 1")
-    _build("shooting", SolverConfig, **(cfg["solver"] | {"ds": cfg["shooting"]["ds"]}))
     if cfg["shooting"]["max_levels"] < 1:
         bad("shooting", "max_levels", "must be >= 1")
     ph = dict(cfg["physical"])
@@ -237,8 +234,6 @@ def validate_config(cfg: dict) -> None:
 
 
 def _canon(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     return str(value)

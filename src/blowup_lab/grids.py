@@ -62,9 +62,10 @@ def make_grid(y_max: float, dy: float = 0.05) -> Grid:
     return Grid(n_half=n_half, dy=float(dy))
 
 
-def default_y_max(K0: float, s_max: float, floor: float = 20.0, margin: float = 5.0) -> float:
-    """Domain half-width wide enough to contain the cutoff support at s_max."""
-    return max(floor, 2.0 * K0 * np.sqrt(s_max) + margin)
+def default_y_max(K0: float, s_max: float) -> float:
+    """Domain half-width wide enough to contain the cutoff support at s_max:
+    the support's half-width 2 K0 sqrt(s_max) plus 5, and at least 20."""
+    return max(20.0, 2.0 * K0 * np.sqrt(s_max) + 5.0)
 
 
 @dataclass
@@ -88,9 +89,6 @@ class Field:
     def sup(self):
         """Sup norm: a float for one field, one per row for a stack."""
         return per_row(np.max(np.abs(self.values), axis=-1))
-
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.values)))
 
 
 def per_row(x):

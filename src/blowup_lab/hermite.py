@@ -221,17 +221,15 @@ def cubic_weighted_sup(grid: Grid, values: np.ndarray, mask=None):
     return per_row(np.max(np.abs(values) / weight, axis=-1))
 
 
-def seminorm_minus(d: SpectralDecomp, restrict_to_support: bool = True):
+def seminorm_minus(d: SpectralDecomp):
     """Cubic-weighted sup of the projection residue.
 
-    By default restricted to the cutoff support |y| <= 2*K0*sqrt(s), the
-    region where the residue carries actual field content; outside it the
-    residue is the analytic continuation of the subtracted polynomial.
+    Restricted to the cutoff support |y| <= 2*K0*sqrt(s), the region where
+    the residue carries actual field content; outside it the residue is the
+    analytic continuation of the subtracted polynomial.
     """
     grid = d.q_minus.grid
-    mask = None
-    if restrict_to_support:
-        mask = np.abs(grid.y) <= 2.0 * d.K0 * np.sqrt(d.s)
+    mask = np.abs(grid.y) <= 2.0 * d.K0 * np.sqrt(d.s)
     return cubic_weighted_sup(grid, d.q_minus.values, mask)
 
 

@@ -256,18 +256,17 @@ def phi_powers(params: ModelParams, phi_val):
     return phi_val**p, p * phi_val ** (p - 1.0)
 
 
-def potential_V(params: ModelParams, y, s: float, phi_val=None, dphi_p=None):
+def potential_V(params: ModelParams, y, s: float, dphi_p=None):
     """Linearization potential V(y,s) = p phi^(p-1) - p/(p-1).
 
     Vanishes like 1/s near y = 0 and tends to -p/(p-1) along |y|/sqrt(s)
-    -> infinity; both limits are exercised by the tests.  phi_val, when
-    given, is phi(params, y, s) already evaluated by the caller, and
-    dphi_p, when given, is p phi^(p-1) from `phi_powers`.
+    -> infinity; both limits are exercised by the tests.  dphi_p, when
+    given, is p phi^(p-1) from `phi_powers`, already evaluated by the
+    caller.
     """
     p = params.p
     if dphi_p is None:
-        pv = phi(params, y, s) if phi_val is None else phi_val
-        dphi_p = phi_powers(params, pv)[1]
+        dphi_p = phi_powers(params, phi(params, y, s))[1]
     return dphi_p - p / (p - 1.0)
 
 

@@ -60,13 +60,11 @@ class PhysicalConfig:
     n_x: int = 1601
     cfl: float = 0.2
     lam: float = 0.01
-    dt0: float = 0.0  # extra cap on the first steps; 0 disables
     stop_factor: float = 1e4
     fit_lo: float = 30.0
     fit_hi: float = 300.0
     snapshot_factors: tuple = (10.0, 30.0, 100.0, 300.0, 1000.0)
     max_steps: int = 200_000
-    t_budget: float = 0.0  # walltime in t to give up after; 0 disables
 
     def __post_init__(self) -> None:
         if self.n_x < 16 or self.n_x % 2 == 0:
@@ -76,9 +74,6 @@ class PhysicalConfig:
         for name in ("z_max", "cfl", "lam"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
-        for name in ("dt0", "t_budget"):  # 0 disables either
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
 
     @property
     def T(self) -> float:
@@ -101,7 +96,7 @@ class BlowupEstimate:
     """Result of one physical run.
 
     blew_up is False when the peak never reached stop_factor growth within
-    the step/time budget; that is a valid outcome (subcritical data), not a
+    max_steps steps; that is a valid outcome (subcritical data), not a
     failure, and T_est is +inf in that case.
     """
 
@@ -174,9 +169,9 @@ def integrate_u(
 
     Records (t, ||u||_inf) every step, keeps field snapshots at the
     configured growth factors, then fits ||u||^{-(p-1)} against t over the
-    growth window [fit_lo, fit_hi] to extrapolate the blow-up time.  If the
-    step budget (or cfg.t_budget, when set) runs out first the run is
-    reported as a non-blow-up outcome instead.
+    growth window [fit_lo, fit_hi] to extrapolate the blow-up time.  If
+    cfg.max_steps steps run out first the run is reported as a non-blow-up
+    outcome instead.
     """
     x, u = initial_u(params, cfg)
     if u0_override is not None:
@@ -187,8 +182,6 @@ def integrate_u(
     umax0 = float(np.max(np.abs(u)))
     stop_at = cfg.stop_factor * umax0
     dt_diff = cfg.cfl * dx**2 / 2.0
-    if cfg.dt0 > 0.0:
-        dt_diff = min(dt_diff, cfg.dt0)
 
     t = 0.0
     ts = [t]
@@ -203,8 +196,6 @@ def integrate_u(
         umax = umaxs[-1]
         if umax >= stop_at:
             blew_up = True
-            break
-        if cfg.t_budget > 0.0 and t >= cfg.t_budget:
             break
         dt = min(dt_diff, cfg.lam * umax ** (1.0 - params.p))
         k1 = _rhs(u, dx, params)
@@ -260,27 +251,22 @@ def integrate_u(
     )
 
 
-def homogeneous_oracle(
-    params: ModelParams,
-    c: float = 1.0,
-    lam: float = 0.01,
-    stop_factor: float = 1e4,
-    fit_lo: float = 30.0,
-    fit_hi: float = 300.0,
-    max_steps: int = 200_000,
-) -> dict:
+def homogeneous_oracle(params: ModelParams, c: float = 1.0) -> dict:
     """Blow-up time estimator exercised on the space-homogeneous reduction.
 
     For u0 = c constant in space the equation collapses to the scalar ODE
     u' = u^p + mu_bar u^alpha_bar + mu0 (the gradient term drops), whose
     blow-up time is the convergent integral of du / rhs(u) from c; in the
     pure case it is c^{1-p}/(p-1) in closed form.  The same RK4 step-size
-    law and the same window fit as integrate_u are applied, so any bias of
-    the estimator shows up against an exact target.
+    law and the same window fit as integrate_u are applied, with the
+    reaction step factor, stop factor, fit window and step cap of the
+    default `PhysicalConfig`, so any bias of the estimator shows up against
+    an exact target.
     """
     if c <= 0.0:
         raise ValueError("oracle initial value must be positive")
     p = params.p
+    cfg = PhysicalConfig()
 
     def rhs(v: float) -> float:
         out = v**p
@@ -303,8 +289,8 @@ def homogeneous_oracle(
     us = [u]
     max_rel_dev = 0.0
     n = 0
-    while u < stop_factor * c and n < max_steps:
-        dt = lam * u ** (1.0 - p)
+    while u < cfg.stop_factor * c and n < cfg.max_steps:
+        dt = cfg.lam * u ** (1.0 - p)
         k1 = rhs(u)
         k2 = rhs(u + 0.5 * dt * k1)
         k3 = rhs(u + 0.5 * dt * k2)
@@ -317,11 +303,11 @@ def homogeneous_oracle(
         if pure and u <= 1e3 * c:
             exact = ((p - 1.0) * (T_exact - t)) ** (-1.0 / (p - 1.0))
             max_rel_dev = max(max_rel_dev, abs(u - exact) / exact)
-    if u < stop_factor * c:
+    if u < cfg.stop_factor * c:
         raise RuntimeError("homogeneous oracle did not reach the stop factor")
 
     T_est, r2 = _fit_blowup_time(
-        np.array(ts), np.array(us), p, fit_lo * c, fit_hi * c
+        np.array(ts), np.array(us), p, cfg.fit_lo * c, cfg.fit_hi * c
     )
     return {
         "T_est": T_est,
@@ -337,33 +323,23 @@ def profile_error(
     x: np.ndarray,
     u: np.ndarray,
     t_snap: float,
-    est: "BlowupEstimate | float",
+    est: BlowupEstimate,
     params: ModelParams,
-    a_est: float | None = None,
-    z_window: float = 2.0,
 ) -> dict:
     """Distance of a snapshot from the profile in self-similar variables.
 
     The snapshot is rescaled with the *estimated* blow-up data, splined,
-    and compared on |y| <= z_window * sqrt(s) against both the pure profile
+    and compared on |y| <= 2 sqrt(s) against both the pure profile
     f(y/sqrt s) (error of order 1/s from the log correction) and the
     corrected ansatz phi (error of order of the deviation itself).
     """
-    if isinstance(est, BlowupEstimate):
-        T_est = est.T_est
-        if a_est is None:
-            a_est = est.a_est
-    else:
-        T_est = float(est)
-        if a_est is None:
-            a_est = 0.0
-    tau = T_est - t_snap
+    tau = est.T_est - t_snap
     if tau <= 0.0:
         raise ValueError("snapshot lies at or past the estimated blow-up time")
     s = -np.log(tau)
-    y_data = (x - a_est) / np.sqrt(tau)
+    y_data = (x - est.a_est) / np.sqrt(tau)
     w_data = tau ** (1.0 / (params.p - 1.0)) * u
-    y_hi = min(z_window * np.sqrt(s), 0.98 * y_data[-1])
+    y_hi = min(2.0 * np.sqrt(s), 0.98 * y_data[-1])
     y_grid = np.linspace(-y_hi, y_hi, 801)
     spline = CubicSpline(y_data, w_data)
     w_num = spline(y_grid)

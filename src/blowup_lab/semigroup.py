@@ -200,22 +200,21 @@ def kernel_comparison_check(
     s: float,
     sigma: float,
     n_field: Field,
-    envelope_scale: float | None = None,
-    n_time: int = 33,
 ) -> dict:
     """Bound a source-term increment propagated over [sigma, s].
 
     Computes sup_y of integral_sigma^s e^((s-tau) L) |n_field| dtau by
-    trapezoid in tau (the integrand at tau = s needs no kernel) and
-    compares against envelope_scale * (s - sigma) * e^(s - sigma); with the
-    default envelope_scale = sup|n_field| this is the crude mass bound, so
-    the reported ratio must be <= 1 up to quadrature error.  Each of the
-    n_time - 1 kernels is used once, so none is cached.
+    trapezoid in tau over 33 times (the integrand at tau = s needs no
+    kernel) and compares against the crude mass bound
+    sup|n_field| * (s - sigma) * e^(s - sigma), so the reported ratio must
+    be <= 1 up to quadrature error.  Each of the 32 kernels is used once,
+    so none is cached.
     """
     if not s > sigma:
         raise ValueError(f"need s > sigma, got s={s!r}, sigma={sigma!r}")
     grid = n_field.grid
     av = np.abs(n_field.values)
+    n_time = 33
     taus = np.linspace(sigma, s, n_time)
     acc = np.zeros(grid.n)
     wts = np.full(n_time, (s - sigma) / (n_time - 1))
@@ -226,8 +225,7 @@ def kernel_comparison_check(
         vals = av if theta <= 0 else banded_kernel(theta, grid) @ av
         acc = acc + wt * vals
     bound_sup = float(np.max(acc))
-    scale = float(np.max(av)) if envelope_scale is None else float(envelope_scale)
-    envelope = scale * (s - sigma) * np.exp(s - sigma)
+    envelope = float(np.max(av)) * (s - sigma) * np.exp(s - sigma)
     return {
         "increment_sup": bound_sup,
         "envelope": envelope,

@@ -36,7 +36,7 @@ bitwise the trajectory run alone; a single trajectory is the case K = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -65,6 +65,7 @@ __all__ = [
     "TrajectoryRecord",
     "step_q",
     "step_w",
+    "window_steps",
     "run_trajectories",
     "run_trajectory",
     "mode_ode_check",
@@ -72,13 +73,16 @@ __all__ = [
     "forms_consistency_check",
 ]
 
-_BC_CHOICES = ("dirichlet-profile", "extrapolation", "dirichlet-zero")
+_BC_CHOICES = ("dirichlet-profile", "extrapolation")
 _SCHEME_CHOICES = ("semigroup-split", "imex-cn")
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Step size, scheme, boundary handling, and term toggles.
+    """Step size, scheme, boundary handling and overflow cap.
+
+    Every term of the equation is always on: the q form adds Vq, B and R,
+    plus N in a perturbed model.
 
     scheme:
         "semigroup-split" applies the linear part through the exact
@@ -88,19 +92,16 @@ class SolverConfig:
         to O(ds^2 + dy^2) and serve as mutual cross-checks.
     bc:
         "dirichlet-profile" pins the ends onto the profile ansatz (the
-        deviation is pinned to its ansatz value -kappa/(2ps)),
-        "extrapolation" continues the field linearly, and
-        "dirichlet-zero" pins the deviation to zero (diagnostic only).
-    The toggles switch individual local terms off for reduced runs.
+        deviation is pinned to its ansatz value -kappa/(2ps)) and
+        "extrapolation" continues the field linearly.
+    overflow:
+        a field that exceeds it in sup norm, or stops being finite, has
+        diverged.
     """
 
     ds: float = 0.01
     scheme: str = "semigroup-split"
     bc: str = "dirichlet-profile"
-    include_potential: bool = True
-    include_nonlinear: bool = True
-    include_residual: bool = True
-    include_perturbation: bool = True
     overflow: float = 1e8
 
     def __post_init__(self) -> None:
@@ -175,16 +176,12 @@ class SourceTerms:
             w_grad = self.phi_y + (gradient(self.grid, qv) if qy is None else qy)
         return perturbation_N(self.params, w_grad, self.phi_val + qv, self.s)
 
-    def rhs(self, qv: np.ndarray, cfg: SolverConfig) -> np.ndarray:
-        """Vq + B(q) + R + N, restricted to the terms cfg switches on."""
-        out = np.zeros_like(qv)
-        if cfg.include_potential:
-            out += self.V * qv
-        if cfg.include_nonlinear:
-            out += self.B(qv)
-        if cfg.include_residual:
-            out += self.R
-        if cfg.include_perturbation and self.params.perturbed:
+    def rhs(self, qv: np.ndarray) -> np.ndarray:
+        """Vq + B(q) + R, plus N in a perturbed model."""
+        out = self.V * qv
+        out += self.B(qv)
+        out += self.R
+        if self.params.perturbed:
             out += self.N(qv)
         return out
 
@@ -200,9 +197,6 @@ def _apply_bc_q(values: np.ndarray, params: ModelParams, grid: Grid, s: float, b
         pin = -params.kappa / (2.0 * params.p * s)
         values[..., 0] = pin
         values[..., -1] = pin
-    elif bc == "dirichlet-zero":
-        values[..., 0] = 0.0
-        values[..., -1] = 0.0
     else:  # extrapolation
         values[..., 0] = 2.0 * values[..., 1] - values[..., 2]
         values[..., -1] = 2.0 * values[..., -2] - values[..., -3]
@@ -216,10 +210,7 @@ def _apply_bc_w(values: np.ndarray, params: ModelParams, grid: Grid, s: float, b
         values[-1] = profile_f(params, grid.y[-1] / np.sqrt(s)) + params.kappa / (
             2.0 * params.p * s
         )
-    elif bc == "dirichlet-zero":
-        values[0] = 0.0
-        values[-1] = 0.0
-    else:
+    else:  # extrapolation
         values[0] = 2.0 * values[1] - values[2]
         values[-1] = 2.0 * values[-2] - values[-3]
 
@@ -298,7 +289,7 @@ def step_q(q: Field, params: ModelParams, cfg: SolverConfig) -> Field:
     """
     ds = cfg.ds
     s_new = q.s + ds
-    rhs = partial(SourceTerms(params, q.grid, q.s + 0.5 * ds).rhs, cfg=cfg)
+    rhs = SourceTerms(params, q.grid, q.s + 0.5 * ds).rhs
     v = _midpoint_half(rhs, q.values, 0.5 * ds)
     v = _linear_substep(q.grid, v, ds, cfg)
     v = _midpoint_half(rhs, v, 0.5 * ds)
@@ -329,14 +320,12 @@ def step_w(w: Field, params: ModelParams, cfg: SolverConfig) -> Field:
     grid = w.grid
     p = params
 
-    has_N = cfg.include_perturbation and params.perturbed
-
     def pert(wv: np.ndarray) -> np.ndarray:
         w_grad = gradient(grid, wv) if params.mu != 0.0 else 0.0
         return perturbation_N(params, w_grad, wv, sm)
 
     def half(wv: np.ndarray, h: float) -> np.ndarray:
-        if not has_N:
+        if not params.perturbed:
             return _power_flow(params, wv, h, sm)
         v = _power_flow(params, wv, 0.5 * h, sm)
         v = _midpoint_half(pert, v, h)
@@ -354,9 +343,6 @@ def step_w(w: Field, params: ModelParams, cfg: SolverConfig) -> Field:
 class TrajectoryRecord:
     """Per-step scalar diagnostics of one deviation trajectory."""
 
-    params: ModelParams
-    trap: TrapParams
-    cfg: SolverConfig
     s: np.ndarray = field(default_factory=lambda: np.empty(0))
     q0: np.ndarray = field(default_factory=lambda: np.empty(0))
     q1: np.ndarray = field(default_factory=lambda: np.empty(0))
@@ -365,13 +351,11 @@ class TrajectoryRecord:
     qe_sup: np.ndarray = field(default_factory=lambda: np.empty(0))
     q_sup: np.ndarray = field(default_factory=lambda: np.empty(0))
     gradq_sup: np.ndarray = field(default_factory=lambda: np.empty(0))
-    B_sup: np.ndarray = field(default_factory=lambda: np.empty(0))
     R_sup: np.ndarray = field(default_factory=lambda: np.empty(0))
     N_sup: np.ndarray = field(default_factory=lambda: np.empty(0))
     margins: np.ndarray = field(default_factory=lambda: np.empty((0, 5)))
     inside: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=bool))
     exit: ExitInfo | None = None
-    snapshots: dict = field(default_factory=dict)
 
     @property
     def final_s(self) -> float:
@@ -384,8 +368,7 @@ class TrajectoryRecord:
 # per-step series of a TrajectoryRecord, in the column order of an
 # observation row; the five trap margins follow them
 _SERIES = (
-    "s", "q0", "q1", "q2", "sem_minus", "qe_sup", "q_sup", "gradq_sup",
-    "B_sup", "R_sup", "N_sup",
+    "s", "q0", "q1", "q2", "sem_minus", "qe_sup", "q_sup", "gradq_sup", "R_sup", "N_sup",
 )
 
 
@@ -411,7 +394,6 @@ def _observe(q: Field, params: ModelParams, trap: TrapParams) -> tuple[np.ndarra
         status.measured[:, 4],  # sup of q_e
         q.sup(),
         np.max(np.abs(qy[:, core]), axis=-1),
-        np.max(np.abs(src.B(q.values)), axis=-1),
         np.max(np.abs(src.R)),
         n_sup,
     )
@@ -422,6 +404,22 @@ def _observe(q: Field, params: ModelParams, trap: TrapParams) -> tuple[np.ndarra
     return table, status.inside
 
 
+def window_steps(s0: float, s_end: float, ds: float) -> int:
+    """Number of steps of size ds from s0 to s_end.
+
+    Raises ValueError unless the window holds a whole number of steps (to
+    within 1e-9 of a step) and at least one.
+    """
+    n = (s_end - s0) / ds
+    if not (np.isfinite(n) and abs(n - np.rint(n)) <= 1e-9):
+        raise ValueError(
+            f"window [{s0}, {s_end}] is not a whole number of steps of ds={ds}"
+        )
+    if n < 0.5:
+        raise ValueError(f"empty integration window [{s0}, {s_end}] at ds={ds}")
+    return int(np.rint(n))
+
+
 def run_trajectories(
     q_inits: list[Field],
     params: ModelParams,
@@ -429,17 +427,17 @@ def run_trajectories(
     cfg: SolverConfig,
     s_end: float,
     record_stride: int = 1,
-    snapshot_s: list[float] | None = None,
-    stop_on_exit: bool = True,
 ) -> list[TrajectoryRecord]:
     """Integrate K deviations of one grid and one initial time to s_end.
 
     The fields advance together as the rows of one (K, n) array, and the
-    records equal those of K separate runs bit for bit.  Diagnostics (mode
-    amplitudes, seminorms, trap margins, source sups) are recorded every
+    records equal those of K separate runs bit for bit.  s_end - s0 must be
+    a whole number of steps of cfg.ds.  Diagnostics (mode amplitudes,
+    seminorms, trap margins, source sups) are recorded every
     `record_stride` steps plus at the initial and final times.  A row stops
-    at its first trap exit when `stop_on_exit` is set and always stops on
-    divergence; its exit record carries the classification.
+    at its first trap exit or divergence, and its record's `exit` carries
+    the classification; `exit` is None only for a row that stayed inside
+    up to s_end.
     """
     if record_stride < 1:
         raise ValueError("record_stride must be >= 1")
@@ -448,26 +446,16 @@ def run_trajectories(
     grid, s0 = q_inits[0].grid, q_inits[0].s
     if any(qi.grid != grid or qi.s != s0 for qi in q_inits):
         raise ValueError("initial fields must share one grid and one initial time")
-    n_steps = int(round((s_end - s0) / cfg.ds))
-    if n_steps < 1 or s_end <= s0:
-        raise ValueError(f"empty integration window [{s0}, {s_end}] at ds={cfg.ds}")
-
-    snap_idx: dict[int, float] = {}
-    if snapshot_s:
-        for s_req in snapshot_s:
-            k = int(round((s_req - s0) / cfg.ds))
-            if 0 <= k <= n_steps:
-                snap_idx[k] = s_req
+    n_steps = window_steps(s0, s_end, cfg.ds)
 
     def observed(k: int) -> bool:
-        return k % record_stride == 0 or k == n_steps or k in snap_idx
+        return k % record_stride == 0 or k == n_steps
 
     n_rows = len(q_inits)
     n_obs = sum(1 for k in range(n_steps + 1) if observed(k))
     table = np.empty((n_obs, n_rows, len(_SERIES) + len(COMPONENTS)))
     inside_table = np.zeros((n_obs, n_rows), dtype=bool)
     n_rec = np.zeros(n_rows, dtype=int)
-    snapshots: list[dict] = [{} for _ in range(n_rows)]
     diverged_at: dict[int, float] = {}
 
     rows = np.arange(n_rows)  # the original index of each active row
@@ -484,11 +472,7 @@ def run_trajectories(
         table[j, rows] = obs
         inside_table[j, rows] = inside
         n_rec[rows] = j + 1
-        if k in snap_idx:
-            for i, r in enumerate(rows):
-                snapshots[r][snap_idx[k]] = Field(grid, q.values[i].copy(), q.s)
-        if stop_on_exit:
-            keep_rows(inside)
+        keep_rows(inside)
 
     observe(0)
     for k in range(1, n_steps + 1):
@@ -511,7 +495,7 @@ def run_trajectories(
     records = []
     for r in range(n_rows):
         obs = table[: n_rec[r], r]
-        rec = TrajectoryRecord(params=params, trap=trap, cfg=cfg, snapshots=snapshots[r])
+        rec = TrajectoryRecord()
         for j, name in enumerate(_SERIES):
             setattr(rec, name, obs[:, j].copy())
         rec.margins = obs[:, len(_SERIES):].copy()
@@ -533,25 +517,17 @@ def run_trajectory(
     cfg: SolverConfig,
     s_end: float,
     record_stride: int = 1,
-    snapshot_s: list[float] | None = None,
-    stop_on_exit: bool = True,
 ) -> TrajectoryRecord:
     """Integrate one deviation from its initial time to s_end: the case
     K = 1 of `run_trajectories`, with the same arguments and record."""
-    return run_trajectories(
-        [q_init], params, trap, cfg, s_end, record_stride, snapshot_s, stop_on_exit
-    )[0]
+    return run_trajectories([q_init], params, trap, cfg, s_end, record_stride)[0]
 
 
-def mode_ode_check(
-    record: TrajectoryRecord,
-    m: int,
-    s_lo: float | None = None,
-    s_hi: float | None = None,
-) -> dict:
+def mode_ode_check(record: TrajectoryRecord, m: int) -> dict:
     """Defect of a recorded mode against its linearized law q_m' = (1 - m/2) q_m.
 
-    The derivative is a centered difference on the recorded series; the
+    The derivative is a centered difference on the recorded series, so the
+    two end records, which have none, are left out of the window.  The
     defect collects the projected nonlinear, residual and perturbation
     sources, so along a trapped trajectory s^2 |defect| should stay of
     order one.  Returns the window sups of |defect| and s^2 |defect|.
@@ -565,24 +541,15 @@ def mode_ode_check(
     h = np.diff(s)
     if not np.allclose(h, h[0], rtol=1e-8, atol=0.0):
         raise ValueError("mode check needs a uniformly recorded trajectory")
-    dq = np.empty_like(series)
-    dq[1:-1] = (series[2:] - series[:-2]) / (s[2:] - s[:-2])
-    dq[0] = (series[1] - series[0]) / h[0]
-    dq[-1] = (series[-1] - series[-2]) / h[-1]
-    defect = dq - (1.0 - 0.5 * m) * series
-    lo = s[0] if s_lo is None else s_lo
-    hi = s[-1] if s_hi is None else s_hi
-    win = (s >= lo) & (s <= hi)
-    win[0] = False  # one-sided end differences are less accurate
-    win[-1] = False
-    if not np.any(win):
-        raise ValueError("empty mode-check window")
+    dq = (series[2:] - series[:-2]) / (s[2:] - s[:-2])
+    defect = dq - (1.0 - 0.5 * m) * series[1:-1]
+    s_win = s[1:-1]
     return {
         "mode": m,
-        "s_lo": float(s[win][0]),
-        "s_hi": float(s[win][-1]),
-        "sup_defect": float(np.max(np.abs(defect[win]))),
-        "sup_scaled_defect": float(np.max(s[win] ** 2 * np.abs(defect[win]))),
+        "s_lo": float(s_win[0]),
+        "s_hi": float(s_win[-1]),
+        "sup_defect": float(np.max(np.abs(defect))),
+        "sup_scaled_defect": float(np.max(s_win**2 * np.abs(defect))),
     }
 
 
@@ -597,8 +564,9 @@ def duhamel_split_check(
     """Reconstruct q(s) from its integral form and size up the source pieces.
 
     Starting from a snapshot q(tau), the trajectory is re-integrated to
-    s_target while the potential, nonlinear, residual and perturbation
-    source fields are sampled at n_quad times.  The reconstruction
+    s_target (a whole number of steps of cfg.ds away) while the potential,
+    nonlinear, residual and perturbation source fields are sampled at
+    n_quad times.  The reconstruction
 
         q(s) ~= e^{(s-tau)L} q(tau)
                 + int_tau^s e^{(s-sigma)L} [Vq + B + R + N](sigma) dsigma
@@ -619,7 +587,7 @@ def duhamel_split_check(
     tau = q_tau.s
     if s_target <= tau + cfg.ds:
         raise ValueError("integration window too short for the split check")
-    n_steps = int(round((s_target - tau) / cfg.ds))
+    n_steps = window_steps(tau, s_target, cfg.ds)
     grid = q_tau.grid
     quad_marks = sorted({int(round(x)) for x in np.linspace(0.0, n_steps, n_quad)})
 
@@ -695,20 +663,19 @@ def forms_consistency_check(
     q0_values: np.ndarray,
     n_steps: int,
     cfg: SolverConfig,
-    collar: float = 2.0,
 ) -> dict:
     """Advance w and q = w - phi side by side and report their disagreement.
 
     Both forms discretize the same dynamics with the same splitting, so away
     from the boundary the difference w - (phi + q) after n_steps is pure
-    discretization error.  Within `collar` of the ends the two forms see
+    discretization error.  Within 2 of the ends the two forms see
     different kernel-truncation and pinning errors (w is O(1) there, q is
     O(1/s)), so the interior sup is the meaningful figure; the global sup is
     reported alongside for scale.
     """
     q = Field(grid=grid, values=q0_values.copy(), s=s0)
     w = Field(grid=grid, values=phi(params, grid.y, s0) + q0_values, s=s0)
-    inner = np.abs(grid.y) <= grid.y_max - collar
+    inner = np.abs(grid.y) <= grid.y_max - 2.0
     sup_diff = 0.0
     sup_global = 0.0
     for k in range(1, n_steps + 1):

@@ -201,18 +201,13 @@ def exit_classify(record, trap: TrapParams) -> ExitInfo | None:
 def reduction_witness(records, trap: TrapParams) -> dict:
     """Batch exit statistics over a family of trajectory records.
 
-    Reports the fraction of exits that occur through the expanding pair
-    (q0, q1) and whether every expanding exit was transverse; trajectories
-    that never exit are excluded from the fraction.
+    Tallies each record's own `exit`, as its run classified it, so a row
+    that diverged counts under "divergence" and not as a survivor.  Reports
+    the fraction of exits that occur through the expanding pair (q0, q1)
+    and whether every expanding exit was transverse; trajectories that
+    never exit are excluded from the fraction.
     """
-    exits = []
-    survivors = 0
-    for rec in records:
-        info = exit_classify(rec, trap)
-        if info is None:
-            survivors += 1
-        else:
-            exits.append(info)
+    exits = [rec.exit for rec in records if rec.exit is not None]
     by_component: dict[str, int] = {c: 0 for c in COMPONENTS}
     by_component["divergence"] = 0
     for e in exits:
@@ -223,7 +218,7 @@ def reduction_witness(records, trap: TrapParams) -> dict:
     return {
         "n_runs": len(records),
         "n_exits": len(exits),
-        "n_survivors": survivors,
+        "n_survivors": len(records) - len(exits),
         "fraction_q0q1": (n_exp / len(exits)) if exits else float("nan"),
         "all_transverse": all(e.transverse for e in expanding) if expanding else True,
         "by_component": by_component,

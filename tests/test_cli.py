@@ -103,10 +103,10 @@ def test_override_lands_in_config_txt(base_ini, tmp_path):
     out = tmp_path / "res"
     main([
         "run", str(base_ini), "--out", str(out),
-        "--override", "solver.include_residual=off",
+        "--override", "solver.bc=extrapolation",
     ])
     lines = (out / "config.txt").read_text().splitlines()
-    assert "solver.include_residual=false" in lines
+    assert "solver.bc=extrapolation" in lines
     assert "trajectory.s_end=20.5" in lines  # file value survives
 
 
@@ -141,6 +141,22 @@ def test_config_errors_return_two(base_ini, tmp_path, capsys):
 
     assert main(["run", str(base_ini), "--kind", "warp"]) == 2
     assert "must be one of" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("item,msg", [
+    ("trajectory.s_end=inf", "[trajectory] s_end: expected a finite number"),
+    ("trajectory.s_end=nan", "[trajectory] s_end: expected a finite number"),
+    ("trap.A=nan", "[trap] A: expected a finite number"),
+    ("model.alpha=nan", "[model] alpha: expected a finite number"),
+    ("trajectory.s_end=20.029", "[trajectory] s_end: window [20.0, 20.029] is not a whole"),
+    ("shooting.s_end=26.01", "[shooting] s_end: window [20.0, 26.01] is not a whole"),
+])
+def test_value_outside_the_schema_returns_two(base_ini, tmp_path, capsys, item, msg):
+    out = tmp_path / "res"
+    rc = main(["run", str(base_ini), "--out", str(out), "--override", item])
+    assert rc == 2
+    assert f"config error: {msg}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_numerical_failure_returns_three(base_ini, tmp_path, capsys):

@@ -68,19 +68,19 @@ def test_load_rejects_garbage(tmp_path):
         load_config(path)
 
 
-@pytest.mark.parametrize("raw,value", [
-    ("true", True), ("Yes", True), ("1", True), ("on", True),
-    ("false", False), ("No", False), ("0", False), ("off", False),
-])
-def test_bool_parsing(tmp_path, raw, value):
-    path = _write(tmp_path, f"[solver]\ninclude_residual = {raw}\n")
-    assert load_config(path)["solver"]["include_residual"] is value
-
-
-def test_bool_rejects_other_tokens(tmp_path):
-    path = _write(tmp_path, "[solver]\ninclude_residual = maybe\n")
-    with pytest.raises(ConfigError, match="expected a boolean"):
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "NaN", "1e400"])
+def test_load_rejects_non_finite_floats(tmp_path, raw):
+    path = _write(tmp_path, f"[trajectory]\ns_end = {raw}\n")
+    with pytest.raises(ConfigError, match=r"\[trajectory\] s_end: expected a finite number"):
         load_config(path)
+
+
+def test_load_rejects_removed_keys(tmp_path):
+    # the per-term switches and the physical dt0/t_budget knobs are gone
+    for section, key in (("solver", "include_residual"), ("physical", "t_budget")):
+        path = _write(tmp_path, f"[{section}]\n{key} = 0\n")
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            load_config(path)
 
 
 def test_overrides_apply_in_order():
@@ -173,6 +173,23 @@ def test_semigroup_checks_need_an_interior_beyond_the_edge_collar(y_max, ok):
             validate_config(cfg)
 
 
+@pytest.mark.parametrize("section,s_end,ds_key,ds", [
+    ("trajectory", 20.029, ("solver", "ds"), 0.02),
+    ("trajectory", 23.005, ("solver", "ds"), 0.01),
+    ("shooting", 26.01, ("shooting", "ds"), 0.02),
+    ("shooting", 26.0, ("shooting", "ds"), 0.035),
+])
+def test_window_must_be_a_whole_number_of_steps(section, s_end, ds_key, ds):
+    cfg = default_config()
+    cfg[section]["s_end"] = s_end
+    cfg[ds_key[0]][ds_key[1]] = ds
+    with pytest.raises(ConfigError, match=rf"\[{section}\] s_end: .*not a whole number of steps"):
+        validate_config(cfg)
+    # one step more or less fits again
+    cfg[section]["s_end"] = cfg[section]["s0"] + ds * round((s_end - cfg[section]["s0"]) / ds)
+    validate_config(cfg)
+
+
 def test_trajectory_shoot_s0_checked_separately():
     cfg = default_config()
     cfg["shooting"]["s_end"] = 5.0
@@ -199,7 +216,7 @@ def test_config_text_is_sorted_and_canonical():
     pairs = [tuple(line.split("=", 1)[0].split(".")) for line in lines]
     assert pairs == sorted(pairs)
     assert text.endswith("\n")
-    assert "solver.include_residual=true" in lines
+    assert "solver.bc=dirichlet-profile" in lines
     assert "solver.ds=0.01" in lines
 
 

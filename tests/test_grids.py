@@ -53,14 +53,6 @@ def test_field_copy_is_deep():
     assert f.sup() == 1.0 and c.sup() == 7.0
 
 
-def test_field_is_finite():
-    g = make_grid(5.0, 0.5)
-    f = Field(grid=g, values=np.ones(g.n), s=20.0)
-    assert f.is_finite()
-    f.values[3] = np.inf
-    assert not f.is_finite()
-
-
 def test_gradient_exact_on_quadratics():
     # centered differences are exact for y^2 in the interior, and the
     # one-sided ends are exact for affine functions

@@ -234,17 +234,15 @@ def test_h3_cubic_weighted_sup():
 
 def test_seminorm_minus_support_restriction(grid20):
     # build a decomposition whose residue has a large far-field polynomial
-    # tail; restricting to the support must not see it
+    # tail; the seminorm is taken on the support only and must not see it
     y = grid20.y
     vals = np.exp(-(y**2) / 4.0) * (1.0 - 0.3 * y**2)
     d = decompose(_field(grid20, vals, s=16.0), K0=1.0)  # support: |y| <= 8
-    full = seminorm_minus(d, restrict_to_support=False)
-    restricted = seminorm_minus(d)
-    assert restricted <= full
     mask = np.abs(y) <= 8.0
-    assert restricted == pytest.approx(
+    assert seminorm_minus(d) == pytest.approx(
         cubic_weighted_sup(grid20, d.q_minus.values, mask), rel=1e-15
     )
+    assert seminorm_minus(d) <= cubic_weighted_sup(grid20, d.q_minus.values)
 
 
 # ---------------------------------------------------------------------------

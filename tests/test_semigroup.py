@@ -185,7 +185,3 @@ def test_comparison_check_rejects_bad_window(grid20):
         kernel_comparison_check(s=20.0, sigma=20.0, n_field=src)
 
 
-def test_comparison_check_custom_envelope(grid20):
-    src = Field(grid=grid20, values=0.5 * np.ones(grid20.n), s=20.0)
-    out = kernel_comparison_check(s=20.5, sigma=20.0, n_field=src, envelope_scale=2.0)
-    assert out["envelope"] == pytest.approx(2.0 * 0.5 * np.exp(0.5), rel=1e-15)

@@ -238,7 +238,7 @@ def _linear_trajectories(a0, a1=lambda d1: d1, component=None):
                 exit = ExitInfo(s_star=s_star, reason="trap-exit",
                                 component=component or f"q{m}", margins=None)
             records.append(TrajectoryRecord(
-                params=params, trap=trap, cfg=cfg, s=np.array([init.s0, s_star]),
+                s=np.array([init.s0, s_star]),
                 q0=np.array([amp[0], q[0]]), q1=np.array([amp[1], q[1]]), exit=exit,
             ))
         return records

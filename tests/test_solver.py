@@ -32,6 +32,7 @@ from blowup_lab.solver import (
     SourceTerms,
     TrajectoryRecord,
     _cn_apply,
+    _linear_substep,
     duhamel_split_check,
     forms_consistency_check,
     mode_ode_check,
@@ -41,13 +42,6 @@ from blowup_lab.solver import (
     step_w,
 )
 from blowup_lab.trapset import TrapParams
-
-ALL_OFF = dict(
-    include_potential=False,
-    include_nonlinear=False,
-    include_residual=False,
-    include_perturbation=False,
-)
 
 
 def _traj_grid(s_max=22.0):
@@ -80,7 +74,7 @@ def test_source_terms_rhs_matches_model_functions(lane, request):
     g = _traj_grid()
     s = 20.5
     qv = initial_q(pr, g, InitialDataParams(d0=0.01, d1=-0.003, s0=s)).values
-    rhs = SourceTerms(pr, g, s).rhs(qv, SolverConfig())
+    rhs = SourceTerms(pr, g, s).rhs(qv)
     phi_val = phi(pr, g.y, s)
     by_hand = (
         potential_V(pr, g.y, s) * qv
@@ -93,22 +87,20 @@ def test_source_terms_rhs_matches_model_functions(lane, request):
         w_y = phi_dy(pr, g.y, s) + gradient(g, qv)
         by_hand = by_hand + perturbation_N(pr, w_y, phi_val + qv, s)
         assert np.max(np.abs(rhs - by_hand)) <= 1e-15 * np.max(np.abs(by_hand))
-    assert not np.any(SourceTerms(pr, g, s).rhs(qv, SolverConfig(**ALL_OFF)))
 
 
 # ---------------------------------------------------------------------------
-# linear regime (all local terms off): the stepper is the bare semigroup
+# linear regime: the linear substep of either scheme is the bare semigroup
 
 
 def test_zero_field_stays_zero():
-    pr = make_params(2.0)
     g = make_grid(20.0, 0.05)
-    cfg = SolverConfig(ds=0.01, bc="dirichlet-zero", **ALL_OFF)
-    q = Field(grid=g, values=np.zeros(g.n), s=20.0)
-    for _ in range(20):
-        q = step_q(q, pr, cfg)
-    assert q.sup() == 0.0
-    assert q.s == pytest.approx(20.2)
+    for scheme in ("semigroup-split", "imex-cn"):
+        cfg = SolverConfig(ds=0.01, scheme=scheme)
+        v = np.zeros(g.n)
+        for _ in range(20):
+            v = _linear_substep(g, v, cfg.ds, cfg)
+        assert not np.any(v), scheme
 
 
 @pytest.mark.parametrize(
@@ -117,28 +109,26 @@ def test_zero_field_stays_zero():
 )
 def test_linear_growth_of_h0(scheme, tol_h0):
     # eigenvalue 1: after s - s0 = 1 the amplitude is e
-    pr = make_params(2.0)
     g = make_grid(20.0, 0.05)
-    cfg = SolverConfig(ds=0.01, scheme=scheme, bc="dirichlet-zero", **ALL_OFF)
-    q = Field(grid=g, values=1e-6 * np.ones(g.n), s=20.0)
+    cfg = SolverConfig(ds=0.01, scheme=scheme)
+    v = 1e-6 * np.ones(g.n)
     for _ in range(100):
-        q = step_q(q, pr, cfg)
+        v = _linear_substep(g, v, cfg.ds, cfg)
     mask = np.abs(g.y) <= 10.0
-    rel = np.max(np.abs(q.values[mask] / (1e-6 * np.e) - 1.0))
+    rel = np.max(np.abs(v[mask] / (1e-6 * np.e) - 1.0))
     assert rel < tol_h0
 
 
 @pytest.mark.parametrize("scheme", ["semigroup-split", "imex-cn"])
 def test_neutral_mode_h2_is_invariant(scheme):
-    pr = make_params(2.0)
     g = make_grid(20.0, 0.05)
-    cfg = SolverConfig(ds=0.01, scheme=scheme, bc="dirichlet-zero", **ALL_OFF)
+    cfg = SolverConfig(ds=0.01, scheme=scheme)
     h2 = 1e-6 * hermite_h(2, g.y)
-    q = Field(grid=g, values=h2.copy(), s=20.0)
+    v = h2.copy()
     for _ in range(100):
-        q = step_q(q, pr, cfg)
+        v = _linear_substep(g, v, cfg.ds, cfg)
     mask = np.abs(g.y) <= 10.0
-    assert np.max(np.abs(q.values[mask] - h2[mask])) / 1e-6 < 1e-10
+    assert np.max(np.abs(v[mask] - h2[mask])) / 1e-6 < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +289,10 @@ def test_run_trajectory_argument_checks():
         run_trajectory(q, pr, trap, SolverConfig(), 21.0, record_stride=0)
     with pytest.raises(ValueError, match="empty integration window"):
         run_trajectory(q, pr, trap, SolverConfig(), 20.0)
+    for s_end in (20.029, 20.0 + 0.5 * 0.01, np.inf, np.nan):
+        # s_end = 20.029 at ds = 0.01 used to stop at 20.03, past s_end
+        with pytest.raises(ValueError, match="not a whole number of steps"):
+            run_trajectory(q, pr, trap, SolverConfig(ds=0.01), s_end)
 
 
 def test_baseline_trajectory_exits_through_q0():
@@ -353,47 +347,41 @@ def test_mode_ode_check_argument_errors():
 
 
 def test_trajectory_divergence_is_reported():
+    # at A = 1e6 the row is still inside when it passes the overflow cap;
+    # with the default cap of 1e8 it would leave through q0 first
     pr = make_params(2.0)
     g = make_grid(10.0, 0.1)
     big = Field(grid=g, values=np.full(g.n, 50.0), s=20.0)
     rec = run_trajectory(
-        big, pr, TrapParams(A=8.0, K0=1.0), SolverConfig(ds=0.1), 22.0,
-        stop_on_exit=False,
+        big, pr, TrapParams(A=1e6, K0=1.0), SolverConfig(ds=0.1, overflow=1e4), 22.0
     )
     assert rec.exit is not None
     assert rec.exit.reason == "divergence"
     assert rec.exit.component is None
+    assert rec.exit.s_star == pytest.approx(20.1)
+    assert bool(np.all(rec.inside)) and not rec.survived(22.0)
 
 
-def test_snapshots_and_stride():
+def test_record_stride():
     pr = make_params(2.0)
     g = _traj_grid()
     trap = TrapParams(A=8.0, K0=4.0)
     init = initial_q(pr, g, InitialDataParams(d0=0.0128, d1=0.0, s0=20.0))
-    rec = run_trajectory(
-        init, pr, trap, SolverConfig(ds=0.01), 20.4,
-        record_stride=5, snapshot_s=[20.2],
-    )
-    assert 20.2 in rec.snapshots
-    snap = rec.snapshots[20.2]
-    assert snap.s == pytest.approx(20.2)
+    rec = run_trajectory(init, pr, trap, SolverConfig(ds=0.01), 20.4, record_stride=5)
     # stride 5 at ds 0.01 over 0.4: observations at 0, 5, ..., 40 -> 9 rows
     assert rec.s.size == 9
+    np.testing.assert_allclose(rec.s, 20.0 + 0.05 * np.arange(9), rtol=0, atol=1e-12)
 
 
 def _assert_records_equal(a: TrajectoryRecord, b: TrajectoryRecord) -> None:
     for name in (
         "s", "q0", "q1", "q2", "sem_minus", "qe_sup", "q_sup", "gradq_sup",
-        "B_sup", "R_sup", "N_sup", "margins", "inside",
+        "R_sup", "N_sup", "margins", "inside",
     ):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and x.shape == y.shape, name
         assert x.tobytes() == y.tobytes(), name  # bitwise, NaN-safe
     assert repr(a.exit) == repr(b.exit)
-    assert a.snapshots.keys() == b.snapshots.keys()
-    for key, snap in a.snapshots.items():
-        assert snap.s == b.snapshots[key].s
-        assert snap.values.tobytes() == b.snapshots[key].values.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -401,25 +389,32 @@ def _assert_records_equal(a: TrajectoryRecord, b: TrajectoryRecord) -> None:
     [
         ("pure_p2", "semigroup-split", "dirichlet-profile"),
         ("perturbed_p2", "semigroup-split", "extrapolation"),
-        ("pure_p2", "imex-cn", "dirichlet-zero"),
+        ("pure_p2", "imex-cn", "extrapolation"),
         ("perturbed_p2", "imex-cn", "dirichlet-profile"),
     ],
 )
-@pytest.mark.parametrize("stop_on_exit", [True, False])
-def test_batched_rows_match_single_runs(lane, scheme, bc, stop_on_exit, request):
-    """Row k of a K = 5 ensemble is bit for bit the trajectory run alone."""
+@pytest.mark.parametrize("narrow_trap", [True, False])
+def test_batched_rows_match_single_runs(lane, scheme, bc, narrow_trap, request):
+    """Row k of a K = 5 ensemble is bit for bit the trajectory run alone.
+
+    In the narrow trap (A = 8) the far row leaves at once and the edge row
+    at its next record; in the wide one (A = 1e6) the far row is still
+    inside when it passes the overflow cap, so it diverges while the
+    others go on.
+    """
     pr = request.getfixturevalue(lane)
     g = _traj_grid(21.0)
-    trap = TrapParams(A=8.0, K0=4.0)
-    s0, ds = 20.0, 0.02
-    rect = initial_rectangle(initial_mode_map(pr, g, s0, trap.K0), trap)
+    trap8 = TrapParams(A=8.0, K0=4.0)
+    trap = trap8 if narrow_trap else TrapParams(A=1e6, K0=4.0)
+    s0, ds, s_end = 20.0, 0.02, 20.6
+    rect = initial_rectangle(initial_mode_map(pr, g, s0, trap8.K0), trap8)
     mid = rect.mean(axis=1)
     half = 0.5 * (rect[:, 1] - rect[:, 0])
     points = [
         mid,
-        (rect[0, 1], mid[1]),  # on the q0 face: leaves the trap at step 1
+        (rect[0, 1], mid[1]),  # on the q0 face of the narrow trap
         mid + 0.2 * half,
-        None,  # far outside: leaves at once, or diverges when not stopped
+        None,  # a flat field of height 50
         mid - 0.2 * half,
     ]
     inits = [
@@ -428,27 +423,23 @@ def test_batched_rows_match_single_runs(lane, scheme, bc, stop_on_exit, request)
         for pt in points
     ]
     cfg = SolverConfig(ds=ds, scheme=scheme, bc=bc, overflow=1e3)
-    kwargs = dict(
-        record_stride=3, snapshot_s=[s0 + ds, s0 + 0.3], stop_on_exit=stop_on_exit
-    )
-    batched = run_trajectories(inits, pr, trap, cfg, s0 + 0.6, **kwargs)
+    batched = run_trajectories(inits, pr, trap, cfg, s_end, record_stride=3)
     assert len(batched) == len(inits)
     for q, rec in zip(inits, batched):
-        (alone,) = run_trajectories([q], pr, trap, cfg, s0 + 0.6, **kwargs)
+        (alone,) = run_trajectories([q], pr, trap, cfg, s_end, record_stride=3)
         _assert_records_equal(rec, alone)
 
-    # the three inner rows survive next to an early exit and a divergence
-    for k in (0, 2, 4):
-        assert batched[k].exit is None and batched[k].survived(s0 + 0.6)
     edge, far = batched[1], batched[3]
-    assert edge.s[1] == pytest.approx(s0 + ds) and not edge.inside[1]
-    if stop_on_exit:
+    for rec in (batched[0], batched[2], batched[4]) + (() if narrow_trap else (edge,)):
+        assert rec.exit is None and rec.survived(s_end)
+    if narrow_trap:
+        assert edge.s.size == 2 and edge.s[1] == pytest.approx(s0 + 3 * ds)
+        assert not edge.inside[1]
         assert edge.exit.component == "q0" and edge.exit.s_star == edge.s[1]
-        assert edge.s.size == 2
         assert far.exit.reason == "trap-exit" and far.s.size == 1
     else:
-        assert edge.final_s == pytest.approx(s0 + 0.6)
-        assert far.exit.reason == "divergence" and far.s.size < edge.s.size
+        assert far.exit.reason == "divergence" and bool(np.all(far.inside))
+        assert s0 < far.exit.s_star < s_end and far.s.size < edge.s.size
 
 
 def test_run_trajectories_argument_checks():
@@ -474,6 +465,8 @@ def test_duhamel_window_too_short():
     init = initial_q(pr, g, InitialDataParams(d0=0.0128, d1=0.0, s0=20.0))
     with pytest.raises(ValueError, match="too short"):
         duhamel_split_check(init, pr, trap, SolverConfig(ds=0.01), 20.005)
+    with pytest.raises(ValueError, match="not a whole number of steps"):
+        duhamel_split_check(init, pr, trap, SolverConfig(ds=0.01), 20.029)
 
 
 def test_duhamel_split_pure_case():

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from blowup_lab.grids import Field, make_grid
 from blowup_lab.hermite import SpectralDecomp, decompose, hermite_h
+from blowup_lab.solver import SolverConfig, run_trajectory
 from blowup_lab.trapset import (
     COMPONENTS,
     ExitInfo,
@@ -154,7 +155,8 @@ def test_membership_threshold_scaling(scale, s):
 
 
 class _FakeRecord:
-    """Minimal duck-typed trajectory record for exit_classify."""
+    """Minimal duck-typed trajectory record for exit_classify, with the
+    exit a run would have recorded for it."""
 
     def __init__(self, s, q0, q1, margins_rows):
         self.s = np.asarray(s, dtype=float)
@@ -162,6 +164,7 @@ class _FakeRecord:
         self.q1 = np.asarray(q1, dtype=float)
         self.margins = np.asarray(margins_rows, dtype=float)
         self.inside = np.all(self.margins >= 0.0, axis=1)
+        self.exit = exit_classify(self, TrapParams(A=8.0, K0=4.0))
 
 
 def _margins_for(q0_excess=0.0, q1_excess=0.0):
@@ -258,6 +261,21 @@ def test_reduction_witness_counts():
     assert out["all_transverse"] is True
     assert out["by_component"]["q0"] == 1 and out["by_component"]["q1"] == 1
     assert all(isinstance(e, ExitInfo) for e in out["exits"])
+
+
+def test_reduction_witness_counts_a_divergence(pure_p2):
+    # at A = 1e6 the flat field of height 50 is still inside when it passes
+    # the overflow cap, so the run ends with a divergence, not a trap exit
+    trap = TrapParams(A=1e6, K0=1.0)
+    g = make_grid(10.0, 0.1)
+    big = Field(grid=g, values=np.full(g.n, 50.0), s=20.0)
+    rec = run_trajectory(big, pure_p2, trap, SolverConfig(ds=0.1, overflow=1e4), 22.0)
+    assert rec.exit.reason == "divergence" and bool(np.all(rec.inside))
+    out = reduction_witness([rec], trap)
+    assert out["by_component"]["divergence"] == 1
+    assert out["n_exits"] == 1 and out["n_survivors"] == 0
+    assert out["fraction_q0q1"] == 0.0
+    assert out["exits"] == [rec.exit]
 
 
 def test_reduction_witness_empty():
