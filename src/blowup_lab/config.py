@@ -9,7 +9,8 @@ which is what makes result manifests reproducible byte for byte.
 The [solver] and [physical] keys and their defaults are the fields of
 `SolverConfig` and `PhysicalConfig`.  Range checks belong to the objects a
 run builds from each section; validation builds them and reports their
-errors under the section's name.
+errors under the section's name.  Validation also caps the nodes of the
+grids a run would build so that its largest arrays fit in MEMORY_BUDGET.
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ import math
 from dataclasses import fields
 from pathlib import Path
 
-from .grids import make_grid
+from .grids import Grid, default_y_max, make_grid
 from .hermite import check_cutoff_support
 from .model import make_params
 from .physical import PhysicalConfig
-from .semigroup import interior_mask
+from .semigroup import band_reach, interior_mask
 from .shooting import InitialDataParams
 from .solver import SolverConfig, window_steps
 from .trapset import TrapParams
@@ -39,6 +40,8 @@ __all__ = [
     "validate_config",
     "config_hash",
     "config_text",
+    "run_grid",
+    "MEMORY_BUDGET",
 ]
 
 
@@ -117,6 +120,29 @@ _DECOMPOSE_AT = {
 # experiment kinds that check the kernel on the grid's interior
 _KERNEL_CHECKS = ("semigroup-checks", "full-pipeline")
 
+# experiment kinds that run the physical equation on physical.n_x nodes
+_PHYSICAL_KINDS = ("physical", "stability", "full-pipeline")
+
+# The memory a run may plan for, in bytes.  The runs of the examples and
+# the tests stay below 200 MiB.
+MEMORY_BUDGET = 2 * 2**30
+
+# What the largest arrays of a run cost, as tracemalloc measured them on
+# the 2465-node grid: a kernel keeps 12 bytes per stored entry (float64
+# value, int32 column) and takes 36 bytes per entry of the window it
+# evaluates while it is built; one row of the (K, n) stack takes about 175
+# bytes per node through a step and an observation; one observation of one
+# row is 15 float64 columns and an inside flag; the physical run takes
+# about 165 bytes per node.
+_KERNEL_KEPT_BYTES = 12
+_KERNEL_BUILD_BYTES = 36
+_ROW_NODE_BYTES = 180
+_OBSERVATION_BYTES = 15 * 8 + 1
+_PHYSICAL_NODE_BYTES = 170
+# the semigroup checks keep eight kernels, the widest at theta = 5, whose
+# band is within 1 % of the widest of any theta
+_CHECK_KERNELS = 8
+
 
 def default_config() -> dict:
     return {sec: {k: v for k, (_, v) in keys.items()} for sec, keys in SCHEMA.items()}
@@ -177,6 +203,66 @@ def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
     return cfg
 
 
+def run_grid(cfg: dict, s_max: float) -> Grid:
+    """The grid a run builds: [grid] y_max, or when that is 0 a half-width
+    that holds the cutoff support up to s_max, at spacing [grid] dy."""
+    y_max = cfg["grid"]["y_max"]
+    if y_max <= 0.0:
+        y_max = default_y_max(cfg["trap"]["K0"], s_max)
+    return make_grid(y_max, cfg["grid"]["dy"])
+
+
+def _grid_demand(cfg: dict, kind: str):
+    """What an experiment kind asks of its grid, or None if it builds none:
+    the latest time the grid must hold, the thetas of the kernels it keeps,
+    the rows it steps together and the observations of each row."""
+    tj, sh = cfg["trajectory"], cfg["shooting"]
+    traj_obs = window_steps(tj["s0"], tj["s_end"], cfg["solver"]["ds"]) + 1
+    shoot_obs = window_steps(sh["s0"], sh["s_end"], sh["ds"]) + 1
+    checks = (math.inf,) * _CHECK_KERNELS
+    if kind == "spectral-checks":
+        return max(tj["s0"], tj["s_end"]), (), 1, 0
+    if kind == "semigroup-checks":
+        return tj["s_end"], checks, 1, 0
+    if kind == "trajectory":
+        return tj["s_end"], (cfg["solver"]["ds"],), 1, traj_obs
+    if kind == "shoot":
+        # a level runs the five points of its plus-pattern together
+        return sh["s_end"], (sh["ds"],), 5, shoot_obs
+    if kind == "full-pipeline":
+        return max(tj["s0"], tj["s_end"], sh["s_end"]), checks + (sh["ds"],), 5, shoot_obs
+    return None
+
+
+def _check_memory(cfg: dict, kind: str) -> None:
+    """Cap the nodes of the grids the run would build by MEMORY_BUDGET."""
+    budget = f"the memory budget of {MEMORY_BUDGET / 2**30:g} GiB"
+    demand = _grid_demand(cfg, kind)
+    if demand is not None:
+        s_max, thetas, rows, n_obs = demand
+        grid = run_grid(cfg, s_max)
+        widths = [min(grid.n, 2 * band_reach(theta, grid.dy) + 1) for theta in thetas]
+        per_node = (
+            _KERNEL_KEPT_BYTES * sum(widths)
+            + _KERNEL_BUILD_BYTES * max(widths, default=0)
+            + _ROW_NODE_BYTES * rows
+        )
+        cap = (MEMORY_BUDGET - _OBSERVATION_BYTES * rows * n_obs) // per_node
+        if grid.n > cap:
+            raise ConfigError(
+                f"[grid] a {kind} run on {grid.n} nodes (dy={grid.dy!r}, "
+                f"y_max={grid.y_max!r}) does not fit in {budget}, which "
+                f"holds at most {max(cap, 0)} nodes"
+            )
+    n_x = cfg["physical"]["n_x"]
+    if kind in _PHYSICAL_KINDS and n_x > MEMORY_BUDGET // _PHYSICAL_NODE_BYTES:
+        raise ConfigError(
+            f"[physical] n_x: a {kind} run on {n_x} nodes does not fit in "
+            f"{budget}, which holds at most "
+            f"{MEMORY_BUDGET // _PHYSICAL_NODE_BYTES} nodes"
+        )
+
+
 def _build(section: str, make, **kwargs):
     """Call a validating constructor; its ValueError names the section."""
     try:
@@ -219,6 +305,7 @@ def validate_config(cfg: dict) -> None:
     kind = cfg["experiment"]["kind"]
     if kind not in EXPERIMENT_KINDS:
         bad("experiment", "kind", f"must be one of {EXPERIMENT_KINDS}")
+    _check_memory(cfg, kind)
     if cfg["grid"]["y_max"] > 0:  # 0 derives a wide enough grid
         grid = make_grid(cfg["grid"]["y_max"], cfg["grid"]["dy"])
         for sec, key in _DECOMPOSE_AT.get(kind, ()):

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import Field, default_y_max, make_grid
+from .config import run_grid
+from .grids import Field
 from .hermite import (
     cubic_weighted_sup,
     decompose,
@@ -47,13 +48,6 @@ def _params(cfg: dict):
     return make_params(**cfg["model"])
 
 
-def _grid(cfg: dict, s_max: float):
-    y_max = cfg["grid"]["y_max"]
-    if y_max <= 0.0:
-        y_max = default_y_max(cfg["trap"]["K0"], s_max)
-    return make_grid(y_max, cfg["grid"]["dy"])
-
-
 def _phys_cfg(cfg: dict) -> PhysicalConfig:
     # t_rel_tol is the experiment's own tolerance, not a run control
     ph = dict(cfg["physical"])
@@ -64,7 +58,7 @@ def _phys_cfg(cfg: dict) -> PhysicalConfig:
 def run_spectral_checks(cfg: dict):
     params = _params(cfg)
     s0 = cfg["trajectory"]["s0"]
-    grid = _grid(cfg, max(s0, cfg["trajectory"]["s_end"]))
+    grid = run_grid(cfg, max(s0, cfg["trajectory"]["s_end"]))
     y = grid.y
 
     n_modes = 6
@@ -123,7 +117,7 @@ def run_spectral_checks(cfg: dict):
 
 def run_semigroup_checks(cfg: dict):
     params = _params(cfg)
-    grid = _grid(cfg, cfg["trajectory"]["s_end"])
+    grid = run_grid(cfg, cfg["trajectory"]["s_end"])
     y = grid.y
 
     thetas = (0.01, 0.1, 0.5, 1.0, 2.0)
@@ -214,7 +208,7 @@ def _trajectory_table(rec):
 def run_trajectory_experiment(cfg: dict):
     params = _params(cfg)
     tj = cfg["trajectory"]
-    grid = _grid(cfg, tj["s_end"])
+    grid = run_grid(cfg, tj["s_end"])
     trap = TrapParams(**cfg["trap"])
     scfg = SolverConfig(**cfg["solver"])
     init = initial_q(
@@ -258,7 +252,7 @@ def run_trajectory_experiment(cfg: dict):
 def run_shoot_experiment(cfg: dict):
     params = _params(cfg)
     sh = cfg["shooting"]
-    grid = _grid(cfg, sh["s_end"])
+    grid = run_grid(cfg, sh["s_end"])
     trap = TrapParams(**cfg["trap"])
     scfg = SolverConfig(**(cfg["solver"] | {"ds": sh["ds"]}))
     mode_map = initial_mode_map(params, grid, sh["s0"], trap.K0)

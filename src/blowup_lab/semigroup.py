@@ -35,6 +35,7 @@ from .grids import Field, Grid, gradient
 
 __all__ = [
     "kernel_eval",
+    "band_reach",
     "banded_kernel",
     "kernel_matrix",
     "apply_semigroup",
@@ -72,6 +73,13 @@ def _cache_key(theta: float, grid: Grid) -> tuple:
     return (round(float(theta), 14), grid.key())
 
 
+def band_reach(theta: float, dy: float) -> int:
+    """Columns that `banded_kernel` evaluates on each side of a row's
+    centre node; theta = inf gives the widest band of any theta."""
+    half = np.sqrt(4.0 * (1.0 - np.exp(-theta)) * np.log(2.0 / KERNEL_FLOOR))
+    return int(np.ceil(half / dy)) + 2
+
+
 def banded_kernel(theta: float, grid: Grid) -> csr_array:
     """A[i, j] = w_j * kernel(theta, y_i, x_j) where >= KERNEL_FLOOR * max_j A[i, j].
 
@@ -88,8 +96,7 @@ def banded_kernel(theta: float, grid: Grid) -> csr_array:
     if theta <= 0:
         raise ValueError(f"theta must be > 0, got {theta!r}")
     y, n = grid.y, grid.n
-    half = np.sqrt(4.0 * (1.0 - np.exp(-theta)) * np.log(2.0 / KERNEL_FLOOR))
-    reach = int(np.ceil(half / grid.dy)) + 2
+    reach = band_reach(theta, grid.dy)
     width = min(n, 2 * reach + 1)
     index = np.int32 if n * width <= np.iinfo(np.int32).max else np.int64
     centre = np.rint(y * np.exp(-0.5 * theta) / grid.dy).astype(index) + grid.n_half

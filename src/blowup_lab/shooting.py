@@ -31,6 +31,16 @@ floor instead shrinks it to half its width around the center.  The points
 of a level that are not cached from earlier levels run as one ensemble
 (`solver.run_trajectories`), all of them before any survival check.
 
+The d1 ends run at level 0 and on any level whose previous center had a
+q1 exit sign above the noise floor.  The equation is even in y (|u_x|^alpha,
+|u|^alpha_bar and mu0 are even) and so is the d1 = 0 member of the family,
+so d1* = 0 and the center's q1 normally stays below the floor: the d1
+bracket then only shrinks around the center, and re-running its ends
+would re-check an enclosure that a center of zero q1 sign cannot move.
+A level that skips them rests on that sub-floor q1 and on parity.  If the
+center's q1 sign turns non-zero on such a level, the d1 ends run as a
+second batch before the cut, and d1 enclosure is checked whenever they run.
+
 The search stops as soon as any evaluated trajectory survives to the
 requested time (the certificate), and reports failure honestly: exits
 through a non-expanding component mean the trap does not funnel at this
@@ -220,11 +230,11 @@ class ShootResult:
     rect: np.ndarray
     record: TrajectoryRecord | None
     note: str = ""
-    # one row per refinement level: level, min and max exit s* over the five
-    # evaluated points, and per axis m the bracket [lo, hi] the level
-    # started from (dm_bracket), the exit signs of q_m at its two ends
-    # (dm_end_signs) and the step taken (dm_step): "interp", "bisect" or
-    # "shrink"
+    # one row per refinement level: level, min and max exit s* over the
+    # points evaluated at that level, and per axis m the bracket [lo, hi] the
+    # level started from (dm_bracket), the exit signs of q_m at its two ends
+    # (dm_end_signs, None on a level that did not run them) and the step
+    # taken (dm_step): "interp", "bisect" or "shrink"
     level_stats: list = None
 
 
@@ -261,6 +271,13 @@ def shoot(
     sign at the center (the classified mode is below the noise floor)
     triggers a half-width shrink around the center, clipped to the
     bracket, instead of a cut, which preserves containment unconditionally.
+
+    The two d1 ends run only at level 0 and after a center whose q1 sign
+    was non-zero; a level that skips them rests on its center's sub-floor
+    q1 and on the parity of the equation, which puts d1* at 0.  A center
+    whose q1 sign turns non-zero on such a level has its d1 ends run as a
+    second batch before the cut.  When max_levels runs out, the point
+    evaluated last is the cut the next level would take.
     """
     if rect0 is None:
         mode_map = initial_mode_map(params, grid, s0, trap.K0)
@@ -321,21 +338,25 @@ def shoot(
         )
 
     last_width, last_steps = rect[:, 1] - rect[:, 0], ["bisect", "bisect"]
+
+    def cut(m: int) -> tuple[float, str]:
+        """Axis m's cut of the current bracket and how it was placed."""
+        lo, hi = rect[m]
+        # the safeguard: an interpolated cut that did not halve the bracket
+        # is followed by a bisection, so every width at least halves over
+        # any two levels
+        stalled = last_steps[m] == "interp" and hi - lo > 0.5 * last_width[m]
+        guess = None if stalled else _secant_root(amplitudes[m])
+        if guess is not None and lo < guess < hi:
+            return guess, "interp"
+        return 0.5 * (lo + hi), "bisect"
+
+    # level 0 and a level after a center with a non-zero q1 sign re-run the
+    # d1 ends; otherwise they wait for this level's center to need them
+    d1_ends_due = True
     for level in range(max_levels):
         width = rect[:, 1] - rect[:, 0]
-        cuts, steps = [], []
-        for m in range(2):
-            # the safeguard: an interpolated cut that did not halve the
-            # bracket is followed by a bisection, so every width at least
-            # halves over any two levels
-            stalled = last_steps[m] == "interp" and width[m] > 0.5 * last_width[m]
-            guess = None if stalled else _secant_root(amplitudes[m])
-            if guess is not None and rect[m, 0] < guess < rect[m, 1]:
-                cuts.append(guess)
-                steps.append("interp")
-            else:
-                cuts.append(0.5 * (rect[m, 0] + rect[m, 1]))
-                steps.append("bisect")
+        cuts, steps = zip(cut(0), cut(1))
         c0, c1 = cuts
         granular0 = width[0] < 4.0 * np.spacing(abs(c0) + 1e-30)
         granular1 = width[1] < 4.0 * np.spacing(abs(c1) + 1e-30)
@@ -351,14 +372,16 @@ def shoot(
                 level,
                 note="both parameter intervals reached floating point granularity",
             )
-        plus = evaluate(
-            (rect[0, 0], c1),
-            (rect[0, 1], c1),
-            (c0, c1),
-            (c0, rect[1, 0]),
-            (c0, rect[1, 1]),
-        )
-        left, right, center, down, up = plus
+        d0_ends = ((rect[0, 0], c1), (rect[0, 1], c1))
+        d1_ends = ((c0, rect[1, 0]), (c0, rect[1, 1]))
+        if d1_ends_due:
+            left, right, center, down, up = evaluate(*d0_ends, (c0, c1), *d1_ends)
+        else:
+            left, right, center = evaluate(*d0_ends, (c0, c1))
+            down = up = None
+            if center.sign[1] != 0 and not any(pt.survived for pt in (left, right, center)):
+                down, up = evaluate(*d1_ends)
+        plus = [pt for pt in (left, right, center, down, up) if pt is not None]
         arms = ((left, right), (down, up))
         exits = [pt.s_star for pt in plus if not pt.survived]
         row = {
@@ -368,7 +391,7 @@ def shoot(
         }
         for m, (low, high) in enumerate(arms):
             row[f"d{m}_bracket"] = rect[m].tolist()
-            row[f"d{m}_end_signs"] = [low.sign[m], high.sign[m]]
+            row[f"d{m}_end_signs"] = None if low is None else [low.sign[m], high.sign[m]]
             row[f"d{m}_step"] = steps[m]
         level_stats.append(row)
         for pt in plus:
@@ -383,28 +406,32 @@ def shoot(
                     note=f"exit through {pt.component} at (d0={pt.d0:.6g}, d1={pt.d1:.6g})",
                 )
         for m, (low, high) in enumerate(arms):
-            arm = (low, high, center)
+            arm = (center,) if low is None else (low, high, center)
             amplitudes[m].update({(pt.d0, pt.d1)[m]: pt.amplitude[m] for pt in arm})
-            s_low, s_high, s_center = (pt.sign[m] for pt in arm)
-            if s_low * s_high >= 0 and not (s_low == 0 or s_high == 0):
-                return finish(
-                    "enclosure-lost",
-                    center,
-                    level,
-                    note=f"q{m} exit sign {s_low:+.0f} at both d{m} ends",
-                )
+            if low is not None:
+                s_low, s_high = low.sign[m], high.sign[m]
+                if s_low * s_high >= 0 and not (s_low == 0 or s_high == 0):
+                    return finish(
+                        "enclosure-lost",
+                        center,
+                        level,
+                        note=f"q{m} exit sign {s_low:+.0f} at both d{m} ends",
+                    )
+            # a skipped arm has a center below the noise floor, so it shrinks
             lo, hi = rect[m]
-            if s_center == 0:
+            if center.sign[m] == 0:
                 w = 0.25 * (hi - lo)
                 rect[m] = [max(lo, cuts[m] - w), min(hi, cuts[m] + w)]
                 row[f"d{m}_step"] = "shrink"
-            elif s_low * s_center < 0:
+            elif low.sign[m] * center.sign[m] < 0:
                 rect[m] = [lo, cuts[m]]
             else:
                 rect[m] = [cuts[m], hi]
         last_width, last_steps = width, [row["d0_step"], row["d1_step"]]
+        d1_ends_due = center.sign[1] != 0
 
-    (best,) = evaluate((0.5 * (rect[0, 0] + rect[0, 1]), 0.5 * (rect[1, 0] + rect[1, 1])))
+    # the budget is spent: evaluate the cut the next level would take
+    (best,) = evaluate((cut(0)[0], cut(1)[0]))
     if best.survived:
         return finish("survived", best, max_levels)
     return finish("max-levels", best, max_levels, note="refinement budget exhausted")

@@ -13,7 +13,7 @@ Each check prints exactly one line
 
 directly to the terminal (outside capture, so the line is visible in a
 plain pytest run) and then asserts.  The two tuned parameter searches
-dominate the runtime at about 12 s each (about 30 s for the whole file,
+dominate the runtime at about 7 s and 8 s (about 23 s for the whole file,
 one BLAS thread on a 2-vCPU VM); everything else is seconds.  All tolerances are pinned from measurements recorded next to
 the assertions.
 """

@@ -158,6 +158,44 @@ def test_y_max_checked_on_the_grid_the_run_builds(y_max, ok):
             validate_config(cfg)
 
 
+@pytest.mark.parametrize("overrides,kind,field", [
+    # 8.7e8 nodes on the derived grid; this run was killed for lack of memory
+    ({"grid": {"dy": 1e-7}}, "trajectory", r"\[grid\] a trajectory run on 867333045 nodes"),
+    ({"grid": {"y_max": 1e6}}, "spectral-checks", r"\[grid\] a spectral-checks run"),
+    # the derived grid at s_end = 26 has 91587 nodes, and a dy = 0.001
+    # kernel of ds = 0.02 spans 3555 of them per row
+    ({"grid": {"dy": 0.001}}, "shoot", r"\[grid\] a shoot run on 91587 nodes"),
+    # 1e8 steps of ds = 0.01 to record leave no room for any node
+    ({"trajectory": {"s_end": 1e6}}, "trajectory", r"\[grid\] .* holds at most 0 nodes"),
+    ({"physical": {"n_x": 400000001}}, "physical", r"\[physical\] n_x: a physical run"),
+    ({"physical": {"n_x": 400000001}}, "full-pipeline", r"\[physical\] n_x"),
+])
+def test_node_counts_are_capped_by_the_memory_budget(overrides, kind, field):
+    # checked by validation alone: none of these runs may be started
+    cfg = default_config()
+    for section, values in overrides.items():
+        cfg[section].update(values)
+    cfg["experiment"]["kind"] = kind
+    with pytest.raises(ConfigError, match=field) as err:
+        validate_config(cfg)
+    assert "does not fit in the memory budget of 2 GiB" in str(err.value)
+
+
+@pytest.mark.parametrize("overrides,kind", [
+    # without kernels the dy = 0.001 grid takes about 16 MiB
+    ({"grid": {"dy": 0.001}}, "spectral-checks"),
+    # only the physical kinds build the n_x grid
+    ({"physical": {"n_x": 400000001}}, "shoot"),
+    ({"physical": {"n_x": 12_000_001}}, "physical"),
+])
+def test_node_caps_follow_what_the_kind_builds(overrides, kind):
+    cfg = default_config()
+    for section, values in overrides.items():
+        cfg[section].update(values)
+    cfg["experiment"]["kind"] = kind
+    validate_config(cfg)
+
+
 @pytest.mark.parametrize("y_max, ok", [(11.3, False), (11.35, False), (11.37, True)])
 def test_semigroup_checks_need_an_interior_beyond_the_edge_collar(y_max, ok):
     # the kernel checks keep nodes 8 sqrt(2) ~ 11.314 inside the edge and

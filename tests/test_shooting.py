@@ -161,14 +161,18 @@ def test_shoot_short_window_survives_at_center(shoot_grid, trap8):
 
 
 def _assert_search_invariants(res):
-    """Nested brackets, halving over any two levels, opposite end signs."""
+    """Nested brackets, halving over any two levels, opposite end signs on
+    every level that ran the ends."""
     rows = res.level_stats
+    assert all(row["d0_end_signs"] is not None for row in rows)
+    assert rows[0]["d1_end_signs"] is not None
     for m in range(2):
         brackets = [row[f"d{m}_bracket"] for row in rows]
         assert all(a[0] <= b[0] and b[1] <= a[1] for a, b in zip(brackets, brackets[1:]))
         widths = [hi - lo for lo, hi in brackets]
         assert all(c <= 0.5 * a * (1 + 1e-12) for a, c in zip(widths, widths[2:]))
-        assert all(lo * hi < 0 for lo, hi in (row[f"d{m}_end_signs"] for row in rows))
+        signs = [row[f"d{m}_end_signs"] for row in rows]
+        assert all(lo * hi < 0 for lo, hi in (s for s in signs if s is not None))
 
 
 def test_shoot_longer_window_refines(shoot_grid, trap8):
@@ -176,7 +180,9 @@ def test_shoot_longer_window_refines(shoot_grid, trap8):
     res = shoot(pr, shoot_grid, trap8, SolverConfig(ds=0.02), 20.0, 24.0)
     assert res.status == "survived"
     assert res.levels == 1
-    assert res.n_evals == 8  # plus-pattern shares cached points across levels
+    # level 1 reuses the center of level 0 as a d0 end and skips the d1 ends
+    assert res.n_evals == 6
+    assert res.level_stats[1]["d1_end_signs"] is None
     assert res.d0 == pytest.approx(0.0121185874179, abs=1e-9)
     # any point of the s_end = 24 basin certifies; the bisection search
     # certified d0 = 0.0121632647
@@ -197,33 +203,50 @@ def test_shoot_small_amplitude_trap(shoot_grid):
     pr = make_params(2.0)
     res = shoot(pr, shoot_grid, TrapParams(A=1.0, K0=4.0), SolverConfig(ds=0.02), 20.0, 23.0)
     assert res.status == "survived"
-    assert res.levels == 3 and res.n_evals == 14
+    assert res.levels == 3 and res.n_evals == 8
     assert certificate_dict(res)["min_margin"] > 0.0
     _assert_search_invariants(res)
 
 
 def test_shoot_reports_max_levels(shoot_grid, trap8):
-    # the s_end = 24 window needs two levels
+    # the s_end = 26 window needs three levels; the cut level 1 would take
+    # exits at s = 25.88
     pr = make_params(2.0)
-    res = shoot(pr, shoot_grid, trap8, SolverConfig(ds=0.02), 20.0, 24.0, max_levels=1)
+    res = shoot(pr, shoot_grid, trap8, SolverConfig(ds=0.02), 20.0, 26.0, max_levels=1)
     assert res.status == "max-levels"
     assert res.levels == 1 and res.n_evals == 6
     assert res.note == "refinement budget exhausted"
-    # the last point evaluated is the center of the refined rectangle
-    assert res.d0 == 0.5 * (res.rect[0, 0] + res.rect[0, 1])
-    assert not res.record.survived(24.0)
+    assert res.d0 == pytest.approx(0.0121185874179, abs=1e-9)
+    assert not res.record.survived(26.0)
+    assert res.record.final_s == pytest.approx(25.88, abs=1e-9)
     assert len(res.level_stats) == 1
 
 
-def _linear_trajectories(a0, a1=lambda d1: d1, component=None):
+def test_shoot_budget_exit_evaluates_the_next_cut(shoot_grid, trap8):
+    # the s_end = 24 window needs two levels, and the cut of level 1
+    # survives; the midpoint of the rectangle exits through q0 at s = 20.68
+    pr = make_params(2.0)
+    cfg = SolverConfig(ds=0.02)
+    full = shoot(pr, shoot_grid, trap8, cfg, 20.0, 24.0)
+    res = shoot(pr, shoot_grid, trap8, cfg, 20.0, 24.0, max_levels=1)
+    assert res.status == "survived"
+    assert res.levels == 1 and res.n_evals == 6
+    assert (res.d0, res.d1) == (full.d0, full.d1)
+    assert res.record.survived(24.0)
+
+
+def _linear_trajectories(a0, a1=lambda d1: d1, component=None, batches=None):
     """Stand-in for run_trajectories on the InitialDataParams themselves.
 
     q_m(s) = a_m e^((1 - m/2)(s - s0)) exactly, with a0 = a0(d0) and
     a1 = a1(d1), and a point exits through q_m (or through `component`)
     when |q_m| first reaches 1, so the back-projected exit amplitude is a_m.
+    The (d0, d1) of each batch are appended to `batches` when given.
     """
 
     def run(inits, params, trap, cfg, s_end):
+        if batches is not None:
+            batches.append([(init.d0, init.d1) for init in inits])
         records = []
         for init in inits:
             amp = np.array([a0(init.d0), a1(init.d1)])
@@ -286,6 +309,51 @@ def test_shoot_bisects_after_an_interpolated_cut_that_did_not_halve(monkeypatch,
     assert all(rows[k]["d0_step"] == "bisect" for k in stalled)
     assert sum(row["d0_step"] == "interp" for row in rows) >= 3
     _assert_search_invariants(res)
+
+
+# a0 with its root at 0.3, convex enough that the centers exit later level
+# by level; the noise floor 1e-9 A / s*^2 hides a q1 amplitude of 1e-11
+# until a point exits after s* = 21.16
+_SLOW_A0 = dict(a0=lambda d: np.expm1(6.0 * (d - 0.3)))
+_HIDDEN_A1 = 1e-11
+
+
+def test_shoot_runs_the_d1_ends_once_the_center_q1_shows(monkeypatch, trap8):
+    batches = []
+    res = _linear_shoot(
+        monkeypatch, trap8, 40.0, a1=lambda d: d - _HIDDEN_A1, batches=batches, **_SLOW_A0
+    )
+    assert res.status == "survived"
+    assert res.d0 == pytest.approx(0.3, abs=1e-9)
+    # the secant through the center and a d1 end certifies d1* = 1e-11
+    assert res.d1 == pytest.approx(_HIDDEN_A1, rel=1e-6)
+    rows = res.level_stats
+    k = next(k for k in range(1, len(rows)) if rows[k]["d1_end_signs"] is not None)
+    # level k - 1 shrank around a center of zero q1 sign, so level k
+    # skipped the d1 ends until its own center showed a sign
+    assert rows[k - 1]["d1_end_signs"] is None and rows[k - 1]["d1_step"] == "shrink"
+    assert rows[k]["d1_step"] != "shrink"
+    # they ran as a batch of their own, right after the batch of the center
+    lo, hi = rows[k]["d1_bracket"]
+    j = next(j for j, b in enumerate(batches) if [d1 for _, d1 in b] == [lo, hi])
+    (c0,) = {d0 for d0, _ in batches[j]}
+    assert (c0, 0.0) in batches[j - 1]
+    assert sum(len(b) for b in batches) == res.n_evals
+    _assert_search_invariants(res)
+
+
+def test_shoot_reports_d1_enclosure_lost_after_a_skipped_level(monkeypatch, trap8):
+    # a1 keeps its sign on (-0.4, 0.4), which only the ends of a shrunk d1
+    # bracket see, once the center's q1 shows
+    def a1(d):
+        return d if abs(d) > 0.4 else _HIDDEN_A1 + d * d
+
+    res = _linear_shoot(monkeypatch, trap8, 40.0, a1=a1, **_SLOW_A0)
+    assert res.status == "enclosure-lost"
+    assert res.note == "q1 exit sign +1 at both d1 ends"
+    rows = res.level_stats
+    assert rows[-1]["d1_end_signs"] == [1.0, 1.0]
+    assert rows[-2]["d1_end_signs"] is None
 
 
 def test_shoot_reports_degenerate_exit(monkeypatch, trap8):

@@ -8,6 +8,7 @@ splitting, not against schema or tolerance drift elsewhere.
 import numpy as np
 import pytest
 
+from blowup_lab import solver
 from blowup_lab.grids import Field, default_y_max, gradient, make_grid
 from blowup_lab.hermite import hermite_h
 from blowup_lab.model import (
@@ -440,6 +441,24 @@ def test_batched_rows_match_single_runs(lane, scheme, bc, narrow_trap, request):
     else:
         assert far.exit.reason == "divergence" and bool(np.all(far.inside))
         assert s0 < far.exit.s_star < s_end and far.s.size < edge.s.size
+
+
+def test_R_sup_table_keys_on_params_grid_and_time(pure_p2, perturbed_p2, monkeypatch):
+    """Each R_sup entry is max|R| at its own time: a pure run, a perturbed
+    one on the same grid and s-lattice, then the pure one again."""
+    monkeypatch.setattr(solver, "_R_SUP_TABLE", {})
+    g = _traj_grid(21.0)
+    trap = TrapParams(A=8.0, K0=4.0)
+    n_obs = 0
+    for pr in (pure_p2, perturbed_p2, pure_p2):
+        init = initial_q(pr, g, InitialDataParams(d0=0.0128, d1=0.0, s0=20.0))
+        rec = run_trajectory(init, pr, trap, SolverConfig(ds=0.02), 20.4)
+        assert rec.survived(20.4)
+        n_obs = rec.s.size
+        for s, r_sup in zip(rec.s, rec.R_sup):
+            assert r_sup.tobytes() == np.max(np.abs(remainder_R(pr, g.y, s))).tobytes()
+    # one entry per parameter set and time: the second pure run added none
+    assert len(solver._R_SUP_TABLE) == 2 * n_obs
 
 
 def test_run_trajectories_argument_checks():
