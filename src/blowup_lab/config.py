@@ -240,7 +240,8 @@ def _check_memory(cfg: dict, kind: str) -> None:
     demand = _grid_demand(cfg, kind)
     if demand is not None:
         s_max, thetas, rows, n_obs = demand
-        grid = run_grid(cfg, s_max)
+        # a derived half-width can overflow to inf on finite inputs
+        grid = _build("grid", run_grid, cfg=cfg, s_max=s_max)
         widths = [min(grid.n, 2 * band_reach(theta, grid.dy) + 1) for theta in thetas]
         per_node = (
             _KERNEL_KEPT_BYTES * sum(widths)
@@ -272,42 +273,47 @@ def _build(section: str, make, **kwargs):
 
 
 def validate_config(cfg: dict) -> None:
-    """Range and choice checks beyond plain typing."""
+    """Range and choice checks beyond plain typing.
+
+    Each check states the accepted range, so a NaN or an infinity that
+    reaches it unparsed fails it too.
+    """
 
     def bad(section: str, key: str, why: str):
         raise ConfigError(f"[{section}] {key}: {why} (got {cfg[section][key]!r})")
 
     _build("model", make_params, **cfg["model"])
-    if cfg["grid"]["dy"] <= 0:
-        bad("grid", "dy", "must be > 0")
-    if cfg["grid"]["y_max"] < 0:
-        bad("grid", "y_max", "must be >= 0 (0 derives it from the trap)")
+    if not (0.0 < cfg["grid"]["dy"] < math.inf):
+        bad("grid", "dy", "must be > 0 and finite")
+    if not (0.0 <= cfg["grid"]["y_max"] < math.inf):
+        bad("grid", "y_max", "must be >= 0 and finite (0 derives it from the trap)")
     _build("trap", TrapParams, **cfg["trap"])
     _build("solver", SolverConfig, **cfg["solver"])
     _build("shooting", SolverConfig, **(cfg["solver"] | {"ds": cfg["shooting"]["ds"]}))
     for sec, ds in (("trajectory", cfg["solver"]["ds"]), ("shooting", cfg["shooting"]["ds"])):
-        s0, s_end = cfg[sec]["s0"], cfg[sec]["s_end"]
-        if s_end <= s0:
+        d = cfg[sec]
+        s0, s_end = d["s0"], d["s_end"]
+        if not (s0 < s_end):
             bad(sec, "s_end", f"must exceed [{sec}] s0")
         try:
             window_steps(s0, s_end, ds)
         except ValueError as err:
             bad(sec, "s_end", str(err))
-        _build(sec, InitialDataParams, d0=0.0, d1=0.0, s0=s0)
-    if cfg["trajectory"]["record_stride"] < 1:
+        _build(sec, InitialDataParams, d0=d.get("d0", 0.0), d1=d.get("d1", 0.0), s0=s0)
+    if not (1 <= cfg["trajectory"]["record_stride"]):
         bad("trajectory", "record_stride", "must be >= 1")
-    if cfg["shooting"]["max_levels"] < 1:
+    if not (1 <= cfg["shooting"]["max_levels"]):
         bad("shooting", "max_levels", "must be >= 1")
     ph = dict(cfg["physical"])
-    if ph.pop("t_rel_tol") < 0:
-        bad("physical", "t_rel_tol", "must be >= 0")
+    if not (0.0 <= ph.pop("t_rel_tol") < math.inf):
+        bad("physical", "t_rel_tol", "must be >= 0 and finite")
     _build("physical", PhysicalConfig, **ph)
     kind = cfg["experiment"]["kind"]
     if kind not in EXPERIMENT_KINDS:
         bad("experiment", "kind", f"must be one of {EXPERIMENT_KINDS}")
     _check_memory(cfg, kind)
     if cfg["grid"]["y_max"] > 0:  # 0 derives a wide enough grid
-        grid = make_grid(cfg["grid"]["y_max"], cfg["grid"]["dy"])
+        grid = _build("grid", make_grid, y_max=cfg["grid"]["y_max"], dy=cfg["grid"]["dy"])
         for sec, key in _DECOMPOSE_AT.get(kind, ()):
             try:
                 check_cutoff_support(grid.y_max, cfg["trap"]["K0"], cfg[sec][key])

@@ -56,8 +56,10 @@ class Grid:
 
 def make_grid(y_max: float, dy: float = 0.05) -> Grid:
     """Grid covering [-y_max, y_max]; y_max is rounded up to a multiple of dy."""
-    if y_max <= 0 or dy <= 0:
-        raise ValueError(f"need y_max > 0 and dy > 0, got {y_max!r}, {dy!r}")
+    if not (0.0 < y_max < np.inf and 0.0 < dy < np.inf and y_max / dy < np.inf):
+        raise ValueError(
+            f"need finite y_max > 0 and dy > 0 with a finite ratio, got {y_max!r}, {dy!r}"
+        )
     n_half = int(np.ceil(y_max / dy - 1e-12))
     return Grid(n_half=n_half, dy=float(dy))
 
@@ -98,5 +100,10 @@ def per_row(x):
 
 def gradient(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Centered first differences, one-sided at the two boundary nodes (per
-    row)."""
-    return np.gradient(values, grid.dy, axis=-1)
+    row); the same arithmetic as `np.gradient(values, grid.dy, axis=-1)`."""
+    dy = grid.dy
+    out = np.empty_like(values, dtype=float)
+    out[..., 1:-1] = (values[..., 2:] - values[..., :-2]) / (2.0 * dy)
+    out[..., 0] = (values[..., 1] - values[..., 0]) / dy
+    out[..., -1] = (values[..., -1] - values[..., -2]) / dy
+    return out

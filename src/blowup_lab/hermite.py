@@ -41,7 +41,7 @@ from math import factorial
 
 import numpy as np
 
-from .grids import Field, Grid, per_row
+from .grids import Field, Grid, gradient, per_row
 
 __all__ = [
     "weight_rho",
@@ -246,5 +246,5 @@ def apply_L_discrete(grid: Grid, values: np.ndarray) -> np.ndarray:
     lap[1:-1] = (values[2:] - 2.0 * values[1:-1] + values[:-2]) / dy**2
     lap[0] = (values[2] - 2.0 * values[1] + values[0]) / dy**2
     lap[-1] = (values[-1] - 2.0 * values[-2] + values[-3]) / dy**2
-    grad = np.gradient(values, dy)
+    grad = gradient(grid, values)
     return lap - 0.5 * y * grad + values

@@ -130,26 +130,31 @@ def make_params(
     Raises
     ------
     ParameterError
-        If p <= 1, an exponent is negative, or an exponent reaches its
-        critical value (alpha >= 2p/(p+1), alpha_bar >= p).
+        If p <= 1, an exponent is negative, an exponent reaches its
+        critical value (alpha >= 2p/(p+1), alpha_bar >= p), or any value
+        is not finite.
     """
-    if not p > 1.0:
-        raise ParameterError(f"p must be > 1, got p={p!r}")
+    # each check states the accepted range, so NaN fails it
+    if not (1.0 < p < np.inf):
+        raise ParameterError(f"p must be > 1 and finite, got p={p!r}")
     alpha_crit = 2.0 * p / (p + 1.0)
-    if alpha < 0.0:
+    if not (0.0 <= alpha):
         raise ParameterError(f"alpha must be >= 0, got alpha={alpha!r}")
-    if alpha >= alpha_crit:
+    if not (alpha < alpha_crit):
         raise ParameterError(
             f"supercritical alpha: need alpha < 2p/(p+1) = {alpha_crit!r}, "
             f"got alpha={alpha!r}"
         )
-    if alpha_bar < 0.0:
+    if not (0.0 <= alpha_bar):
         raise ParameterError(f"alpha_bar must be >= 0, got alpha_bar={alpha_bar!r}")
-    if alpha_bar >= p:
+    if not (alpha_bar < p):
         raise ParameterError(
             f"supercritical alpha_bar: need alpha_bar < p = {p!r}, "
             f"got alpha_bar={alpha_bar!r}"
         )
+    for name, amplitude in (("mu", mu), ("mu_bar", mu_bar), ("mu0", mu0)):
+        if not (-np.inf < amplitude < np.inf):
+            raise ParameterError(f"{name} must be finite, got {name}={amplitude!r}")
     beta = (2.0 * p - alpha * (p + 1.0)) / (2.0 * (p - 1.0))
     beta_bar = (p - alpha_bar) / (p - 1.0)
     return ModelParams(

@@ -34,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .model import ModelParams, perturbation_N, phi, phi_dy, profile_f
 
@@ -67,13 +66,17 @@ class PhysicalConfig:
     max_steps: int = 200_000
 
     def __post_init__(self) -> None:
-        if self.n_x < 16 or self.n_x % 2 == 0:
+        # each check states the accepted range, so NaN fails it
+        if not (self.n_x >= 17 and self.n_x % 2 == 1):
             raise ValueError("n_x must be an odd integer >= 17 (peak at a node)")
-        if not (1.0 < self.fit_lo < self.fit_hi < self.stop_factor):
-            raise ValueError("need 1 < fit_lo < fit_hi < stop_factor")
-        for name in ("z_max", "cfl", "lam"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
+        if not (1.0 < self.fit_lo < self.fit_hi < self.stop_factor < np.inf):
+            raise ValueError("need 1 < fit_lo < fit_hi < stop_factor, all finite")
+        for name in ("s0", "z_max", "cfl", "lam"):
+            if not (0.0 < getattr(self, name) < np.inf):
+                raise ValueError(f"{name} must be > 0 and finite, got {getattr(self, name)!r}")
+        for name in ("d0", "d1"):
+            if not (-np.inf < getattr(self, name) < np.inf):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
 
     @property
     def T(self) -> float:
@@ -319,6 +322,52 @@ def homogeneous_oracle(params: ModelParams, c: float = 1.0) -> dict:
     }
 
 
+def _not_a_knot_spline(x: np.ndarray, y: np.ndarray, t: np.ndarray):
+    """Values and first derivatives at t of the not-a-knot cubic spline
+    through (x, y), for strictly increasing x with at least 4 nodes.
+
+    The slopes solve the tridiagonal system of `scipy.interpolate.CubicSpline`
+    with not-a-knot ends (the third derivative is continuous across x[1]
+    and x[-2]) by a Thomas sweep; each interval is then the cubic Hermite
+    segment through its end values and slopes, extended beyond the ends.
+    """
+    dx = np.diff(x)
+    if len(x) < 4 or not np.all(dx > 0.0):
+        raise ValueError("the spline needs at least 4 strictly increasing nodes")
+    slope = np.diff(y) / dx
+    # row i: sub[i] s[i-1] + diag[i] s[i] + sup[i] s[i+1] = rhs[i]
+    d_lo, d_hi = x[2] - x[0], x[-1] - x[-3]
+    sub = np.concatenate(([0.0], dx[1:], [d_hi]))
+    diag = np.concatenate(([dx[1]], 2.0 * (dx[:-1] + dx[1:]), [dx[-2]]))
+    sup = np.concatenate(([d_lo], dx[:-1], [0.0]))
+    rhs = np.concatenate((
+        [((dx[0] + 2.0 * d_lo) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d_lo],
+        3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:]),
+        [(dx[-1] ** 2 * slope[-2] + (2.0 * d_hi + dx[-1]) * dx[-2] * slope[-1]) / d_hi],
+    ))
+    sub, diag, sup, rhs = sub.tolist(), diag.tolist(), sup.tolist(), rhs.tolist()
+    n = len(diag)
+    for i in range(1, n):
+        r = sub[i] / diag[i - 1]
+        diag[i] -= r * sup[i - 1]
+        rhs[i] -= r * rhs[i - 1]
+    s = [0.0] * n
+    s[-1] = rhs[-1] / diag[-1]
+    for i in range(n - 2, -1, -1):
+        s[i] = (rhs[i] - sup[i] * s[i + 1]) / diag[i]
+    s = np.array(s)
+    # the Hermite segment on interval k in powers of h = t - x[k]
+    c1 = (slope - s[:-1]) / dx
+    c2 = (s[:-1] + s[1:] - 2.0 * slope) / dx
+    k = np.clip(np.searchsorted(x, t, side="right") - 1, 0, n - 2)
+    h = t - x[k]
+    a3 = c2[k] / dx[k]
+    a2 = c1[k] - c2[k]
+    value = ((a3 * h + a2) * h + s[k]) * h + y[k]
+    deriv = (3.0 * a3 * h + 2.0 * a2) * h + s[k]
+    return value, deriv
+
+
 def profile_error(
     x: np.ndarray,
     u: np.ndarray,
@@ -341,13 +390,12 @@ def profile_error(
     w_data = tau ** (1.0 / (params.p - 1.0)) * u
     y_hi = min(2.0 * np.sqrt(s), 0.98 * y_data[-1])
     y_grid = np.linspace(-y_hi, y_hi, 801)
-    spline = CubicSpline(y_data, w_data)
-    w_num = spline(y_grid)
-    dw_num = spline(y_grid, 1)
+    w_num, dw_num = _not_a_knot_spline(y_data, w_data, np.append(y_grid, 0.0))
+    w_center = float(w_num[-1])
+    w_num, dw_num = w_num[:-1], dw_num[:-1]
     f_ref = profile_f(params, y_grid / np.sqrt(s))
     phi_ref = phi(params, y_grid, s)
     df_ref = phi_dy(params, y_grid, s)
-    w_center = float(spline(0.0))
     return {
         "s": float(s),
         "y_window": float(y_hi),

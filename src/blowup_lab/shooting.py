@@ -85,10 +85,12 @@ class InitialDataParams:
     s0: float
 
     def __post_init__(self) -> None:
-        if self.s0 < np.e:
+        if not (np.e <= self.s0 < np.inf):
             raise ValueError(
-                f"starting time must be >= e (s0 >= e), got s0={self.s0!r}"
+                f"starting time must be >= e and finite (s0 >= e), got s0={self.s0!r}"
             )
+        if not (-np.inf < self.d0 < np.inf and -np.inf < self.d1 < np.inf):
+            raise ValueError(f"d0 and d1 must be finite, got {self.d0!r}, {self.d1!r}")
 
 
 def initial_q(params: ModelParams, grid: Grid, init: InitialDataParams) -> Field:
@@ -424,6 +426,12 @@ def shoot(
                 rect[m] = [max(lo, cuts[m] - w), min(hi, cuts[m] + w)]
                 row[f"d{m}_step"] = "shrink"
             elif low.sign[m] * center.sign[m] < 0:
+                rect[m] = [lo, cuts[m]]
+            elif high.sign[m] * center.sign[m] < 0:
+                rect[m] = [cuts[m], hi]
+            # neither end has the opposite sign, so one lies below the
+            # noise floor: keep the side that ends at it
+            elif low.sign[m] == 0:
                 rect[m] = [lo, cuts[m]]
             else:
                 rect[m] = [cuts[m], hi]

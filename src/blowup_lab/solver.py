@@ -107,6 +107,8 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if not (0.0 < self.ds <= 0.5):
             raise ValueError(f"step size must be in (0, 0.5], got ds={self.ds!r}")
+        if not (0.0 < self.overflow):
+            raise ValueError(f"overflow cap must be > 0, got overflow={self.overflow!r}")
         if self.scheme not in _SCHEME_CHOICES:
             raise ValueError(
                 f"unknown scheme {self.scheme!r}; must be one of {_SCHEME_CHOICES}"
@@ -522,7 +524,7 @@ def run_trajectories(
                 s_star=diverged_at[r], reason="divergence", component=None, margins=None
             )
         else:
-            rec.exit = exit_classify(rec, trap)
+            rec.exit = exit_classify(rec)
         records.append(rec)
     return records
 

@@ -53,10 +53,10 @@ class TrapParams:
     K0: float
 
     def __post_init__(self) -> None:
-        if self.A < 1.0:
-            raise ValueError(f"trap amplitude must be >= 1, got A={self.A!r}")
-        if self.K0 <= 0.0:
-            raise ValueError(f"cutoff radius must be > 0, got K0={self.K0!r}")
+        if not (1.0 <= self.A < np.inf):
+            raise ValueError(f"trap amplitude must be >= 1 and finite, got A={self.A!r}")
+        if not (0.0 < self.K0 < np.inf):
+            raise ValueError(f"cutoff radius must be > 0 and finite, got K0={self.K0!r}")
 
 
 @dataclass
@@ -161,7 +161,7 @@ def check_derived_bounds(d: SpectralDecomp, trap: TrapParams) -> dict:
     return {"C_cutoff_part": C_cutoff, "C_sup": C_sup}
 
 
-def exit_classify(record, trap: TrapParams) -> ExitInfo | None:
+def exit_classify(record) -> ExitInfo | None:
     """Locate and classify the first trap exit in a trajectory record.
 
     For an expanding-mode exit (q0 or q1) the outward velocity dq_m/ds is

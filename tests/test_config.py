@@ -1,6 +1,10 @@
 """INI schema, overrides, validation messages, canonical hashing."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blowup_lab.config import (
     EXPERIMENT_KINDS,
@@ -128,6 +132,28 @@ def test_validation_messages(section, key, value, msg):
         validate_config(cfg)
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("trajectory", "s_end", math.inf),
+    ("trajectory", "s_end", math.nan),
+    ("grid", "dy", math.nan),
+    ("grid", "y_max", math.nan),
+    ("trap", "K0", math.nan),
+    ("trap", "A", math.nan),
+    ("trajectory", "d0", math.nan),
+    ("model", "alpha", math.nan),
+    ("model", "mu", math.inf),
+    ("solver", "ds", math.nan),
+    ("physical", "d0", math.nan),
+    ("physical", "t_rel_tol", math.nan),
+])
+def test_validation_rejects_unparsed_non_finite_values(section, key, value):
+    # a dict that skipped the parser still fails every range check
+    cfg = default_config()
+    cfg[section][key] = value
+    with pytest.raises(ConfigError, match=rf"\[{section}\]"):
+        validate_config(cfg)
+
+
 def test_validation_defers_model_coupling_to_params():
     # cross-parameter conditions come from the model constructor verbatim
     cfg = default_config()
@@ -194,6 +220,22 @@ def test_node_caps_follow_what_the_kind_builds(overrides, kind):
         cfg[section].update(values)
     cfg["experiment"]["kind"] = kind
     validate_config(cfg)
+
+
+@pytest.mark.parametrize("overrides,kind", [
+    # the derived half-width 2 K0 sqrt(s_end) + 5 overflows to inf
+    ({"trap": {"K0": 1e300}, "trajectory": {"s_end": 1e300}}, "spectral-checks"),
+    # a kind without a grid demand still builds the given grid
+    ({"grid": {"y_max": 1e300, "dy": 1e-300}}, "physical"),
+])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_grids_whose_node_count_overflows_are_config_errors(overrides, kind):
+    cfg = default_config()
+    for section, values in overrides.items():
+        cfg[section].update(values)
+    cfg["experiment"]["kind"] = kind
+    with pytest.raises(ConfigError, match=r"\[grid\] need finite y_max"):
+        validate_config(cfg)
 
 
 @pytest.mark.parametrize("y_max, ok", [(11.3, False), (11.35, False), (11.37, True)])
@@ -270,3 +312,65 @@ def test_hash_stability_and_sensitivity(tmp_path):
     assert config_hash(load_config(spelled)) == h
     cfg["solver"]["ds"] = 0.02
     assert config_hash(cfg) != h
+
+
+# every int and float key of the schema, with its type
+_NUMERIC_KEYS = [
+    (section, key, typ)
+    for section, keys in SCHEMA.items()
+    for key, (typ, _) in keys.items()
+    if typ in (int, float)
+]
+_FLOAT_DRAWS = [math.nan, math.inf, -math.inf, 0.0, -1.0, 1e300]
+_INT_DRAWS = [0, -1, 10**18]
+
+
+@st.composite
+def _overrides(draw):
+    """One to three keys set to a bad, extreme or valid (default) value,
+    and an experiment kind."""
+    chosen = draw(st.lists(st.sampled_from(_NUMERIC_KEYS), min_size=1, max_size=3, unique=True))
+    pool = {float: _FLOAT_DRAWS, int: _INT_DRAWS}
+    values = {
+        (section, key): draw(st.sampled_from(pool[typ] + [SCHEMA[section][key][1]]))
+        for section, key, typ in chosen
+    }
+    return values, draw(st.sampled_from(EXPERIMENT_KINDS))
+
+
+def _assert_in_range(cfg):
+    for section, key, typ in _NUMERIC_KEYS:
+        if typ is float:
+            assert math.isfinite(cfg[section][key]), (section, key)
+    m = cfg["model"]
+    assert m["p"] > 1.0
+    assert 0.0 <= m["alpha"] < 2.0 * m["p"] / (m["p"] + 1.0)
+    assert 0.0 <= m["alpha_bar"] < m["p"]
+    assert cfg["grid"]["dy"] > 0.0 and cfg["grid"]["y_max"] >= 0.0
+    assert cfg["trap"]["A"] >= 1.0 and cfg["trap"]["K0"] > 0.0
+    assert 0.0 < cfg["solver"]["ds"] <= 0.5 and 0.0 < cfg["shooting"]["ds"] <= 0.5
+    for section in ("trajectory", "shooting"):
+        assert math.e <= cfg[section]["s0"] < cfg[section]["s_end"]
+    assert cfg["trajectory"]["record_stride"] >= 1
+    assert cfg["shooting"]["max_levels"] >= 1
+    ph = cfg["physical"]
+    assert ph["n_x"] >= 17 and ph["n_x"] % 2 == 1
+    assert 1.0 < ph["fit_lo"] < ph["fit_hi"] < ph["stop_factor"]
+    assert min(ph["s0"], ph["z_max"], ph["cfl"], ph["lam"]) > 0.0
+    assert ph["t_rel_tol"] >= 0.0
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(_overrides())
+def test_validation_either_rejects_or_keeps_every_range(drawn):
+    # validation alone: no run is started, so the memory-cap cases are safe
+    values, kind = drawn
+    cfg = default_config()
+    for (section, key), value in values.items():
+        cfg[section][key] = value
+    cfg["experiment"]["kind"] = kind
+    try:
+        validate_config(cfg)
+    except ConfigError:
+        return
+    _assert_in_range(cfg)

@@ -24,6 +24,10 @@ def test_make_grid_rejects_bad_arguments():
         make_grid(0.0, 0.05)
     with pytest.raises(ValueError):
         make_grid(10.0, -0.1)
+    bad = [(np.nan, 0.05), (10.0, np.nan), (np.inf, 0.05), (10.0, np.inf), (1e300, 1e-300)]
+    for y_max, dy in bad:
+        with pytest.raises(ValueError, match="finite y_max > 0 and dy > 0"):
+            make_grid(y_max, dy)
 
 
 def test_weights_integrate_gaussian():
@@ -61,6 +65,18 @@ def test_gradient_exact_on_quadratics():
     assert np.allclose(grad[1:-1], 2.0 * g.y[1:-1], atol=1e-11)
     grad_affine = gradient(g, 3.0 * g.y + 1.0)
     assert np.allclose(grad_affine, 3.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(41,), (1, 41), (5, 41)])
+def test_gradient_is_bitwise_np_gradient(shape):
+    g = make_grid(2.0, 0.1)
+    rng = np.random.default_rng(7)
+    # values spread over many binades so that any reordering of the
+    # arithmetic would show in the last bits
+    v = rng.standard_normal(shape) * np.exp(rng.uniform(-20.0, 20.0, shape))
+    ours = gradient(g, v)
+    assert ours.shape == v.shape
+    assert ours.tobytes() == np.gradient(v, g.dy, axis=-1).tobytes()
 
 
 def test_grid_is_hashable_key():

@@ -56,6 +56,15 @@ def test_rejects_supercritical_alpha_bar():
     make_params(2.0, alpha_bar=2.0 - 1e-12, mu_bar=1.0)
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(p=np.nan), dict(p=np.inf), dict(p=2.0, alpha=np.nan),
+    dict(p=2.0, alpha_bar=np.nan), dict(p=2.0, mu=np.nan), dict(p=2.0, mu0=-np.inf),
+])
+def test_rejects_non_finite_parameters(kwargs):
+    with pytest.raises(ParameterError):
+        make_params(**kwargs)
+
+
 def test_rejects_negative_exponents():
     with pytest.raises(ParameterError, match="alpha must be >= 0"):
         make_params(2.0, alpha=-0.1)

@@ -10,11 +10,12 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 from blowup_lab.grids import Field, default_y_max, make_grid
-from blowup_lab.model import make_params, profile_f
+from blowup_lab.model import make_params, phi, phi_dy, profile_f
 from blowup_lab.physical import (
     BlowupEstimate,
     PhysicalConfig,
     _fit_blowup_time,
+    _not_a_knot_spline,
     _refine_peak,
     homogeneous_oracle,
     initial_u,
@@ -60,6 +61,12 @@ def test_config_validation():
         PhysicalConfig(lam=0.0)
     with pytest.raises(ValueError, match="z_max must be > 0"):
         PhysicalConfig(z_max=0.0)
+    for bad in (
+        dict(n_x=float("nan")), dict(fit_lo=np.nan), dict(stop_factor=np.inf),
+        dict(cfl=np.nan), dict(s0=np.nan), dict(d0=np.nan), dict(d1=np.inf),
+    ):
+        with pytest.raises(ValueError):
+            PhysicalConfig(**bad)
 
 
 def test_nominal_blowup_time():
@@ -179,6 +186,74 @@ def test_tuned_run_snapshots_approach_profile(pure, tuned_run):
     assert sups[0] == pytest.approx(1.153612e-2, rel=1e-3)
     assert sups[1] == pytest.approx(1.104793e-2, rel=1e-3)
     assert sups[1] < sups[0]
+
+
+@pytest.fixture(scope="module")
+def criterion7_run(pure):
+    """The physical run of acceptance criterion 7, from the tuned d0."""
+    cfg = PhysicalConfig(
+        s0=20.0, d0=D0_STAR, z_max=30.0, n_x=3201,
+        snapshot_factors=(3.0, 10.0, 30.0, 100.0),
+    )
+    return integrate_u(pure, cfg)
+
+
+def _assert_matches_cubic_spline(x, y, t):
+    ref = CubicSpline(x, y)
+    value, deriv = _not_a_knot_spline(x, y, t)
+    assert np.max(np.abs(value - ref(t))) <= 1e-12 * np.max(np.abs(ref(t)))
+    assert np.max(np.abs(deriv - ref(t, 1))) <= 1e-12 * np.max(np.abs(ref(t, 1)))
+
+
+def test_spline_matches_cubic_spline_on_a_criterion7_snapshot(criterion7_run):
+    est = criterion7_run
+    t_snap, u_snap = est.snapshots[-1]
+    tau = est.T_est - t_snap
+    x = (est.x - est.a_est) / np.sqrt(tau)
+    # the window of profile_error, both nodes, and points beyond the ends
+    window = np.linspace(-0.98 * x[-1], 0.98 * x[-1], 801)
+    t = np.concatenate((window, x[:3], [x[0] - 1.0, x[-1] + 1.0]))
+    _assert_matches_cubic_spline(x, tau * u_snap, t)
+
+
+def test_spline_matches_cubic_spline_on_non_uniform_nodes():
+    rng = np.random.default_rng(3)
+    x = np.sort(rng.uniform(-3.0, 5.0, 40))
+    _assert_matches_cubic_spline(x, np.sin(2.0 * x) + x**2, np.linspace(-4.0, 6.0, 999))
+    # four nodes are the fewest the not-a-knot system takes: one cubic
+    x4 = np.array([0.0, 0.3, 1.1, 2.0])
+    value, deriv = _not_a_knot_spline(x4, x4**3 - x4, np.array([0.5, 1.5]))
+    assert np.allclose(value, [0.5**3 - 0.5, 1.5**3 - 1.5], rtol=1e-13)
+    assert np.allclose(deriv, [3 * 0.25 - 1, 3 * 2.25 - 1], rtol=1e-13)
+
+
+def test_spline_rejects_bad_nodes():
+    with pytest.raises(ValueError, match="strictly increasing"):
+        _not_a_knot_spline(np.array([0.0, 1.0, 1.0, 2.0]), np.zeros(4), np.zeros(1))
+    with pytest.raises(ValueError, match="at least 4"):
+        _not_a_knot_spline(np.array([0.0, 1.0, 2.0]), np.zeros(3), np.zeros(1))
+
+
+def test_profile_error_matches_the_cubic_spline_figures(pure, criterion7_run):
+    # the criterion-7 figures as a CubicSpline of the same data gives them
+    est = criterion7_run
+    assert len(est.snapshots) == 4
+    for t_snap, u_snap in est.snapshots:
+        pe = profile_error(est.x, u_snap, t_snap, est, pure)
+        tau = est.T_est - t_snap
+        s = -np.log(tau)
+        spline = CubicSpline((est.x - est.a_est) / np.sqrt(tau), tau * u_snap)
+        y = np.linspace(-pe["y_window"], pe["y_window"], 801)
+        w_center = float(spline(0.0))
+        ref = {
+            "e_sup_f": np.max(np.abs(spline(y) - profile_f(pure, y / np.sqrt(s)))),
+            "e_sup_phi": np.max(np.abs(spline(y) - phi(pure, y, s))),
+            "e_grad_f": np.max(np.abs(spline(y, 1) - phi_dy(pure, y, s))),
+            "w_center": w_center,
+            "kappa_gap": abs(w_center - pure.kappa),
+        }
+        for key, value in ref.items():
+            assert pe[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
 
 
 def test_profile_error_rejects_snapshot_past_estimate(pure, tuned_run):

@@ -38,6 +38,10 @@ def trap8():
 def test_initial_time_floor():
     with pytest.raises(ValueError, match="s0 >= e"):
         InitialDataParams(d0=0.0, d1=0.0, s0=2.0)
+    with pytest.raises(ValueError, match="s0 >= e"):
+        InitialDataParams(d0=0.0, d1=0.0, s0=np.nan)
+    with pytest.raises(ValueError, match="must be finite"):
+        InitialDataParams(d0=np.nan, d1=0.0, s0=20.0)
 
 
 def test_initial_q_closed_form_at_center(shoot_grid):
@@ -354,6 +358,20 @@ def test_shoot_reports_d1_enclosure_lost_after_a_skipped_level(monkeypatch, trap
     rows = res.level_stats
     assert rows[-1]["d1_end_signs"] == [1.0, 1.0]
     assert rows[-2]["d1_end_signs"] is None
+
+
+def test_shoot_keeps_the_side_that_ends_at_a_zero_end_sign(monkeypatch, trap8):
+    # a0's root at 1e-12 puts the low d0 end below the noise floor (sign 0)
+    # and the high end on the center's side; the cut must keep [0, 0.5]
+    res = _linear_shoot(
+        monkeypatch, trap8, 40.0, a0=lambda d: d - 1e-12, a1=lambda d: d - 0.5
+    )
+    rows = res.level_stats
+    assert rows[0]["d0_end_signs"] == [0.0, 1.0]
+    assert rows[1]["d0_bracket"] == [0.0, 0.5]
+    assert res.status == "survived"
+    assert res.d0 == pytest.approx(0.0, abs=1e-9)
+    assert res.d1 == pytest.approx(0.5, abs=1e-9)
 
 
 def test_shoot_reports_degenerate_exit(monkeypatch, trap8):

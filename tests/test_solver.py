@@ -63,6 +63,10 @@ def test_config_validation():
         SolverConfig(scheme="spectral")
     with pytest.raises(ValueError, match="unknown boundary"):
         SolverConfig(bc="periodic")
+    with pytest.raises(ValueError, match="step size"):
+        SolverConfig(ds=float("nan"))
+    with pytest.raises(ValueError, match="overflow cap"):
+        SolverConfig(overflow=float("nan"))
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,9 @@ def test_trap_params_validation():
         TrapParams(A=0.5, K0=1.0)
     with pytest.raises(ValueError, match="radius must be > 0"):
         TrapParams(A=2.0, K0=0.0)
+    for A, K0 in ((np.nan, 4.0), (np.inf, 4.0), (8.0, np.nan), (8.0, np.inf)):
+        with pytest.raises(ValueError, match="and finite"):
+            TrapParams(A=A, K0=K0)
 
 
 def test_component_bounds_arithmetic():
@@ -164,7 +167,7 @@ class _FakeRecord:
         self.q1 = np.asarray(q1, dtype=float)
         self.margins = np.asarray(margins_rows, dtype=float)
         self.inside = np.all(self.margins >= 0.0, axis=1)
-        self.exit = exit_classify(self, TrapParams(A=8.0, K0=4.0))
+        self.exit = exit_classify(self)
 
 
 def _margins_for(q0_excess=0.0, q1_excess=0.0):
@@ -179,8 +182,7 @@ def test_exit_classify_none_when_always_inside():
         q1=[0.0, 0.0, 0.0],
         margins_rows=[[1.0] * 5] * 3,
     )
-    trap = TrapParams(A=8.0, K0=4.0)
-    assert exit_classify(rec, trap) is None
+    assert exit_classify(rec) is None
 
 
 def test_exit_classify_transverse_q0_exit():
@@ -189,7 +191,7 @@ def test_exit_classify_transverse_q0_exit():
     q0 = [0.010, 0.015, 0.020, 0.030]
     rows = [_margins_for(), _margins_for(), _margins_for(), _margins_for(q0_excess=0.01)]
     rec = _FakeRecord(s, q0, [0.0] * 4, rows)
-    info = exit_classify(rec, TrapParams(A=8.0, K0=4.0))
+    info = exit_classify(rec)
     assert info is not None
     assert info.component == "q0" and info.mode == 0
     assert info.s_star == pytest.approx(20.3)
@@ -205,7 +207,7 @@ def test_exit_classify_negative_mode_sign():
     q1 = [-0.010, -0.015, -0.020, -0.030]
     rows = [_margins_for(), _margins_for(), _margins_for(), _margins_for(q1_excess=0.01)]
     rec = _FakeRecord(s, [0.0] * 4, q1, rows)
-    info = exit_classify(rec, TrapParams(A=8.0, K0=4.0))
+    info = exit_classify(rec)
     assert info.component == "q1" and info.omega == -1.0
     assert info.dqm_ds < 0.0
     assert info.transverse is True
@@ -217,7 +219,7 @@ def test_exit_classify_non_transverse_when_retreating():
     q0 = [0.05, 0.04, 0.035, 0.030]
     rows = [_margins_for(q0_excess=0.01)] * 4
     rec = _FakeRecord(s, q0, [0.0] * 4, rows)
-    info = exit_classify(rec, TrapParams(A=8.0, K0=4.0))
+    info = exit_classify(rec)
     assert info.s_star == pytest.approx(20.0)
     assert info.dqm_ds == 0.0  # first sample: no backward stencil available
     assert info.transverse is False
@@ -229,7 +231,7 @@ def test_exit_classify_short_stencil():
     q0 = [0.01, 0.03, 0.05]
     rows = [_margins_for(), _margins_for(q0_excess=0.01), _margins_for(q0_excess=0.03)]
     rec = _FakeRecord(s, q0, [0.0] * 3, rows)
-    info = exit_classify(rec, TrapParams(A=8.0, K0=4.0))
+    info = exit_classify(rec)
     assert info.s_star == pytest.approx(20.1)
     assert info.dqm_ds == pytest.approx(0.2, rel=1e-12)
 
@@ -237,7 +239,7 @@ def test_exit_classify_short_stencil():
 def test_exit_classify_non_mode_component():
     rows = [[1.0, 1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0, -0.1]]
     rec = _FakeRecord([20.0, 20.1], [0.0, 0.0], [0.0, 0.0], rows)
-    info = exit_classify(rec, TrapParams(A=8.0, K0=4.0))
+    info = exit_classify(rec)
     assert info.component == "q_e"
     assert info.mode is None and info.transverse is None
 
