@@ -572,6 +572,54 @@ def mode_ode_check(record: TrajectoryRecord, m: int) -> dict:
     }
 
 
+def _duhamel_pieces(
+    q_tau: Field,
+    params: ModelParams,
+    cfg: SolverConfig,
+    s_target: float,
+    n_quad: int,
+) -> tuple[Field, np.ndarray, int]:
+    """q advanced from q_tau to s_target, the rows alpha, beta, gamma,
+    delta, vpart of its integral form at s_target, and the number of
+    quadrature times; see `duhamel_split_check`."""
+    tau = q_tau.s
+    if s_target <= tau + cfg.ds:
+        raise ValueError("integration window too short for the split check")
+    if n_quad < 2:
+        raise ValueError(f"the trapezoid sum needs n_quad >= 2 times, got {n_quad!r}")
+    n_steps = window_steps(tau, s_target, cfg.ds)
+    grid = q_tau.grid
+    marks = sorted({int(round(x)) for x in np.linspace(0.0, n_steps, n_quad)})
+    sigma = np.array([tau + k * cfg.ds for k in marks])
+    weights = np.zeros_like(sigma)
+    weights[:-1] += 0.5 * np.diff(sigma)
+    weights[1:] += 0.5 * np.diff(sigma)
+    # the kernel of each gap between marks, keyed by the gap in steps
+    kernels = {gap: banded_kernel(gap * cfg.ds, grid) for gap in set(np.diff(marks).tolist())}
+
+    def sources(q: Field) -> np.ndarray:
+        """The columns B, R, N, Vq at q.s."""
+        src = SourceTerms(params, grid, q.s)
+        n = src.N(q.values) if params.perturbed else np.zeros_like(q.values)
+        return np.stack([src.B(q.values), src.R, n, src.V * q.values], axis=1)
+
+    # one column per piece (alpha, beta, gamma, delta, vpart): the CSR
+    # product takes an (n, 5) array as it is
+    acc = np.empty((grid.n, 5))
+    acc[:, 0] = q_tau.values
+    acc[:, 1:] = weights[0] * sources(q_tau)
+    q = q_tau.copy()
+    j = 1  # the next mark
+    for k in range(1, n_steps + 1):
+        q = step_q(q, params, cfg)
+        q.s = tau + k * cfg.ds
+        if k == marks[j]:
+            acc = kernels[k - marks[j - 1]] @ acc
+            acc[:, 1:] += weights[j] * sources(q)
+            j += 1
+    return q, acc.T.copy(), len(marks)
+
+
 def duhamel_split_check(
     q_tau: Field,
     params: ModelParams,
@@ -599,54 +647,25 @@ def duhamel_split_check(
     components: each of |delta_2|, the cubic-weighted seminorm of
     delta_minus, and ||delta_e||_inf is reported as C = value * s^3/(s-tau).
 
-    Each quadrature time's kernel is built once, outside the kernel cache,
-    and applied to its four stacked sources in one product (the first
-    time's kernel, of theta = s - tau, also carries q(tau)).
+    The trapezoid sum is taken by Horner's rule in time: an accumulator of
+    five rows (q(tau), then the weighted sums of B, R, N and Vq) is carried
+    from one quadrature time to the next by the kernel of the gap between
+    them, and each time adds its weighted sources S_k,
+
+        acc <- e^{(sigma_k - sigma_{k-1}) L} acc,   acc[1:] += w_k S_k,
+
+    so that at s it holds e^{(s-tau)L} q(tau) and sum_k w_k e^{(s-sigma_k)L} S_k.
+    The times are evenly spread whole steps, so their gaps take at most two
+    values; each gap's kernel is built once, outside the kernel cache, and
+    let go with the call.  On a finite grid the gap kernels compose to
+    e^{(s-sigma)L} only up to the clipping at the grid edge, so near the
+    edge the sum differs from one with a kernel per time.
     """
     tau = q_tau.s
-    if s_target <= tau + cfg.ds:
-        raise ValueError("integration window too short for the split check")
-    n_steps = window_steps(tau, s_target, cfg.ds)
-    grid = q_tau.grid
-    quad_marks = sorted({int(round(x)) for x in np.linspace(0.0, n_steps, n_quad)})
-
-    def sources(q: Field) -> tuple[float, np.ndarray]:
-        """q.s and the rows B, R, N, Vq at that time."""
-        src = SourceTerms(params, grid, q.s)
-        n = src.N(q.values) if params.perturbed else np.zeros_like(q.values)
-        return q.s, np.stack([src.B(q.values), src.R, n, src.V * q.values])
-
-    samples = []
-    q = q_tau.copy()
-    if 0 in quad_marks:
-        samples.append(sources(q))
-    for k in range(1, n_steps + 1):
-        q = step_q(q, params, cfg)
-        q.s = tau + k * cfg.ds
-        if k in quad_marks:
-            samples.append(sources(q))
+    q, pieces, n_times = _duhamel_pieces(q_tau, params, cfg, s_target, n_quad)
+    alpha, beta, gamma, delta, vpart = pieces
     s_end = q.s
-
-    sigma = np.array([s for s, _ in samples])
-    weights = np.zeros_like(sigma)
-    weights[:-1] += 0.5 * np.diff(sigma)
-    weights[1:] += 0.5 * np.diff(sigma)
-
-    def propagate(rows: np.ndarray, theta: float) -> np.ndarray:
-        if theta <= 1e-12:
-            return rows.copy()
-        return (banded_kernel(theta, grid) @ rows.T).T
-
-    # quad_marks starts at 0: the first sample is at tau, so its kernel, of
-    # theta = s - tau, also propagates q(tau)
-    s_first, rows_first = samples[0]
-    samples[0] = (s_first, np.vstack([rows_first, q_tau.values]))
-    outs = [propagate(rows, s_end - s_smp) for s_smp, rows in samples]
-    alpha = outs[0][4]
-    pieces = np.zeros((4, grid.n))  # beta, gamma, delta, vpart
-    for wgt, out in zip(weights, outs):
-        pieces += wgt * out[:4]
-    beta, gamma, delta, vpart = pieces
+    grid = q.grid
 
     reconstruction = alpha + beta + gamma + delta + vpart
     resid = float(np.max(np.abs(reconstruction - q.values)))
@@ -657,7 +676,7 @@ def duhamel_split_check(
     out = {
         "tau": tau,
         "s": s_end,
-        "n_quad": len(samples),
+        "n_quad": n_times,
         "alpha_sup": float(np.max(np.abs(alpha))),
         "beta_sup": float(np.max(np.abs(beta))),
         "gamma_sup": float(np.max(np.abs(gamma))),

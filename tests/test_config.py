@@ -238,6 +238,22 @@ def test_grids_whose_node_count_overflows_are_config_errors(overrides, kind):
         validate_config(cfg)
 
 
+@pytest.mark.parametrize("y_max,field", [
+    # 4e23 nodes: the node cap rejects the grid
+    (1e-300, r"\[grid\] a semigroup-checks run on \d+ nodes .* memory budget"),
+    # 41 nodes, within the cap: the edge collar rejects the grid
+    (1e-322, r"\[grid\] y_max: .*edge collar"),
+])
+def test_subnormal_dy_is_a_config_error(y_max, field):
+    # y_max / dy is finite but half a kernel's width / dy is not; checked
+    # by validation alone, never run
+    cfg = default_config()
+    cfg["experiment"]["kind"] = "semigroup-checks"
+    cfg["grid"].update({"dy": 5e-324, "y_max": y_max})
+    with pytest.raises(ConfigError, match=field):
+        validate_config(cfg)
+
+
 @pytest.mark.parametrize("y_max, ok", [(11.3, False), (11.35, False), (11.37, True)])
 def test_semigroup_checks_need_an_interior_beyond_the_edge_collar(y_max, ok):
     # the kernel checks keep nodes 8 sqrt(2) ~ 11.314 inside the edge and
@@ -321,7 +337,7 @@ _NUMERIC_KEYS = [
     for key, (typ, _) in keys.items()
     if typ in (int, float)
 ]
-_FLOAT_DRAWS = [math.nan, math.inf, -math.inf, 0.0, -1.0, 1e300]
+_FLOAT_DRAWS = [math.nan, math.inf, -math.inf, 0.0, -1.0, 1e300, 5e-324]
 _INT_DRAWS = [0, -1, 10**18]
 
 

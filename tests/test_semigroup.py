@@ -8,11 +8,13 @@ at the domain edge; assertions are masked away from the edge accordingly.
 import numpy as np
 import pytest
 
+from blowup_lab import semigroup
 from blowup_lab.grids import Field, default_y_max, make_grid
 from blowup_lab.hermite import hermite_h
 from blowup_lab.semigroup import (
     apply_semigroup,
     apply_semigroup_values,
+    banded_kernel,
     kernel_comparison_check,
     kernel_eval,
     kernel_matrix,
@@ -177,6 +179,41 @@ def test_comparison_check_gaussian_field(grid20):
     out = kernel_comparison_check(s=21.0, sigma=20.0, n_field=src)
     assert out["ratio"] == pytest.approx(0.576065, abs=2e-4)  # frozen
     assert out["increment_sup"] < out["envelope"]
+
+
+def _direct_increment(s, sigma, n_field):
+    """The reference sum: trapezoid over 33 times with one kernel each."""
+    av = np.abs(n_field.values)
+    taus = np.linspace(sigma, s, 33)
+    wts = np.full(33, (s - sigma) / 32)
+    wts[0] *= 0.5
+    wts[-1] *= 0.5
+    acc = np.zeros(av.size)
+    for tau, wt in zip(taus, wts):
+        theta = s - tau
+        acc = acc + wt * (av if theta <= 0 else banded_kernel(theta, n_field.grid) @ av)
+    return float(np.max(acc))
+
+
+@pytest.mark.parametrize("profile", ["constant", "gaussian"])
+def test_comparison_check_matches_the_direct_sum(grid20, profile, monkeypatch):
+    """Horner's rule with one kernel of the time spacing against a kernel
+    per time; the integrand does not depend on time.  Both sups lie inside
+    the edge collar, where the clipped kernels compose exactly."""
+    y = grid20.y
+    values = np.ones(grid20.n) if profile == "constant" else np.exp(-y**2 / 8.0)
+    src = Field(grid=grid20, values=values, s=20.0)
+    want = _direct_increment(21.0, 20.0, src)
+    thetas = []
+
+    def counted(theta, grid):
+        thetas.append(theta)
+        return banded_kernel(theta, grid)
+
+    monkeypatch.setattr(semigroup, "banded_kernel", counted)
+    out = kernel_comparison_check(s=21.0, sigma=20.0, n_field=src)
+    assert thetas == [1.0 / 32]
+    assert out["increment_sup"] == pytest.approx(want, rel=1e-14)
 
 
 def test_comparison_check_rejects_bad_window(grid20):

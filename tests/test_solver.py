@@ -10,7 +10,7 @@ import pytest
 
 from blowup_lab import solver
 from blowup_lab.grids import Field, default_y_max, gradient, make_grid
-from blowup_lab.hermite import hermite_h
+from blowup_lab.hermite import decompose, hermite_h, seminorm_minus
 from blowup_lab.model import (
     make_params,
     nonlinear_B,
@@ -20,7 +20,7 @@ from blowup_lab.model import (
     potential_V,
     remainder_R,
 )
-from blowup_lab.semigroup import _MATRIX_CACHE, kernel_matrix
+from blowup_lab.semigroup import _MATRIX_CACHE, banded_kernel, interior_mask, kernel_matrix
 from blowup_lab.shooting import (
     InitialDataParams,
     initial_mode_map,
@@ -33,6 +33,7 @@ from blowup_lab.solver import (
     SourceTerms,
     TrajectoryRecord,
     _cn_apply,
+    _duhamel_pieces,
     _linear_substep,
     duhamel_split_check,
     forms_consistency_check,
@@ -526,9 +527,99 @@ def test_duhamel_split_perturbed_case():
     assert out["reconstruction_residual"] < 0.25 * out["q_sup"]
 
 
+def _quadrature_samples(init, pr, cfg, s_target, n_quad):
+    """q at s_target and the trapezoid times, weights and source rows
+    [B, R, N, Vq] of the integral form, stepped as the check steps."""
+    n_steps = round((s_target - init.s) / cfg.ds)
+    marks = sorted({int(round(x)) for x in np.linspace(0.0, n_steps, n_quad)})
+    samples, q = [], init.copy()
+    for k in range(n_steps + 1):
+        if k:
+            q = step_q(q, pr, cfg)
+            q.s = init.s + k * cfg.ds
+        if k in marks:
+            src = SourceTerms(pr, q.grid, q.s)
+            n = src.N(q.values) if pr.perturbed else np.zeros(q.grid.n)
+            samples.append((q.s, [src.B(q.values), src.R, n, src.V * q.values]))
+    sigma = np.array([s for s, _ in samples])
+    weights = np.zeros_like(sigma)
+    weights[:-1] += 0.5 * np.diff(sigma)
+    weights[1:] += 0.5 * np.diff(sigma)
+    return q, sigma, weights, [rows for _, rows in samples]
+
+
+def _direct_duhamel_pieces(init, pr, cfg, s_target, n_quad):
+    """The reference sum: one kernel per quadrature time, of theta = s - sigma_k,
+    applied to that time's sources (the first also carries q(tau))."""
+    q, sigma, weights, rows = _quadrature_samples(init, pr, cfg, s_target, n_quad)
+    g = q.grid
+    alpha = banded_kernel(q.s - init.s, g) @ init.values
+    pieces = np.zeros((4, g.n))
+    for wgt, s, srcs in zip(weights, sigma, rows):
+        theta = q.s - s
+        srcs = np.stack(srcs)
+        pieces += wgt * (srcs if theta <= 1e-12 else (banded_kernel(theta, g) @ srcs.T).T)
+    return q, np.vstack([alpha, pieces])
+
+
+@pytest.mark.parametrize("lane", ["pure_p2", "perturbed_p2"])
+def test_duhamel_horner_sum_matches_the_direct_sum(lane, request):
+    """Horner's rule with the gap kernels against one kernel per time: equal
+    to roundoff inside the edge collar, where the gap kernels compose
+    exactly, and close at the two edge nodes, where clipping breaks that."""
+    pr = request.getfixturevalue(lane)
+    g = _traj_grid()
+    assert g.n == 1703
+    trap = TrapParams(A=8.0, K0=4.0)
+    init = initial_q(pr, g, InitialDataParams(d0=0.0128, d1=0.0, s0=20.0))
+    cfg = SolverConfig(ds=0.01)
+    q_ref, ref = _direct_duhamel_pieces(init, pr, cfg, 21.0, 17)
+    q, pieces, n_times = _duhamel_pieces(init, pr, cfg, 21.0, 17)
+    assert n_times == 17
+    assert np.array_equal(q.values, q_ref.values)
+    inner = interior_mask(g)
+    for name, got, want in zip(("alpha", "beta", "gamma", "delta", "v"), pieces, ref):
+        sup = np.max(np.abs(want))
+        gap = np.abs(got - want)
+        assert np.max(gap[inner]) <= 1e-13 * sup, name
+        assert np.max(gap) <= 1e-3 * sup, name
+
+    out = duhamel_split_check(init, pr, trap, cfg, 21.0, n_quad=17)
+    d = decompose(Field(grid=g, values=ref[3], s=21.0), trap.K0)
+    scale = 21.0**3 / 1.0
+    assert out["C_delta2"] == pytest.approx(abs(d.q2) * scale, rel=1e-12)
+    assert out["C_delta_minus"] == pytest.approx(seminorm_minus(d) * scale, rel=1e-12)
+    assert out["C_delta_e"] == pytest.approx(d.q_e.sup() * scale, rel=1e-12)
+
+
+def test_duhamel_builds_only_the_gap_kernels(perturbed_p2, monkeypatch):
+    """17 times over 100 steps sit 6 or 7 steps apart: two kernels, not 16."""
+    thetas = []
+
+    def counted(theta, grid):
+        thetas.append(theta)
+        return banded_kernel(theta, grid)
+
+    monkeypatch.setattr(solver, "banded_kernel", counted)
+    g = _traj_grid()
+    trap = TrapParams(A=8.0, K0=4.0)
+    init = initial_q(perturbed_p2, g, InitialDataParams(d0=0.0128, d1=0.0, s0=20.0))
+    duhamel_split_check(init, perturbed_p2, trap, SolverConfig(ds=0.01), 21.0, n_quad=17)
+    assert len(thetas) <= 2
+    assert sorted(thetas) == pytest.approx([0.06, 0.07], rel=1e-12)
+
+
+def test_duhamel_needs_two_quadrature_times(pure_p2):
+    g = _traj_grid()
+    init = initial_q(pure_p2, g, InitialDataParams(d0=0.0128, d1=0.0, s0=20.0))
+    with pytest.raises(ValueError, match="n_quad >= 2"):
+        duhamel_split_check(init, pure_p2, TrapParams(A=8.0, K0=4.0), SolverConfig(ds=0.01),
+                            20.2, n_quad=1)
+
+
 def test_duhamel_kernels_stay_out_of_the_cache(perturbed_p2):
-    """The one-shot quadrature kernels are not cached, and one stacked
-    product per quadrature time gives the four separate products bit for bit."""
+    """The one-shot gap kernels are not cached, and the stacked product of
+    each Horner step gives the separate products of each row bit for bit."""
     pr = perturbed_p2
     g = _traj_grid()
     trap = TrapParams(A=8.0, K0=4.0)
@@ -539,28 +630,16 @@ def test_duhamel_kernels_stay_out_of_the_cache(perturbed_p2):
     out = duhamel_split_check(init, pr, trap, cfg, 20.2, n_quad=5)
     assert list(_MATRIX_CACHE) == before
 
-    # the same sums with one product per source and quadrature time
-    samples, q = [], init.copy()
-    for k in range(21):
-        if k:
-            q = step_q(q, pr, cfg)
-            q.s = 20.0 + k * cfg.ds
-        if k % 5 == 0:  # the quadrature marks of n_quad = 5 over 20 steps
-            src = SourceTerms(pr, g, q.s)
-            samples.append(
-                (q.s, [src.B(q.values), src.R, src.N(q.values), src.V * q.values])
-            )
-    sigma = np.array([s for s, _ in samples])
-    weights = np.zeros_like(sigma)
-    weights[:-1] += 0.5 * np.diff(sigma)
-    weights[1:] += 0.5 * np.diff(sigma)
-    pieces = [np.zeros(g.n) for _ in range(4)]
-    for wgt, (s, rows) in zip(weights, samples):
-        for acc, row in zip(pieces, rows):
-            theta = q.s - s
-            acc += wgt * (row.copy() if theta <= 1e-12 else kernel_matrix(theta, g) @ row)
+    # the same Horner sums with one product per row: the marks of n_quad = 5
+    # over 20 steps are 5 steps apart
+    q, _, weights, rows = _quadrature_samples(init, pr, cfg, 20.2, 5)
+    gap_kernel = banded_kernel(5 * cfg.ds, g)
+    alpha = init.values
+    pieces = [weights[0] * row for row in rows[0]]
+    for wgt, srcs in zip(weights[1:], rows[1:]):
+        alpha = gap_kernel @ alpha
+        pieces = [gap_kernel @ acc + wgt * row for acc, row in zip(pieces, srcs)]
     beta, gamma, delta, vpart = pieces
-    alpha = kernel_matrix(q.s - 20.0, g) @ init.values
     assert out["n_quad"] == 5
     assert out["alpha_sup"] == np.max(np.abs(alpha))
     assert out["beta_sup"] == np.max(np.abs(beta))
