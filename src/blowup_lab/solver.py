@@ -8,17 +8,20 @@ Two equivalent forms are advanced on a fixed grid in y:
       q_s = (L + V) q + B(q) + R + N,
   with L = d^2/dy^2 - (y/2) d/dy + 1.
 
-Both use Strang splitting: an explicit half step of the local-in-y terms,
-an exact application of the linear semigroup via the Gaussian kernel, and
-a second explicit half step.  The local sources Vq, B, R and N of the q
-form come from one `SourceTerms` object, whose coefficient fields (profile,
-potential, residual, profile gradient) are frozen at one time: the step
-midpoint s + ds/2 for both halves, which keeps the composition
-time-symmetric and the scheme second order.  The per-step source sups of a
-trajectory record and the integral-form check read the same object.  The
-w form adds the same perturbation N (`model.perturbation_N`) and integrates
-the power nonlinearity w' = |w|^{p-1} w in closed form, so the constant
-steady state kappa is preserved to O(ds^3) per step.
+Both use one scheme, Strang splitting: an explicit half step of the
+local-in-y terms, an exact application of the linear semigroup via the
+Gaussian kernel, and a second explicit half step.  After each step the two
+end nodes are pinned onto the profile ansatz: q to -kappa/(2ps) and w to
+phi, so w - (phi + q) is kappa/(2ps) there.  The local sources Vq, B, R
+and N of the q form come from one `SourceTerms` object, whose coefficient
+fields (profile, potential, residual, profile gradient) are frozen at one
+time: the step midpoint s + ds/2 for both halves, which keeps the
+composition time-symmetric and the scheme second order.  The per-step
+source sups of a trajectory record and the integral-form check read the
+same object.  The w form adds the same perturbation N
+(`model.perturbation_N`) and integrates the power nonlinearity
+w' = |w|^{p-1} w in closed form, so the constant steady state kappa is
+preserved to O(ds^3) per step.
 
 A trajectory run records the spectral decomposition of the deviation at
 every step, checks trap membership, and stops at the first exit or at any
@@ -50,7 +53,6 @@ from .model import (
     phi_dy,
     phi_powers,
     potential_V,
-    profile_f,
     remainder_R,
 )
 # kernel_matrix stays a name of this module for perfbench/tracing.py,
@@ -73,35 +75,20 @@ __all__ = [
     "forms_consistency_check",
 ]
 
-_BC_CHOICES = ("dirichlet-profile", "extrapolation")
-_SCHEME_CHOICES = ("semigroup-split", "imex-cn")
-
-
 @dataclass(frozen=True)
 class SolverConfig:
-    """Step size, scheme, boundary handling and overflow cap.
+    """Step size and overflow cap of the one scheme: exact-kernel Strang
+    splitting with the ends pinned to -kappa/(2ps) (q form) and phi (w form).
 
     Every term of the equation is always on: the q form adds Vq, B and R,
     plus N in a perturbed model.
 
-    scheme:
-        "semigroup-split" applies the linear part through the exact
-        Gaussian kernel (default); "imex-cn" replaces the kernel with a
-        Crank-Nicolson solve of the finite-difference linear operator,
-        keeping the rest of the splitting identical.  The two paths agree
-        to O(ds^2 + dy^2) and serve as mutual cross-checks.
-    bc:
-        "dirichlet-profile" pins the ends onto the profile ansatz (the
-        deviation is pinned to its ansatz value -kappa/(2ps)) and
-        "extrapolation" continues the field linearly.
     overflow:
         a field that exceeds it in sup norm, or stops being finite, has
         diverged.
     """
 
     ds: float = 0.01
-    scheme: str = "semigroup-split"
-    bc: str = "dirichlet-profile"
     overflow: float = 1e8
 
     def __post_init__(self) -> None:
@@ -109,14 +96,6 @@ class SolverConfig:
             raise ValueError(f"step size must be in (0, 0.5], got ds={self.ds!r}")
         if not (0.0 < self.overflow):
             raise ValueError(f"overflow cap must be > 0, got overflow={self.overflow!r}")
-        if self.scheme not in _SCHEME_CHOICES:
-            raise ValueError(
-                f"unknown scheme {self.scheme!r}; must be one of {_SCHEME_CHOICES}"
-            )
-        if self.bc not in _BC_CHOICES:
-            raise ValueError(
-                f"unknown boundary condition {self.bc!r}; must be one of {_BC_CHOICES}"
-            )
 
 
 class DivergenceError(RuntimeError):
@@ -194,27 +173,12 @@ def _midpoint_half(rhs, v: np.ndarray, h: float) -> np.ndarray:
     return v + h * k2
 
 
-def _apply_bc_q(values: np.ndarray, params: ModelParams, grid: Grid, s: float, bc: str) -> None:
-    if bc == "dirichlet-profile":
-        pin = -params.kappa / (2.0 * params.p * s)
-        values[..., 0] = pin
-        values[..., -1] = pin
-    else:  # extrapolation
-        values[..., 0] = 2.0 * values[..., 1] - values[..., 2]
-        values[..., -1] = 2.0 * values[..., -2] - values[..., -3]
+def _apply_bc_q(values: np.ndarray, params: ModelParams, s: float) -> None:
+    values[..., [0, -1]] = -params.kappa / (2.0 * params.p * s)
 
 
-def _apply_bc_w(values: np.ndarray, params: ModelParams, grid: Grid, s: float, bc: str) -> None:
-    if bc == "dirichlet-profile":
-        values[0] = profile_f(params, grid.y[0] / np.sqrt(s)) + params.kappa / (
-            2.0 * params.p * s
-        )
-        values[-1] = profile_f(params, grid.y[-1] / np.sqrt(s)) + params.kappa / (
-            2.0 * params.p * s
-        )
-    else:  # extrapolation
-        values[0] = 2.0 * values[1] - values[2]
-        values[-1] = 2.0 * values[-2] - values[-3]
+def _apply_bc_w(values: np.ndarray, params: ModelParams, grid: Grid, s: float) -> None:
+    values[[0, -1]] = phi(params, grid.y[[0, -1]], s)
 
 
 def _guard(values: np.ndarray, s: float, overflow: float) -> None:
@@ -232,56 +196,6 @@ def _guard(values: np.ndarray, s: float, overflow: float) -> None:
     raise DivergenceError(s, message, rows)
 
 
-def _cn_apply(grid: Grid, values: np.ndarray, ds: float, shift: float = 0.0) -> np.ndarray:
-    """One Crank-Nicolson step of v' = (L - shift) v on the grid, per row.
-
-    L = d^2/dy^2 - (y/2) d/dy + 1 discretized with centered differences.
-    The boundary rows use a linearly extrapolated ghost node, which zeroes
-    the second derivative there and keeps the system tridiagonal; constants
-    then decay at the exact rate at every node (the caller re-imposes its
-    own boundary condition right after anyway).  The rows of a stack are
-    the right-hand sides of one banded solve.
-    """
-    from scipy.linalg import solve_banded
-
-    y, dy, n = grid.y, grid.dy, grid.n
-    inv2 = 1.0 / dy**2
-    diag = np.full(n, -2.0 * inv2 + 1.0 - shift)
-    upper = np.full(n - 1, inv2) - y[:-1] / (4.0 * dy)
-    lower = np.full(n - 1, inv2) + y[1:] / (4.0 * dy)
-    c0 = y[0] / (2.0 * dy)
-    cn = y[-1] / (2.0 * dy)
-    diag[0] = c0 + 1.0 - shift
-    upper[0] = -c0
-    diag[-1] = -cn + 1.0 - shift
-    lower[-1] = cn
-
-    h = 0.5 * ds
-    rhs = np.empty_like(values)
-    rhs[..., 1:-1] = (
-        values[..., 1:-1] * (1.0 + h * diag[1:-1])
-        + h * upper[1:] * values[..., 2:]
-        + h * lower[:-1] * values[..., :-2]
-    )
-    rhs[..., 0] = values[..., 0] * (1.0 + h * diag[0]) + h * upper[0] * values[..., 1]
-    rhs[..., -1] = values[..., -1] * (1.0 + h * diag[-1]) + h * lower[-1] * values[..., -2]
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -h * upper
-    ab[1, :] = 1.0 - h * diag
-    ab[2, :-1] = -h * lower
-    return np.ascontiguousarray(solve_banded((1, 1), ab, rhs.T).T)
-
-
-def _linear_substep(grid: Grid, values: np.ndarray, ds: float, cfg: SolverConfig,
-                    shift: float = 0.0) -> np.ndarray:
-    if cfg.scheme == "imex-cn":
-        return _cn_apply(grid, values, ds, shift)
-    out = apply_semigroup_values(ds, grid, values)
-    if shift != 0.0:
-        out = np.exp(-ds * shift) * out
-    return out
-
-
 def step_q(q: Field, params: ModelParams, cfg: SolverConfig) -> Field:
     """Advance the deviation (one field or a stack of rows) by one step of
     size cfg.ds.
@@ -293,9 +207,9 @@ def step_q(q: Field, params: ModelParams, cfg: SolverConfig) -> Field:
     s_new = q.s + ds
     rhs = SourceTerms(params, q.grid, q.s + 0.5 * ds).rhs
     v = _midpoint_half(rhs, q.values, 0.5 * ds)
-    v = _linear_substep(q.grid, v, ds, cfg)
+    v = apply_semigroup_values(ds, q.grid, v)
     v = _midpoint_half(rhs, v, 0.5 * ds)
-    _apply_bc_q(v, params, q.grid, s_new, cfg.bc)
+    _apply_bc_q(v, params, s_new)
     _guard(v, s_new, cfg.overflow)
     return Field(grid=q.grid, values=v, s=s_new)
 
@@ -334,9 +248,9 @@ def step_w(w: Field, params: ModelParams, cfg: SolverConfig) -> Field:
         return _power_flow(params, v, 0.5 * h, sm)
 
     v = half(w.values, 0.5 * ds)
-    v = _linear_substep(grid, v, ds, cfg, shift=p.p / (p.p - 1.0))
+    v = np.exp(-ds * (p.p / (p.p - 1.0))) * apply_semigroup_values(ds, grid, v)
     v = half(v, 0.5 * ds)
-    _apply_bc_w(v, params, grid, s_new, cfg.bc)
+    _apply_bc_w(v, params, grid, s_new)
     _guard(v, s_new, cfg.overflow)
     return Field(grid=grid, values=v, s=s_new)
 
@@ -572,12 +486,15 @@ def mode_ode_check(record: TrajectoryRecord, m: int) -> dict:
     }
 
 
+# trapezoid times of the integral-form check, spread evenly over its window
+_N_QUAD = 17
+
+
 def _duhamel_pieces(
     q_tau: Field,
     params: ModelParams,
     cfg: SolverConfig,
     s_target: float,
-    n_quad: int,
 ) -> tuple[Field, np.ndarray, int]:
     """q advanced from q_tau to s_target, the rows alpha, beta, gamma,
     delta, vpart of its integral form at s_target, and the number of
@@ -585,11 +502,9 @@ def _duhamel_pieces(
     tau = q_tau.s
     if s_target <= tau + cfg.ds:
         raise ValueError("integration window too short for the split check")
-    if n_quad < 2:
-        raise ValueError(f"the trapezoid sum needs n_quad >= 2 times, got {n_quad!r}")
     n_steps = window_steps(tau, s_target, cfg.ds)
     grid = q_tau.grid
-    marks = sorted({int(round(x)) for x in np.linspace(0.0, n_steps, n_quad)})
+    marks = sorted({int(round(x)) for x in np.linspace(0.0, n_steps, _N_QUAD)})
     sigma = np.array([tau + k * cfg.ds for k in marks])
     weights = np.zeros_like(sigma)
     weights[:-1] += 0.5 * np.diff(sigma)
@@ -626,14 +541,13 @@ def duhamel_split_check(
     trap: TrapParams,
     cfg: SolverConfig,
     s_target: float,
-    n_quad: int = 17,
 ) -> dict:
     """Reconstruct q(s) from its integral form and size up the source pieces.
 
     Starting from a snapshot q(tau), the trajectory is re-integrated to
     s_target (a whole number of steps of cfg.ds away) while the potential,
     nonlinear, residual and perturbation source fields are sampled at
-    n_quad times.  The reconstruction
+    17 times.  The reconstruction
 
         q(s) ~= e^{(s-tau)L} q(tau)
                 + int_tau^s e^{(s-sigma)L} [Vq + B + R + N](sigma) dsigma
@@ -660,9 +574,14 @@ def duhamel_split_check(
     let go with the call.  On a finite grid the gap kernels compose to
     e^{(s-sigma)L} only up to the clipping at the grid edge, so near the
     edge the sum differs from one with a kernel per time.
+
+    The global `reconstruction_residual` peaks at the pinned end nodes,
+    where the stepped field is set to its ansatz value and the integral
+    form is not; on the nodes of `semigroup.interior_mask` the
+    reconstruction closes far more tightly.
     """
     tau = q_tau.s
-    q, pieces, n_times = _duhamel_pieces(q_tau, params, cfg, s_target, n_quad)
+    q, pieces, n_times = _duhamel_pieces(q_tau, params, cfg, s_target)
     alpha, beta, gamma, delta, vpart = pieces
     s_end = q.s
     grid = q.grid
@@ -707,9 +626,10 @@ def forms_consistency_check(
     Both forms discretize the same dynamics with the same splitting, so away
     from the boundary the difference w - (phi + q) after n_steps is pure
     discretization error.  Within 2 of the ends the two forms see
-    different kernel-truncation and pinning errors (w is O(1) there, q is
-    O(1/s)), so the interior sup is the meaningful figure; the global sup is
-    reported alongside for scale.
+    different kernel-truncation and pinning errors: w is O(1) there, q is
+    O(1/s), and at the end nodes the pins -kappa/(2ps) of q and phi of w
+    leave a difference of kappa/(2ps).  So the interior sup is the
+    meaningful figure; the global sup is reported alongside for scale.
     """
     q = Field(grid=grid, values=q0_values.copy(), s=s0)
     w = Field(grid=grid, values=phi(params, grid.y, s0) + q0_values, s=s0)

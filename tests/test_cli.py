@@ -103,10 +103,10 @@ def test_override_lands_in_config_txt(base_ini, tmp_path):
     out = tmp_path / "res"
     main([
         "run", str(base_ini), "--out", str(out),
-        "--override", "solver.bc=extrapolation",
+        "--override", "solver.ds=0.02",
     ])
     lines = (out / "config.txt").read_text().splitlines()
-    assert "solver.bc=extrapolation" in lines
+    assert "solver.ds=0.02" in lines
     assert "trajectory.s_end=20.5" in lines  # file value survives
 
 
@@ -150,6 +150,7 @@ def test_config_errors_return_two(base_ini, tmp_path, capsys):
     ("model.alpha=nan", "[model] alpha: expected a finite number"),
     ("trajectory.s_end=20.029", "[trajectory] s_end: window [20.0, 20.029] is not a whole"),
     ("shooting.s_end=26.01", "[shooting] s_end: window [20.0, 26.01] is not a whole"),
+    ("solver.scheme=imex-cn", "override target 'solver.scheme' is not a known key"),
 ])
 def test_value_outside_the_schema_returns_two(base_ini, tmp_path, capsys, item, msg):
     out = tmp_path / "res"

@@ -1,6 +1,6 @@
-"""What importing the package loads: scipy.sparse (the kernel CSR) is the
-only scipy subpackage it needs, so a fresh process must not pay for the
-others."""
+"""What importing the package, and a run, loads: scipy.sparse (the kernel
+CSR) is the only scipy subpackage they need, so a fresh process must not
+pay for the others."""
 
 import os
 import subprocess
@@ -11,17 +11,50 @@ import blowup_lab
 
 _HEAVY = ("scipy.interpolate", "scipy.linalg", "scipy.optimize", "scipy.special")
 
+# a 5-step trajectory of the perturbed model (every perturbation switched on)
+_PERTURBED_RUN = """\
+[model]
+p = 2.0
+alpha = 1.0
+alpha_bar = 1.0
+mu = 1.0
+mu_bar = 1.0
+mu0 = 1.0
 
-def test_package_import_loads_no_heavy_scipy_subpackage():
+[trajectory]
+s0 = 20.0
+s_end = 20.05
+
+[experiment]
+kind = trajectory
+"""
+
+
+def _loaded_heavy(code: str) -> list[str]:
+    """The _HEAVY subpackages in sys.modules after `code` runs in a fresh
+    interpreter."""
     src = str(Path(blowup_lab.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    code = (
-        "import sys\n"
-        "import blowup_lab.experiments, blowup_lab.cli\n"
-        f"print(' '.join(m for m in {_HEAVY!r} if m in sys.modules))\n"
-    )
+    code += f"\nprint(' '.join(m for m in {_HEAVY!r} if m in sys.modules))\n"
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", "import sys\n" + code],
+        env=env, capture_output=True, text=True, check=True,
     )
-    assert out.stdout.split() == []
+    return out.stdout.splitlines()[-1].split() if out.stdout.strip() else []
+
+
+def test_package_import_loads_no_heavy_scipy_subpackage():
+    assert _loaded_heavy("import blowup_lab.experiments, blowup_lab.cli") == []
+
+
+def test_trajectory_run_loads_no_heavy_scipy_subpackage(tmp_path):
+    ini = tmp_path / "perturbed.ini"
+    ini.write_text(_PERTURBED_RUN)
+    code = (
+        "from blowup_lab import cli\n"
+        f"rc = cli.main(['run', {str(ini)!r}, '--out', {str(tmp_path / 'res')!r}])\n"
+        "assert rc == 0, rc\n"
+    )
+    assert _loaded_heavy(code) == []
+    assert (tmp_path / "res" / "MANIFEST.txt").exists()

@@ -20,7 +20,13 @@ from blowup_lab.model import (
     potential_V,
     remainder_R,
 )
-from blowup_lab.semigroup import _MATRIX_CACHE, banded_kernel, interior_mask, kernel_matrix
+from blowup_lab.semigroup import (
+    _MATRIX_CACHE,
+    apply_semigroup_values,
+    banded_kernel,
+    interior_mask,
+    kernel_matrix,
+)
 from blowup_lab.shooting import (
     InitialDataParams,
     initial_mode_map,
@@ -32,9 +38,7 @@ from blowup_lab.solver import (
     SolverConfig,
     SourceTerms,
     TrajectoryRecord,
-    _cn_apply,
     _duhamel_pieces,
-    _linear_substep,
     duhamel_split_check,
     forms_consistency_check,
     mode_ode_check,
@@ -60,10 +64,6 @@ def test_config_validation():
         SolverConfig(ds=0.0)
     with pytest.raises(ValueError, match="step size"):
         SolverConfig(ds=0.6)
-    with pytest.raises(ValueError, match="unknown scheme"):
-        SolverConfig(scheme="spectral")
-    with pytest.raises(ValueError, match="unknown boundary"):
-        SolverConfig(bc="periodic")
     with pytest.raises(ValueError, match="step size"):
         SolverConfig(ds=float("nan"))
     with pytest.raises(ValueError, match="overflow cap"):
@@ -96,88 +96,43 @@ def test_source_terms_rhs_matches_model_functions(lane, request):
 
 
 # ---------------------------------------------------------------------------
-# linear regime: the linear substep of either scheme is the bare semigroup
+# linear regime: the linear substep is the bare semigroup
 
 
 def test_zero_field_stays_zero():
     g = make_grid(20.0, 0.05)
-    for scheme in ("semigroup-split", "imex-cn"):
-        cfg = SolverConfig(ds=0.01, scheme=scheme)
-        v = np.zeros(g.n)
-        for _ in range(20):
-            v = _linear_substep(g, v, cfg.ds, cfg)
-        assert not np.any(v), scheme
+    v = np.zeros(g.n)
+    for _ in range(20):
+        v = apply_semigroup_values(0.01, g, v)
+    assert not np.any(v)
 
 
-@pytest.mark.parametrize(
-    "scheme,tol_h0",
-    [("semigroup-split", 1e-12), ("imex-cn", 2e-5)],  # CN pays O(ds^2)/step
-)
-def test_linear_growth_of_h0(scheme, tol_h0):
+def test_linear_growth_of_h0():
     # eigenvalue 1: after s - s0 = 1 the amplitude is e
     g = make_grid(20.0, 0.05)
-    cfg = SolverConfig(ds=0.01, scheme=scheme)
     v = 1e-6 * np.ones(g.n)
     for _ in range(100):
-        v = _linear_substep(g, v, cfg.ds, cfg)
+        v = apply_semigroup_values(0.01, g, v)
     mask = np.abs(g.y) <= 10.0
     rel = np.max(np.abs(v[mask] / (1e-6 * np.e) - 1.0))
-    assert rel < tol_h0
+    assert rel < 1e-12
 
 
-@pytest.mark.parametrize("scheme", ["semigroup-split", "imex-cn"])
-def test_neutral_mode_h2_is_invariant(scheme):
+def test_neutral_mode_h2_is_invariant():
     g = make_grid(20.0, 0.05)
-    cfg = SolverConfig(ds=0.01, scheme=scheme)
     h2 = 1e-6 * hermite_h(2, g.y)
     v = h2.copy()
     for _ in range(100):
-        v = _linear_substep(g, v, cfg.ds, cfg)
+        v = apply_semigroup_values(0.01, g, v)
     mask = np.abs(g.y) <= 10.0
     assert np.max(np.abs(v[mask] - h2[mask])) / 1e-6 < 1e-10
-
-
-# ---------------------------------------------------------------------------
-# Crank-Nicolson substep in isolation
-
-
-def test_cn_substep_on_eigenfunctions():
-    g = make_grid(20.0, 0.05)
-    mask = np.abs(g.y) <= 15.0
-    out0 = _cn_apply(g, np.ones(g.n), 0.01)
-    assert np.max(np.abs(out0[mask] - np.exp(0.01))) < 2e-7  # meas. 8.4e-8
-    h1 = g.y.copy()
-    out1 = _cn_apply(g, h1, 0.01)
-    assert np.max(np.abs(out1[mask] - np.exp(0.005) * h1[mask])) < 5e-7
-    h2 = hermite_h(2, g.y)
-    out2 = _cn_apply(g, h2, 0.01)
-    # centered differences are exact on quadratics: no interior error at all
-    assert np.max(np.abs(out2[mask] - h2[mask])) < 1e-12
-
-
-def test_cn_substep_shift_is_exponential_factor():
-    g = make_grid(20.0, 0.05)
-    mask = np.abs(g.y) <= 15.0
-    plain = _cn_apply(g, np.ones(g.n), 0.01, shift=0.0)
-    shifted = _cn_apply(g, np.ones(g.n), 0.01, shift=2.0)
-    # constants are the lambda = 1 eigenvector; the one-step amplification is
-    # the Pade factor (1 + a(lambda - c))/(1 - a(lambda - c)) with a = ds/2,
-    # so the shift shows up as the exact ratio of the two rational factors
-    ratio = shifted[mask] / plain[mask]
-    a = 0.005
-    expect = ((1 + a * (1 - 2.0)) / (1 - a * (1 - 2.0))) / ((1 + a) / (1 - a))
-    assert np.allclose(ratio, expect, rtol=1e-10)
 
 
 # ---------------------------------------------------------------------------
 # w form: exact fixed point and ODE order
 
 
-@pytest.mark.parametrize(
-    "scheme,cap",
-    [("semigroup-split", 5e-9), ("imex-cn", 1e-12)],
-)
-def test_kappa_fixed_point(scheme, cap):
+def test_kappa_fixed_point():
     """w = kappa solves the rescaled flow exactly; drift is splitting noise.
 
     Interior nodes only: within ~6 nodes of the boundary the truncated
@@ -186,12 +141,12 @@ def test_kappa_fixed_point(scheme, cap):
     """
     pr = make_params(2.0)
     g = make_grid(20.0, 0.025)
-    cfg = SolverConfig(ds=1e-3, scheme=scheme, bc="extrapolation")
+    cfg = SolverConfig(ds=1e-3)
     w = Field(grid=g, values=np.full(g.n, pr.kappa), s=20.0)
     for _ in range(10):
         w = step_w(w, pr, cfg)
     mask = np.abs(g.y) <= 15.0
-    assert np.max(np.abs(w.values[mask] - pr.kappa)) < cap
+    assert np.max(np.abs(w.values[mask] - pr.kappa)) < 5e-9
 
 
 def test_bernoulli_ode_second_order():
@@ -206,7 +161,7 @@ def test_bernoulli_ode_second_order():
     w_exact = 1.0 / ((u0 - 1.0) * np.exp(0.2) + 1.0)
     errs = []
     for ds in (0.02, 0.01, 0.005):
-        cfg = SolverConfig(ds=ds, bc="extrapolation")
+        cfg = SolverConfig(ds=ds)
         w = Field(grid=g, values=np.full(g.n, 0.8), s=20.0)
         for _ in range(int(round(0.2 / ds))):
             w = step_w(w, pr, cfg)
@@ -223,7 +178,7 @@ def test_power_flow_divergence_inside_step():
     g = make_grid(8.0, 0.1)
     w = Field(grid=g, values=np.full(g.n, 100.0), s=20.0)
     with pytest.raises(DivergenceError, match="blow-up time inside a step"):
-        step_w(w, pr, SolverConfig(ds=0.5, bc="extrapolation"))
+        step_w(w, pr, SolverConfig(ds=0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -241,23 +196,6 @@ def test_one_step_from_zero_matches_remainder_size():
             mask = np.abs(g.y) <= g.y_max - 1.0
             ratio = np.max(np.abs(q1.values[mask])) / (ds / s0)
             assert 0.2 < ratio < 0.3, (ds, s0, ratio)
-
-
-def test_scheme_cross_check_on_prepared_data():
-    """Kernel and Crank-Nicolson paths agree in the interior over 100 steps."""
-    pr = make_params(2.0)
-    g = _traj_grid()
-    init = initial_q(pr, g, InitialDataParams(d0=0.0128, d1=0.0, s0=20.0))
-    ends = {}
-    for scheme in ("semigroup-split", "imex-cn"):
-        cfg = SolverConfig(ds=0.01, scheme=scheme)
-        q = init.copy()
-        for _ in range(100):
-            q = step_q(q, pr, cfg)
-        ends[scheme] = q.values
-    mask = np.abs(g.y) <= g.y_max - 2.0
-    diff = np.max(np.abs(ends["semigroup-split"][mask] - ends["imex-cn"][mask]))
-    assert diff < 1e-6  # measured 1.05e-7
 
 
 def test_forms_consistency():
@@ -390,17 +328,9 @@ def _assert_records_equal(a: TrajectoryRecord, b: TrajectoryRecord) -> None:
     assert repr(a.exit) == repr(b.exit)
 
 
-@pytest.mark.parametrize(
-    "lane,scheme,bc",
-    [
-        ("pure_p2", "semigroup-split", "dirichlet-profile"),
-        ("perturbed_p2", "semigroup-split", "extrapolation"),
-        ("pure_p2", "imex-cn", "extrapolation"),
-        ("perturbed_p2", "imex-cn", "dirichlet-profile"),
-    ],
-)
+@pytest.mark.parametrize("lane", ["pure_p2", "perturbed_p2"])
 @pytest.mark.parametrize("narrow_trap", [True, False])
-def test_batched_rows_match_single_runs(lane, scheme, bc, narrow_trap, request):
+def test_batched_rows_match_single_runs(lane, narrow_trap, request):
     """Row k of a K = 5 ensemble is bit for bit the trajectory run alone.
 
     In the narrow trap (A = 8) the far row leaves at once and the edge row
@@ -428,7 +358,7 @@ def test_batched_rows_match_single_runs(lane, scheme, bc, narrow_trap, request):
         else initial_q(pr, g, InitialDataParams(d0=pt[0], d1=pt[1], s0=s0))
         for pt in points
     ]
-    cfg = SolverConfig(ds=ds, scheme=scheme, bc=bc, overflow=1e3)
+    cfg = SolverConfig(ds=ds, overflow=1e3)
     batched = run_trajectories(inits, pr, trap, cfg, s_end, record_stride=3)
     assert len(batched) == len(inits)
     for q, rec in zip(inits, batched):
@@ -499,7 +429,7 @@ def test_duhamel_split_pure_case():
     g = _traj_grid()
     trap = TrapParams(A=8.0, K0=4.0)
     init = initial_q(pr, g, InitialDataParams(d0=0.0128, d1=0.0, s0=20.0))
-    out = duhamel_split_check(init, pr, trap, SolverConfig(ds=0.01), 21.0, n_quad=17)
+    out = duhamel_split_check(init, pr, trap, SolverConfig(ds=0.01), 21.0)
     assert out["delta_sup"] == 0.0
     assert out["C_delta2"] == out["C_delta_minus"] == out["C_delta_e"] == 0.0
     # frozen piece sizes for this window (tau=20 -> s=21)
@@ -517,7 +447,7 @@ def test_duhamel_split_perturbed_case():
     g = _traj_grid()
     trap = TrapParams(A=8.0, K0=4.0)
     init = initial_q(pr, g, InitialDataParams(d0=0.0128, d1=0.0, s0=20.0))
-    out = duhamel_split_check(init, pr, trap, SolverConfig(ds=0.01), 21.0, n_quad=17)
+    out = duhamel_split_check(init, pr, trap, SolverConfig(ds=0.01), 21.0)
     # the perturbation piece is exponentially small but nonzero
     assert 0.0 < out["delta_sup"] < 1e-5  # measured 3.25e-6
     # empirical envelope constants (value * s^3 / window) stay moderate
@@ -527,11 +457,11 @@ def test_duhamel_split_perturbed_case():
     assert out["reconstruction_residual"] < 0.25 * out["q_sup"]
 
 
-def _quadrature_samples(init, pr, cfg, s_target, n_quad):
-    """q at s_target and the trapezoid times, weights and source rows
+def _quadrature_samples(init, pr, cfg, s_target):
+    """q at s_target and the 17 trapezoid times, weights and source rows
     [B, R, N, Vq] of the integral form, stepped as the check steps."""
     n_steps = round((s_target - init.s) / cfg.ds)
-    marks = sorted({int(round(x)) for x in np.linspace(0.0, n_steps, n_quad)})
+    marks = sorted({int(round(x)) for x in np.linspace(0.0, n_steps, 17)})
     samples, q = [], init.copy()
     for k in range(n_steps + 1):
         if k:
@@ -548,10 +478,10 @@ def _quadrature_samples(init, pr, cfg, s_target, n_quad):
     return q, sigma, weights, [rows for _, rows in samples]
 
 
-def _direct_duhamel_pieces(init, pr, cfg, s_target, n_quad):
+def _direct_duhamel_pieces(init, pr, cfg, s_target):
     """The reference sum: one kernel per quadrature time, of theta = s - sigma_k,
     applied to that time's sources (the first also carries q(tau))."""
-    q, sigma, weights, rows = _quadrature_samples(init, pr, cfg, s_target, n_quad)
+    q, sigma, weights, rows = _quadrature_samples(init, pr, cfg, s_target)
     g = q.grid
     alpha = banded_kernel(q.s - init.s, g) @ init.values
     pieces = np.zeros((4, g.n))
@@ -573,8 +503,8 @@ def test_duhamel_horner_sum_matches_the_direct_sum(lane, request):
     trap = TrapParams(A=8.0, K0=4.0)
     init = initial_q(pr, g, InitialDataParams(d0=0.0128, d1=0.0, s0=20.0))
     cfg = SolverConfig(ds=0.01)
-    q_ref, ref = _direct_duhamel_pieces(init, pr, cfg, 21.0, 17)
-    q, pieces, n_times = _duhamel_pieces(init, pr, cfg, 21.0, 17)
+    q_ref, ref = _direct_duhamel_pieces(init, pr, cfg, 21.0)
+    q, pieces, n_times = _duhamel_pieces(init, pr, cfg, 21.0)
     assert n_times == 17
     assert np.array_equal(q.values, q_ref.values)
     inner = interior_mask(g)
@@ -584,12 +514,28 @@ def test_duhamel_horner_sum_matches_the_direct_sum(lane, request):
         assert np.max(gap[inner]) <= 1e-13 * sup, name
         assert np.max(gap) <= 1e-3 * sup, name
 
-    out = duhamel_split_check(init, pr, trap, cfg, 21.0, n_quad=17)
+    out = duhamel_split_check(init, pr, trap, cfg, 21.0)
     d = decompose(Field(grid=g, values=ref[3], s=21.0), trap.K0)
     scale = 21.0**3 / 1.0
     assert out["C_delta2"] == pytest.approx(abs(d.q2) * scale, rel=1e-12)
     assert out["C_delta_minus"] == pytest.approx(seminorm_minus(d) * scale, rel=1e-12)
     assert out["C_delta_e"] == pytest.approx(d.q_e.sup() * scale, rel=1e-12)
+
+
+@pytest.mark.parametrize("lane", ["pure_p2", "perturbed_p2"])
+def test_duhamel_reconstruction_closes_inside_the_edge_collar(lane, request):
+    """The global residual peaks at the pinned end nodes (3.3e-3 at
+    y = +-42.55 here); inside the kernel's edge collar the integral form
+    closes to 7.0e-4 q_sup in both lanes."""
+    pr = request.getfixturevalue(lane)
+    g = _traj_grid()
+    assert g.n == 1703
+    init = initial_q(pr, g, InitialDataParams(d0=0.0128, d1=0.0, s0=20.0))
+    q, (alpha, beta, gamma, delta, vpart), _ = _duhamel_pieces(
+        init, pr, SolverConfig(ds=0.01), 21.0
+    )
+    gap = np.abs(alpha + beta + gamma + delta + vpart - q.values)
+    assert np.max(gap[interior_mask(g)]) <= 2e-3 * q.sup()
 
 
 def test_duhamel_builds_only_the_gap_kernels(perturbed_p2, monkeypatch):
@@ -604,17 +550,9 @@ def test_duhamel_builds_only_the_gap_kernels(perturbed_p2, monkeypatch):
     g = _traj_grid()
     trap = TrapParams(A=8.0, K0=4.0)
     init = initial_q(perturbed_p2, g, InitialDataParams(d0=0.0128, d1=0.0, s0=20.0))
-    duhamel_split_check(init, perturbed_p2, trap, SolverConfig(ds=0.01), 21.0, n_quad=17)
+    duhamel_split_check(init, perturbed_p2, trap, SolverConfig(ds=0.01), 21.0)
     assert len(thetas) <= 2
     assert sorted(thetas) == pytest.approx([0.06, 0.07], rel=1e-12)
-
-
-def test_duhamel_needs_two_quadrature_times(pure_p2):
-    g = _traj_grid()
-    init = initial_q(pure_p2, g, InitialDataParams(d0=0.0128, d1=0.0, s0=20.0))
-    with pytest.raises(ValueError, match="n_quad >= 2"):
-        duhamel_split_check(init, pure_p2, TrapParams(A=8.0, K0=4.0), SolverConfig(ds=0.01),
-                            20.2, n_quad=1)
 
 
 def test_duhamel_kernels_stay_out_of_the_cache(perturbed_p2):
@@ -627,20 +565,22 @@ def test_duhamel_kernels_stay_out_of_the_cache(perturbed_p2):
     cfg = SolverConfig(ds=0.01)
     kernel_matrix(cfg.ds, g)  # the stepping kernel, cached before the check
     before = list(_MATRIX_CACHE)
-    out = duhamel_split_check(init, pr, trap, cfg, 20.2, n_quad=5)
+    out = duhamel_split_check(init, pr, trap, cfg, 20.2)
     assert list(_MATRIX_CACHE) == before
 
-    # the same Horner sums with one product per row: the marks of n_quad = 5
-    # over 20 steps are 5 steps apart
-    q, _, weights, rows = _quadrature_samples(init, pr, cfg, 20.2, 5)
-    gap_kernel = banded_kernel(5 * cfg.ds, g)
+    # the same Horner sums with one product per row: the 17 times over 20
+    # steps sit 1 or 2 steps apart
+    q, sigma, weights, rows = _quadrature_samples(init, pr, cfg, 20.2)
+    gaps = np.rint(np.diff(sigma) / cfg.ds).astype(int)
+    kernels = {gap: banded_kernel(gap * cfg.ds, g) for gap in set(gaps.tolist())}
+    assert sorted(kernels) == [1, 2]
     alpha = init.values
     pieces = [weights[0] * row for row in rows[0]]
-    for wgt, srcs in zip(weights[1:], rows[1:]):
-        alpha = gap_kernel @ alpha
-        pieces = [gap_kernel @ acc + wgt * row for acc, row in zip(pieces, srcs)]
+    for gap, wgt, srcs in zip(gaps, weights[1:], rows[1:]):
+        alpha = kernels[gap] @ alpha
+        pieces = [kernels[gap] @ acc + wgt * row for acc, row in zip(pieces, srcs)]
     beta, gamma, delta, vpart = pieces
-    assert out["n_quad"] == 5
+    assert out["n_quad"] == 17
     assert out["alpha_sup"] == np.max(np.abs(alpha))
     assert out["beta_sup"] == np.max(np.abs(beta))
     assert out["gamma_sup"] == np.max(np.abs(gamma))
