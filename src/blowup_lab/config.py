@@ -25,7 +25,7 @@ from .grids import Grid, default_y_max, make_grid
 from .hermite import check_cutoff_support
 from .model import make_params
 from .physical import PhysicalConfig
-from .semigroup import band_reach, interior_mask
+from .semigroup import band_layout, interior_mask
 from .shooting import InitialDataParams
 from .solver import SolverConfig, window_steps
 from .trapset import TrapParams
@@ -127,20 +127,22 @@ _PHYSICAL_KINDS = ("physical", "stability", "full-pipeline")
 # the tests stay below 200 MiB.
 MEMORY_BUDGET = 2 * 2**30
 
-# What the largest arrays of a run cost, as tracemalloc measured them on
-# the 2465-node grid: a kernel keeps 12 bytes per stored entry (float64
-# value, int32 column) and takes 36 bytes per entry of the window it
-# evaluates while it is built; one row of the (K, n) stack takes about 175
-# bytes per node through a step and an observation; one observation of one
-# row is 15 float64 columns and an inside flag; the physical run takes
-# about 165 bytes per node.
-_KERNEL_KEPT_BYTES = 12
-_KERNEL_BUILD_BYTES = 36
+# What the largest arrays of a run cost, as tracemalloc measured them: a
+# kernel keeps 8 bytes per stored band entry (`semigroup.band_layout`'s
+# width per node, float64 values); its build adds about 48 bytes per node
+# (47.5-48.3 on the 12315-node grid at theta = 0.02, 0.07 and 5: the padded
+# node positions and weights, the grid's own, and one chunk of 2**14
+# window entries, about 0.3 MiB at any width).  On the 2465-node grid, one
+# row of the (K, n) stack takes about 175 bytes per node through a step
+# and an observation; one observation of one row is 15 float64 columns and
+# an inside flag; the physical run takes about 165 bytes per node.
+_KERNEL_KEPT_BYTES = 8
+_KERNEL_BUILD_BYTES = 48
 _ROW_NODE_BYTES = 180
 _OBSERVATION_BYTES = 15 * 8 + 1
 _PHYSICAL_NODE_BYTES = 170
-# the semigroup checks keep eight kernels, the widest at theta = 5, whose
-# band is within 1 % of the widest of any theta
+# the semigroup checks keep eight kernels of theta up to 5, each sized as
+# theta = inf, whose stored band is within 2.5 % of the widest of any theta
 _CHECK_KERNELS = 8
 
 
@@ -242,10 +244,10 @@ def _check_memory(cfg: dict, kind: str) -> None:
         s_max, thetas, rows, n_obs = demand
         # a derived half-width can overflow to inf on finite inputs
         grid = _build("grid", run_grid, cfg=cfg, s_max=s_max)
-        widths = [min(grid.n, 2 * band_reach(theta, grid.dy) + 1) for theta in thetas]
+        widths = [band_layout(theta, grid)[2] for theta in thetas]
         per_node = (
             _KERNEL_KEPT_BYTES * sum(widths)
-            + _KERNEL_BUILD_BYTES * max(widths, default=0)
+            + (_KERNEL_BUILD_BYTES if thetas else 0)
             + _ROW_NODE_BYTES * rows
         )
         cap = (MEMORY_BUDGET - _OBSERVATION_BYTES * rows * n_obs) // per_node

@@ -17,26 +17,34 @@ directly from the convolution structure and are checked numerically here:
 
 Discrete application is plain trapezoid quadrature of the kernel, so the
 quadrature exactness of the Gaussian integrands on these grids is kept.
-The matrix is stored banded as one CSR matrix with int32 indices: row i
-is a Gaussian centred at y_i e^(-theta/2), and only its entries at or
-above KERNEL_FLOOR = 1e-17 of the row's max are built and kept.  The
-dropped mass is below 1e-16 of the row sum, a truncation below roundoff,
-and every kept entry is bitwise the dense one.  `kernel_matrix` caches one
-matrix per (theta, grid) for the step sizes used again and again;
+Row i of the matrix is a Gaussian centred at y_i e^(-theta/2), and it is
+stored as a band: the W values of the columns from i + shift_b on, where
+the shift is shared by a block b of consecutive rows.  The centre drifts by
+1 - e^(-theta/2) columns per row against the diagonal, so W is the window
+each row needs plus the drift across one block, and the blocks are sized to
+keep that padding near a quarter of the window.  Entries below
+KERNEL_FLOOR = 1e-17 of the row's max, and the columns past the grid edge,
+are stored as 0.0.  The dropped mass is below 1e-16 of the row sum, a
+truncation below roundoff, and every kept entry is bitwise the dense one.
+Applying the band to a vector is one product over a strided, copy-free
+window view of the zero-padded vector per block.  `kernel_matrix` caches
+one band per (theta, grid) for the step sizes used again and again;
 `banded_kernel` builds one that the caller holds only for the length of one
 call, as the quadrature checks do for the gaps between their times.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.sparse import csr_array
 
 from .grids import Field, Grid, gradient
 
 __all__ = [
     "kernel_eval",
-    "band_reach",
+    "band_layout",
+    "BandKernel",
     "banded_kernel",
     "kernel_matrix",
     "apply_semigroup",
@@ -49,12 +57,15 @@ __all__ = [
 # entries below this fraction of their row's max are not stored
 KERNEL_FLOOR = 1e-17
 
+# window entries a build evaluates at once
+_BUILD_ENTRIES = 2**14
+
 # Nodes within 8 standard deviations of the widest kernel (variance
 # 2(1 - e^-theta) < 2) of the grid edge see it clipped by the finite domain.
 _EDGE_COLLAR = 8.0 * np.sqrt(2.0)
 
 # (theta, grid) -> banded quadrature matrix
-_MATRIX_CACHE: dict[tuple, csr_array] = {}
+_MATRIX_CACHE: dict[tuple, BandKernel] = {}
 _MATRIX_CACHE_LIMIT = 40
 
 
@@ -74,45 +85,140 @@ def _cache_key(theta: float, grid: Grid) -> tuple:
     return (round(float(theta), 14), grid.key())
 
 
-def band_reach(theta: float, dy: float) -> int:
-    """Columns that `banded_kernel` evaluates on each side of a row's
-    centre node; theta = inf gives the widest band of any theta."""
+def _band_reach(theta: float, dy: float) -> int:
+    """Columns on each side of a row's centre node that hold every entry at
+    or above the floor; theta = inf gives the widest band of any theta."""
     half = np.sqrt(4.0 * (1.0 - np.exp(-theta)) * np.log(2.0 / KERNEL_FLOOR))
     # half / dy overflows when dy is subnormal: a reach past any grid is
     # cut to 2**53, which stays a finite int, and the callers clip it to n
     return int(np.ceil(min(half, 2.0**53 * dy) / dy)) + 2
 
 
-def banded_kernel(theta: float, grid: Grid) -> csr_array:
+def band_layout(theta: float, grid: Grid) -> tuple[int, int, int]:
+    """(reach, rows per block, stored width W) of the band of e^(theta L).
+
+    Row i needs the columns within `reach` of its centre node
+    rint(y_i e^(-theta/2) / dy) + n_half; the window reaches
+    sqrt(4 (1 - e^-theta) ln(2 / KERNEL_FLOOR)) + 2 dy past that node,
+    which holds every entry at or above the floor: the row max is at least
+    the entry of that node, which is within dy/2 of the centre and may be a
+    half-weight end node, hence the ln 2.  Against the row index the centre
+    falls behind by d = 1 - e^(-theta/2) per row, so over a block of R rows
+    the window start moves by at most ceil((R - 1) d) + 1 columns less than
+    the row: that is the padding a shared shift needs.  Blocks hold about
+    window / (4 d) rows, which keeps the padding near a quarter of the
+    window.  Closed form, so that it sizes grids too large to build.
+    """
+    reach = min(_band_reach(theta, grid.dy), grid.n)
+    window = 2 * reach + 1
+    drift = float(1.0 - np.exp(-0.5 * theta))
+    rows = -(-grid.n // max(1, math.ceil(4.0 * grid.n * drift / window)))
+    return reach, rows, window + math.ceil((rows - 1) * drift) + 1
+
+
+def _windows(buf: np.ndarray, n_rows: int, width: int, first: int, step: int = 1):
+    """A copy-free (n_rows, width) view of the flat data of buf: row r holds
+    the width entries from first + r * step on."""
+    item = buf.itemsize
+    return np.ndarray(
+        (n_rows, width), buffer=buf, offset=first * item, strides=(step * item, item)
+    )
+
+
+class BandKernel:
+    """The (n, n) quadrature matrix of e^(theta L), stored as a sheared band.
+
+    `data` is (n, W): row i holds the columns from start_i on, where
+    start_i = i + shift_b on the rows of block b.  The vector a product
+    reads is padded with `left` zeros in front and zeros behind, so every
+    window lies inside it.  `blocks` lists (rows, row values, index in the
+    padded vector of the first row's window).
+    """
+
+    def __init__(self, data: np.ndarray, blocks: list, left: int, length: int):
+        self.data = data
+        self.shape = (data.shape[0], data.shape[0])
+        self._blocks = blocks
+        self._left = left
+        self._length = length
+
+    @property
+    def nnz(self) -> int:
+        """Stored entries, zeros included."""
+        return self.data.size
+
+    def _apply(self, x: np.ndarray) -> np.ndarray:
+        """The product with one vector; every other product is made of these."""
+        n, width = self.data.shape
+        padded = np.zeros(self._length)
+        padded[self._left:self._left + n] = x
+        out = np.empty(n)
+        for rows, vals, first in self._blocks:
+            win = _windows(padded, len(vals), width, first)
+            np.einsum("ij,ij->i", vals, win, out=out[rows])
+        return out
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """A vector, or an (n, m) block column by column."""
+        if x.ndim == 2:
+            return np.stack([self._apply(col) for col in x.T], axis=1)
+        return self._apply(x)
+
+    def toarray(self) -> np.ndarray:
+        """The dense (n, n) matrix."""
+        n, width = self.data.shape
+        wide = np.zeros((n, self._length))
+        for rows, vals, first in self._blocks:
+            start = rows.start * self._length + first
+            _windows(wide, len(vals), width, start, self._length + 1)[...] = vals
+        return wide[:, self._left:self._left + n].copy()
+
+
+def banded_kernel(theta: float, grid: Grid) -> BandKernel:
     """A[i, j] = w_j * kernel(theta, y_i, x_j) where >= KERNEL_FLOOR * max_j A[i, j].
 
-    Built afresh on every call; `kernel_matrix` is the cached form.
-
-    Each row is evaluated on a window of columns of one width, clipped into
-    the grid, around the node nearest its centre y_i e^(-theta/2).  The
-    window reaches sqrt(4 (1 - e^-theta) ln(2 / KERNEL_FLOOR)) + 2 dy past
-    that node, which holds every entry at or above the floor: the row max
-    is at least the entry of that node, which is within dy/2 of the centre
-    and may be a half-weight end node, hence the ln 2.  The indices are
-    int32 whenever the n * width window entries fit, as on every grid here.
+    Built afresh on every call; `kernel_matrix` is the cached form.  The
+    band is evaluated in chunks of rows, each of them by `kernel_eval`
+    against a window view of the padded node positions, so the build holds
+    little beyond the band it returns.
     """
     if theta <= 0:
         raise ValueError(f"theta must be > 0, got {theta!r}")
-    y, n = grid.y, grid.n
-    reach = min(band_reach(theta, grid.dy), n)
-    width = min(n, 2 * reach + 1)
-    index = np.int32 if n * width <= np.iinfo(np.int32).max else np.int64
-    centre = np.rint(y * np.exp(-0.5 * theta) / grid.dy).astype(index) + grid.n_half
-    first = np.clip(centre - reach, 0, n - width)
-    cols = first[:, None] + np.arange(width, dtype=index)
-    vals = kernel_eval(theta, y[:, None], y[cols]) * grid.weights[cols]
-    keep = vals >= KERNEL_FLOOR * vals.max(axis=1, keepdims=True)
-    indptr = np.zeros(n + 1, dtype=index)
-    np.cumsum(keep.sum(axis=1), out=indptr[1:])
-    return csr_array((vals[keep], cols[keep], indptr), shape=(n, n))
+    n = grid.n
+    reach, rows, width = band_layout(theta, grid)
+    firsts = np.arange(0, n, rows)
+    lasts = np.minimum(firsts + rows, n) - 1
+    centre = np.rint(grid.y[lasts] * np.exp(-0.5 * theta) / grid.dy).astype(np.int64)
+    # the window of row i starts at column i + shift of its block; the
+    # centre falls behind the row, so the block's last row sets the shift
+    shifts = centre + grid.n_half - reach - lasts
+    left = max(0, -int(np.min(firsts + shifts)))
+    length = left + max(n, int(np.max(lasts + shifts)) + width)
+    # node positions and weights on the padded columns, zero weight off the
+    # grid; the grid part is bitwise grid.y
+    ys = (np.arange(-left, length - left) - grid.n_half) * grid.dy
+    ws = np.zeros(length)
+    ws[left:left + n] = grid.weights
+    data = np.empty((n, width))
+    chunk = max(1, _BUILD_ENTRIES // width)
+    blocks = []
+    for first, last, shift in zip(firsts.tolist(), lasts.tolist(), shifts.tolist()):
+        start = left + first + shift
+        for r0 in range(first, last + 1, chunk):
+            r1 = min(r0 + chunk, last + 1)
+            at = start + r0 - first
+            vals = data[r0:r1]
+            np.multiply(
+                kernel_eval(theta, grid.y[r0:r1, None], _windows(ys, r1 - r0, width, at)),
+                _windows(ws, r1 - r0, width, at),
+                out=vals,
+            )
+            vals[vals < KERNEL_FLOOR * vals.max(axis=1, keepdims=True)] = 0.0
+        blocks.append((slice(first, last + 1), data[first:last + 1], start))
+    return BandKernel(data, blocks, left, length)
 
 
-def kernel_matrix(theta: float, grid: Grid) -> csr_array:
+def kernel_matrix(theta: float, grid: Grid) -> BandKernel:
     """Banded quadrature matrix A[i, j] = w_j * kernel(theta, y_i, x_j), cached."""
     key = _cache_key(theta, grid)
     mat = _MATRIX_CACHE.get(key)

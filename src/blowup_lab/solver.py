@@ -518,8 +518,8 @@ def _duhamel_pieces(
         n = src.N(q.values) if params.perturbed else np.zeros_like(q.values)
         return np.stack([src.B(q.values), src.R, n, src.V * q.values], axis=1)
 
-    # one column per piece (alpha, beta, gamma, delta, vpart): the CSR
-    # product takes an (n, 5) array as it is
+    # one column per piece (alpha, beta, gamma, delta, vpart): the band
+    # kernel multiplies an (n, 5) array column by column
     acc = np.empty((grid.n, 5))
     acc[:, 0] = q_tau.values
     acc[:, 1:] = weights[0] * sources(q_tau)

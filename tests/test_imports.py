@@ -1,6 +1,7 @@
-"""What importing the package, and a run, loads: scipy.sparse (the kernel
-CSR) is the only scipy subpackage they need, so a fresh process must not
-pay for the others."""
+"""What importing the package, and a run, loads: no scipy module at all,
+so a fresh process pays for none.  The kernel is a numpy band; only a
+perturbed `homogeneous_oracle`, which no experiment kind calls, imports
+`scipy.integrate` when it runs."""
 
 import os
 import subprocess
@@ -30,18 +31,43 @@ kind = trajectory
 """
 
 
-def _loaded_heavy(code: str) -> list[str]:
-    """The _HEAVY subpackages in sys.modules after `code` runs in a fresh
+def _loaded_scipy(code: str) -> list[str]:
+    """The scipy modules in sys.modules after `code` runs in a fresh
     interpreter."""
     src = str(Path(blowup_lab.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    code += f"\nprint(' '.join(m for m in {_HEAVY!r} if m in sys.modules))\n"
+    code += (
+        "\nprint(' '.join(m for m in sys.modules"
+        " if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
     out = subprocess.run(
         [sys.executable, "-c", "import sys\n" + code],
         env=env, capture_output=True, text=True, check=True,
     )
     return out.stdout.splitlines()[-1].split() if out.stdout.strip() else []
+
+
+def _loaded_heavy(code: str) -> list[str]:
+    """The _HEAVY subpackages among them."""
+    return [m for m in _loaded_scipy(code) if m in _HEAVY]
+
+
+def test_package_import_loads_no_scipy():
+    assert _loaded_scipy("import blowup_lab.experiments, blowup_lab.cli") == []
+
+
+def test_trajectory_run_loads_no_scipy(tmp_path):
+    # the run builds and applies a kernel
+    ini = tmp_path / "perturbed.ini"
+    ini.write_text(_PERTURBED_RUN)
+    code = (
+        "from blowup_lab import cli\n"
+        f"rc = cli.main(['run', {str(ini)!r}, '--out', {str(tmp_path / 'res')!r}])\n"
+        "assert rc == 0, rc\n"
+    )
+    assert _loaded_scipy(code) == []
+    assert (tmp_path / "res" / "MANIFEST.txt").exists()
 
 
 def test_package_import_loads_no_heavy_scipy_subpackage():

@@ -12,6 +12,9 @@ import importlib.util
 import sys
 from pathlib import Path
 
+from blowup_lab.grids import default_y_max, make_grid
+from blowup_lab.semigroup import kernel_matrix
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -45,3 +48,15 @@ def test_physical_workload_configs_build(monkeypatch):
     work = _load("workloads", monkeypatch).Physical(0)
     work.setup()
     assert work.run_cfg.n_x == 3201 and work.probe_cfg.n_x == 1601
+
+
+def test_operator_size_reads_the_band_kernel(monkeypatch):
+    # the traced cache_mb and apply figures read nnz and data of the kernel
+    tracing = _load("tracing", monkeypatch)
+    grid = make_grid(default_y_max(4.0, 50.0), 0.05)
+    assert grid.n == 2465
+    kernel = kernel_matrix(0.02, grid)
+    entries, nbytes = tracing.operator_size(kernel)
+    assert (entries, nbytes) == (kernel.nnz, kernel.data.nbytes)
+    assert entries > 0 and nbytes > 0
+    assert nbytes <= 2.5 * 2**20  # 1.71 MiB measured

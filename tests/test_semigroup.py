@@ -5,6 +5,8 @@ quadrature of Gaussian integrands (spectrally small) plus kernel truncation
 at the domain edge; assertions are masked away from the edge accordingly.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from blowup_lab.hermite import hermite_h
 from blowup_lab.semigroup import (
     apply_semigroup,
     apply_semigroup_values,
+    band_layout,
     banded_kernel,
     kernel_comparison_check,
     kernel_eval,
@@ -137,10 +140,11 @@ def test_kernel_stores_exactly_the_entries_above_the_floor(theta):
     stored = banded.toarray()
     assert np.array_equal(stored != 0.0, keep)
     assert np.array_equal(stored[keep], dense[keep])  # bitwise
+    # the band stores W entries per row, zeros included
+    assert banded.data.shape == (grid.n, band_layout(theta, grid)[2])
+    assert banded.nnz == banded.data.size
     if theta == 0.02:  # the solver's step on the acceptance grid
-        assert banded.nnz < 0.05 * grid.n**2
-    assert kernel_matrix(0.02, grid).indices.dtype == np.int32
-    assert banded.indptr.dtype == np.int32
+        assert banded.nnz < 0.05 * grid.n**2  # 3.7 % measured
 
 
 def test_matrix_cache_consistency(grid20):
@@ -148,7 +152,26 @@ def test_matrix_cache_consistency(grid20):
     b = kernel_matrix(0.37, grid20)
     assert a is b  # cached object
     c = kernel_matrix(0.37, make_grid(20.0, 0.05))
-    assert a.shape == c.shape and (a != c).nnz == 0
+    assert a.shape == c.shape and np.array_equal(a.toarray(), c.toarray())
+
+
+def test_kernel_build_holds_little_beyond_the_band():
+    # the build evaluates the band in chunks of rows; 1.13 measured
+    grid = make_grid(default_y_max(4.0, 50.0), 0.05)
+    assert grid.n == 2465
+    tracemalloc.start()
+    try:
+        kernel = banded_kernel(0.07, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * kernel.data.nbytes
+
+
+def test_band_layout_of_a_step_below_roundoff(grid20):
+    # 1 - e^(-theta/2) rounds to 0 at theta = 2**-60, a step size that
+    # validation accepts on a window of 2**-50 from s0 = 4: one block
+    assert band_layout(2.0**-60, grid20)[1] == grid20.n
 
 
 def test_smoothing_constants_bounded(grid20):
