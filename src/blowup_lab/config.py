@@ -129,21 +129,22 @@ MEMORY_BUDGET = 2 * 2**30
 
 # What the largest arrays of a run cost, as tracemalloc measured them: a
 # kernel keeps 8 bytes per stored band entry (`semigroup.band_layout`'s
-# width per node, float64 values); its build adds about 48 bytes per node
-# (47.5-48.3 on the 12315-node grid at theta = 0.02, 0.07 and 5: the padded
-# node positions and weights, the grid's own, and one chunk of 2**14
-# window entries, about 0.3 MiB at any width).  On the 2465-node grid, one
+# width per node, float64 values); its build adds about 34 bytes per node
+# (32.3-34.1 on the 12315-node grid at theta = 0.01, 0.02, 0.07 and 5: the
+# padded node positions and weights, the grid's own, and one chunk of 2**13
+# window entries, about 0.15 MiB at any width).  On the 2465-node grid, one
 # row of the (K, n) stack takes about 175 bytes per node through a step
 # and an observation; one observation of one row is 15 float64 columns and
 # an inside flag; the physical run takes about 165 bytes per node.
 _KERNEL_KEPT_BYTES = 8
-_KERNEL_BUILD_BYTES = 48
+_KERNEL_BUILD_BYTES = 34
 _ROW_NODE_BYTES = 180
 _OBSERVATION_BYTES = 15 * 8 + 1
 _PHYSICAL_NODE_BYTES = 170
-# the semigroup checks keep eight kernels of theta up to 5, each sized as
-# theta = inf, whose stored band is within 2.5 % of the widest of any theta
-_CHECK_KERNELS = 8
+# the semigroup checks keep nine kernels, of theta 0.01, 1/32, 0.1, 0.3,
+# 0.5, 0.7, 1, 2 and 5, each sized as theta = inf, whose stored band is
+# within 2.5 % of the widest of any theta
+_CHECK_KERNELS = 9
 
 
 def default_config() -> dict:

@@ -50,6 +50,7 @@ __all__ = [
     "hermite_norm_sq",
     "inner_rho",
     "cutoff_chi",
+    "cutoff_support",
     "SpectralDecomp",
     "check_cutoff_support",
     "decompose",
@@ -161,6 +162,11 @@ class SpectralDecomp:
         return out + self.q_minus.values + self.q_e.values
 
 
+def cutoff_support(grid: Grid, K0: float, s: float) -> np.ndarray:
+    """The nodes of the cutoff's support at time s, |y| <= 2*K0*sqrt(s)."""
+    return np.abs(grid.y) <= 2.0 * K0 * np.sqrt(s)
+
+
 def check_cutoff_support(y_max: float, K0: float, s: float) -> None:
     """Raise ValueError unless a grid of half-width y_max holds the cutoff
     support at time s, 2*K0*sqrt(s) <= y_max."""
@@ -229,8 +235,7 @@ def seminorm_minus(d: SpectralDecomp):
     analytic continuation of the subtracted polynomial.
     """
     grid = d.q_minus.grid
-    mask = np.abs(grid.y) <= 2.0 * d.K0 * np.sqrt(d.s)
-    return cubic_weighted_sup(grid, d.q_minus.values, mask)
+    return cubic_weighted_sup(grid, d.q_minus.values, cutoff_support(grid, d.K0, d.s))
 
 
 def apply_L_discrete(grid: Grid, values: np.ndarray) -> np.ndarray:

@@ -258,9 +258,10 @@ def homogeneous_oracle(params: ModelParams, c: float = 1.0) -> dict:
     """Blow-up time estimator exercised on the space-homogeneous reduction.
 
     For u0 = c constant in space the equation collapses to the scalar ODE
-    u' = u^p + mu_bar u^alpha_bar + mu0 (the gradient term drops), whose
-    blow-up time is the convergent integral of du / rhs(u) from c; in the
-    pure case it is c^{1-p}/(p-1) in closed form.  The same RK4 step-size
+    u' = u^p + N(0, u, 0), with N from `perturbation_N` at u_x = 0: its
+    gradient term is mu |0|^alpha, which is mu at alpha = 0 and 0 otherwise.
+    The blow-up time is the convergent integral of du / rhs(u) from c; when
+    N vanishes it is c^{1-p}/(p-1) in closed form.  The same RK4 step-size
     law and the same window fit as integrate_u are applied, with the
     reaction step factor, stop factor, fit window and step cap of the
     default `PhysicalConfig`, so any bias of the estimator shows up against
@@ -273,14 +274,16 @@ def homogeneous_oracle(params: ModelParams, c: float = 1.0) -> dict:
 
     def rhs(v: float) -> float:
         out = v**p
-        if params.mu_bar != 0.0:
-            out += params.mu_bar * abs(v) ** params.alpha_bar
-        if params.mu0 != 0.0:
-            out += params.mu0
+        if params.perturbed:
+            out += float(perturbation_N(params, 0.0, v, 0.0))
         return out
 
-    pure = params.mu_bar == 0.0 and params.mu0 == 0.0
-    if pure:
+    closed_form = (
+        params.mu_bar == 0.0
+        and params.mu0 == 0.0
+        and (params.mu == 0.0 or params.alpha > 0.0)
+    )
+    if closed_form:
         T_exact = c ** (1.0 - p) / (p - 1.0)
     else:
         from scipy.integrate import quad
@@ -303,7 +306,7 @@ def homogeneous_oracle(params: ModelParams, c: float = 1.0) -> dict:
         n += 1
         ts.append(t)
         us.append(u)
-        if pure and u <= 1e3 * c:
+        if closed_form and u <= 1e3 * c:
             exact = ((p - 1.0) * (T_exact - t)) ** (-1.0 / (p - 1.0))
             max_rel_dev = max(max_rel_dev, abs(u - exact) / exact)
     if u < cfg.stop_factor * c:
@@ -318,7 +321,7 @@ def homogeneous_oracle(params: ModelParams, c: float = 1.0) -> dict:
         "rel_err": abs(T_est - T_exact) / T_exact,
         "fit_quality": r2,
         "n_steps": n,
-        "max_rel_dev_closed_form": max_rel_dev if pure else None,
+        "max_rel_dev_closed_form": max_rel_dev if closed_form else None,
     }
 
 

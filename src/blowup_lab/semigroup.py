@@ -27,10 +27,11 @@ KERNEL_FLOOR = 1e-17 of the row's max, and the columns past the grid edge,
 are stored as 0.0.  The dropped mass is below 1e-16 of the row sum, a
 truncation below roundoff, and every kept entry is bitwise the dense one.
 Applying the band to a vector is one product over a strided, copy-free
-window view of the zero-padded vector per block.  `kernel_matrix` caches
-one band per (theta, grid) for the step sizes used again and again;
-`banded_kernel` builds one that the caller holds only for the length of one
-call, as the quadrature checks do for the gaps between their times.
+window view of the zero-padded vector per block; a (K, n) stack is applied
+row by row.  `kernel_matrix` is the one way to a kernel: it caches one band
+per exact (theta, grid), for the step sizes and for the gaps between the
+quadrature times of the integral-form checks alike, and
+`apply_semigroup_values` is the one way to apply it.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ __all__ = [
     "kernel_eval",
     "band_layout",
     "BandKernel",
-    "banded_kernel",
     "kernel_matrix",
     "apply_semigroup",
     "apply_semigroup_values",
@@ -58,7 +58,7 @@ __all__ = [
 KERNEL_FLOOR = 1e-17
 
 # window entries a build evaluates at once
-_BUILD_ENTRIES = 2**14
+_BUILD_ENTRIES = 2**13
 
 # Nodes within 8 standard deviations of the widest kernel (variance
 # 2(1 - e^-theta) < 2) of the grid edge see it clipped by the finite domain.
@@ -79,10 +79,6 @@ def kernel_eval(theta: float, y, x):
     pref = np.exp(theta) / np.sqrt(4.0 * np.pi * v)
     arg = (y * np.exp(-0.5 * theta) - x) ** 2 / (4.0 * v)
     return pref * np.exp(-arg)
-
-
-def _cache_key(theta: float, grid: Grid) -> tuple:
-    return (round(float(theta), 14), grid.key())
 
 
 def _band_reach(theta: float, dy: float) -> int:
@@ -147,22 +143,18 @@ class BandKernel:
         """Stored entries, zeros included."""
         return self.data.size
 
-    def _apply(self, x: np.ndarray) -> np.ndarray:
-        """The product with one vector; every other product is made of these."""
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        """The product with one field, or with each row of a (K, n) stack
+        as it would be alone."""
         n, width = self.data.shape
+        out = np.empty(values.shape)
         padded = np.zeros(self._length)
-        padded[self._left:self._left + n] = x
-        out = np.empty(n)
-        for rows, vals, first in self._blocks:
-            win = _windows(padded, len(vals), width, first)
-            np.einsum("ij,ij->i", vals, win, out=out[rows])
+        for row, dest in zip(values.reshape(-1, n), out.reshape(-1, n)):
+            padded[self._left:self._left + n] = row
+            for rows, vals, first in self._blocks:
+                win = _windows(padded, len(vals), width, first)
+                np.einsum("ij,ij->i", vals, win, out=dest[rows])
         return out
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        """A vector, or an (n, m) block column by column."""
-        if x.ndim == 2:
-            return np.stack([self._apply(col) for col in x.T], axis=1)
-        return self._apply(x)
 
     def toarray(self) -> np.ndarray:
         """The dense (n, n) matrix."""
@@ -174,13 +166,13 @@ class BandKernel:
         return wide[:, self._left:self._left + n].copy()
 
 
-def banded_kernel(theta: float, grid: Grid) -> BandKernel:
+def _banded_kernel(theta: float, grid: Grid) -> BandKernel:
     """A[i, j] = w_j * kernel(theta, y_i, x_j) where >= KERNEL_FLOOR * max_j A[i, j].
 
-    Built afresh on every call; `kernel_matrix` is the cached form.  The
-    band is evaluated in chunks of rows, each of them by `kernel_eval`
-    against a window view of the padded node positions, so the build holds
-    little beyond the band it returns.
+    Built afresh on every call; `kernel_matrix` caches it.  The band is
+    evaluated in chunks of rows, each of them by `kernel_eval` against a
+    window view of the padded node positions, so the build holds little
+    beyond the band it returns.
     """
     if theta <= 0:
         raise ValueError(f"theta must be > 0, got {theta!r}")
@@ -220,10 +212,10 @@ def banded_kernel(theta: float, grid: Grid) -> BandKernel:
 
 def kernel_matrix(theta: float, grid: Grid) -> BandKernel:
     """Banded quadrature matrix A[i, j] = w_j * kernel(theta, y_i, x_j), cached."""
-    key = _cache_key(theta, grid)
+    key = (float(theta), grid.key())
     mat = _MATRIX_CACHE.get(key)
     if mat is None:
-        mat = banded_kernel(theta, grid)
+        mat = _banded_kernel(theta, grid)
         if len(_MATRIX_CACHE) >= _MATRIX_CACHE_LIMIT:
             _MATRIX_CACHE.clear()
         _MATRIX_CACHE[key] = mat
@@ -233,10 +225,7 @@ def kernel_matrix(theta: float, grid: Grid) -> BandKernel:
 def apply_semigroup_values(theta: float, grid: Grid, values: np.ndarray) -> np.ndarray:
     """e^(theta L) on grid values: one field, or a (K, n) stack of rows,
     each propagated as it would be alone."""
-    mat = kernel_matrix(theta, grid)
-    if values.ndim == 2:
-        return np.stack([mat @ row for row in values])
-    return mat @ values
+    return kernel_matrix(theta, grid).apply(values)
 
 
 def apply_semigroup(theta: float, f: Field) -> Field:
@@ -323,9 +312,9 @@ def kernel_comparison_check(
     trapezoid in tau over 33 evenly spaced times and compares against the
     crude mass bound sup|n_field| * (s - sigma) * e^(s - sigma), so the
     reported ratio must be <= 1 up to quadrature error.  The integrand does
-    not depend on tau, so the sum is taken by Horner's rule in time: one
-    kernel of the spacing h = (s - sigma)/32, built outside the cache,
-    carries the accumulator from each time to the next,
+    not depend on tau, so the sum is taken by Horner's rule in time: the
+    cached kernel of the spacing h = (s - sigma)/32 carries the
+    accumulator from each time to the next,
     acc <- e^(h L) acc + w |n_field|.  The clipped kernels compose exactly
     only inside the edge collar, so the sup is the one of a kernel per time
     as long as it lies there; a field that is O(1) near the grid edge loses
@@ -337,10 +326,9 @@ def kernel_comparison_check(
     av = np.abs(n_field.values)
     n_gaps = 32
     h = (s - sigma) / n_gaps
-    kernel = banded_kernel(h, grid)
     acc = 0.5 * h * av
     for k in range(1, n_gaps + 1):
-        acc = kernel @ acc + (0.5 * h if k == n_gaps else h) * av
+        acc = apply_semigroup_values(h, grid, acc) + (0.5 * h if k == n_gaps else h) * av
     bound_sup = float(np.max(acc))
     envelope = float(np.max(av)) * (s - sigma) * np.exp(s - sigma)
     return {

@@ -44,7 +44,7 @@ from functools import cached_property
 import numpy as np
 
 from .grids import Field, Grid, gradient
-from .hermite import decompose, seminorm_minus
+from .hermite import cutoff_support, decompose, seminorm_minus
 from .model import (
     ModelParams,
     nonlinear_B,
@@ -57,7 +57,7 @@ from .model import (
 )
 # kernel_matrix stays a name of this module for perfbench/tracing.py,
 # which wraps it here
-from .semigroup import apply_semigroup_values, banded_kernel, kernel_matrix
+from .semigroup import apply_semigroup_values, kernel_matrix
 from .trapset import COMPONENTS, ExitInfo, TrapParams, check_membership, exit_classify
 
 __all__ = [
@@ -317,7 +317,7 @@ def _observe(q: Field, params: ModelParams, trap: TrapParams) -> tuple[np.ndarra
     # cutoff support |y| <= 2 K0 sqrt(s) (same region as the seminorm):
     # outside it the deviation is pinned by the boundary condition and the
     # collar gradient reflects domain truncation, not the solution.
-    core = np.abs(grid.y) <= 2.0 * trap.K0 * np.sqrt(s)
+    core = cutoff_support(grid, trap.K0, s)
     columns = (
         s,
         d.q0,
@@ -509,30 +509,27 @@ def _duhamel_pieces(
     weights = np.zeros_like(sigma)
     weights[:-1] += 0.5 * np.diff(sigma)
     weights[1:] += 0.5 * np.diff(sigma)
-    # the kernel of each gap between marks, keyed by the gap in steps
-    kernels = {gap: banded_kernel(gap * cfg.ds, grid) for gap in set(np.diff(marks).tolist())}
 
     def sources(q: Field) -> np.ndarray:
-        """The columns B, R, N, Vq at q.s."""
+        """The rows B, R, N, Vq at q.s."""
         src = SourceTerms(params, grid, q.s)
         n = src.N(q.values) if params.perturbed else np.zeros_like(q.values)
-        return np.stack([src.B(q.values), src.R, n, src.V * q.values], axis=1)
+        return np.stack([src.B(q.values), src.R, n, src.V * q.values])
 
-    # one column per piece (alpha, beta, gamma, delta, vpart): the band
-    # kernel multiplies an (n, 5) array column by column
-    acc = np.empty((grid.n, 5))
-    acc[:, 0] = q_tau.values
-    acc[:, 1:] = weights[0] * sources(q_tau)
+    # one row per piece: alpha, beta, gamma, delta, vpart
+    acc = np.empty((5, grid.n))
+    acc[0] = q_tau.values
+    acc[1:] = weights[0] * sources(q_tau)
     q = q_tau.copy()
     j = 1  # the next mark
     for k in range(1, n_steps + 1):
         q = step_q(q, params, cfg)
         q.s = tau + k * cfg.ds
         if k == marks[j]:
-            acc = kernels[k - marks[j - 1]] @ acc
-            acc[:, 1:] += weights[j] * sources(q)
+            acc = apply_semigroup_values((k - marks[j - 1]) * cfg.ds, grid, acc)
+            acc[1:] += weights[j] * sources(q)
             j += 1
-    return q, acc.T.copy(), len(marks)
+    return q, acc, len(marks)
 
 
 def duhamel_split_check(
@@ -570,10 +567,10 @@ def duhamel_split_check(
 
     so that at s it holds e^{(s-tau)L} q(tau) and sum_k w_k e^{(s-sigma_k)L} S_k.
     The times are evenly spread whole steps, so their gaps take at most two
-    values; each gap's kernel is built once, outside the kernel cache, and
-    let go with the call.  On a finite grid the gap kernels compose to
-    e^{(s-sigma)L} only up to the clipping at the grid edge, so near the
-    edge the sum differs from one with a kernel per time.
+    values; each gap's kernel comes from the kernel cache, so a one-step
+    gap reuses the stepping kernel.  On a finite grid the gap kernels
+    compose to e^{(s-sigma)L} only up to the clipping at the grid edge, so
+    near the edge the sum differs from one with a kernel per time.
 
     The global `reconstruction_residual` peaks at the pinned end nodes,
     where the stepped field is set to its ansatz value and the integral

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermite import SpectralDecomp, hermite_h, seminorm_minus
+from .hermite import SpectralDecomp, cutoff_support, hermite_h, seminorm_minus
 
 __all__ = [
     "COMPONENTS",
@@ -152,7 +152,7 @@ def check_derived_bounds(d: SpectralDecomp, trap: TrapParams) -> dict:
         + d.q2 * hermite_h(2, y)
         + d.q_minus.values
     )
-    support = np.abs(y) <= 2.0 * d.K0 * np.sqrt(d.s)
+    support = cutoff_support(grid, d.K0, d.s)
     A, s = trap.A, d.s
     envelope_b = A**2 * (np.log(s) / s**2) * (1.0 + np.abs(y) ** 3)
     C_cutoff = float(np.max(np.abs(qb[support]) / envelope_b[support]))

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blowup_lab import semigroup
 from blowup_lab.config import (
+    _CHECK_KERNELS,
     EXPERIMENT_KINDS,
     SCHEMA,
     ConfigError,
@@ -17,6 +19,7 @@ from blowup_lab.config import (
     load_config,
     validate_config,
 )
+from blowup_lab.experiments import run_semigroup_checks
 
 
 def _write(tmp_path, text):
@@ -271,6 +274,14 @@ def test_semigroup_checks_need_an_interior_beyond_the_edge_collar(y_max, ok):
     else:
         with pytest.raises(ConfigError, match=r"\[grid\] y_max: .*edge collar"):
             validate_config(cfg)
+
+
+def test_semigroup_checks_keep_the_kernels_the_memory_cap_counts(monkeypatch):
+    # a semigroup-checks run keeps as many kernels as `_check_memory` plans for
+    monkeypatch.setattr(semigroup, "_MATRIX_CACHE", {})
+    cfg = apply_overrides(default_config(), ["grid.y_max=12", "grid.dy=0.1"])
+    run_semigroup_checks(cfg)
+    assert len(semigroup._MATRIX_CACHE) == _CHECK_KERNELS
 
 
 @pytest.mark.parametrize("section,s_end,ds_key,ds", [

@@ -146,6 +146,15 @@ def test_homogeneous_oracle_perturbed(pure):
     assert out["max_rel_dev_closed_form"] is None
 
 
+def test_homogeneous_oracle_keeps_the_gradient_term_at_alpha_zero():
+    # mu |u_x|^0 = mu on a constant field, so u' = u^2 + 1 blows up at
+    # T = pi/2 - arctan(1) = pi/4, not at the pure 1.0
+    out = homogeneous_oracle(make_params(2.0, alpha=0.0, mu=1.0))
+    assert out["T_exact"] == pytest.approx(np.pi / 4.0, rel=1e-10)
+    assert out["rel_err"] < 1e-5  # measured 2.9e-6
+    assert out["max_rel_dev_closed_form"] is None
+
+
 def test_oracle_rejects_nonpositive_start(pure):
     with pytest.raises(ValueError, match="must be positive"):
         homogeneous_oracle(pure, c=-1.0)

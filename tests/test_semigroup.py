@@ -14,10 +14,10 @@ from blowup_lab import semigroup
 from blowup_lab.grids import Field, default_y_max, make_grid
 from blowup_lab.hermite import hermite_h
 from blowup_lab.semigroup import (
+    _banded_kernel,
     apply_semigroup,
     apply_semigroup_values,
     band_layout,
-    banded_kernel,
     kernel_comparison_check,
     kernel_eval,
     kernel_matrix,
@@ -59,7 +59,7 @@ def test_kernel_mass_is_exp_theta(grid20):
     # integral over x of the kernel is e^theta (h_0 eigenvalue 1); trapezoid
     # error is spectrally small for dy = 0.05
     for theta in (0.25, 1.0, 2.0):
-        mass = kernel_matrix(theta, grid20) @ np.ones(grid20.n)
+        mass = kernel_matrix(theta, grid20).apply(np.ones(grid20.n))
         rows = _interior(grid20)
         rel = np.abs(mass[rows] / np.exp(theta) - 1.0)
         assert np.max(rel) < 1e-8, theta
@@ -72,7 +72,7 @@ def test_kernel_mass_small_theta_aliasing():
     g2 = make_grid(20.0, 0.025)
     e = []
     for g in (g1, g2):
-        mass = kernel_matrix(1e-3, g) @ np.ones(g.n)
+        mass = kernel_matrix(1e-3, g).apply(np.ones(g.n))
         rows = np.abs(g.y) <= 10.0
         e.append(float(np.max(np.abs(mass[rows] / np.exp(1e-3) - 1.0))))
     assert 1e-8 < e[0] < 1e-6
@@ -155,13 +155,25 @@ def test_matrix_cache_consistency(grid20):
     assert a.shape == c.shape and np.array_equal(a.toarray(), c.toarray())
 
 
+@pytest.mark.parametrize("thetas", [(1e-15, 4e-15), (2.1e-14, 2.4e-14)])
+def test_matrix_cache_keys_on_the_exact_theta(grid20, thetas):
+    # thetas this close once shared a key rounded to 14 decimal places
+    a, b = (kernel_matrix(theta, grid20) for theta in thetas)
+    assert a is not b
+    assert not np.array_equal(a.toarray(), b.toarray())
+    for theta, cached in zip(thetas, (a, b)):
+        fresh = _banded_kernel(theta, grid20)
+        assert cached.data.tobytes() == fresh.data.tobytes()
+        assert cached.toarray().tobytes() == fresh.toarray().tobytes()
+
+
 def test_kernel_build_holds_little_beyond_the_band():
-    # the build evaluates the band in chunks of rows; 1.13 measured
+    # the build evaluates the band in chunks of rows; 1.07 measured
     grid = make_grid(default_y_max(4.0, 50.0), 0.05)
     assert grid.n == 2465
     tracemalloc.start()
     try:
-        kernel = banded_kernel(0.07, grid)
+        kernel = _banded_kernel(0.07, grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -214,7 +226,7 @@ def _direct_increment(s, sigma, n_field):
     acc = np.zeros(av.size)
     for tau, wt in zip(taus, wts):
         theta = s - tau
-        acc = acc + wt * (av if theta <= 0 else banded_kernel(theta, n_field.grid) @ av)
+        acc = acc + wt * (av if theta <= 0 else _banded_kernel(theta, n_field.grid).apply(av))
     return float(np.max(acc))
 
 
@@ -227,15 +239,9 @@ def test_comparison_check_matches_the_direct_sum(grid20, profile, monkeypatch):
     values = np.ones(grid20.n) if profile == "constant" else np.exp(-y**2 / 8.0)
     src = Field(grid=grid20, values=values, s=20.0)
     want = _direct_increment(21.0, 20.0, src)
-    thetas = []
-
-    def counted(theta, grid):
-        thetas.append(theta)
-        return banded_kernel(theta, grid)
-
-    monkeypatch.setattr(semigroup, "banded_kernel", counted)
+    monkeypatch.setattr(semigroup, "_MATRIX_CACHE", {})
     out = kernel_comparison_check(s=21.0, sigma=20.0, n_field=src)
-    assert thetas == [1.0 / 32]
+    assert [theta for theta, _ in semigroup._MATRIX_CACHE] == [1.0 / 32]
     assert out["increment_sup"] == pytest.approx(want, rel=1e-14)
 
 

@@ -8,7 +8,7 @@ splitting, not against schema or tolerance drift elsewhere.
 import numpy as np
 import pytest
 
-from blowup_lab import solver
+from blowup_lab import semigroup, solver
 from blowup_lab.grids import Field, default_y_max, gradient, make_grid
 from blowup_lab.hermite import decompose, hermite_h, seminorm_minus
 from blowup_lab.model import (
@@ -21,9 +21,8 @@ from blowup_lab.model import (
     remainder_R,
 )
 from blowup_lab.semigroup import (
-    _MATRIX_CACHE,
+    _banded_kernel,
     apply_semigroup_values,
-    banded_kernel,
     interior_mask,
     kernel_matrix,
 )
@@ -483,12 +482,12 @@ def _direct_duhamel_pieces(init, pr, cfg, s_target):
     applied to that time's sources (the first also carries q(tau))."""
     q, sigma, weights, rows = _quadrature_samples(init, pr, cfg, s_target)
     g = q.grid
-    alpha = banded_kernel(q.s - init.s, g) @ init.values
+    alpha = _banded_kernel(q.s - init.s, g).apply(init.values)
     pieces = np.zeros((4, g.n))
     for wgt, s, srcs in zip(weights, sigma, rows):
         theta = q.s - s
         srcs = np.stack(srcs)
-        pieces += wgt * (srcs if theta <= 1e-12 else (banded_kernel(theta, g) @ srcs.T).T)
+        pieces += wgt * (srcs if theta <= 1e-12 else _banded_kernel(theta, g).apply(srcs))
     return q, np.vstack([alpha, pieces])
 
 
@@ -538,47 +537,54 @@ def test_duhamel_reconstruction_closes_inside_the_edge_collar(lane, request):
     assert np.max(gap[interior_mask(g)]) <= 2e-3 * q.sup()
 
 
+def _checked_with_kernels(check, cfg, grid, monkeypatch) -> tuple:
+    """What check() returns, and the keys it adds to a kernel cache that
+    holds only the stepping kernel of cfg.ds."""
+    monkeypatch.setattr(semigroup, "_MATRIX_CACHE", {})
+    kernel_matrix(cfg.ds, grid)
+    before = list(semigroup._MATRIX_CACHE)
+    out = check()
+    return out, [key for key in semigroup._MATRIX_CACHE if key not in before]
+
+
 def test_duhamel_builds_only_the_gap_kernels(perturbed_p2, monkeypatch):
     """17 times over 100 steps sit 6 or 7 steps apart: two kernels, not 16."""
-    thetas = []
-
-    def counted(theta, grid):
-        thetas.append(theta)
-        return banded_kernel(theta, grid)
-
-    monkeypatch.setattr(solver, "banded_kernel", counted)
     g = _traj_grid()
     trap = TrapParams(A=8.0, K0=4.0)
     init = initial_q(perturbed_p2, g, InitialDataParams(d0=0.0128, d1=0.0, s0=20.0))
-    duhamel_split_check(init, perturbed_p2, trap, SolverConfig(ds=0.01), 21.0)
-    assert len(thetas) <= 2
-    assert sorted(thetas) == pytest.approx([0.06, 0.07], rel=1e-12)
+    cfg = SolverConfig(ds=0.01)
+    _, added = _checked_with_kernels(
+        lambda: duhamel_split_check(init, perturbed_p2, trap, cfg, 21.0), cfg, g, monkeypatch
+    )
+    assert len(added) == 2
+    assert sorted(theta for theta, _ in added) == pytest.approx([0.06, 0.07], rel=1e-12)
 
 
-def test_duhamel_kernels_stay_out_of_the_cache(perturbed_p2):
-    """The one-shot gap kernels are not cached, and the stacked product of
-    each Horner step gives the separate products of each row bit for bit."""
+def test_duhamel_one_step_gap_reuses_the_stepping_kernel(perturbed_p2, monkeypatch):
+    """A one-step gap applies the cached stepping kernel and a two-step gap
+    adds one kernel, and the stacked product of each Horner step gives the
+    separate products of each row bit for bit."""
     pr = perturbed_p2
     g = _traj_grid()
     trap = TrapParams(A=8.0, K0=4.0)
     init = initial_q(pr, g, InitialDataParams(d0=0.0128, d1=0.0, s0=20.0))
     cfg = SolverConfig(ds=0.01)
-    kernel_matrix(cfg.ds, g)  # the stepping kernel, cached before the check
-    before = list(_MATRIX_CACHE)
-    out = duhamel_split_check(init, pr, trap, cfg, 20.2)
-    assert list(_MATRIX_CACHE) == before
+    out, added = _checked_with_kernels(
+        lambda: duhamel_split_check(init, pr, trap, cfg, 20.2), cfg, g, monkeypatch
+    )
+    assert added == [(2 * cfg.ds, g.key())]
 
     # the same Horner sums with one product per row: the 17 times over 20
     # steps sit 1 or 2 steps apart
     q, sigma, weights, rows = _quadrature_samples(init, pr, cfg, 20.2)
     gaps = np.rint(np.diff(sigma) / cfg.ds).astype(int)
-    kernels = {gap: banded_kernel(gap * cfg.ds, g) for gap in set(gaps.tolist())}
+    kernels = {gap: _banded_kernel(gap * cfg.ds, g) for gap in set(gaps.tolist())}
     assert sorted(kernels) == [1, 2]
     alpha = init.values
     pieces = [weights[0] * row for row in rows[0]]
     for gap, wgt, srcs in zip(gaps, weights[1:], rows[1:]):
-        alpha = kernels[gap] @ alpha
-        pieces = [kernels[gap] @ acc + wgt * row for acc, row in zip(pieces, srcs)]
+        alpha = kernels[gap].apply(alpha)
+        pieces = [kernels[gap].apply(acc) + wgt * row for acc, row in zip(pieces, srcs)]
     beta, gamma, delta, vpart = pieces
     assert out["n_quad"] == 17
     assert out["alpha_sup"] == np.max(np.abs(alpha))
