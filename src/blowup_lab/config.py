@@ -24,7 +24,7 @@ from pathlib import Path
 from .grids import Grid, default_y_max, make_grid
 from .hermite import check_cutoff_support
 from .model import make_params
-from .physical import PhysicalConfig
+from .physical import PROBE_REL_EPS, PhysicalConfig
 from .semigroup import band_layout, interior_mask
 from .shooting import InitialDataParams
 from .solver import SolverConfig, window_steps
@@ -120,8 +120,14 @@ _DECOMPOSE_AT = {
 # experiment kinds that check the kernel on the grid's interior
 _KERNEL_CHECKS = ("semigroup-checks", "full-pipeline")
 
-# experiment kinds that run the physical equation on physical.n_x nodes
-_PHYSICAL_KINDS = ("physical", "stability", "full-pipeline")
+# experiment kind -> the rows of the (K, n_x) stack it steps on the
+# physical.n_x nodes: the stability probe steps its baseline and its bumped
+# fields together
+_PHYSICAL_ROWS = {
+    "physical": 1,
+    "full-pipeline": 1,
+    "stability": 1 + 2 * len(PROBE_REL_EPS),
+}
 
 # The memory a run may plan for, in bytes.  The runs of the examples and
 # the tests stay below 200 MiB.
@@ -135,12 +141,17 @@ MEMORY_BUDGET = 2 * 2**30
 # window entries, about 0.15 MiB at any width).  On the 2465-node grid, one
 # row of the (K, n) stack takes about 175 bytes per node through a step
 # and an observation; one observation of one row is 15 float64 columns and
-# an inside flag; the physical run takes about 165 bytes per node.
+# an inside flag.  On 100001 and 200001 nodes, a lone physical run takes
+# 72 bytes per node before its snapshots (8 bytes each, five by default),
+# and the 7-row stack of the stability probe takes 408 (58.3 per row): each
+# further row adds about 56, its field, its initial field and its four RK4
+# work rows.
 _KERNEL_KEPT_BYTES = 8
 _KERNEL_BUILD_BYTES = 34
 _ROW_NODE_BYTES = 180
 _OBSERVATION_BYTES = 15 * 8 + 1
 _PHYSICAL_NODE_BYTES = 170
+_STACK_ROW_BYTES = 60
 # the semigroup checks keep nine kernels, of theta 0.01, 1/32, 0.1, 0.3,
 # 0.5, 0.7, 1, 2 and 5, each sized as theta = inf, whose stored band is
 # within 2.5 % of the widest of any theta
@@ -259,12 +270,13 @@ def _check_memory(cfg: dict, kind: str) -> None:
                 f"holds at most {max(cap, 0)} nodes"
             )
     n_x = cfg["physical"]["n_x"]
-    if kind in _PHYSICAL_KINDS and n_x > MEMORY_BUDGET // _PHYSICAL_NODE_BYTES:
-        raise ConfigError(
-            f"[physical] n_x: a {kind} run on {n_x} nodes does not fit in "
-            f"{budget}, which holds at most "
-            f"{MEMORY_BUDGET // _PHYSICAL_NODE_BYTES} nodes"
-        )
+    if kind in _PHYSICAL_ROWS:
+        per_node = _PHYSICAL_NODE_BYTES + _STACK_ROW_BYTES * (_PHYSICAL_ROWS[kind] - 1)
+        if n_x > MEMORY_BUDGET // per_node:
+            raise ConfigError(
+                f"[physical] n_x: a {kind} run on {n_x} nodes does not fit in "
+                f"{budget}, which holds at most {MEMORY_BUDGET // per_node} nodes"
+            )
 
 
 def _build(section: str, make, **kwargs):

@@ -202,6 +202,9 @@ def test_y_max_checked_on_the_grid_the_run_builds(y_max, ok):
     ({"trajectory": {"s_end": 1e6}}, "trajectory", r"\[grid\] .* holds at most 0 nodes"),
     ({"physical": {"n_x": 400000001}}, "physical", r"\[physical\] n_x: a physical run"),
     ({"physical": {"n_x": 400000001}}, "full-pipeline", r"\[physical\] n_x"),
+    # a physical run may take 5e6 nodes, but the stability probe steps seven
+    # rows of them together
+    ({"physical": {"n_x": 5_000_001}}, "stability", r"\[physical\] n_x: a stability run"),
 ])
 def test_node_counts_are_capped_by_the_memory_budget(overrides, kind, field):
     # checked by validation alone: none of these runs may be started

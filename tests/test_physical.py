@@ -5,6 +5,8 @@ search (six units of rescaled time at A = 8); with it the physical run's
 extrapolated blow-up time lands within a few 1e-6 of exp(-s0).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
@@ -15,14 +17,16 @@ from blowup_lab.physical import (
     BlowupEstimate,
     PhysicalConfig,
     _fit_blowup_time,
-    _not_a_knot_spline,
+    _probe_fields,
     _refine_peak,
     homogeneous_oracle,
     initial_u,
     integrate_u,
+    integrate_us,
     profile_error,
     stability_probe,
 )
+from blowup_lab.similarity import _not_a_knot_spline
 from blowup_lab.solver import SolverConfig, step_w
 
 D0_STAR = 0.012083243220314307
@@ -313,6 +317,76 @@ def test_small_negative_data_does_not_blow_up(pure):
     # the scalar blow-up time for |u0| = 0.01 is ~1e2, nine orders beyond the
     # run, so the peak is still where it started
     assert est.umax_end == pytest.approx(0.01, abs=1e-9)
+
+
+def test_run_that_stops_on_its_last_allowed_step_blew_up(pure):
+    # the free run reaches stop_factor on step 924; a cap of exactly that
+    # many steps must report the same blow-up, not a subcritical outcome
+    cfg = PhysicalConfig(s0=20.0, d0=D0_STAR, n_x=401)
+    free = integrate_u(pure, cfg)
+    capped = integrate_u(pure, replace(cfg, max_steps=free.n_steps))
+    assert free.blew_up and free.n_steps == 924
+    assert capped.blew_up is True
+    assert capped.n_steps == free.n_steps
+    assert capped.T_est == free.T_est
+    assert capped.fit_quality == free.fit_quality
+
+
+def _assert_same_run(stacked, lone):
+    for name in ("T_est", "a_est", "fit_quality", "t_end", "umax_end", "n_steps", "blew_up"):
+        assert getattr(stacked, name) == getattr(lone, name), name
+    for name in ("u_end", "sample_t", "sample_umax"):
+        assert np.array_equal(getattr(stacked, name), getattr(lone, name)), name
+    assert len(stacked.snapshots) == len(lone.snapshots)
+    for (t_s, u_s), (t_l, u_l) in zip(stacked.snapshots, lone.snapshots):
+        assert t_s == t_l
+        assert np.array_equal(u_s, u_l)
+
+
+def _assert_rows_match_lone_runs(params, cfg, u0s):
+    ests = integrate_us(params, cfg, u0s)
+    assert len(ests) == len(u0s)
+    for u0, est in zip(u0s, ests):
+        _assert_same_run(est, integrate_u(params, cfg, u0_override=u0))
+    return ests
+
+
+def test_stacked_probe_rows_are_their_lone_runs(pure):
+    # the default snapshot factors, so the snapshots are compared too
+    cfg = PhysicalConfig(s0=20.0, d0=D0_STAR, n_x=401)
+    labels, u0s = _probe_fields(pure, cfg, (1e-2, 1e-3, 1e-4), 17)
+    assert len(labels) == 6 and u0s.shape == (7, 401)
+    ests = _assert_rows_match_lone_runs(pure, cfg, u0s)
+    assert all(est.blew_up and len(est.snapshots) == 5 for est in ests)
+
+
+def test_stacked_rows_of_a_perturbed_model_are_their_lone_runs():
+    # the gradient stencil of N also crosses the seams between rows
+    prp = make_params(2.0, alpha=1.0, alpha_bar=1.0, mu=1.0, mu_bar=1.0, mu0=1.0)
+    cfg = PhysicalConfig(s0=20.0, d0=D0_STAR, n_x=401)
+    _, u0s = _probe_fields(prp, cfg, (1e-2,), 17)
+    ests = _assert_rows_match_lone_runs(prp, cfg, u0s)
+    assert all(est.blew_up for est in ests)
+
+
+def test_rows_that_blow_up_leave_a_row_that_does_not(pure):
+    # the data of test_small_negative_data_does_not_blow_up between two
+    # blow-up rows, which leave on steps 924 and 923; it runs to max_steps
+    cfg = PhysicalConfig(s0=20.0, d0=D0_STAR, n_x=401, max_steps=1500)
+    _, u0 = initial_u(pure, cfg)
+    _, u0_steep = initial_u(pure, replace(cfg, d0=0.2))
+    u0s = np.array([u0, np.full_like(u0, -0.01), u0_steep])
+    ests = _assert_rows_match_lone_runs(pure, cfg, u0s)
+    assert [est.blew_up for est in ests] == [True, False, True]
+    assert [est.n_steps for est in ests] == [924, cfg.max_steps, 923]
+
+
+def test_stack_shape_guard(pure):
+    cfg = PhysicalConfig(n_x=401, max_steps=1)
+    with pytest.raises(ValueError, match="wrong shape"):
+        integrate_us(pure, cfg, np.zeros(401))
+    with pytest.raises(ValueError, match="wrong shape"):
+        integrate_us(pure, cfg, np.zeros((2, 17)))
 
 
 def test_stability_probe_shifts_scale_with_amplitude(pure):
