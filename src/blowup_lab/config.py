@@ -91,7 +91,6 @@ SCHEMA: dict[str, dict[str, tuple[type, object]]] = {
         "d1": (float, 0.0),
         "s0": (float, 20.0),
         "s_end": (float, 23.0),
-        "record_stride": (int, 1),
     },
     "shooting": {
         "s0": (float, 20.0),
@@ -120,15 +119,6 @@ _DECOMPOSE_AT = {
 # experiment kinds that check the kernel on the grid's interior
 _KERNEL_CHECKS = ("semigroup-checks", "full-pipeline")
 
-# experiment kind -> the rows of the (K, n_x) stack it steps on the
-# physical.n_x nodes: the stability probe steps its baseline and its bumped
-# fields together
-_PHYSICAL_ROWS = {
-    "physical": 1,
-    "full-pipeline": 1,
-    "stability": 1 + 2 * len(PROBE_REL_EPS),
-}
-
 # The memory a run may plan for, in bytes.  The runs of the examples and
 # the tests stay below 200 MiB.
 MEMORY_BUDGET = 2 * 2**30
@@ -145,17 +135,38 @@ MEMORY_BUDGET = 2 * 2**30
 # 72 bytes per node before its snapshots (8 bytes each, five by default),
 # and the 7-row stack of the stability probe takes 408 (58.3 per row): each
 # further row adds about 56, its field, its initial field and its four RK4
-# work rows.
+# work rows.  A physical run with its profile check
+# (`experiments.run_physical_experiment`, also the last part of
+# full-pipeline) peaks at 5.48 MB on 19201 nodes and 10.40 MB on 38401,
+# with z_max = 60 and 120 so that both take the same 13292 steps: 256 bytes
+# per node, reached while `similarity.profile_error` splines a snapshot
+# through five Python float lists of n_x entries.  The rest, about 0.6 MB
+# here, is the kept (t, umax) record, 16 bytes per step, and the table of
+# fewer than 4000 samples; while stepping, the record takes about 80 bytes
+# per step, at most 17 MB at PhysicalConfig.max_steps.  So 300 bytes per node
+# bound the peak of any run the cap admits: 256 x 7.2e6 + 17 MB is 1.86 GB.
+# On 1601 and 4801 nodes, where the record weighs more, the peaks are 0.67
+# and 2.06 MB, 419 and 429 bytes per node.
 _KERNEL_KEPT_BYTES = 8
 _KERNEL_BUILD_BYTES = 34
 _ROW_NODE_BYTES = 180
 _OBSERVATION_BYTES = 15 * 8 + 1
-_PHYSICAL_NODE_BYTES = 170
+_PHYSICAL_RUN_BYTES = 170
 _STACK_ROW_BYTES = 60
+_PROFILED_RUN_BYTES = 300
 # the semigroup checks keep nine kernels, of theta 0.01, 1/32, 0.1, 0.3,
 # 0.5, 0.7, 1, 2 and 5, each sized as theta = inf, whose stored band is
 # within 2.5 % of the widest of any theta
 _CHECK_KERNELS = 9
+
+# experiment kind -> the bytes per physical.n_x node it takes: the stability
+# probe steps its baseline and its bumped fields as one (K, n_x) stack and
+# reads no snapshot
+_PHYSICAL_NODE_BYTES = {
+    "physical": _PROFILED_RUN_BYTES,
+    "full-pipeline": _PROFILED_RUN_BYTES,
+    "stability": _PHYSICAL_RUN_BYTES + _STACK_ROW_BYTES * 2 * len(PROBE_REL_EPS),
+}
 
 
 def default_config() -> dict:
@@ -270,8 +281,8 @@ def _check_memory(cfg: dict, kind: str) -> None:
                 f"holds at most {max(cap, 0)} nodes"
             )
     n_x = cfg["physical"]["n_x"]
-    if kind in _PHYSICAL_ROWS:
-        per_node = _PHYSICAL_NODE_BYTES + _STACK_ROW_BYTES * (_PHYSICAL_ROWS[kind] - 1)
+    if kind in _PHYSICAL_NODE_BYTES:
+        per_node = _PHYSICAL_NODE_BYTES[kind]
         if n_x > MEMORY_BUDGET // per_node:
             raise ConfigError(
                 f"[physical] n_x: a {kind} run on {n_x} nodes does not fit in "
@@ -315,8 +326,6 @@ def validate_config(cfg: dict) -> None:
         except ValueError as err:
             bad(sec, "s_end", str(err))
         _build(sec, InitialDataParams, d0=d.get("d0", 0.0), d1=d.get("d1", 0.0), s0=s0)
-    if not (1 <= cfg["trajectory"]["record_stride"]):
-        bad("trajectory", "record_stride", "must be >= 1")
     if not (1 <= cfg["shooting"]["max_levels"]):
         bad("shooting", "max_levels", "must be >= 1")
     ph = dict(cfg["physical"])

@@ -44,6 +44,11 @@ from .trapset import TrapParams, check_derived_bounds, check_membership
 __all__ = ["run_experiment"]
 
 
+def _cell(v) -> str:
+    """A CSV number cell: the shortest decimal that reads back as float(v)."""
+    return repr(float(v))
+
+
 def _params(cfg: dict):
     return make_params(**cfg["model"])
 
@@ -109,7 +114,7 @@ def run_spectral_checks(cfg: dict):
         "checks": checks,
     }
     rows = [
-        (i, j, repr(gram[i, j])) for i in range(n_modes) for j in range(n_modes)
+        (i, j, _cell(gram[i, j])) for i in range(n_modes) for j in range(n_modes)
     ]
     tables = {"gram": (("i", "j", "inner_product"), rows)}
     return report, tables, all(checks.values())
@@ -131,7 +136,7 @@ def run_semigroup_checks(cfg: dict):
             expected = np.exp((1.0 - 0.5 * m) * theta) * h.values
             scale = float(np.max(np.abs(expected[mask])))
             err = float(np.max(np.abs(out.values[mask] - expected[mask]))) / scale
-            eig_rows.append((m, theta, repr(err)))
+            eig_rows.append((m, theta, _cell(err)))
             eig_err = max(eig_err, err)
 
     # composition: e^{t L} e^{r L} = e^{(t+r) L} on a generic field
@@ -160,7 +165,7 @@ def run_semigroup_checks(cfg: dict):
         "checks": checks,
     }
     srows = [
-        (repr(r["theta"]), repr(r["ratio_sup_in"]), repr(r["ratio_grad_in"]))
+        (_cell(r["theta"]), _cell(r["ratio_sup_in"]), _cell(r["ratio_grad_in"]))
         for r in smoothing["rows"]
     ]
     tables = {
@@ -185,24 +190,10 @@ def _trajectory_table(rec):
         "margin_q_minus",
         "margin_q_e",
     )
-    rows = []
-    for i in range(rec.s.size):
-        rows.append(
-            tuple(
-                repr(v)
-                for v in (
-                    rec.s[i],
-                    rec.q0[i],
-                    rec.q1[i],
-                    rec.q2[i],
-                    rec.sem_minus[i],
-                    rec.qe_sup[i],
-                    rec.q_sup[i],
-                    *rec.margins[i],
-                )
-            )
-        )
-    return header, rows
+    columns = np.column_stack((
+        rec.s, rec.q0, rec.q1, rec.q2, rec.sem_minus, rec.qe_sup, rec.q_sup, rec.margins
+    ))
+    return header, [tuple(map(_cell, row)) for row in columns]
 
 
 def run_trajectory_experiment(cfg: dict):
@@ -215,9 +206,7 @@ def run_trajectory_experiment(cfg: dict):
         params, grid, InitialDataParams(d0=tj["d0"], d1=tj["d1"], s0=tj["s0"])
     )
     status0 = check_membership(decompose(init, trap.K0), trap)
-    rec = run_trajectory(
-        init, params, trap, scfg, tj["s_end"], record_stride=tj["record_stride"]
-    )
+    rec = run_trajectory(init, params, trap, scfg, tj["s_end"])
     report = {
         "s0": tj["s0"],
         "s_end": tj["s_end"],
@@ -294,7 +283,7 @@ def run_physical_experiment(cfg: dict):
     T = pcfg.T
     stride = max(1, est.sample_t.size // 2000)
     rows = [
-        (repr(est.sample_t[i]), repr(est.sample_umax[i]))
+        (_cell(est.sample_t[i]), _cell(est.sample_umax[i]))
         for i in range(0, est.sample_t.size, stride)
     ]
     tables = {"peak_history": (("t", "umax"), rows)}
@@ -362,12 +351,12 @@ def run_stability_experiment(cfg: dict):
     }
     table_rows = [
         (
-            repr(r["eps"]),
+            _cell(r["eps"]),
             r["shape"],
-            repr(r["T_est"]),
-            repr(r["a_est"]),
-            repr(r["dT"]),
-            repr(r["da"]),
+            _cell(r["T_est"]),
+            _cell(r["a_est"]),
+            _cell(r["dT"]),
+            _cell(r["da"]),
         )
         for r in rows
     ]

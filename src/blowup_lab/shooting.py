@@ -23,13 +23,14 @@ smallest |a_m| among those evaluated so far on axis m's arm of the
 pattern (its ends and the center): they lie nearest the root, where a_m
 is most nearly affine, while regula falsi would keep a far bracket end in
 every estimate.  The root is kept only strictly inside the bracket;
-otherwise, and on the level after an interpolated cut that did not halve
-the bracket, the center is the midpoint, so every bracket at least halves
-over any two levels.  The bracket then keeps the part between the center
-and the end of opposite exit sign; a center whose sign is below the noise
-floor instead shrinks it to half its width around the center.  The points
-of a level that are not cached from earlier levels run as one ensemble
-(`solver.run_trajectories`), all of them before any survival check.
+otherwise (fewer than two points, equal amplitudes, or a root on or
+outside an end) the center is the midpoint, so each level narrows the
+bracket, though no level need halve it.  The bracket then keeps the part
+between the center and the end of opposite exit sign; a center whose sign
+is below the noise floor instead shrinks it to half its width around the
+center.  The points of a level that are not cached from earlier levels
+run as one ensemble (`solver.run_trajectories`), all of them before any
+survival check.
 
 The d1 ends run at level 0 and on any level whose previous center had a
 q1 exit sign above the noise floor.  The equation is even in y (|u_x|^alpha,
@@ -236,7 +237,9 @@ class ShootResult:
     # points evaluated at that level, and per axis m the bracket [lo, hi] the
     # level started from (dm_bracket), the exit signs of q_m at its two ends
     # (dm_end_signs, None on a level that did not run them) and the step
-    # taken (dm_step): "interp", "bisect" or "shrink"
+    # taken (dm_step): "interp" for the secant root, "bisect" for the
+    # midpoint where that root was undefined or outside the open bracket,
+    # "shrink" for a center below the noise floor
     level_stats: list = None
 
 
@@ -266,7 +269,7 @@ def shoot(
     rect0: np.ndarray | None = None,
     max_levels: int = 64,
 ) -> ShootResult:
-    """Enclose the critical (d0, d1) by safeguarded secant steps until survival.
+    """Enclose the critical (d0, d1) by bracketed secant steps until survival.
 
     Returns with status "survived" and the surviving trajectory record as
     soon as any evaluated point stays in the trap up to s_end.  A zero exit
@@ -339,16 +342,10 @@ def shoot(
             level_stats=list(level_stats),
         )
 
-    last_width, last_steps = rect[:, 1] - rect[:, 0], ["bisect", "bisect"]
-
     def cut(m: int) -> tuple[float, str]:
         """Axis m's cut of the current bracket and how it was placed."""
         lo, hi = rect[m]
-        # the safeguard: an interpolated cut that did not halve the bracket
-        # is followed by a bisection, so every width at least halves over
-        # any two levels
-        stalled = last_steps[m] == "interp" and hi - lo > 0.5 * last_width[m]
-        guess = None if stalled else _secant_root(amplitudes[m])
+        guess = _secant_root(amplitudes[m])
         if guess is not None and lo < guess < hi:
             return guess, "interp"
         return 0.5 * (lo + hi), "bisect"
@@ -435,7 +432,6 @@ def shoot(
                 rect[m] = [lo, cuts[m]]
             else:
                 rect[m] = [cuts[m], hi]
-        last_width, last_steps = width, [row["d0_step"], row["d1_step"]]
         d1_ends_due = center.sign[1] != 0
 
     # the budget is spent: evaluate the cut the next level would take

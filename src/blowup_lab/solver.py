@@ -359,35 +359,26 @@ def run_trajectories(
     trap: TrapParams,
     cfg: SolverConfig,
     s_end: float,
-    record_stride: int = 1,
 ) -> list[TrajectoryRecord]:
     """Integrate K deviations of one grid and one initial time to s_end.
 
     The fields advance together as the rows of one (K, n) array, and the
     records equal those of K separate runs bit for bit.  s_end - s0 must be
     a whole number of steps of cfg.ds.  Diagnostics (mode amplitudes,
-    seminorms, trap margins, source sups) are recorded every
-    `record_stride` steps plus at the initial and final times.  A row stops
-    at its first trap exit or divergence, and its record's `exit` carries
-    the classification; `exit` is None only for a row that stayed inside
-    up to s_end.
+    seminorms, trap margins, source sups) are recorded at the initial time
+    and after every step.  A row stops at its first trap exit or
+    divergence, and its record's `exit` carries the classification; `exit`
+    is None only for a row that stayed inside up to s_end.
     """
-    if record_stride < 1:
-        raise ValueError("record_stride must be >= 1")
     if not q_inits:
         raise ValueError("need at least one initial field")
     grid, s0 = q_inits[0].grid, q_inits[0].s
     if any(qi.grid != grid or qi.s != s0 for qi in q_inits):
         raise ValueError("initial fields must share one grid and one initial time")
     n_steps = window_steps(s0, s_end, cfg.ds)
-
-    def observed(k: int) -> bool:
-        return k % record_stride == 0 or k == n_steps
-
     n_rows = len(q_inits)
-    n_obs = sum(1 for k in range(n_steps + 1) if observed(k))
-    table = np.empty((n_obs, n_rows, len(_SERIES) + len(COMPONENTS)))
-    inside_table = np.zeros((n_obs, n_rows), dtype=bool)
+    table = np.empty((n_steps + 1, n_rows, len(_SERIES) + len(COMPONENTS)))
+    inside_table = np.zeros((n_steps + 1, n_rows), dtype=bool)
     n_rec = np.zeros(n_rows, dtype=int)
     diverged_at: dict[int, float] = {}
 
@@ -399,7 +390,7 @@ def run_trajectories(
         if not np.all(keep):
             rows, q = rows[keep], Field(grid, q.values[keep], q.s)
 
-    def observe(k: int) -> None:
+    def observe() -> None:
         j = n_rec[rows[0]]  # every active row has been observed equally often
         obs, inside = _observe(q, params, trap)
         table[j, rows] = obs
@@ -407,7 +398,7 @@ def run_trajectories(
         n_rec[rows] = j + 1
         keep_rows(inside)
 
-    observe(0)
+    observe()
     for k in range(1, n_steps + 1):
         while rows.size:
             try:
@@ -422,8 +413,7 @@ def run_trajectories(
         if not rows.size:
             break
         q.s = s0 + k * cfg.ds  # avoid accumulated float drift
-        if observed(k):
-            observe(k)
+        observe()
 
     records = []
     for r in range(n_rows):
@@ -449,11 +439,10 @@ def run_trajectory(
     trap: TrapParams,
     cfg: SolverConfig,
     s_end: float,
-    record_stride: int = 1,
 ) -> TrajectoryRecord:
     """Integrate one deviation from its initial time to s_end: the case
     K = 1 of `run_trajectories`, with the same arguments and record."""
-    return run_trajectories([q_init], params, trap, cfg, s_end, record_stride)[0]
+    return run_trajectories([q_init], params, trap, cfg, s_end)[0]
 
 
 def mode_ode_check(record: TrajectoryRecord, m: int) -> dict:

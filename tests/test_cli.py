@@ -84,6 +84,28 @@ def test_reruns_are_byte_identical(base_ini, tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("kind, overrides, tables", [
+    ("trajectory", [], ["trajectory.csv"]),
+    ("spectral-checks", [], ["gram.csv"]),
+    ("physical", ["physical.n_x=801"], ["peak_history.csv"]),
+], ids=["trajectory", "spectral-checks", "physical"])
+def test_csv_data_cells_are_numbers(base_ini, tmp_path, kind, overrides, tables):
+    # numpy 2 writes repr() of its scalars as np.float64(...), which no
+    # CSV reader takes for a number
+    out = tmp_path / "res"
+    args = ["run", str(base_ini), "--out", str(out), "--kind", kind]
+    for item in overrides:
+        args += ["--override", item]
+    assert main(args) == 0
+    assert sorted(p.name for p in out.glob("*.csv")) == tables
+    for name in tables:
+        header, *rows = (out / name).read_text().splitlines()
+        assert rows, name
+        for row in rows:
+            for cell in row.split(","):
+                float(cell)
+
+
 def test_kind_flag_beats_config_and_override(base_ini, tmp_path, capsys):
     out = tmp_path / "res"
     rc = main([

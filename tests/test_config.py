@@ -84,12 +84,13 @@ def test_load_rejects_non_finite_floats(tmp_path, raw):
 
 def test_load_rejects_removed_keys(tmp_path):
     # the per-term switches, the scheme and boundary choices and the
-    # physical dt0/t_budget knobs are gone
+    # physical dt0/t_budget knobs and the trajectory record stride are gone
     for section, key in (
         ("solver", "include_residual"),
         ("solver", "scheme"),
         ("solver", "bc"),
         ("physical", "t_budget"),
+        ("trajectory", "record_stride"),
     ):
         path = _write(tmp_path, f"[{section}]\n{key} = 0\n")
         with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
@@ -122,7 +123,6 @@ def test_override_syntax_errors():
     ("solver", "ds", 0.9, r"must be in \(0, 0.5\]"),
     ("trajectory", "s_end", 19.0, "must exceed"),
     ("trajectory", "s0", 2.0, "must be >= e"),
-    ("trajectory", "record_stride", 0, "must be >= 1"),
     ("shooting", "max_levels", 0, "must be >= 1"),
     ("physical", "n_x", 1600, "odd integer"),
     ("physical", "fit_hi", 1e6, "fit_lo < fit_hi < stop_factor"),
@@ -205,6 +205,8 @@ def test_y_max_checked_on_the_grid_the_run_builds(y_max, ok):
     # a physical run may take 5e6 nodes, but the stability probe steps seven
     # rows of them together
     ({"physical": {"n_x": 5_000_001}}, "stability", r"\[physical\] n_x: a stability run"),
+    # with its profile check, a physical run on 12e6 nodes peaks near 3 GB
+    ({"physical": {"n_x": 12_000_001}}, "physical", r"holds at most 7158278 nodes"),
 ])
 def test_node_counts_are_capped_by_the_memory_budget(overrides, kind, field):
     # checked by validation alone: none of these runs may be started
@@ -222,7 +224,8 @@ def test_node_counts_are_capped_by_the_memory_budget(overrides, kind, field):
     ({"grid": {"dy": 0.001}}, "spectral-checks"),
     # only the physical kinds build the n_x grid
     ({"physical": {"n_x": 400000001}}, "shoot"),
-    ({"physical": {"n_x": 12_000_001}}, "physical"),
+    # 300 bytes per node bound a physical run: the cap is 7158278 nodes
+    ({"physical": {"n_x": 7_000_001}}, "physical"),
 ])
 def test_node_caps_follow_what_the_kind_builds(overrides, kind):
     cfg = default_config()
@@ -384,7 +387,6 @@ def _assert_in_range(cfg):
     assert 0.0 < cfg["solver"]["ds"] <= 0.5 and 0.0 < cfg["shooting"]["ds"] <= 0.5
     for section in ("trajectory", "shooting"):
         assert math.e <= cfg[section]["s0"] < cfg[section]["s_end"]
-    assert cfg["trajectory"]["record_stride"] >= 1
     assert cfg["shooting"]["max_levels"] >= 1
     ph = cfg["physical"]
     assert ph["n_x"] >= 17 and ph["n_x"] % 2 == 1

@@ -165,8 +165,8 @@ def test_shoot_short_window_survives_at_center(shoot_grid, trap8):
 
 
 def _assert_search_invariants(res):
-    """Nested brackets, halving over any two levels, opposite end signs on
-    every level that ran the ends."""
+    """Nested brackets that narrow strictly on every level, opposite end
+    signs on every level that ran the ends."""
     rows = res.level_stats
     assert all(row["d0_end_signs"] is not None for row in rows)
     assert rows[0]["d1_end_signs"] is not None
@@ -174,7 +174,7 @@ def _assert_search_invariants(res):
         brackets = [row[f"d{m}_bracket"] for row in rows]
         assert all(a[0] <= b[0] and b[1] <= a[1] for a, b in zip(brackets, brackets[1:]))
         widths = [hi - lo for lo, hi in brackets]
-        assert all(c <= 0.5 * a * (1 + 1e-12) for a, c in zip(widths, widths[2:]))
+        assert all(b < a for a, b in zip(widths, widths[1:]))
         signs = [row[f"d{m}_end_signs"] for row in rows]
         assert all(lo * hi < 0 for lo, hi in (s for s in signs if s is not None))
 
@@ -207,7 +207,7 @@ def test_shoot_small_amplitude_trap(shoot_grid):
     pr = make_params(2.0)
     res = shoot(pr, shoot_grid, TrapParams(A=1.0, K0=4.0), SolverConfig(ds=0.02), 20.0, 23.0)
     assert res.status == "survived"
-    assert res.levels == 3 and res.n_evals == 8
+    assert res.levels == 2 and res.n_evals == 7
     assert certificate_dict(res)["min_margin"] > 0.0
     _assert_search_invariants(res)
 
@@ -280,14 +280,15 @@ def _linear_shoot(monkeypatch, trap8, s_end, **kwargs):
     return shoot(None, None, trap8, None, 20.0, s_end, rect0=rect0)
 
 
+def _kinked_a0(d):
+    return 0.5 + 0.2 * (d - 0.5) if d >= 0.25 else 0.45 + 41.8 * (d - 0.25)
+
+
 def test_shoot_rejects_a_secant_root_outside_the_bracket(monkeypatch, trap8):
     # a0 is flat (slope 0.2) right of d0 = 0.25 and steep left of it, with
     # its root at 0.25 - 0.45/41.8; after level 0 keeps [0, 0.5], the two
     # points of smallest |a0| (0.5 and 1) put the secant root at -2
-    def a0(d):
-        return 0.5 + 0.2 * (d - 0.5) if d >= 0.25 else 0.45 + 41.8 * (d - 0.25)
-
-    res = _linear_shoot(monkeypatch, trap8, 40.0, a0=a0)
+    res = _linear_shoot(monkeypatch, trap8, 40.0, a0=_kinked_a0)
     assert res.status == "survived"
     steps = [row["d0_step"] for row in res.level_stats]
     assert steps == ["bisect"] * 6 + ["interp"]
@@ -299,19 +300,37 @@ def test_shoot_rejects_a_secant_root_outside_the_bracket(monkeypatch, trap8):
     _assert_search_invariants(res)
 
 
-def test_shoot_bisects_after_an_interpolated_cut_that_did_not_halve(monkeypatch, trap8):
-    res = _linear_shoot(monkeypatch, trap8, 40.0, a0=lambda d: np.expm1(6.0 * (d - 0.3)))
+# each a0 with its root, the half-width e^-20 / |a0'(root)| of its s_end = 40
+# basin, and its measured level count
+@pytest.mark.parametrize(
+    ("a0", "root", "basin", "max_levels"),
+    [
+        (lambda d: np.expm1(6.0 * (d - 0.3)), 0.3, 4e-10, 7),
+        (lambda d: np.expm1(20.0 * (d - 0.3)), 0.3, 1.1e-10, 10),
+        (lambda d: (d - 0.3) ** 3 + 1e-3 * (d - 0.3), 0.3, 2.1e-6, 10),
+        (_kinked_a0, 0.25 - 0.45 / 41.8, 5e-11, 6),
+    ],
+    ids=["expm1-6", "expm1-20", "cubic", "kinked"],
+)
+def test_shoot_bisects_only_without_a_secant_root_inside_the_bracket(
+    monkeypatch, trap8, a0, root, basin, max_levels
+):
+    roots = []
+    secant_root = shooting._secant_root
+
+    def recorded(amplitudes):
+        roots.append(secant_root(amplitudes))
+        return roots[-1]
+
+    monkeypatch.setattr(shooting, "_secant_root", recorded)
+    res = _linear_shoot(monkeypatch, trap8, 40.0, a0=a0)
     assert res.status == "survived"
-    assert res.d0 == pytest.approx(0.3, abs=1e-9)
-    rows = res.level_stats
-    widths = [row["d0_bracket"][1] - row["d0_bracket"][0] for row in rows]
-    stalled = [
-        k for k in range(1, len(rows))
-        if rows[k - 1]["d0_step"] == "interp" and widths[k] > 0.5 * widths[k - 1]
-    ]
-    assert stalled  # the convex a0 keeps its far bracket end
-    assert all(rows[k]["d0_step"] == "bisect" for k in stalled)
-    assert sum(row["d0_step"] == "interp" for row in rows) >= 3
+    assert abs(res.d0 - root) <= basin
+    assert res.levels <= max_levels
+    # cut(0) and cut(1) ask for a root once each per level, in that order
+    for row, guess in zip(res.level_stats, roots[::2]):
+        lo, hi = row["d0_bracket"]
+        assert (row["d0_step"] == "bisect") == (guess is None or not lo < guess < hi)
     _assert_search_invariants(res)
 
 

@@ -228,8 +228,6 @@ def test_run_trajectory_argument_checks():
     g = make_grid(10.0, 0.1)
     trap = TrapParams(A=8.0, K0=1.0)
     q = Field(grid=g, values=np.zeros(g.n), s=20.0)
-    with pytest.raises(ValueError, match="record_stride"):
-        run_trajectory(q, pr, trap, SolverConfig(), 21.0, record_stride=0)
     with pytest.raises(ValueError, match="empty integration window"):
         run_trajectory(q, pr, trap, SolverConfig(), 20.0)
     for s_end in (20.029, 20.0 + 0.5 * 0.01, np.inf, np.nan):
@@ -305,17 +303,6 @@ def test_trajectory_divergence_is_reported():
     assert bool(np.all(rec.inside)) and not rec.survived(22.0)
 
 
-def test_record_stride():
-    pr = make_params(2.0)
-    g = _traj_grid()
-    trap = TrapParams(A=8.0, K0=4.0)
-    init = initial_q(pr, g, InitialDataParams(d0=0.0128, d1=0.0, s0=20.0))
-    rec = run_trajectory(init, pr, trap, SolverConfig(ds=0.01), 20.4, record_stride=5)
-    # stride 5 at ds 0.01 over 0.4: observations at 0, 5, ..., 40 -> 9 rows
-    assert rec.s.size == 9
-    np.testing.assert_allclose(rec.s, 20.0 + 0.05 * np.arange(9), rtol=0, atol=1e-12)
-
-
 def _assert_records_equal(a: TrajectoryRecord, b: TrajectoryRecord) -> None:
     for name in (
         "s", "q0", "q1", "q2", "sem_minus", "qe_sup", "q_sup", "gradq_sup",
@@ -333,7 +320,7 @@ def test_batched_rows_match_single_runs(lane, narrow_trap, request):
     """Row k of a K = 5 ensemble is bit for bit the trajectory run alone.
 
     In the narrow trap (A = 8) the far row leaves at once and the edge row
-    at its next record; in the wide one (A = 1e6) the far row is still
+    at its first step; in the wide one (A = 1e6) the far row is still
     inside when it passes the overflow cap, so it diverges while the
     others go on.
     """
@@ -358,17 +345,17 @@ def test_batched_rows_match_single_runs(lane, narrow_trap, request):
         for pt in points
     ]
     cfg = SolverConfig(ds=ds, overflow=1e3)
-    batched = run_trajectories(inits, pr, trap, cfg, s_end, record_stride=3)
+    batched = run_trajectories(inits, pr, trap, cfg, s_end)
     assert len(batched) == len(inits)
     for q, rec in zip(inits, batched):
-        (alone,) = run_trajectories([q], pr, trap, cfg, s_end, record_stride=3)
+        (alone,) = run_trajectories([q], pr, trap, cfg, s_end)
         _assert_records_equal(rec, alone)
 
     edge, far = batched[1], batched[3]
     for rec in (batched[0], batched[2], batched[4]) + (() if narrow_trap else (edge,)):
         assert rec.exit is None and rec.survived(s_end)
     if narrow_trap:
-        assert edge.s.size == 2 and edge.s[1] == pytest.approx(s0 + 3 * ds)
+        assert edge.s.size == 2 and edge.s[1] == pytest.approx(s0 + ds)
         assert not edge.inside[1]
         assert edge.exit.component == "q0" and edge.exit.s_star == edge.s[1]
         assert far.exit.reason == "trap-exit" and far.s.size == 1
