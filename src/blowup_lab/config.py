@@ -60,7 +60,7 @@ EXPERIMENT_KINDS = (
 )
 
 
-def _fields_schema(cls, skip: tuple[str, ...]) -> dict[str, tuple[type, object]]:
+def _fields_schema(cls, skip: tuple[str, ...] = ()) -> dict[str, tuple[type, object]]:
     """Schema entries of a config dataclass: one per field, its default."""
     return {
         f.name: (type(f.default), f.default) for f in fields(cls) if f.name not in skip
@@ -85,7 +85,7 @@ SCHEMA: dict[str, dict[str, tuple[type, object]]] = {
         "A": (float, 8.0),
         "K0": (float, 4.0),
     },
-    "solver": _fields_schema(SolverConfig, skip=("overflow",)),
+    "solver": _fields_schema(SolverConfig),
     "trajectory": {
         "d0": (float, 0.0),
         "d1": (float, 0.0),
@@ -98,10 +98,7 @@ SCHEMA: dict[str, dict[str, tuple[type, object]]] = {
         "ds": (float, 0.02),
         "max_levels": (int, 64),
     },
-    "physical": {
-        **_fields_schema(PhysicalConfig, skip=("snapshot_factors", "max_steps")),
-        "t_rel_tol": (float, 0.0),  # 0 disables the blow-up-time check
-    },
+    "physical": _fields_schema(PhysicalConfig, skip=("snapshot_factors", "max_steps")),
     "experiment": {
         "kind": (str, "trajectory"),
     },
@@ -130,7 +127,7 @@ MEMORY_BUDGET = 2 * 2**30
 # padded node positions and weights, the grid's own, and one chunk of 2**13
 # window entries, about 0.15 MiB at any width).  On the 2465-node grid, one
 # row of the (K, n) stack takes about 175 bytes per node through a step
-# and an observation; one observation of one row is 15 float64 columns and
+# and an observation; one observation of one row is 14 float64 columns and
 # an inside flag.  On 100001 and 200001 nodes, a lone physical run takes
 # 72 bytes per node before its snapshots (8 bytes each, five by default),
 # and the 7-row stack of the stability probe takes 408 (58.3 per row): each
@@ -142,15 +139,17 @@ MEMORY_BUDGET = 2 * 2**30
 # per node, reached while `similarity.profile_error` splines a snapshot
 # through five Python float lists of n_x entries.  The rest, about 0.6 MB
 # here, is the kept (t, umax) record, 16 bytes per step, and the table of
-# fewer than 4000 samples; while stepping, the record takes about 80 bytes
-# per step, at most 17 MB at PhysicalConfig.max_steps.  So 300 bytes per node
-# bound the peak of any run the cap admits: 256 x 7.2e6 + 17 MB is 1.86 GB.
+# fewer than 4000 samples.  The record is two array('d') per row, and with
+# its copy into numpy arrays at the end it peaks at 33 bytes per step
+# (32.7 over 20000 to 60000 steps on 401 nodes), at most 7 MB at
+# PhysicalConfig.max_steps.  So 300 bytes per node bound the peak of any
+# run the cap admits: 256 x 7.2e6 + 7 MB is 1.85 GB.
 # On 1601 and 4801 nodes, where the record weighs more, the peaks are 0.67
 # and 2.06 MB, 419 and 429 bytes per node.
 _KERNEL_KEPT_BYTES = 8
 _KERNEL_BUILD_BYTES = 34
 _ROW_NODE_BYTES = 180
-_OBSERVATION_BYTES = 15 * 8 + 1
+_OBSERVATION_BYTES = 14 * 8 + 1
 _PHYSICAL_RUN_BYTES = 170
 _STACK_ROW_BYTES = 60
 _PROFILED_RUN_BYTES = 300
@@ -315,7 +314,7 @@ def validate_config(cfg: dict) -> None:
         bad("grid", "y_max", "must be >= 0 and finite (0 derives it from the trap)")
     _build("trap", TrapParams, **cfg["trap"])
     _build("solver", SolverConfig, **cfg["solver"])
-    _build("shooting", SolverConfig, **(cfg["solver"] | {"ds": cfg["shooting"]["ds"]}))
+    _build("shooting", SolverConfig, ds=cfg["shooting"]["ds"])
     for sec, ds in (("trajectory", cfg["solver"]["ds"]), ("shooting", cfg["shooting"]["ds"])):
         d = cfg[sec]
         s0, s_end = d["s0"], d["s_end"]
@@ -328,10 +327,7 @@ def validate_config(cfg: dict) -> None:
         _build(sec, InitialDataParams, d0=d.get("d0", 0.0), d1=d.get("d1", 0.0), s0=s0)
     if not (1 <= cfg["shooting"]["max_levels"]):
         bad("shooting", "max_levels", "must be >= 1")
-    ph = dict(cfg["physical"])
-    if not (0.0 <= ph.pop("t_rel_tol") < math.inf):
-        bad("physical", "t_rel_tol", "must be >= 0 and finite")
-    _build("physical", PhysicalConfig, **ph)
+    _build("physical", PhysicalConfig, **cfg["physical"])
     kind = cfg["experiment"]["kind"]
     if kind not in EXPERIMENT_KINDS:
         bad("experiment", "kind", f"must be one of {EXPERIMENT_KINDS}")

@@ -151,9 +151,6 @@ class SpectralDecomp:
     K0: float
     s: float
 
-    def modes(self) -> tuple[float, float, float]:
-        return (self.q0, self.q1, self.q2)
-
     def reconstruct(self) -> np.ndarray:
         g = self.q_minus.grid
         y = g.y

@@ -91,12 +91,8 @@ class ModelParams:
     beta, beta_bar : float
         Exponential decay rates of the rescaled perturbation terms;
         positive iff the exponents are subcritical.
-    beta0 : float
-        min(beta, beta_bar), the slowest perturbation decay rate.
     kappa : float
         Constant blow-up scale (p-1)^(-1/(p-1)); equals profile_f at 0.
-    p_bar : float
-        min(p, 2), the exponent of the quadratic-remainder envelope.
     """
 
     p: float
@@ -107,9 +103,7 @@ class ModelParams:
     mu0: float
     beta: float
     beta_bar: float
-    beta0: float
     kappa: float
-    p_bar: float
 
     @property
     def perturbed(self) -> bool:
@@ -166,9 +160,7 @@ def make_params(
         mu0=float(mu0),
         beta=beta,
         beta_bar=beta_bar,
-        beta0=min(beta, beta_bar),
         kappa=(p - 1.0) ** (-1.0 / (p - 1.0)),
-        p_bar=min(p, 2.0),
     )
 
 

@@ -10,17 +10,19 @@ that claim head on: method-of-lines integration of
 
     u_t = u_xx + |u|^{p-1} u + mu |u_x|^alpha + mu_bar |u|^alpha_bar + mu0
 
-with Runge-Kutta 4 in time, centered differences in space, and a step size
-that tracks both the diffusive limit and the shrinking reaction time scale
-lam * ||u||^{1-p}.  The spatial domain covers |z| <= Z_max; note T ~ 1e-9
-for s0 = 20, so the physically meaningful window is microscopic and the
-domain is derived from (T, s0), never hard-coded.
+with Runge-Kutta 4 in time, centered differences in space, and the step
+min(CFL dx^2/2, LAM ||u||^{1-p}), which tracks both the diffusive limit and
+the shrinking reaction time scale.  The spatial domain covers |z| <= Z_max;
+note T ~ 1e-9 for s0 = 20, so the physically meaningful window is
+microscopic and the domain is derived from (T, s0), never hard-coded.
 
-The blow-up time is estimated by extrapolating ||u(t)||_inf^{-(p-1)},
-which the leading-order dynamics make an affine function of t, over a
-window late enough to be in the asymptotic regime but early enough that
-the peak is still resolved by several grid cells.  The blow-up point comes
-from a parabolic refinement of the final peak.  Snapshots taken on the way
+A run stops when its peak has grown STOP_FACTOR-fold.  The blow-up time
+is estimated by extrapolating ||u(t)||_inf^{-(p-1)}, which the
+leading-order dynamics make an affine function of t, over the growth
+window [FIT_LO, FIT_HI]: late enough to be in the asymptotic regime but
+early enough that the peak is still resolved by several grid cells.  These
+five constants are the one estimator the acceptance criteria pin.  The
+blow-up point comes from a parabolic refinement of the final peak.  Snapshots taken on the way
 feed the profile comparison in self-similar variables (`similarity.py`).
 
 `integrate_us` marches K initial fields on one grid together, as the rows
@@ -38,6 +40,7 @@ cells, leaving the peak region untouched.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -64,6 +67,11 @@ __all__ = [
 # its stack holds 1 + 2 len(PROBE_REL_EPS) rows
 PROBE_REL_EPS = (1e-2, 1e-3, 1e-4)
 
+# the step law, stop level and fit window (growth factors) of every run
+CFL, LAM = 0.2, 0.01
+STOP_FACTOR = 1e4
+FIT_LO, FIT_HI = 30.0, 300.0
+
 
 @dataclass(frozen=True)
 class PhysicalConfig:
@@ -74,11 +82,6 @@ class PhysicalConfig:
     d1: float = 0.0
     z_max: float = 30.0
     n_x: int = 1601
-    cfl: float = 0.2
-    lam: float = 0.01
-    stop_factor: float = 1e4
-    fit_lo: float = 30.0
-    fit_hi: float = 300.0
     snapshot_factors: tuple = (10.0, 30.0, 100.0, 300.0, 1000.0)
     max_steps: int = 200_000
 
@@ -86,9 +89,7 @@ class PhysicalConfig:
         # each check states the accepted range, so NaN fails it
         if not (self.n_x >= 17 and self.n_x % 2 == 1):
             raise ValueError("n_x must be an odd integer >= 17 (peak at a node)")
-        if not (1.0 < self.fit_lo < self.fit_hi < self.stop_factor < np.inf):
-            raise ValueError("need 1 < fit_lo < fit_hi < stop_factor, all finite")
-        for name in ("s0", "z_max", "cfl", "lam"):
+        for name in ("s0", "z_max"):
             if not (0.0 < getattr(self, name) < np.inf):
                 raise ValueError(f"{name} must be > 0 and finite, got {getattr(self, name)!r}")
         for name in ("d0", "d1"):
@@ -115,7 +116,7 @@ def initial_u(params: ModelParams, cfg: PhysicalConfig) -> tuple[np.ndarray, np.
 class BlowupEstimate:
     """Result of one physical run.
 
-    blew_up is False when the peak never reached stop_factor growth within
+    blew_up is False when the peak never reached STOP_FACTOR growth within
     max_steps steps; that is a valid outcome (subcritical data), not a
     failure, and T_est is +inf in that case.
     """
@@ -224,16 +225,15 @@ def integrate_us(
     params: ModelParams, cfg: PhysicalConfig, u0s: np.ndarray
 ) -> list[BlowupEstimate]:
     """March K initial fields on the grid of cfg until each peak grows by
-    stop_factor; one estimate per row of the (K, n_x) array u0s.
+    STOP_FACTOR; one estimate per row of the (K, n_x) array u0s.
 
     The fields step together as the rows of one stack, and each row keeps
-    the arithmetic of a lone run bit for bit: its own step
-    min(dt_diff, lam ||u||^{1-p}), time, (t, ||u||_inf) record and
-    snapshots at the configured growth factors.  A row leaves the stack on
-    the step its peak reaches stop_factor times its initial height; its
-    ||u||^{-(p-1)} is then fitted against t over the growth window
-    [fit_lo, fit_hi] to extrapolate the blow-up time.  A row still in the
-    stack after cfg.max_steps steps is reported as a non-blow-up outcome.
+    the arithmetic of a lone run bit for bit: its own step, time,
+    (t, ||u||_inf) record and snapshots at the configured growth factors.
+    A row leaves the stack on the step its peak reaches STOP_FACTOR times
+    its initial height, and its blow-up time is fitted over the growth
+    window.  A row still in the stack after cfg.max_steps steps is
+    reported as a non-blow-up outcome.
     """
     x, _ = initial_u(params, cfg)
     u = np.array(u0s, dtype=float)
@@ -241,14 +241,14 @@ def integrate_us(
         raise ValueError("initial data has the wrong shape")
     n_rows = u.shape[0]
     dx = x[1] - x[0]
-    dt_diff = cfg.cfl * dx**2 / 2.0
+    dt_diff = CFL * dx**2 / 2.0
     factors = sorted(cfg.snapshot_factors)
     work = [np.empty_like(u) for _ in range(4)]
 
     umax0 = np.max(np.abs(u), axis=1).tolist()
     t = [0.0] * n_rows
-    ts = [[0.0] for _ in range(n_rows)]
-    umaxs = [[m] for m in umax0]
+    ts = [array("d", [0.0]) for _ in range(n_rows)]
+    umaxs = [array("d", [m]) for m in umax0]
     snapshots = [[] for _ in range(n_rows)]
     next_snap = [0] * n_rows
     ends = [None] * n_rows  # (u_end, n_steps, blew_up) once the row leaves
@@ -260,7 +260,7 @@ def integrate_us(
         # the stack, keeping its final field in place behind it
         for j in reversed(range(len(live))):
             i = live[j]
-            if umaxs[i][-1] >= cfg.stop_factor * umax0[i]:
+            if umaxs[i][-1] >= STOP_FACTOR * umax0[i]:
                 tail = len(live) - 1
                 if j < tail:
                     u[[j, tail]] = u[[tail, j]]
@@ -270,7 +270,7 @@ def integrate_us(
         if not live or n >= cfg.max_steps:
             break
         rows = len(live)
-        dts = [min(dt_diff, cfg.lam * umaxs[i][-1] ** (1.0 - params.p)) for i in live]
+        dts = [min(dt_diff, LAM * umaxs[i][-1] ** (1.0 - params.p)) for i in live]
         _rk4_step(u[:rows], np.array(dts)[:, None], dx, params, [w[:rows] for w in work])
         n += 1
         # a non-finite value makes its row's max non-finite
@@ -293,8 +293,7 @@ def integrate_us(
         sample_umax = np.array(umaxs[i])
         if blew_up:
             T_est, r2 = _fit_blowup_time(
-                sample_t, sample_umax, params.p,
-                cfg.fit_lo * umax0[i], cfg.fit_hi * umax0[i],
+                sample_t, sample_umax, params.p, FIT_LO * umax0[i], FIT_HI * umax0[i]
             )
             a_est = _refine_peak(x, u_end)
         else:
@@ -318,16 +317,9 @@ def integrate_us(
     return estimates
 
 
-def integrate_u(
-    params: ModelParams,
-    cfg: PhysicalConfig,
-    u0_override: np.ndarray | None = None,
-) -> BlowupEstimate:
-    """`integrate_us` of one field: the prepared initial condition, or
-    u0_override on the same grid.
-    """
-    u0 = initial_u(params, cfg)[1] if u0_override is None else u0_override
-    return integrate_us(params, cfg, u0[np.newaxis])[0]
+def integrate_u(params: ModelParams, cfg: PhysicalConfig) -> BlowupEstimate:
+    """`integrate_us` of the prepared initial condition alone."""
+    return integrate_us(params, cfg, initial_u(params, cfg)[1][np.newaxis])[0]
 
 
 def homogeneous_oracle(params: ModelParams, c: float = 1.0) -> dict:
@@ -337,16 +329,14 @@ def homogeneous_oracle(params: ModelParams, c: float = 1.0) -> dict:
     u' = u^p + N(0, u, 0), with N from `perturbation_N` at u_x = 0: its
     gradient term is mu |0|^alpha, which is mu at alpha = 0 and 0 otherwise.
     The blow-up time is the convergent integral of du / rhs(u) from c; when
-    N vanishes it is c^{1-p}/(p-1) in closed form.  The same RK4 step-size
-    law and the same window fit as integrate_u are applied, with the
-    reaction step factor, stop factor, fit window and step cap of the
-    default `PhysicalConfig`, so any bias of the estimator shows up against
-    an exact target.
+    N vanishes it is c^{1-p}/(p-1) in closed form.  The reaction step
+    LAM u^{1-p}, the stop at STOP_FACTOR and the fit over [FIT_LO, FIT_HI]
+    of `integrate_us` are applied, with the default max_steps as the step
+    cap, so any bias of the estimator shows up against an exact target.
     """
     if c <= 0.0:
         raise ValueError("oracle initial value must be positive")
     p = params.p
-    cfg = PhysicalConfig()
 
     def rhs(v: float) -> float:
         out = v**p
@@ -371,8 +361,8 @@ def homogeneous_oracle(params: ModelParams, c: float = 1.0) -> dict:
     us = [u]
     max_rel_dev = 0.0
     n = 0
-    while u < cfg.stop_factor * c and n < cfg.max_steps:
-        dt = cfg.lam * u ** (1.0 - p)
+    while u < STOP_FACTOR * c and n < PhysicalConfig.max_steps:
+        dt = LAM * u ** (1.0 - p)
         k1 = rhs(u)
         k2 = rhs(u + 0.5 * dt * k1)
         k3 = rhs(u + 0.5 * dt * k2)
@@ -385,12 +375,10 @@ def homogeneous_oracle(params: ModelParams, c: float = 1.0) -> dict:
         if closed_form and u <= 1e3 * c:
             exact = ((p - 1.0) * (T_exact - t)) ** (-1.0 / (p - 1.0))
             max_rel_dev = max(max_rel_dev, abs(u - exact) / exact)
-    if u < cfg.stop_factor * c:
+    if u < STOP_FACTOR * c:
         raise RuntimeError("homogeneous oracle did not reach the stop factor")
 
-    T_est, r2 = _fit_blowup_time(
-        np.array(ts), np.array(us), p, cfg.fit_lo * c, cfg.fit_hi * c
-    )
+    T_est, r2 = _fit_blowup_time(np.array(ts), np.array(us), p, FIT_LO * c, FIT_HI * c)
     return {
         "T_est": T_est,
         "T_exact": float(T_exact),

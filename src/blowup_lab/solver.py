@@ -17,8 +17,8 @@ and N of the q form come from one `SourceTerms` object, whose coefficient
 fields (profile, potential, residual, profile gradient) are frozen at one
 time: the step midpoint s + ds/2 for both halves, which keeps the
 composition time-symmetric and the scheme second order.  The per-step
-source sups of a trajectory record and the integral-form check read the
-same object.  The w form adds the same perturbation N
+N sup of a trajectory record and the integral-form check read the same
+object.  The w form adds the same perturbation N
 (`model.perturbation_N`) and integrates the power nonlinearity
 w' = |w|^{p-1} w in closed form, so the constant steady state kappa is
 preserved to O(ds^3) per step.
@@ -29,11 +29,11 @@ divergence of the field.  The q form advances K trajectories of one grid
 and one starting time together, as the rows of a C-contiguous (K, n)
 array: each step evaluates one `SourceTerms` for every row and applies
 the cached kernel to every row in one call, and each observation takes
-one cutoff for every row, while the boundary condition, the overflow guard, trap membership,
-the source sups and the exit classification stay per row.  A row that
-exits or diverges leaves the ensemble and the others go on.  Every
-reduction runs along a row in the order of a lone field, so each row is
-bitwise the trajectory run alone; a single trajectory is the case K = 1.
+one cutoff for every row, while the boundary condition, the overflow guard,
+trap membership, the N sup and the exit classification stay per row.  A
+row that exits or diverges leaves the ensemble and the others go on.
+Every reduction runs along a row in the order of a lone field, so each row
+is bitwise the trajectory run alone; a single trajectory is the case K = 1.
 """
 
 from __future__ import annotations
@@ -75,27 +75,24 @@ __all__ = [
     "forms_consistency_check",
 ]
 
+# a field that exceeds this in sup norm, or stops being finite, has diverged
+OVERFLOW = 1e8
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Step size and overflow cap of the one scheme: exact-kernel Strang
-    splitting with the ends pinned to -kappa/(2ps) (q form) and phi (w form).
+    """Step size of the one scheme: exact-kernel Strang splitting with the
+    ends pinned to -kappa/(2ps) (q form) and phi (w form).
 
     Every term of the equation is always on: the q form adds Vq, B and R,
     plus N in a perturbed model.
-
-    overflow:
-        a field that exceeds it in sup norm, or stops being finite, has
-        diverged.
     """
 
     ds: float = 0.01
-    overflow: float = 1e8
 
     def __post_init__(self) -> None:
         if not (0.0 < self.ds <= 0.5):
             raise ValueError(f"step size must be in (0, 0.5], got ds={self.ds!r}")
-        if not (0.0 < self.overflow):
-            raise ValueError(f"overflow cap must be > 0, got overflow={self.overflow!r}")
 
 
 class DivergenceError(RuntimeError):
@@ -181,9 +178,9 @@ def _apply_bc_w(values: np.ndarray, params: ModelParams, grid: Grid, s: float) -
     values[[0, -1]] = phi(params, grid.y[[0, -1]], s)
 
 
-def _guard(values: np.ndarray, s: float, overflow: float) -> None:
+def _guard(values: np.ndarray, s: float) -> None:
     amax = np.max(np.abs(values), axis=-1)
-    bad = ~(amax <= overflow)  # NaN and inf fail the comparison too
+    bad = ~(amax <= OVERFLOW)  # NaN and inf fail the comparison too
     if not np.any(bad):
         return
     worst = float(np.max(amax))
@@ -201,7 +198,7 @@ def step_q(q: Field, params: ModelParams, cfg: SolverConfig) -> Field:
     size cfg.ds.
 
     Raises DivergenceError, naming the offending rows of a stack, when a
-    row stops being finite or exceeds cfg.overflow.
+    row stops being finite or exceeds OVERFLOW.
     """
     ds = cfg.ds
     s_new = q.s + ds
@@ -210,7 +207,7 @@ def step_q(q: Field, params: ModelParams, cfg: SolverConfig) -> Field:
     v = apply_semigroup_values(ds, q.grid, v)
     v = _midpoint_half(rhs, v, 0.5 * ds)
     _apply_bc_q(v, params, s_new)
-    _guard(v, s_new, cfg.overflow)
+    _guard(v, s_new)
     return Field(grid=q.grid, values=v, s=s_new)
 
 
@@ -251,7 +248,7 @@ def step_w(w: Field, params: ModelParams, cfg: SolverConfig) -> Field:
     v = np.exp(-ds * (p.p / (p.p - 1.0))) * apply_semigroup_values(ds, grid, v)
     v = half(v, 0.5 * ds)
     _apply_bc_w(v, params, grid, s_new)
-    _guard(v, s_new, cfg.overflow)
+    _guard(v, s_new)
     return Field(grid=grid, values=v, s=s_new)
 
 
@@ -267,7 +264,6 @@ class TrajectoryRecord:
     qe_sup: np.ndarray = field(default_factory=lambda: np.empty(0))
     q_sup: np.ndarray = field(default_factory=lambda: np.empty(0))
     gradq_sup: np.ndarray = field(default_factory=lambda: np.empty(0))
-    R_sup: np.ndarray = field(default_factory=lambda: np.empty(0))
     N_sup: np.ndarray = field(default_factory=lambda: np.empty(0))
     margins: np.ndarray = field(default_factory=lambda: np.empty((0, 5)))
     inside: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=bool))
@@ -284,25 +280,8 @@ class TrajectoryRecord:
 # per-step series of a TrajectoryRecord, in the column order of an
 # observation row; the five trap margins follow them
 _SERIES = (
-    "s", "q0", "q1", "q2", "sem_minus", "qe_sup", "q_sup", "gradq_sup", "R_sup", "N_sup",
+    "s", "q0", "q1", "q2", "sem_minus", "qe_sup", "q_sup", "gradq_sup", "N_sup",
 )
-
-
-# (params, grid key, s) -> max|R|, which depends on nothing else; a run's
-# observations fall on the lattice s0 + k ds, so the levels of a shoot
-# share their entries.  Cleared when full, like the kernel cache.
-_R_SUP_TABLE: dict[tuple, float] = {}
-_R_SUP_TABLE_LIMIT = 10_000
-
-
-def _R_sup(src: SourceTerms) -> float:
-    key = (src.params, src.grid.key(), src.s)
-    r_sup = _R_SUP_TABLE.get(key)
-    if r_sup is None:
-        if len(_R_SUP_TABLE) >= _R_SUP_TABLE_LIMIT:
-            _R_SUP_TABLE.clear()
-        r_sup = _R_SUP_TABLE[key] = float(np.max(np.abs(src.R)))
-    return r_sup
 
 
 def _observe(q: Field, params: ModelParams, trap: TrapParams) -> tuple[np.ndarray, np.ndarray]:
@@ -327,7 +306,6 @@ def _observe(q: Field, params: ModelParams, trap: TrapParams) -> tuple[np.ndarra
         status.measured[:, 4],  # sup of q_e
         q.sup(),
         np.max(np.abs(qy[:, core]), axis=-1),
-        _R_sup(src),
         n_sup,
     )
     table = np.empty((q.values.shape[0], len(_SERIES) + len(COMPONENTS)))
@@ -365,7 +343,7 @@ def run_trajectories(
     The fields advance together as the rows of one (K, n) array, and the
     records equal those of K separate runs bit for bit.  s_end - s0 must be
     a whole number of steps of cfg.ds.  Diagnostics (mode amplitudes,
-    seminorms, trap margins, source sups) are recorded at the initial time
+    seminorms, trap margins, N sup) are recorded at the initial time
     and after every step.  A row stops at its first trap exit or
     divergence, and its record's `exit` carries the classification; `exit`
     is None only for a row that stayed inside up to s_end.

@@ -63,12 +63,9 @@ class TrapParams:
 class TrapStatus:
     """Signed margins (bound - measured) per component at one time."""
 
-    s: float
     inside: bool | np.ndarray
     measured: np.ndarray
-    bounds: np.ndarray
     margins: np.ndarray
-    violated: str | None | list
 
 
 @dataclass
@@ -118,28 +115,15 @@ def measured_components(d: SpectralDecomp) -> np.ndarray:
 def check_membership(d: SpectralDecomp, trap: TrapParams) -> TrapStatus:
     """Compare a decomposition against the bounds at its own time.
 
-    Ties in the most-violated component resolve to the lowest index, so
-    the outcome is deterministic.  For a stack of fields, `measured`,
-    `margins` and `inside` have one row per field and `violated` is a list.
+    For a stack of fields, `measured`, `margins` and `inside` have one row
+    per field.
     """
-    bounds = component_bounds(trap, d.s)
     measured = measured_components(d)
-    margins = bounds - measured
+    margins = component_bounds(trap, d.s) - measured
     inside = np.all(margins >= 0.0, axis=-1)
-    worst = np.argmin(margins, axis=-1)
     if margins.ndim == 1:
         inside = bool(inside)
-        violated = None if inside else COMPONENTS[int(worst)]
-    else:
-        violated = [None if ok else COMPONENTS[i] for ok, i in zip(inside, worst)]
-    return TrapStatus(
-        s=d.s,
-        inside=inside,
-        measured=measured,
-        bounds=bounds,
-        margins=margins,
-        violated=violated,
-    )
+    return TrapStatus(inside=inside, measured=measured, margins=margins)
 
 
 def check_derived_bounds(d: SpectralDecomp, trap: TrapParams) -> dict:
@@ -167,7 +151,8 @@ def exit_classify(record) -> ExitInfo | None:
     For an expanding-mode exit (q0 or q1) the outward velocity dq_m/ds is
     estimated by a 3-point backward difference at the exit step and the
     crossing is transverse when omega * dq_m/ds > 0 with omega the sign of
-    the violated mode.  Returns None if the record never leaves the trap.
+    the violated mode.  The exit component is the one of least margin, the
+    lowest index on a tie.  Returns None if the record never leaves the trap.
     """
     inside = record.inside
     if bool(np.all(inside)):

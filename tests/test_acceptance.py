@@ -271,7 +271,8 @@ def test_criterion_6_gradient_perturbed_lane(capsys, pert_shoot, pure_shoot, gri
     d0_gap = abs(pert_shoot.d0 - pure_shoot.d0)
     ok_gap = d0_gap <= 1e-5  # measured 4.1e-7: the new term barely moves d0*
 
-    n_le_r = bool(np.all(rec.N_sup <= rec.R_sup))
+    r_sup = [np.max(np.abs(remainder_R(PERT, grid50.y, s))) for s in rec.s]
+    n_le_r = bool(np.all(rec.N_sup <= r_sup))
     max_n_s4 = float(np.max(rec.s**4 * rec.N_sup))
 
     ratio, d20, d40 = _doubling_ratio(PERT)

@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
+from blowup_lab import physical
 from blowup_lab.cli import main
+from blowup_lab.config import load_config, validate_config
+
+EXAMPLES = Path(__file__).resolve().parents[1] / "examples_configs"
 
 BASE = """\
 [model]
@@ -133,19 +138,19 @@ def test_override_lands_in_config_txt(base_ini, tmp_path):
 
 
 def test_failed_check_returns_one_but_writes_artifacts(base_ini, tmp_path, capsys):
-    # untuned d0 misses the nominal blow-up time by ~1e-2 relative, far
-    # beyond the requested tolerance, so the check fails (and is reported)
+    # one level of search cannot tune (d0, d1) to s_end = 26, so the shoot
+    # ends on its budget, fails its check and still writes its artifacts
     out = tmp_path / "res"
     rc = main([
-        "run", str(base_ini), "--out", str(out), "--kind", "physical",
-        "--override", "physical.n_x=801",
-        "--override", "physical.t_rel_tol=1e-9",
+        "run", str(base_ini), "--out", str(out), "--kind", "shoot",
+        "--override", "shooting.max_levels=1",
     ])
     assert rc == 1
     assert "FAIL" in capsys.readouterr().out
     report = json.loads((out / "report.json").read_text())
-    assert report["checks"]["blowup_time"] is False
-    assert report["rel_T_err"] > 1e-3
+    assert report["ok"] is False
+    assert report["certificate"]["status"] == "max-levels"
+    assert {"MANIFEST.txt", "config.txt", "report.json"} <= {p.name for p in out.iterdir()}
 
 
 def test_config_errors_return_two(base_ini, tmp_path, capsys):
@@ -173,6 +178,7 @@ def test_config_errors_return_two(base_ini, tmp_path, capsys):
     ("trajectory.s_end=20.029", "[trajectory] s_end: window [20.0, 20.029] is not a whole"),
     ("shooting.s_end=26.01", "[shooting] s_end: window [20.0, 26.01] is not a whole"),
     ("solver.scheme=imex-cn", "override target 'solver.scheme' is not a known key"),
+    ("physical.t_rel_tol=0", "override target 'physical.t_rel_tol' is not a known key"),
 ])
 def test_value_outside_the_schema_returns_two(base_ini, tmp_path, capsys, item, msg):
     out = tmp_path / "res"
@@ -182,18 +188,20 @@ def test_value_outside_the_schema_returns_two(base_ini, tmp_path, capsys, item, 
     assert not out.exists()
 
 
-def test_numerical_failure_returns_three(base_ini, tmp_path, capsys):
-    # an absurd step size cap makes the first steps leap past the entire
+def test_numerical_failure_returns_three(base_ini, tmp_path, capsys, monkeypatch):
+    # an absurd step law makes the first steps leap past the entire
     # blow-up window; the estimator cannot fit and the run aborts
+    monkeypatch.setattr(physical, "CFL", 1e9)
+    monkeypatch.setattr(physical, "LAM", 1e9)
     out = tmp_path / "res"
     rc = main([
         "run", str(base_ini), "--out", str(out), "--kind", "physical",
         "--override", "physical.n_x=801",
-        "--override", "physical.cfl=1e9",
-        "--override", "physical.lam=1e9",
     ])
     assert rc == 3
-    assert "numerical failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numerical failure" in err
+    assert "too few samples in the extrapolation window" in err
     assert not out.exists()  # nothing half-written
 
 
@@ -227,12 +235,22 @@ def test_value_error_during_run_returns_three(base_ini, tmp_path, capsys, monkey
     assert not out.exists()
 
 
-def test_zero_cfl_returns_two(base_ini, tmp_path, capsys):
+def test_zero_z_max_returns_two(base_ini, tmp_path, capsys):
     out = tmp_path / "res"
     rc = main([
         "run", str(base_ini), "--out", str(out), "--kind", "physical",
-        "--override", "physical.cfl=0",
+        "--override", "physical.z_max=0",
     ])
     assert rc == 2
-    assert "config error: [physical] cfl must be > 0" in capsys.readouterr().err
+    assert "config error: [physical] z_max must be > 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("path", sorted(EXAMPLES.glob("*.ini")), ids=lambda p: p.name)
+def test_example_config_loads_and_validates(path):
+    validate_config(load_config(path))
+
+
+def test_base_example_runs_to_exit_zero(tmp_path):
+    rc = main(["run", str(EXAMPLES / "base.ini"), "--out", str(tmp_path / "res")])
+    assert rc == 0

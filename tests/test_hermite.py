@@ -138,7 +138,7 @@ def test_decompose_narrow_grid_rejected():
 
 def test_decompose_zero_field(grid20):
     d = decompose(_field(grid20, np.zeros(grid20.n)), K0=2.0)
-    assert d.modes() == (0.0, 0.0, 0.0)
+    assert (d.q0, d.q1, d.q2) == (0.0, 0.0, 0.0)
     assert d.q_minus.sup() == 0.0 and d.q_e.sup() == 0.0
     assert seminorm_minus(d) == 0.0
 
@@ -276,8 +276,7 @@ def test_discrete_L_second_order(m, e_coarse):
     assert np.all(orders >= 1.9), orders
 
 
-def test_spectral_decomp_modes_tuple(grid20):
+def test_spectral_decomp_keeps_K0_and_s(grid20):
     d = decompose(_field(grid20, np.exp(-grid20.y**2), s=16.0), K0=2.0)
     assert isinstance(d, SpectralDecomp)
-    assert d.modes() == (d.q0, d.q1, d.q2)
     assert d.K0 == 2.0 and d.s == 16.0

@@ -78,18 +78,14 @@ def test_derived_constants_p2():
     assert pr.beta == pytest.approx(0.5, abs=1e-15)
     # beta_bar = (p - alpha_bar)/(p-1) = 1
     assert pr.beta_bar == pytest.approx(1.0, abs=1e-15)
-    assert pr.beta0 == pytest.approx(0.5, abs=1e-15)
     assert pr.kappa == pytest.approx(1.0, abs=1e-15)  # (p-1)^{-1/(p-1)} at p=2
-    assert pr.p_bar == 2.0
 
 
 def test_derived_constants_other_p():
     pr = make_params(3.0)
     assert pr.kappa == pytest.approx(2.0 ** (-0.5), rel=1e-15)
-    assert pr.p_bar == 2.0
     pr = make_params(1.5)
     assert pr.kappa == pytest.approx(0.5 ** (-2.0), rel=1e-15)  # = 4
-    assert pr.p_bar == 1.5
     # pure case: beta = beta_bar = p/(p-1) from alpha = alpha_bar = 0
     assert pr.beta == pytest.approx(3.0, rel=1e-15)
     assert pr.beta_bar == pytest.approx(3.0, rel=1e-15)
@@ -246,7 +242,7 @@ def test_nonlinear_B_envelope_constant(p, c_env):
     ratio = 0.0
     for pv in phi_vals:
         b = nonlinear_B(pr, pv, q_vals)
-        ratio = max(ratio, float(np.max(np.abs(b) / np.abs(q_vals) ** pr.p_bar)))
+        ratio = max(ratio, float(np.max(np.abs(b) / np.abs(q_vals) ** min(p, 2.0))))
     assert ratio == pytest.approx(c_env, rel=1e-4)
 
 
@@ -260,7 +256,7 @@ def test_nonlinear_B_envelope_property(p, pv, q):
     """|B(q)| <= C |q|^min(p,2) with one uniform C over the sampled box."""
     pr = make_params(p)
     b = float(nonlinear_B(pr, pv, q))
-    assert abs(b) <= 12.0 * abs(q) ** pr.p_bar
+    assert abs(b) <= 12.0 * abs(q) ** min(p, 2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from scipy.interpolate import CubicSpline
 from blowup_lab.grids import Field, default_y_max, make_grid
 from blowup_lab.model import make_params, phi, phi_dy, profile_f
 from blowup_lab.physical import (
+    STOP_FACTOR,
     BlowupEstimate,
     PhysicalConfig,
     _fit_blowup_time,
@@ -55,19 +56,11 @@ def test_config_validation():
         PhysicalConfig(n_x=1600)
     with pytest.raises(ValueError, match="odd integer"):
         PhysicalConfig(n_x=15)
-    with pytest.raises(ValueError, match="fit_lo"):
-        PhysicalConfig(fit_lo=0.5)
-    with pytest.raises(ValueError, match="fit_lo"):
-        PhysicalConfig(fit_hi=2e4)
-    with pytest.raises(ValueError, match="cfl must be > 0"):
-        PhysicalConfig(cfl=0.0)
-    with pytest.raises(ValueError, match="lam must be > 0"):
-        PhysicalConfig(lam=0.0)
     with pytest.raises(ValueError, match="z_max must be > 0"):
         PhysicalConfig(z_max=0.0)
     for bad in (
-        dict(n_x=float("nan")), dict(fit_lo=np.nan), dict(stop_factor=np.inf),
-        dict(cfl=np.nan), dict(s0=np.nan), dict(d0=np.nan), dict(d1=np.inf),
+        dict(n_x=float("nan")), dict(z_max=np.inf), dict(s0=np.nan),
+        dict(d0=np.nan), dict(d1=np.inf),
     ):
         with pytest.raises(ValueError):
             PhysicalConfig(**bad)
@@ -94,9 +87,10 @@ def test_initial_data_closed_form(pure):
 
 
 def test_override_shape_guard(pure):
+    # a field run in place of the prepared one must lie on the grid of cfg
     cfg = PhysicalConfig(n_x=801, max_steps=1)
     with pytest.raises(ValueError, match="wrong shape"):
-        integrate_u(pure, cfg, u0_override=np.zeros(17))
+        integrate_us(pure, cfg, np.zeros((1, 17)))
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +170,7 @@ def test_tuned_run_hits_nominal_time(pure, tuned_run):
     assert est.fit_quality > 0.9999
     assert est.T_est > est.t_end  # extrapolation, never interpolation
     assert 1000 < est.n_steps < 1100  # measured 1054
-    assert est.umax_end >= cfg.stop_factor * est.sample_umax[0]
+    assert est.umax_end >= STOP_FACTOR * est.sample_umax[0]
 
 
 def test_tuned_run_snapshots_approach_profile(pure, tuned_run):
@@ -308,7 +302,7 @@ def test_small_negative_data_does_not_blow_up(pure):
     # 2000 diffusive steps of 0.01125 T each cover 22.5 T
     cfg = PhysicalConfig(s0=20.0, n_x=801, max_steps=2000)
     x, u0 = initial_u(pure, cfg)
-    est = integrate_u(pure, cfg, u0_override=np.full_like(u0, -0.01))
+    est = integrate_us(pure, cfg, np.full((1, u0.size), -0.01))[0]
     assert est.blew_up is False
     assert est.T_est == np.inf
     assert est.fit_quality == 0.0
@@ -320,7 +314,7 @@ def test_small_negative_data_does_not_blow_up(pure):
 
 
 def test_run_that_stops_on_its_last_allowed_step_blew_up(pure):
-    # the free run reaches stop_factor on step 924; a cap of exactly that
+    # the free run reaches STOP_FACTOR on step 924; a cap of exactly that
     # many steps must report the same blow-up, not a subcritical outcome
     cfg = PhysicalConfig(s0=20.0, d0=D0_STAR, n_x=401)
     free = integrate_u(pure, cfg)
@@ -347,7 +341,7 @@ def _assert_rows_match_lone_runs(params, cfg, u0s):
     ests = integrate_us(params, cfg, u0s)
     assert len(ests) == len(u0s)
     for u0, est in zip(u0s, ests):
-        _assert_same_run(est, integrate_u(params, cfg, u0_override=u0))
+        _assert_same_run(est, integrate_us(params, cfg, u0[np.newaxis])[0])
     return ests
 
 

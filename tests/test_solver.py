@@ -65,8 +65,6 @@ def test_config_validation():
         SolverConfig(ds=0.6)
     with pytest.raises(ValueError, match="step size"):
         SolverConfig(ds=float("nan"))
-    with pytest.raises(ValueError, match="overflow cap"):
-        SolverConfig(overflow=float("nan"))
 
 
 # ---------------------------------------------------------------------------
@@ -209,11 +207,12 @@ def test_forms_consistency():
     assert out["sup_diff"] < out["sup_diff_global"]
 
 
-def test_guard_raises_on_overflow():
+def test_guard_raises_on_overflow(monkeypatch):
+    monkeypatch.setattr(solver, "OVERFLOW", 1e4)
     pr = make_params(2.0)
     g = make_grid(10.0, 0.1)
     q = Field(grid=g, values=np.full(g.n, 50.0), s=20.0)
-    cfg = SolverConfig(ds=0.1, overflow=1e4)
+    cfg = SolverConfig(ds=0.1)
     with pytest.raises(DivergenceError):
         for _ in range(10):
             q = step_q(q, pr, cfg)
@@ -287,15 +286,14 @@ def test_mode_ode_check_argument_errors():
         mode_ode_check(rec2, 3)
 
 
-def test_trajectory_divergence_is_reported():
-    # at A = 1e6 the row is still inside when it passes the overflow cap;
-    # with the default cap of 1e8 it would leave through q0 first
+def test_trajectory_divergence_is_reported(monkeypatch):
+    # at A = 1e6 the row is still inside when it passes a cap of 1e4;
+    # with the cap of 1e8 it would leave through q0 first
+    monkeypatch.setattr(solver, "OVERFLOW", 1e4)
     pr = make_params(2.0)
     g = make_grid(10.0, 0.1)
     big = Field(grid=g, values=np.full(g.n, 50.0), s=20.0)
-    rec = run_trajectory(
-        big, pr, TrapParams(A=1e6, K0=1.0), SolverConfig(ds=0.1, overflow=1e4), 22.0
-    )
+    rec = run_trajectory(big, pr, TrapParams(A=1e6, K0=1.0), SolverConfig(ds=0.1), 22.0)
     assert rec.exit is not None
     assert rec.exit.reason == "divergence"
     assert rec.exit.component is None
@@ -306,7 +304,7 @@ def test_trajectory_divergence_is_reported():
 def _assert_records_equal(a: TrajectoryRecord, b: TrajectoryRecord) -> None:
     for name in (
         "s", "q0", "q1", "q2", "sem_minus", "qe_sup", "q_sup", "gradq_sup",
-        "R_sup", "N_sup", "margins", "inside",
+        "N_sup", "margins", "inside",
     ):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and x.shape == y.shape, name
@@ -316,7 +314,7 @@ def _assert_records_equal(a: TrajectoryRecord, b: TrajectoryRecord) -> None:
 
 @pytest.mark.parametrize("lane", ["pure_p2", "perturbed_p2"])
 @pytest.mark.parametrize("narrow_trap", [True, False])
-def test_batched_rows_match_single_runs(lane, narrow_trap, request):
+def test_batched_rows_match_single_runs(lane, narrow_trap, request, monkeypatch):
     """Row k of a K = 5 ensemble is bit for bit the trajectory run alone.
 
     In the narrow trap (A = 8) the far row leaves at once and the edge row
@@ -344,7 +342,8 @@ def test_batched_rows_match_single_runs(lane, narrow_trap, request):
         else initial_q(pr, g, InitialDataParams(d0=pt[0], d1=pt[1], s0=s0))
         for pt in points
     ]
-    cfg = SolverConfig(ds=ds, overflow=1e3)
+    monkeypatch.setattr(solver, "OVERFLOW", 1e3)
+    cfg = SolverConfig(ds=ds)
     batched = run_trajectories(inits, pr, trap, cfg, s_end)
     assert len(batched) == len(inits)
     for q, rec in zip(inits, batched):
@@ -362,24 +361,6 @@ def test_batched_rows_match_single_runs(lane, narrow_trap, request):
     else:
         assert far.exit.reason == "divergence" and bool(np.all(far.inside))
         assert s0 < far.exit.s_star < s_end and far.s.size < edge.s.size
-
-
-def test_R_sup_table_keys_on_params_grid_and_time(pure_p2, perturbed_p2, monkeypatch):
-    """Each R_sup entry is max|R| at its own time: a pure run, a perturbed
-    one on the same grid and s-lattice, then the pure one again."""
-    monkeypatch.setattr(solver, "_R_SUP_TABLE", {})
-    g = _traj_grid(21.0)
-    trap = TrapParams(A=8.0, K0=4.0)
-    n_obs = 0
-    for pr in (pure_p2, perturbed_p2, pure_p2):
-        init = initial_q(pr, g, InitialDataParams(d0=0.0128, d1=0.0, s0=20.0))
-        rec = run_trajectory(init, pr, trap, SolverConfig(ds=0.02), 20.4)
-        assert rec.survived(20.4)
-        n_obs = rec.s.size
-        for s, r_sup in zip(rec.s, rec.R_sup):
-            assert r_sup.tobytes() == np.max(np.abs(remainder_R(pr, g.y, s))).tobytes()
-    # one entry per parameter set and time: the second pure run added none
-    assert len(solver._R_SUP_TABLE) == 2 * n_obs
 
 
 def test_run_trajectories_argument_checks():
