@@ -6,11 +6,12 @@ than silently falling back.  The effective configuration (defaults merged
 with the file and any command line overrides) can be hashed canonically,
 which is what makes result manifests reproducible byte for byte.
 
-The [solver] and [physical] keys and their defaults are the fields of
-`SolverConfig` and `PhysicalConfig`.  Range checks belong to the objects a
-run builds from each section; validation builds them and reports their
-errors under the section's name.  Validation also caps the nodes of the
-grids a run would build so that its largest arrays fit in MEMORY_BUDGET.
+Every kind reads the data (d0, d1) prepared at s0, the window end s_end
+and the step ds from [trajectory]; the [physical] keys and defaults are
+fields of `PhysicalConfig`.  Range checks belong to the objects a run
+builds from each section; validation builds them and reports their errors
+under the section's name.  Validation also caps the nodes of the grids a
+run would build so that its largest arrays fit in MEMORY_BUDGET.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ __all__ = [
     "config_hash",
     "config_text",
     "run_grid",
+    "physical_config",
     "MEMORY_BUDGET",
 ]
 
@@ -58,13 +60,6 @@ EXPERIMENT_KINDS = (
     "stability",
     "full-pipeline",
 )
-
-
-def _fields_schema(cls, skip: tuple[str, ...] = ()) -> dict[str, tuple[type, object]]:
-    """Schema entries of a config dataclass: one per field, its default."""
-    return {
-        f.name: (type(f.default), f.default) for f in fields(cls) if f.name not in skip
-    }
 
 
 # section -> key -> (type, default).  A float must be finite.
@@ -85,32 +80,33 @@ SCHEMA: dict[str, dict[str, tuple[type, object]]] = {
         "A": (float, 8.0),
         "K0": (float, 4.0),
     },
-    "solver": _fields_schema(SolverConfig),
     "trajectory": {
         "d0": (float, 0.0),
         "d1": (float, 0.0),
         "s0": (float, 20.0),
-        "s_end": (float, 23.0),
-    },
-    "shooting": {
-        "s0": (float, 20.0),
         "s_end": (float, 26.0),
         "ds": (float, 0.02),
+    },
+    "shooting": {
         "max_levels": (int, 64),
     },
-    "physical": _fields_schema(PhysicalConfig, skip=("snapshot_factors", "max_steps")),
+    "physical": {
+        f.name: (type(f.default), f.default)
+        for f in fields(PhysicalConfig)
+        if f.name in ("z_max", "n_x")
+    },
     "experiment": {
         "kind": (str, "trajectory"),
     },
 }
 
-# experiment kind -> the (section, key) times at which it decomposes a field
-# on the grid, each needing y_max >= 2 K0 sqrt(s)
+# experiment kind -> the latest [trajectory] time at which it decomposes a
+# field on the grid, needing y_max >= 2 K0 sqrt(s)
 _DECOMPOSE_AT = {
-    "spectral-checks": (("trajectory", "s0"),),
-    "trajectory": (("trajectory", "s_end"),),
-    "shoot": (("shooting", "s_end"),),
-    "full-pipeline": (("trajectory", "s0"), ("shooting", "s_end")),
+    "spectral-checks": "s0",
+    "trajectory": "s_end",
+    "shoot": "s_end",
+    "full-pipeline": "s_end",
 }
 
 # experiment kinds that check the kernel on the grid's interior
@@ -227,35 +223,36 @@ def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
     return cfg
 
 
-def run_grid(cfg: dict, s_max: float) -> Grid:
+def run_grid(cfg: dict) -> Grid:
     """The grid a run builds: [grid] y_max, or when that is 0 a half-width
-    that holds the cutoff support up to s_max, at spacing [grid] dy."""
+    that holds the cutoff support up to [trajectory] s_end, at spacing
+    [grid] dy."""
     y_max = cfg["grid"]["y_max"]
     if y_max <= 0.0:
-        y_max = default_y_max(cfg["trap"]["K0"], s_max)
+        y_max = default_y_max(cfg["trap"]["K0"], cfg["trajectory"]["s_end"])
     return make_grid(y_max, cfg["grid"]["dy"])
 
 
+def physical_config(cfg: dict, d0: float, d1: float) -> PhysicalConfig:
+    """The physical run from the data (d0, d1) prepared at [trajectory] s0."""
+    return PhysicalConfig(s0=cfg["trajectory"]["s0"], d0=d0, d1=d1, **cfg["physical"])
+
+
 def _grid_demand(cfg: dict, kind: str):
-    """What an experiment kind asks of its grid, or None if it builds none:
-    the latest time the grid must hold, the thetas of the kernels it keeps,
+    """What an experiment kind asks of its grid, which holds [trajectory]
+    s_end, or None if it builds none: the thetas of the kernels it keeps,
     the rows it steps together and the observations of each row."""
-    tj, sh = cfg["trajectory"], cfg["shooting"]
-    traj_obs = window_steps(tj["s0"], tj["s_end"], cfg["solver"]["ds"]) + 1
-    shoot_obs = window_steps(sh["s0"], sh["s_end"], sh["ds"]) + 1
+    tj = cfg["trajectory"]
+    n_obs = window_steps(tj["s0"], tj["s_end"], tj["ds"]) + 1
     checks = (math.inf,) * _CHECK_KERNELS
-    if kind == "spectral-checks":
-        return max(tj["s0"], tj["s_end"]), (), 1, 0
-    if kind == "semigroup-checks":
-        return tj["s_end"], checks, 1, 0
-    if kind == "trajectory":
-        return tj["s_end"], (cfg["solver"]["ds"],), 1, traj_obs
-    if kind == "shoot":
+    return {
+        "spectral-checks": ((), 1, 0),
+        "semigroup-checks": (checks, 1, 0),
+        "trajectory": ((tj["ds"],), 1, n_obs),
         # a level runs the five points of its plus-pattern together
-        return sh["s_end"], (sh["ds"],), 5, shoot_obs
-    if kind == "full-pipeline":
-        return max(tj["s0"], tj["s_end"], sh["s_end"]), checks + (sh["ds"],), 5, shoot_obs
-    return None
+        "shoot": ((tj["ds"],), 5, n_obs),
+        "full-pipeline": (checks + (tj["ds"],), 5, n_obs),
+    }.get(kind)
 
 
 def _check_memory(cfg: dict, kind: str) -> None:
@@ -263,9 +260,9 @@ def _check_memory(cfg: dict, kind: str) -> None:
     budget = f"the memory budget of {MEMORY_BUDGET / 2**30:g} GiB"
     demand = _grid_demand(cfg, kind)
     if demand is not None:
-        s_max, thetas, rows, n_obs = demand
+        thetas, rows, n_obs = demand
         # a derived half-width can overflow to inf on finite inputs
-        grid = _build("grid", run_grid, cfg=cfg, s_max=s_max)
+        grid = _build("grid", run_grid, cfg=cfg)
         widths = [band_layout(theta, grid)[2] for theta in thetas]
         per_node = (
             _KERNEL_KEPT_BYTES * sum(widths)
@@ -313,32 +310,30 @@ def validate_config(cfg: dict) -> None:
     if not (0.0 <= cfg["grid"]["y_max"] < math.inf):
         bad("grid", "y_max", "must be >= 0 and finite (0 derives it from the trap)")
     _build("trap", TrapParams, **cfg["trap"])
-    _build("solver", SolverConfig, **cfg["solver"])
-    _build("shooting", SolverConfig, ds=cfg["shooting"]["ds"])
-    for sec, ds in (("trajectory", cfg["solver"]["ds"]), ("shooting", cfg["shooting"]["ds"])):
-        d = cfg[sec]
-        s0, s_end = d["s0"], d["s_end"]
-        if not (s0 < s_end):
-            bad(sec, "s_end", f"must exceed [{sec}] s0")
-        try:
-            window_steps(s0, s_end, ds)
-        except ValueError as err:
-            bad(sec, "s_end", str(err))
-        _build(sec, InitialDataParams, d0=d.get("d0", 0.0), d1=d.get("d1", 0.0), s0=s0)
+    tj = cfg["trajectory"]
+    _build("trajectory", SolverConfig, ds=tj["ds"])
+    if not (tj["s0"] < tj["s_end"]):
+        bad("trajectory", "s_end", "must exceed [trajectory] s0")
+    try:
+        window_steps(tj["s0"], tj["s_end"], tj["ds"])
+    except ValueError as err:
+        bad("trajectory", "s_end", str(err))
+    _build("trajectory", InitialDataParams, d0=tj["d0"], d1=tj["d1"], s0=tj["s0"])
     if not (1 <= cfg["shooting"]["max_levels"]):
         bad("shooting", "max_levels", "must be >= 1")
-    _build("physical", PhysicalConfig, **cfg["physical"])
+    _build("physical", physical_config, cfg=cfg, d0=tj["d0"], d1=tj["d1"])
     kind = cfg["experiment"]["kind"]
     if kind not in EXPERIMENT_KINDS:
         bad("experiment", "kind", f"must be one of {EXPERIMENT_KINDS}")
     _check_memory(cfg, kind)
     if cfg["grid"]["y_max"] > 0:  # 0 derives a wide enough grid
         grid = _build("grid", make_grid, y_max=cfg["grid"]["y_max"], dy=cfg["grid"]["dy"])
-        for sec, key in _DECOMPOSE_AT.get(kind, ()):
+        key = _DECOMPOSE_AT.get(kind)
+        if key is not None:
             try:
-                check_cutoff_support(grid.y_max, cfg["trap"]["K0"], cfg[sec][key])
+                check_cutoff_support(grid.y_max, cfg["trap"]["K0"], tj[key])
             except ValueError as err:
-                bad("grid", "y_max", f"{kind} decomposes at [{sec}] {key}; {err}")
+                bad("grid", "y_max", f"{kind} decomposes at [trajectory] {key}; {err}")
         if kind in _KERNEL_CHECKS:
             try:
                 interior_mask(grid)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import run_grid
+from .config import physical_config, run_grid
 from .grids import Field
 from .hermite import (
     cubic_weighted_sup,
@@ -38,7 +38,7 @@ from .shooting import (
     shoot,
 )
 from .solver import SolverConfig, mode_ode_check, run_trajectory
-from .physical import PhysicalConfig, integrate_u, profile_error, stability_probe
+from .physical import integrate_u, profile_error, stability_probe
 from .trapset import TrapParams, check_derived_bounds, check_membership
 
 __all__ = ["run_experiment"]
@@ -56,7 +56,7 @@ def _params(cfg: dict):
 def run_spectral_checks(cfg: dict):
     params = _params(cfg)
     s0 = cfg["trajectory"]["s0"]
-    grid = run_grid(cfg, max(s0, cfg["trajectory"]["s_end"]))
+    grid = run_grid(cfg)
     y = grid.y
 
     n_modes = 6
@@ -115,7 +115,7 @@ def run_spectral_checks(cfg: dict):
 
 def run_semigroup_checks(cfg: dict):
     params = _params(cfg)
-    grid = run_grid(cfg, cfg["trajectory"]["s_end"])
+    grid = run_grid(cfg)
     y = grid.y
 
     thetas = (0.01, 0.1, 0.5, 1.0, 2.0)
@@ -192,9 +192,9 @@ def _trajectory_table(rec):
 def run_trajectory_experiment(cfg: dict):
     params = _params(cfg)
     tj = cfg["trajectory"]
-    grid = run_grid(cfg, tj["s_end"])
+    grid = run_grid(cfg)
     trap = TrapParams(**cfg["trap"])
-    scfg = SolverConfig(**cfg["solver"])
+    scfg = SolverConfig(ds=tj["ds"])
     init = initial_q(
         params, grid, InitialDataParams(d0=tj["d0"], d1=tj["d1"], s0=tj["s0"])
     )
@@ -233,22 +233,22 @@ def run_trajectory_experiment(cfg: dict):
 
 def run_shoot_experiment(cfg: dict):
     params = _params(cfg)
-    sh = cfg["shooting"]
-    grid = run_grid(cfg, sh["s_end"])
+    tj = cfg["trajectory"]
+    grid = run_grid(cfg)
     trap = TrapParams(**cfg["trap"])
-    scfg = SolverConfig(ds=sh["ds"])
-    mode_map = initial_mode_map(params, grid, sh["s0"], trap.K0)
+    scfg = SolverConfig(ds=tj["ds"])
+    mode_map = initial_mode_map(params, grid, tj["s0"], trap.K0)
     rect0 = initial_rectangle(mode_map, trap)
-    init_chk = initial_components_check(params, grid, sh["s0"], trap, rect0)
+    init_chk = initial_components_check(params, grid, tj["s0"], trap, rect0)
     result = shoot(
         params,
         grid,
         trap,
         scfg,
-        sh["s0"],
-        sh["s_end"],
+        tj["s0"],
+        tj["s_end"],
         rect0=rect0,
-        max_levels=sh["max_levels"],
+        max_levels=cfg["shooting"]["max_levels"],
     )
     report = {
         "mode_map_M": mode_map.M.tolist(),
@@ -269,8 +269,12 @@ def run_shoot_experiment(cfg: dict):
 
 
 def run_physical_experiment(cfg: dict):
-    params = _params(cfg)
-    pcfg = PhysicalConfig(**cfg["physical"])
+    tj = cfg["trajectory"]
+    return _physical_run(_params(cfg), physical_config(cfg, tj["d0"], tj["d1"]))
+
+
+def _physical_run(params, pcfg):
+    """One physical run from pcfg's data, its blow-up fit and profiles."""
     est = integrate_u(params, pcfg)
     T = pcfg.T
     stride = max(1, est.sample_t.size // 2000)
@@ -318,9 +322,8 @@ def run_physical_experiment(cfg: dict):
 
 
 def run_stability_experiment(cfg: dict):
-    params = _params(cfg)
-    pcfg = PhysicalConfig(**cfg["physical"])
-    probe = stability_probe(params, pcfg)
+    tj = cfg["trajectory"]
+    probe = stability_probe(_params(cfg), physical_config(cfg, tj["d0"], tj["d1"]))
     rows = probe["rows"]
     eps_values = sorted({r["eps"] for r in rows}, reverse=True)
     worst_dT = {
@@ -379,13 +382,10 @@ def run_full_pipeline(cfg: dict):
 
     # follow the tuned parameters into physical variables
     if good:
-        d0_star = sub["certificate"]["d0"]
-        d1_star = sub["certificate"]["d1"]
-        cfg_phys = {k: dict(v) for k, v in cfg.items()}
-        cfg_phys["physical"]["d0"] = d0_star
-        cfg_phys["physical"]["d1"] = d1_star
-        cfg_phys["physical"]["s0"] = cfg["shooting"]["s0"]
-        sub, tb, good = run_physical_experiment(cfg_phys)
+        cert = sub["certificate"]
+        sub, tb, good = _physical_run(
+            _params(cfg), physical_config(cfg, cert["d0"], cert["d1"])
+        )
         report["physical"] = sub
         tables.update({f"physical_{k}": v for k, v in tb.items()})
         ok = ok and good

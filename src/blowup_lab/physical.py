@@ -77,9 +77,9 @@ FIT_LO, FIT_HI = 30.0, 300.0
 class PhysicalConfig:
     """Controls for the physical-variables run."""
 
-    s0: float = 20.0
-    d0: float = 0.0
-    d1: float = 0.0
+    s0: float
+    d0: float
+    d1: float
     z_max: float = 30.0
     n_x: int = 1601
     snapshot_factors: tuple = (10.0, 30.0, 100.0, 300.0, 1000.0)

@@ -46,8 +46,8 @@ The search stops as soon as any evaluated trajectory survives to the
 requested time (the certificate), and reports failure honestly: exits
 through a non-expanding component mean the trap does not funnel at this
 amplitude ("degenerate-exit"), equal exit signs at both ends mean lost
-enclosure, and intervals shrunk to floating point granularity mean the
-window is numerically out of reach.
+enclosure, and either bracket shrunk to floating point granularity means
+the window is numerically out of reach.
 """
 
 from __future__ import annotations
@@ -222,7 +222,9 @@ class _PointOutcome:
 class ShootResult:
     """Outcome of the shooting search."""
 
-    status: str  # "survived" | "degenerate-exit" | "enclosure-lost" | "granularity" | "max-levels"
+    # survived, degenerate-exit, enclosure-lost, granularity (of either
+    # bracket) or max-levels
+    status: str
     d0: float
     d1: float
     s0: float
@@ -357,11 +359,11 @@ def shoot(
         width = rect[:, 1] - rect[:, 0]
         cuts, steps = zip(cut(0), cut(1))
         c0, c1 = cuts
-        granular0 = width[0] < 4.0 * np.spacing(abs(c0) + 1e-30)
-        granular1 = width[1] < 4.0 * np.spacing(abs(c1) + 1e-30)
-        if granular0 and granular1:
-            # the rectangle has collapsed to floating point resolution; the
-            # sign tests below would compare a point against itself
+        granular = width < 4.0 * np.spacing(np.abs(cuts) + 1e-30)
+        if granular.any():
+            # at floating point resolution the sign test of that bracket
+            # would compare a point against itself
+            axes = " and ".join(f"d{m}" for m in np.flatnonzero(granular))
             (center,) = evaluate((c0, c1))
             if center.survived:
                 return finish("survived", center, level)
@@ -369,7 +371,7 @@ def shoot(
                 "granularity",
                 center,
                 level,
-                note="both parameter intervals reached floating point granularity",
+                note=f"the {axes} bracket reached floating point granularity",
             )
         d0_ends = ((rect[0, 0], c1), (rect[0, 1], c1))
         d1_ends = ((c0, rect[1, 0]), (c0, rect[1, 1]))

@@ -88,7 +88,7 @@ class SolverConfig:
     plus N in a perturbed model.
     """
 
-    ds: float = 0.01
+    ds: float
 
     def __post_init__(self) -> None:
         if not (0.0 < self.ds <= 0.5):

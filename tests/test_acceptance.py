@@ -410,8 +410,7 @@ def test_criterion_9_reproducible_artifacts(capsys, tmp_path):
     cfg.write_text(
         "[model]\np = 2.0\nalpha = 1.0\nalpha_bar = 1.0\n"
         "mu = 1.0\nmu_bar = 1.0\nmu0 = 1.0\n"
-        "[trajectory]\nd0 = 0.0\nd1 = 0.0\ns0 = 20.0\ns_end = 20.3\n"
-        "[solver]\nds = 0.02\n"
+        "[trajectory]\nd0 = 0.0\nd1 = 0.0\ns0 = 20.0\ns_end = 20.3\nds = 0.02\n"
         "[experiment]\nkind = trajectory\n"
     )
     out1, out2 = tmp_path / "run1", tmp_path / "run2"

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -21,8 +22,6 @@ d0 = 0.0
 d1 = 0.0
 s0 = 20.0
 s_end = 20.5
-
-[solver]
 ds = 0.02
 
 [experiment]
@@ -130,10 +129,10 @@ def test_override_lands_in_config_txt(base_ini, tmp_path):
     out = tmp_path / "res"
     main([
         "run", str(base_ini), "--out", str(out),
-        "--override", "solver.ds=0.02",
+        "--override", "trajectory.ds=0.02",
     ])
     lines = (out / "config.txt").read_text().splitlines()
-    assert "solver.ds=0.02" in lines
+    assert "trajectory.ds=0.02" in lines
     assert "trajectory.s_end=20.5" in lines  # file value survives
 
 
@@ -144,6 +143,7 @@ def test_failed_check_returns_one_but_writes_artifacts(base_ini, tmp_path, capsy
     rc = main([
         "run", str(base_ini), "--out", str(out), "--kind", "shoot",
         "--override", "shooting.max_levels=1",
+        "--override", "trajectory.s_end=26",
     ])
     assert rc == 1
     assert "FAIL" in capsys.readouterr().out
@@ -163,7 +163,7 @@ def test_config_errors_return_two(base_ini, tmp_path, capsys):
     assert "config error: [model] supercritical alpha" in err
     assert "need alpha < 2p/(p+1) = 1.3333333333333333" in err
 
-    assert main(["run", str(base_ini), "--override", "solver.ds"]) == 2
+    assert main(["run", str(base_ini), "--override", "trajectory.ds"]) == 2
     assert "not of the form" in capsys.readouterr().err
 
     assert main(["run", str(base_ini), "--kind", "warp"]) == 2
@@ -176,7 +176,7 @@ def test_config_errors_return_two(base_ini, tmp_path, capsys):
     ("trap.A=nan", "[trap] A: expected a finite number"),
     ("model.alpha=nan", "[model] alpha: expected a finite number"),
     ("trajectory.s_end=20.029", "[trajectory] s_end: window [20.0, 20.029] is not a whole"),
-    ("shooting.s_end=26.01", "[shooting] s_end: window [20.0, 26.01] is not a whole"),
+    ("trajectory.ds=0.035", "[trajectory] s_end: window [20.0, 20.5] is not a whole"),
     ("solver.scheme=imex-cn", "override target 'solver.scheme' is not a known key"),
     ("physical.t_rel_tol=0", "override target 'physical.t_rel_tol' is not a known key"),
 ])
@@ -186,6 +186,63 @@ def test_value_outside_the_schema_returns_two(base_ini, tmp_path, capsys, item, 
     assert rc == 2
     assert f"config error: {msg}" in capsys.readouterr().err
     assert not out.exists()
+
+
+# the copies of the [trajectory] data, window and step that the solver, the
+# shoot and the physical run kept
+_REMOVED_NAMES = [
+    ("solver", "ds", "unknown section [solver]"),
+    ("shooting", "s0", "unknown key 's0' in [shooting]"),
+    ("shooting", "s_end", "unknown key 's_end' in [shooting]"),
+    ("shooting", "ds", "unknown key 'ds' in [shooting]"),
+    ("physical", "s0", "unknown key 's0' in [physical]"),
+    ("physical", "d0", "unknown key 'd0' in [physical]"),
+    ("physical", "d1", "unknown key 'd1' in [physical]"),
+]
+
+
+@pytest.mark.parametrize("section,key,msg", _REMOVED_NAMES)
+def test_removed_names_return_two(base_ini, tmp_path, capsys, section, key, msg):
+    out = tmp_path / "res"
+    ini = tmp_path / "old.ini"
+    ini.write_text(f"{BASE}\n[{section}]\n{key} = 20.0\n")
+    assert main(["run", str(ini), "--out", str(out)]) == 2
+    assert f"config error: {msg}" in capsys.readouterr().err
+    rc = main(["run", str(base_ini), "--out", str(out), "--override", f"{section}.{key}=20.0"])
+    assert rc == 2
+    assert f"override target '{section}.{key}' is not a known key" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["physical", "stability"])
+def test_physical_kinds_reject_s0_below_e(base_ini, tmp_path, capsys, kind):
+    # the physical run starts from the [trajectory] data, whose s0 >= e
+    out = tmp_path / "res"
+    rc = main([
+        "run", str(base_ini), "--out", str(out), "--kind", kind,
+        "--override", "trajectory.s0=2.5",
+    ])
+    assert rc == 2
+    assert "config error: [trajectory] starting time must be >= e" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_full_pipeline_follows_the_certificate(base_ini, tmp_path):
+    # the shoot certifies (d0*, d1*) from [trajectory] s0 to s_end, and the
+    # physical run starts from that data at the same s0
+    out = tmp_path / "res"
+    rc = main([
+        "run", str(base_ini), "--out", str(out), "--kind", "full-pipeline",
+        "--override", "trajectory.s_end=26",
+    ])
+    assert rc == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["ok"] is True
+    assert report["shoot"]["certificate"]["status"] == "survived"
+    phys = report["physical"]
+    assert phys["T"] == math.exp(-20.0)
+    # measured 3.97e-6 (n_x = 1601, certificate at level 2)
+    assert phys["rel_T_err"] < 1e-5
 
 
 def test_numerical_failure_returns_three(base_ini, tmp_path, capsys, monkeypatch):

@@ -39,16 +39,20 @@ def test_defaults_cover_every_schema_key():
 
 
 def test_schema_holds_only_keys_a_run_sets():
-    assert sum(len(keys) for keys in SCHEMA.values()) == 25
-    assert list(SCHEMA["physical"]) == ["s0", "d0", "d1", "z_max", "n_x"]
-    assert list(SCHEMA["solver"]) == ["ds"]
+    assert sum(len(keys) for keys in SCHEMA.values()) == 19
+    assert len(SCHEMA) == 7
+    # each run parameter has one home: every kind reads its data, window
+    # and step from [trajectory]
+    assert list(SCHEMA["trajectory"]) == ["d0", "d1", "s0", "s_end", "ds"]
+    assert list(SCHEMA["shooting"]) == ["max_levels"]
+    assert list(SCHEMA["physical"]) == ["z_max", "n_x"]
 
 
 def test_load_merges_onto_defaults(tmp_path):
-    path = _write(tmp_path, "[model]\np = 3.0\n\n[solver]\nds = 0.02\n")
+    path = _write(tmp_path, "[model]\np = 3.0\n\n[trajectory]\nds = 0.01\n")
     cfg = load_config(path)
     assert cfg["model"]["p"] == 3.0
-    assert cfg["solver"]["ds"] == 0.02
+    assert cfg["trajectory"]["ds"] == 0.01
     assert cfg["model"]["alpha"] == 0.0  # untouched default
 
 
@@ -89,14 +93,23 @@ def test_load_rejects_non_finite_floats(tmp_path, raw):
 
 
 def test_load_rejects_removed_keys(tmp_path):
-    # the per-term switches, the scheme and boundary choices, the overflow
-    # cap, the physical dt0/t_budget knobs, step law, stop level, fit window
-    # and time tolerance, and the trajectory record stride are gone
+    # [solver] is gone with its step (now [trajectory] ds), the per-term
+    # switches, the scheme and boundary choices and the overflow cap
+    for key in ("ds", "include_residual", "scheme", "bc", "overflow"):
+        path = _write(tmp_path, f"[solver]\n{key} = 0\n")
+        with pytest.raises(ConfigError, match=r"unknown section \[solver\]"):
+            load_config(path)
+    # the shoot's and the physical run's copies of the [trajectory] data,
+    # window and step, the physical dt0/t_budget knobs, step law, stop
+    # level, fit window and time tolerance, and the trajectory record
+    # stride are gone
     for section, key in (
-        ("solver", "include_residual"),
-        ("solver", "scheme"),
-        ("solver", "bc"),
-        ("solver", "overflow"),
+        ("shooting", "s0"),
+        ("shooting", "s_end"),
+        ("shooting", "ds"),
+        ("physical", "s0"),
+        ("physical", "d0"),
+        ("physical", "d1"),
         ("physical", "t_budget"),
         ("physical", "cfl"),
         ("physical", "lam"),
@@ -113,17 +126,17 @@ def test_load_rejects_removed_keys(tmp_path):
 
 def test_overrides_apply_in_order():
     cfg = default_config()
-    apply_overrides(cfg, ["solver.ds=0.02", "solver.ds=0.04", "trap.A=9"])
-    assert cfg["solver"]["ds"] == 0.04
+    apply_overrides(cfg, ["trajectory.ds=0.02", "trajectory.ds=0.04", "trap.A=9"])
+    assert cfg["trajectory"]["ds"] == 0.04
     assert cfg["trap"]["A"] == 9.0
 
 
 def test_override_syntax_errors():
     cfg = default_config()
     with pytest.raises(ConfigError, match="not of the form"):
-        apply_overrides(cfg, ["solver.ds"])
+        apply_overrides(cfg, ["trajectory.ds"])
     with pytest.raises(ConfigError, match="not a known key"):
-        apply_overrides(cfg, ["solver.dt=0.01"])
+        apply_overrides(cfg, ["trajectory.dt=0.01"])
     with pytest.raises(ConfigError, match="not a known key"):
         apply_overrides(cfg, ["ds=0.01"])
 
@@ -134,7 +147,7 @@ def test_override_syntax_errors():
     ("grid", "y_max", -1.0, "must be >= 0"),
     ("trap", "A", 0.5, "must be >= 1"),
     ("trap", "K0", 0.0, "must be > 0"),
-    ("solver", "ds", 0.9, r"must be in \(0, 0.5\]"),
+    ("trajectory", "ds", 0.9, r"must be in \(0, 0.5\]"),
     ("trajectory", "s_end", 19.0, "must exceed"),
     ("trajectory", "s0", 2.0, "must be >= e"),
     ("shooting", "max_levels", 0, "must be >= 1"),
@@ -159,8 +172,8 @@ def test_validation_messages(section, key, value, msg):
     ("trajectory", "d0", math.nan),
     ("model", "alpha", math.nan),
     ("model", "mu", math.inf),
-    ("solver", "ds", math.nan),
-    ("physical", "d0", math.nan),
+    ("trajectory", "ds", math.nan),
+    ("trajectory", "s0", math.nan),
     ("physical", "z_max", math.nan),
 ])
 def test_validation_rejects_unparsed_non_finite_values(section, key, value):
@@ -184,6 +197,7 @@ def test_s0_between_e_and_2_8_validates():
     # the starting-time rule is s0 >= e, as InitialDataParams states it
     cfg = default_config()
     cfg["trajectory"]["s0"] = 2.75
+    cfg["trajectory"]["ds"] = 0.01  # the window [2.75, 26] holds 2325 steps
     validate_config(cfg)
 
 
@@ -202,13 +216,18 @@ def test_y_max_checked_on_the_grid_the_run_builds(y_max, ok):
 
 
 @pytest.mark.parametrize("overrides,kind,field", [
-    # 8.7e8 nodes on the derived grid; this run was killed for lack of memory
-    ({"grid": {"dy": 1e-7}}, "trajectory", r"\[grid\] a trajectory run on 867333045 nodes"),
+    # 8.7e8 nodes on the grid derived at s_end = 23; this run was killed for
+    # lack of memory
+    (
+        {"grid": {"dy": 1e-7}, "trajectory": {"s_end": 23.0}},
+        "trajectory",
+        r"\[grid\] a trajectory run on 867333045 nodes",
+    ),
     ({"grid": {"y_max": 1e6}}, "spectral-checks", r"\[grid\] a spectral-checks run"),
     # the derived grid at s_end = 26 has 91587 nodes, and a dy = 0.001
     # kernel of ds = 0.02 spans 3555 of them per row
     ({"grid": {"dy": 0.001}}, "shoot", r"\[grid\] a shoot run on 91587 nodes"),
-    # 1e8 steps of ds = 0.01 to record leave no room for any node
+    # 5e7 steps of ds = 0.02 to record leave no room for any node
     ({"trajectory": {"s_end": 1e6}}, "trajectory", r"\[grid\] .* holds at most 0 nodes"),
     ({"physical": {"n_x": 400000001}}, "physical", r"\[physical\] n_x: a physical run"),
     ({"physical": {"n_x": 400000001}}, "full-pipeline", r"\[physical\] n_x"),
@@ -300,28 +319,30 @@ def test_semigroup_checks_keep_the_kernels_the_memory_cap_counts(monkeypatch):
     assert len(semigroup._MATRIX_CACHE) == _CHECK_KERNELS
 
 
-@pytest.mark.parametrize("section,s_end,ds_key,ds", [
-    ("trajectory", 20.029, ("solver", "ds"), 0.02),
-    ("trajectory", 23.005, ("solver", "ds"), 0.01),
-    ("shooting", 26.01, ("shooting", "ds"), 0.02),
-    ("shooting", 26.0, ("shooting", "ds"), 0.035),
+@pytest.mark.parametrize("s_end,ds", [
+    (20.029, 0.02),
+    (23.005, 0.01),
+    (26.01, 0.02),
+    (26.0, 0.035),
 ])
-def test_window_must_be_a_whole_number_of_steps(section, s_end, ds_key, ds):
+def test_window_must_be_a_whole_number_of_steps(s_end, ds):
     cfg = default_config()
-    cfg[section]["s_end"] = s_end
-    cfg[ds_key[0]][ds_key[1]] = ds
-    with pytest.raises(ConfigError, match=rf"\[{section}\] s_end: .*not a whole number of steps"):
+    tj = cfg["trajectory"]
+    tj["s_end"], tj["ds"] = s_end, ds
+    with pytest.raises(ConfigError, match=r"\[trajectory\] s_end: .*not a whole number of steps"):
         validate_config(cfg)
     # one step more or less fits again
-    cfg[section]["s_end"] = cfg[section]["s0"] + ds * round((s_end - cfg[section]["s0"]) / ds)
+    tj["s_end"] = tj["s0"] + ds * round((s_end - tj["s0"]) / ds)
     validate_config(cfg)
 
 
-def test_trajectory_shoot_s0_checked_separately():
+def test_shoot_checks_the_trajectory_window():
+    # the shoot tunes the [trajectory] data over the [trajectory] window
     cfg = default_config()
-    cfg["shooting"]["s_end"] = 5.0
-    cfg["shooting"]["s0"] = 10.0
-    with pytest.raises(ConfigError, match=r"\[shooting\] s_end"):
+    cfg["experiment"]["kind"] = "shoot"
+    cfg["trajectory"]["s_end"] = 5.0
+    cfg["trajectory"]["s0"] = 10.0
+    with pytest.raises(ConfigError, match=r"\[trajectory\] s_end"):
         validate_config(cfg)
 
 
@@ -343,7 +364,7 @@ def test_config_text_is_sorted_and_canonical():
     pairs = [tuple(line.split("=", 1)[0].split(".")) for line in lines]
     assert pairs == sorted(pairs)
     assert text.endswith("\n")
-    assert "solver.ds=0.01" in lines
+    assert "trajectory.ds=0.02" in lines
 
 
 def test_hash_stability_and_sensitivity(tmp_path):
@@ -354,9 +375,9 @@ def test_hash_stability_and_sensitivity(tmp_path):
     empty = _write(tmp_path, "")
     assert config_hash(load_config(empty)) == h
     # spelled-out default too
-    spelled = _write(tmp_path, "[solver]\nds = 0.01\n")
+    spelled = _write(tmp_path, "[trajectory]\nds = 0.02\n")
     assert config_hash(load_config(spelled)) == h
-    cfg["solver"]["ds"] = 0.02
+    cfg["trajectory"]["ds"] = 0.01
     assert config_hash(cfg) != h
 
 
@@ -394,13 +415,12 @@ def _assert_in_range(cfg):
     assert 0.0 <= m["alpha_bar"] < m["p"]
     assert cfg["grid"]["dy"] > 0.0 and cfg["grid"]["y_max"] >= 0.0
     assert cfg["trap"]["A"] >= 1.0 and cfg["trap"]["K0"] > 0.0
-    assert 0.0 < cfg["solver"]["ds"] <= 0.5 and 0.0 < cfg["shooting"]["ds"] <= 0.5
-    for section in ("trajectory", "shooting"):
-        assert math.e <= cfg[section]["s0"] < cfg[section]["s_end"]
+    assert 0.0 < cfg["trajectory"]["ds"] <= 0.5
+    assert math.e <= cfg["trajectory"]["s0"] < cfg["trajectory"]["s_end"]
     assert cfg["shooting"]["max_levels"] >= 1
     ph = cfg["physical"]
     assert ph["n_x"] >= 17 and ph["n_x"] % 2 == 1
-    assert min(ph["s0"], ph["z_max"]) > 0.0
+    assert ph["z_max"] > 0.0
 
 
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)

@@ -25,6 +25,7 @@ mu0 = 1.0
 [trajectory]
 s0 = 20.0
 s_end = 20.05
+ds = 0.01
 
 [experiment]
 kind = trajectory

@@ -41,7 +41,7 @@ def pure():
 @pytest.fixture(scope="module")
 def tuned_run(pure):
     cfg = PhysicalConfig(
-        s0=20.0, d0=D0_STAR, z_max=30.0, n_x=1601,
+        s0=20.0, d0=D0_STAR, d1=0.0, z_max=30.0, n_x=1601,
         snapshot_factors=(np.e, np.e**2),
     )
     return cfg, integrate_u(pure, cfg)
@@ -52,22 +52,24 @@ def tuned_run(pure):
 
 
 def test_config_validation():
+    data = dict(s0=20.0, d0=0.0, d1=0.0)
     with pytest.raises(ValueError, match="odd integer"):
-        PhysicalConfig(n_x=1600)
+        PhysicalConfig(**data, n_x=1600)
     with pytest.raises(ValueError, match="odd integer"):
-        PhysicalConfig(n_x=15)
+        PhysicalConfig(**data, n_x=15)
     with pytest.raises(ValueError, match="z_max must be > 0"):
-        PhysicalConfig(z_max=0.0)
+        PhysicalConfig(**data, z_max=0.0)
     for bad in (
         dict(n_x=float("nan")), dict(z_max=np.inf), dict(s0=np.nan),
         dict(d0=np.nan), dict(d1=np.inf),
     ):
         with pytest.raises(ValueError):
-            PhysicalConfig(**bad)
+            PhysicalConfig(**{**data, **bad})
 
 
 def test_nominal_blowup_time():
-    assert PhysicalConfig(s0=20.0).T == pytest.approx(np.exp(-20.0), rel=1e-15)
+    cfg = PhysicalConfig(s0=20.0, d0=0.0, d1=0.0)
+    assert cfg.T == pytest.approx(np.exp(-20.0), rel=1e-15)
 
 
 def test_initial_data_closed_form(pure):
@@ -88,7 +90,7 @@ def test_initial_data_closed_form(pure):
 
 def test_override_shape_guard(pure):
     # a field run in place of the prepared one must lie on the grid of cfg
-    cfg = PhysicalConfig(n_x=801, max_steps=1)
+    cfg = PhysicalConfig(s0=20.0, d0=0.0, d1=0.0, n_x=801, max_steps=1)
     with pytest.raises(ValueError, match="wrong shape"):
         integrate_us(pure, cfg, np.zeros((1, 17)))
 
@@ -199,7 +201,7 @@ def test_tuned_run_snapshots_approach_profile(pure, tuned_run):
 def criterion7_run(pure):
     """The physical run of acceptance criterion 7, from the tuned d0."""
     cfg = PhysicalConfig(
-        s0=20.0, d0=D0_STAR, z_max=30.0, n_x=3201,
+        s0=20.0, d0=D0_STAR, d1=0.0, z_max=30.0, n_x=3201,
         snapshot_factors=(3.0, 10.0, 30.0, 100.0),
     )
     return integrate_u(pure, cfg)
@@ -300,7 +302,7 @@ def test_physical_matches_similarity_solver(pure, tuned_run):
 
 def test_small_negative_data_does_not_blow_up(pure):
     # 2000 diffusive steps of 0.01125 T each cover 22.5 T
-    cfg = PhysicalConfig(s0=20.0, n_x=801, max_steps=2000)
+    cfg = PhysicalConfig(s0=20.0, d0=0.0, d1=0.0, n_x=801, max_steps=2000)
     x, u0 = initial_u(pure, cfg)
     est = integrate_us(pure, cfg, np.full((1, u0.size), -0.01))[0]
     assert est.blew_up is False
@@ -316,7 +318,7 @@ def test_small_negative_data_does_not_blow_up(pure):
 def test_run_that_stops_on_its_last_allowed_step_blew_up(pure):
     # the free run reaches STOP_FACTOR on step 924; a cap of exactly that
     # many steps must report the same blow-up, not a subcritical outcome
-    cfg = PhysicalConfig(s0=20.0, d0=D0_STAR, n_x=401)
+    cfg = PhysicalConfig(s0=20.0, d0=D0_STAR, d1=0.0, n_x=401)
     free = integrate_u(pure, cfg)
     capped = integrate_u(pure, replace(cfg, max_steps=free.n_steps))
     assert free.blew_up and free.n_steps == 924
@@ -347,7 +349,7 @@ def _assert_rows_match_lone_runs(params, cfg, u0s):
 
 def test_stacked_probe_rows_are_their_lone_runs(pure):
     # the default snapshot factors, so the snapshots are compared too
-    cfg = PhysicalConfig(s0=20.0, d0=D0_STAR, n_x=401)
+    cfg = PhysicalConfig(s0=20.0, d0=D0_STAR, d1=0.0, n_x=401)
     labels, u0s = _probe_fields(pure, cfg, (1e-2, 1e-3, 1e-4), 17)
     assert len(labels) == 6 and u0s.shape == (7, 401)
     ests = _assert_rows_match_lone_runs(pure, cfg, u0s)
@@ -357,7 +359,7 @@ def test_stacked_probe_rows_are_their_lone_runs(pure):
 def test_stacked_rows_of_a_perturbed_model_are_their_lone_runs():
     # the gradient stencil of N also crosses the seams between rows
     prp = make_params(2.0, alpha=1.0, alpha_bar=1.0, mu=1.0, mu_bar=1.0, mu0=1.0)
-    cfg = PhysicalConfig(s0=20.0, d0=D0_STAR, n_x=401)
+    cfg = PhysicalConfig(s0=20.0, d0=D0_STAR, d1=0.0, n_x=401)
     _, u0s = _probe_fields(prp, cfg, (1e-2,), 17)
     ests = _assert_rows_match_lone_runs(prp, cfg, u0s)
     assert all(est.blew_up for est in ests)
@@ -366,7 +368,7 @@ def test_stacked_rows_of_a_perturbed_model_are_their_lone_runs():
 def test_rows_that_blow_up_leave_a_row_that_does_not(pure):
     # the data of test_small_negative_data_does_not_blow_up between two
     # blow-up rows, which leave on steps 924 and 923; it runs to max_steps
-    cfg = PhysicalConfig(s0=20.0, d0=D0_STAR, n_x=401, max_steps=1500)
+    cfg = PhysicalConfig(s0=20.0, d0=D0_STAR, d1=0.0, n_x=401, max_steps=1500)
     _, u0 = initial_u(pure, cfg)
     _, u0_steep = initial_u(pure, replace(cfg, d0=0.2))
     u0s = np.array([u0, np.full_like(u0, -0.01), u0_steep])
@@ -376,7 +378,7 @@ def test_rows_that_blow_up_leave_a_row_that_does_not(pure):
 
 
 def test_stack_shape_guard(pure):
-    cfg = PhysicalConfig(n_x=401, max_steps=1)
+    cfg = PhysicalConfig(s0=20.0, d0=0.0, d1=0.0, n_x=401, max_steps=1)
     with pytest.raises(ValueError, match="wrong shape"):
         integrate_us(pure, cfg, np.zeros(401))
     with pytest.raises(ValueError, match="wrong shape"):
@@ -384,7 +386,7 @@ def test_stack_shape_guard(pure):
 
 
 def test_stability_probe_shifts_scale_with_amplitude(pure):
-    cfg = PhysicalConfig(s0=20.0, d0=D0_STAR, z_max=30.0, n_x=801)
+    cfg = PhysicalConfig(s0=20.0, d0=D0_STAR, d1=0.0, z_max=30.0, n_x=801)
     probe = stability_probe(pure, cfg, rel_eps=(1e-2, 1e-3))
     assert probe["deterministic"] is True
     assert probe["baseline"]["a_est"] == 0.0

@@ -425,6 +425,21 @@ def test_shoot_reports_granularity(shoot_grid, trap8):
     assert "floating point granularity" in res.note
 
 
+def test_shoot_reports_granularity_on_one_axis(trap8):
+    # past the float64 wall the d0 bracket closes to 1 ulp while the d1
+    # bracket is still wide around d1* = 0.  Measured: the shoot ends here
+    # at level 10 after 14 evals; when both brackets had to be granular it
+    # ran on to "max-levels" after 64 levels and the same 14 evals
+    pr = make_params(2.0)
+    grid = make_grid(default_y_max(4.0, 58.0), 0.2)
+    res = shoot(pr, grid, trap8, SolverConfig(ds=0.1), 20.0, 58.0)
+    assert res.status == "granularity"
+    assert (res.levels, res.n_evals) == (10, 14)
+    assert res.note == "the d0 bracket reached floating point granularity"
+    assert res.rect[0, 1] - res.rect[0, 0] < 4.0 * np.spacing(res.d0)
+    assert res.rect[1, 1] - res.rect[1, 0] > 1e-4
+
+
 def test_certificate_is_json_serializable(shoot_grid, trap8):
     pr = make_params(2.0)
     res = shoot(

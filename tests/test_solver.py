@@ -228,7 +228,7 @@ def test_run_trajectory_argument_checks():
     trap = TrapParams(A=8.0, K0=1.0)
     q = Field(grid=g, values=np.zeros(g.n), s=20.0)
     with pytest.raises(ValueError, match="empty integration window"):
-        run_trajectory(q, pr, trap, SolverConfig(), 20.0)
+        run_trajectory(q, pr, trap, SolverConfig(ds=0.01), 20.0)
     for s_end in (20.029, 20.0 + 0.5 * 0.01, np.inf, np.nan):
         # s_end = 20.029 at ds = 0.01 used to stop at 20.03, past s_end
         with pytest.raises(ValueError, match="not a whole number of steps"):
@@ -369,10 +369,10 @@ def test_run_trajectories_argument_checks():
     trap = TrapParams(A=8.0, K0=1.0)
     q = Field(grid=g, values=np.zeros(g.n), s=20.0)
     with pytest.raises(ValueError, match="at least one"):
-        run_trajectories([], pr, trap, SolverConfig(), 21.0)
+        run_trajectories([], pr, trap, SolverConfig(ds=0.01), 21.0)
     later = Field(grid=g, values=np.zeros(g.n), s=20.5)
     with pytest.raises(ValueError, match="one grid and one initial time"):
-        run_trajectories([q, later], pr, trap, SolverConfig(), 21.0)
+        run_trajectories([q, later], pr, trap, SolverConfig(ds=0.01), 21.0)
 
 
 # ---------------------------------------------------------------------------
