@@ -28,14 +28,15 @@ projection residue q_b - sum(q_m h_m), rho-orthogonal to h_0, h_1, h_2.
 The reconstruction above is exact at every node by construction.
 
 The decomposition and the seminorm act row-wise on a stack of fields
-(see `grids`): one cutoff chi serves every row, and rho and h_0..h_2 are
-built once per grid.  Each row's amplitudes are the same trapezoid sums,
-in the same order, as for that field alone.
+(see `grids`), as do `SpectralDecomp.reconstruct` and the derived
+bounds of `trapset`: one cutoff chi and one support slice serve every
+row, and rho and h_0..h_2 are built once per grid.  Each row's amplitudes
+are the same trapezoid sums, in the same order, as for that field alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import factorial
 
@@ -140,7 +141,8 @@ class SpectralDecomp:
     q0, q1, q2 are the expanding/neutral mode amplitudes of the cutoff part;
     q_minus is the projection residue (rho-orthogonal to h_0, h_1, h_2) and
     q_e the outer part supported where the cutoff has died.  For a stack
-    of fields the amplitudes are arrays with one entry per row.
+    of fields the amplitudes are arrays with one entry per row.  `support`
+    is `cutoff_support` at s, taken once with the split.
     """
 
     q0: float | np.ndarray
@@ -150,18 +152,27 @@ class SpectralDecomp:
     q_e: Field
     K0: float
     s: float
+    support: slice = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.support = cutoff_support(self.q_minus.grid, self.K0, self.s)
+
+    def cutoff_part(self) -> np.ndarray:
+        """q_b = q0 h0 + q1 h1 + q2 h2 + q_minus, row by row for a stack."""
+        _, (h0, h1, h2) = _mode_rows(self.q_minus.grid)
+        q0, q1, q2 = (np.asarray(a)[..., None] for a in (self.q0, self.q1, self.q2))
+        return q0 * h0 + q1 * h1 + q2 * h2 + self.q_minus.values
 
     def reconstruct(self) -> np.ndarray:
-        g = self.q_minus.grid
-        y = g.y
-        out = self.q0 * hermite_h(0, y) + self.q1 * hermite_h(1, y)
-        out = out + self.q2 * hermite_h(2, y)
-        return out + self.q_minus.values + self.q_e.values
+        """q_b + q_e: the decomposed field, row by row for a stack."""
+        return self.cutoff_part() + self.q_e.values
 
 
-def cutoff_support(grid: Grid, K0: float, s: float) -> np.ndarray:
-    """The nodes of the cutoff's support at time s, |y| <= 2*K0*sqrt(s)."""
-    return np.abs(grid.y) <= 2.0 * K0 * np.sqrt(s)
+def cutoff_support(grid: Grid, K0: float, s: float) -> slice:
+    """The nodes of the cutoff's support at time s, |y| <= 2*K0*sqrt(s): one
+    run around y = 0 on the sorted symmetric grid, so a slice (a view)."""
+    k = int(np.count_nonzero(grid.y[grid.n_half:] <= 2.0 * K0 * np.sqrt(s)))
+    return slice(grid.n_half + 1 - k, grid.n_half + k)
 
 
 def check_cutoff_support(y_max: float, K0: float, s: float) -> None:
@@ -185,24 +196,18 @@ def decompose(q: Field, K0: float) -> SpectralDecomp:
     check_cutoff_support(grid.y_max, K0, s)
     chi = cutoff_chi(grid.y, s, K0)
     qb = q.values * chi
-    qe = q.values * (1.0 - chi)
-    _, modes = _mode_rows(grid)
-    coeffs = []
+    rho, modes = _mode_rows(grid)
+    wqb = grid.weights * qb
+    amps = []
     recon = np.zeros_like(qb)
     for m, hm in enumerate(modes):
-        qm = inner_rho(grid, qb, hm) / hermite_norm_sq(m)
-        coeffs.append(qm)
-        recon = recon + np.expand_dims(qm, -1) * hm
-    q_minus = Field(grid, qb - recon, s)
-    return SpectralDecomp(
-        q0=coeffs[0],
-        q1=coeffs[1],
-        q2=coeffs[2],
-        q_minus=q_minus,
-        q_e=Field(grid, qe, s),
-        K0=K0,
-        s=s,
-    )
+        # ((w qb) h_m) rho summed along each row: the product order of inner_rho
+        qm = np.sum(wqb * hm * rho, axis=-1, keepdims=True) / hermite_norm_sq(m)
+        recon += qm * hm
+        amps.append(qm[:, 0] if qm.ndim == 2 else float(qm[0]))
+    qb -= recon  # the projection residue
+    qe = Field(grid, q.values * (1.0 - chi), s)
+    return SpectralDecomp(*amps, Field(grid, qb, s), qe, K0, s)
 
 
 @lru_cache(maxsize=8)
@@ -214,8 +219,8 @@ def _cubic_weight(grid: Grid) -> np.ndarray:
 
 
 def cubic_weighted_sup(grid: Grid, values: np.ndarray, mask=None):
-    """sup over nodes of |values| / (1 + |y|^3), optionally masked; per row
-    for a stack."""
+    """sup over nodes of |values| / (1 + |y|^3), optionally restricted to
+    the nodes a mask or slice selects; per row for a stack."""
     weight = _cubic_weight(grid)
     if mask is not None:
         values, weight = values[..., mask], weight[mask]
@@ -231,8 +236,7 @@ def seminorm_minus(d: SpectralDecomp):
     the residue carries actual field content; outside it the residue is the
     analytic continuation of the subtracted polynomial.
     """
-    grid = d.q_minus.grid
-    return cubic_weighted_sup(grid, d.q_minus.values, cutoff_support(grid, d.K0, d.s))
+    return cubic_weighted_sup(d.q_minus.grid, d.q_minus.values, d.support)
 
 
 def apply_L_discrete(grid: Grid, values: np.ndarray) -> np.ndarray:

@@ -64,11 +64,13 @@ __all__ = [
     "phi_dy",
     "phi_laplacian",
     "phi_ds",
-    "phi_powers",
+    "ansatz_fields",
     "potential_V",
     "nonlinear_B",
     "remainder_R",
+    "perturbation_decay",
     "perturbation_N",
+    "perturbation_sum",
 ]
 
 
@@ -247,59 +249,69 @@ def phi_ds(params: ModelParams, y, s: float):
 # linearization ingredients
 
 
-def phi_powers(params: ModelParams, phi_val):
-    """(phi^p, p phi^(p-1)): the powers of the profile that B and V use."""
+def ansatz_fields(params: ModelParams, y, s: float) -> tuple:
+    """(phi, phi_y, phi^p, p phi^(p-1), V, R) at (y, s) from one z, one
+    g = p-1 + b z^2 and one each of its powers f, f^p and f^(2p-1).  Each
+    field is the expression of its own function above, in the same order,
+    so they agree bit for bit."""
     p = params.p
-    return phi_val**p, p * phi_val ** (p - 1.0)
+    y = np.asarray(y, dtype=float)
+    rs = np.sqrt(s)
+    z = y / rs
+    z2 = z**2
+    g = (p - 1.0) + _bcoef(p) * z2
+    fp = g ** (-p / (p - 1.0))  # = f(z)^p
+    c = (p - 1.0) / (2.0 * p)
+    fprime = -c * z * fp
+    phi_val = g ** (-1.0 / (p - 1.0)) + params.kappa / (2.0 * p * s)
+    phi_y = fprime / rs
+    phi_yy = (-c * fp + c**2 * p * z2 * g ** (-(2.0 * p - 1.0) / (p - 1.0))) / s
+    phi_s = -(z / (2.0 * s)) * fprime - params.kappa / (2.0 * p * s**2)
+    phi_p = phi_val**p
+    dphi_p = p * phi_val ** (p - 1.0)
+    R = phi_yy - 0.5 * y * phi_y - phi_val / (p - 1.0) + phi_p - phi_s
+    return phi_val, phi_y, phi_p, dphi_p, dphi_p - p / (p - 1.0), R
 
 
-def potential_V(params: ModelParams, y, s: float, dphi_p=None):
+def potential_V(params: ModelParams, y, s: float):
     """Linearization potential V(y,s) = p phi^(p-1) - p/(p-1).
 
     Vanishes like 1/s near y = 0 and tends to -p/(p-1) along |y|/sqrt(s)
-    -> infinity; both limits are exercised by the tests.  dphi_p, when
-    given, is p phi^(p-1) from `phi_powers`, already evaluated by the
-    caller.
+    -> infinity; both limits are exercised by the tests.
     """
     p = params.p
-    if dphi_p is None:
-        dphi_p = phi_powers(params, phi(params, y, s))[1]
-    return dphi_p - p / (p - 1.0)
+    return p * phi(params, y, s) ** (p - 1.0) - p / (p - 1.0)
 
 
-def nonlinear_B(params: ModelParams, phi_val, q_val, powers=None):
+def nonlinear_B(params: ModelParams, phi_val, q_val):
     """Quadratic remainder of the nonlinearity around the ansatz.
 
     B(q) = |phi+q|^(p-1)(phi+q) - phi^p - p phi^(p-1) q.  Bounded by
-    C |q|^min(p,2) uniformly over the relevant phi range.  powers, when
-    given, is `phi_powers(params, phi_val)` already evaluated by the caller.
+    C |q|^min(p,2) uniformly over the relevant phi range.
     """
     p = params.p
-    phi_val = np.asarray(phi_val, dtype=float)
-    q_val = np.asarray(q_val, dtype=float)
-    phi_p, dphi_p = phi_powers(params, phi_val) if powers is None else powers
+    phi_val, q_val = np.asarray(phi_val, dtype=float), np.asarray(q_val, dtype=float)
     tot = phi_val + q_val
-    return np.abs(tot) ** (p - 1.0) * tot - phi_p - dphi_p * q_val
+    return np.abs(tot) ** (p - 1.0) * tot - phi_val**p - p * phi_val ** (p - 1.0) * q_val
 
 
-def remainder_R(params: ModelParams, y, s: float, phi_val=None, phi_y=None):
+def remainder_R(params: ModelParams, y, s: float):
     """Residual of the ansatz in the rescaled equation.
 
     R = phi_yy - y/2 phi_y - phi/(p-1) + phi^p - phi_s, all terms from the
-    closed-form derivatives above.  Its sup norm decays like 1/s.  phi_val
-    and phi_y, when given, are phi and phi_dy at (y, s) already evaluated
-    by the caller.
+    closed-form derivatives above.  Its sup norm decays like 1/s.
     """
-    p = params.p
-    y = np.asarray(y, dtype=float)
-    pv = phi(params, y, s) if phi_val is None else phi_val
-    py = phi_dy(params, y, s) if phi_y is None else phi_y
+    return ansatz_fields(params, y, s)[5]
+
+
+def perturbation_decay(params: ModelParams, s: float) -> tuple:
+    """The factors mu e^(-beta s), mu_bar e^(-beta_bar s) and
+    mu0 e^(-p s/(p-1)) of N at time s; 0.0 for a zero amplitude."""
+    p = params
     return (
-        phi_laplacian(params, y, s)
-        - 0.5 * y * py
-        - pv / (p - 1.0)
-        + pv**p
-        - phi_ds(params, y, s)
+        p.mu * np.exp(-p.beta * s) if p.mu != 0.0 else 0.0,
+        p.mu_bar * np.exp(-p.beta_bar * s) if p.mu_bar != 0.0 else 0.0,
+        p.mu0 * np.exp(-p.p * s / (p.p - 1.0)) if p.mu0 != 0.0 else 0.0,
     )
 
 
@@ -315,13 +327,15 @@ def perturbation_N(params: ModelParams, w_grad, w_val, s: float):
     shift in x, so N(u_x, u, 0) is the perturbation of the physical equation.
     w_grad is read only when mu != 0, so a caller may pass 0.0 otherwise.
     """
-    p = params
-    e1 = p.mu * np.exp(-p.beta * s) if p.mu != 0.0 else 0.0
-    e2 = p.mu_bar * np.exp(-p.beta_bar * s) if p.mu_bar != 0.0 else 0.0
-    e3 = p.mu0 * np.exp(-p.p * s / (p.p - 1.0)) if p.mu0 != 0.0 else 0.0
+    return perturbation_sum(params, perturbation_decay(params, s), w_grad, w_val)
+
+
+def perturbation_sum(params: ModelParams, decay: tuple, w_grad, w_val):
+    """N from the decay factors of its time, `perturbation_decay(params, s)`."""
+    e1, e2, e3 = decay
     out = np.full(np.broadcast(np.asarray(w_grad), np.asarray(w_val)).shape, e3)
     if e1 != 0.0:
-        out += e1 * np.abs(w_grad) ** p.alpha
+        out += e1 * np.abs(w_grad) ** params.alpha
     if e2 != 0.0:
-        out += e2 * np.abs(w_val) ** p.alpha_bar
+        out += e2 * np.abs(w_val) ** params.alpha_bar
     return out

@@ -14,14 +14,15 @@ Gaussian kernel, and a second explicit half step.  After each step the two
 end nodes are pinned onto the profile ansatz: q to -kappa/(2ps) and w to
 phi, so w - (phi + q) is kappa/(2ps) there.  The local sources Vq, B, R
 and N of the q form come from one `SourceTerms` object, whose coefficient
-fields (profile, potential, residual, profile gradient) are frozen at one
-time: the step midpoint s + ds/2 for both halves, which keeps the
-composition time-symmetric and the scheme second order.  The per-step
-N sup of a trajectory record and the integral-form check read the same
-object.  The w form adds the same perturbation N
-(`model.perturbation_N`) and integrates the power nonlinearity
-w' = |w|^{p-1} w in closed form, so the constant steady state kappa is
-preserved to O(ds^3) per step.
+fields (profile, its gradient and powers, potential, residual) are built
+in one pass at one time: the step midpoint s + ds/2 for both halves,
+which keeps the composition time-symmetric and the scheme second order.
+The integral-form check reads the same object; the per-step N sup of a
+trajectory record needs only phi and phi_y, so it takes those two from
+`model` without the rest of the pass.  The w form adds the same
+perturbation N (`model.perturbation_N`) and integrates the power
+nonlinearity w' = |w|^{p-1} w in closed form, so the constant steady
+state kappa is preserved to O(ds^3) per step.
 
 A trajectory run records the spectral decomposition of the deviation at
 every step, checks trap membership, and stops at the first exit or at any
@@ -29,34 +30,37 @@ divergence of the field.  The q form advances K trajectories of one grid
 and one starting time together, as the rows of a C-contiguous (K, n)
 array: each step evaluates one `SourceTerms` for every row and applies
 the cached kernel to every row in one call, and each observation takes
-one cutoff for every row, while the boundary condition, the overflow guard,
-trap membership, the N sup and the exit classification stay per row.  A
-row that exits or diverges leaves the ensemble and the others go on.
-Every reduction runs along a row in the order of a lone field, so each row
-is bitwise the trajectory run alone; a single trajectory is the case K = 1.
+one cutoff and one support slice for every row, while the boundary
+condition, the overflow guard, trap membership, the N sup and the exit
+classification stay per row.  A row that exits or diverges leaves the
+ensemble and the others go on.  Every reduction runs along a row in the
+order of a lone field, so each row is bitwise the trajectory run alone; a
+single trajectory is the case K = 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .grids import Field, Grid, gradient
-from .hermite import cutoff_support, decompose, seminorm_minus
+from .hermite import decompose, seminorm_minus
+# kernel_matrix, nonlinear_B, potential_V and remainder_R are not called
+# here; they stay names of this module for perfbench/tracing.py, which
+# wraps them here
 from .model import (
     ModelParams,
+    ansatz_fields,
     nonlinear_B,
     perturbation_N,
+    perturbation_decay,
+    perturbation_sum,
     phi,
     phi_dy,
-    phi_powers,
     potential_V,
     remainder_R,
 )
-# kernel_matrix stays a name of this module for perfbench/tracing.py,
-# which wraps it here
 from .semigroup import apply_semigroup_values, kernel_matrix
 from .trapset import COMPONENTS, ExitInfo, TrapParams, check_membership, exit_classify
 
@@ -111,63 +115,44 @@ class DivergenceError(RuntimeError):
 class SourceTerms:
     """Local sources Vq, B(q), R and N of the deviation equation at time s.
 
-    The coefficient fields are evaluated on first use and then kept, so a
-    caller pays only for the fields it reads: phi and phi_y are evaluated
-    once for V, R, B and N, and the powers of phi once for V and B.  qv may
-    be one field or a stack of rows; the coefficient fields are shared by
-    every row.
+    The coefficient fields phi, phi_y, phi^p, p phi^(p-1), V and R come
+    from one `model.ansatz_fields` pass when the object is built, with the
+    three decay factors of N.  qv may be one field or a stack of rows that
+    share them; w, where given, is phi + qv and qy the gradient of qv.
     """
 
     def __init__(self, params: ModelParams, grid: Grid, s: float):
-        self.params = params
-        self.grid = grid
-        self.s = s
+        self.params, self.grid, self.s = params, grid, s
+        self.phi_val, self.phi_y, self.phi_p, self.dphi_p, self.V, self.R = ansatz_fields(
+            params, grid.y, s
+        )
+        self.decay = perturbation_decay(params, s)
 
-    @cached_property
-    def phi_val(self) -> np.ndarray:
-        return phi(self.params, self.grid.y, self.s)
+    def B(self, qv: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
+        w = self.phi_val + qv if w is None else w
+        return np.abs(w) ** (self.params.p - 1.0) * w - self.phi_p - self.dphi_p * qv
 
-    @cached_property
-    def phi_y(self) -> np.ndarray:
-        return phi_dy(self.params, self.grid.y, self.s)
-
-    @cached_property
-    def powers(self) -> tuple[np.ndarray, np.ndarray]:
-        """phi^p and p phi^(p-1), shared by B and V."""
-        return phi_powers(self.params, self.phi_val)
-
-    @cached_property
-    def V(self) -> np.ndarray:
-        return potential_V(self.params, self.grid.y, self.s, dphi_p=self.powers[1])
-
-    @cached_property
-    def R(self) -> np.ndarray:
-        return remainder_R(self.params, self.grid.y, self.s, self.phi_val, self.phi_y)
-
-    def B(self, qv: np.ndarray) -> np.ndarray:
-        return nonlinear_B(self.params, self.phi_val, qv, self.powers)
-
-    def N(self, qv: np.ndarray, qy: np.ndarray | None = None) -> np.ndarray:
-        """Perturbation source; qy is the gradient of qv when already known."""
+    def N(self, qv: np.ndarray, qy: np.ndarray | None = None, w: np.ndarray | None = None):
         w_grad = 0.0  # read by the gradient term only, which needs mu != 0
         if self.params.mu != 0.0:
             w_grad = self.phi_y + (gradient(self.grid, qv) if qy is None else qy)
-        return perturbation_N(self.params, w_grad, self.phi_val + qv, self.s)
+        w = self.phi_val + qv if w is None else w
+        return perturbation_sum(self.params, self.decay, w_grad, w)
 
     def rhs(self, qv: np.ndarray) -> np.ndarray:
-        """Vq + B(q) + R, plus N in a perturbed model."""
+        """Vq + B(q) + R, plus N in a perturbed model, on one phi + q."""
+        w = self.phi_val + qv
         out = self.V * qv
-        out += self.B(qv)
+        out += self.B(qv, w)
         out += self.R
         if self.params.perturbed:
-            out += self.N(qv)
+            out += self.N(qv, w=w)
         return out
 
 
 def _midpoint_half(rhs, v: np.ndarray, h: float) -> np.ndarray:
-    k1 = rhs(v)
-    k2 = rhs(v + 0.5 * h * k1)
-    return v + h * k2
+    # k1 = rhs(v) is freed before the second rhs runs
+    return v + h * rhs(v + 0.5 * h * rhs(v))
 
 
 def _apply_bc_q(values: np.ndarray, params: ModelParams, s: float) -> None:
@@ -289,14 +274,16 @@ def _observe(q: Field, params: ModelParams, trap: TrapParams) -> tuple[np.ndarra
     grid, s = q.grid, q.s
     d = decompose(q, trap.K0)
     status = check_membership(d, trap)
-    src = SourceTerms(params, grid, s)
     qy = gradient(grid, q.values)
-    n_sup = np.max(np.abs(src.N(q.values, qy)), axis=-1) if params.perturbed else 0.0
+    n_sup = 0.0
+    if params.perturbed:
+        w_grad = phi_dy(params, grid.y, s) + qy if params.mu != 0.0 else 0.0
+        n = perturbation_N(params, w_grad, phi(params, grid.y, s) + q.values, s)
+        n_sup = np.max(np.abs(n), axis=-1)
     # The gradient sup is a decay diagnostic, so it is restricted to the
     # cutoff support |y| <= 2 K0 sqrt(s) (same region as the seminorm):
     # outside it the deviation is pinned by the boundary condition and the
     # collar gradient reflects domain truncation, not the solution.
-    core = cutoff_support(grid, trap.K0, s)
     columns = (
         s,
         d.q0,
@@ -305,7 +292,7 @@ def _observe(q: Field, params: ModelParams, trap: TrapParams) -> tuple[np.ndarra
         status.measured[:, 3],  # seminorm of q_minus
         status.measured[:, 4],  # sup of q_e
         q.sup(),
-        np.max(np.abs(qy[:, core]), axis=-1),
+        np.max(np.abs(qy[:, d.support]), axis=-1),
         n_sup,
     )
     table = np.empty((q.values.shape[0], len(_SERIES) + len(COMPONENTS)))

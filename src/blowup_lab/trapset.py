@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermite import SpectralDecomp, cutoff_support, hermite_h, seminorm_minus
+from .grids import per_row
+from .hermite import SpectralDecomp, seminorm_minus
 
 __all__ = [
     "COMPONENTS",
@@ -127,22 +128,14 @@ def check_membership(d: SpectralDecomp, trap: TrapParams) -> TrapStatus:
 
 
 def check_derived_bounds(d: SpectralDecomp, trap: TrapParams) -> dict:
-    """Empirical constants of the two envelopes implied by membership."""
-    grid = d.q_minus.grid
-    y = grid.y
-    qb = (
-        d.q0 * hermite_h(0, y)
-        + d.q1 * hermite_h(1, y)
-        + d.q2 * hermite_h(2, y)
-        + d.q_minus.values
-    )
-    support = cutoff_support(grid, d.K0, d.s)
+    """Empirical constants of the two envelopes implied by membership; one
+    of each per field of a stack."""
+    qb = d.cutoff_part()
     A, s = trap.A, d.s
-    envelope_b = A**2 * (np.log(s) / s**2) * (1.0 + np.abs(y) ** 3)
-    C_cutoff = float(np.max(np.abs(qb[support]) / envelope_b[support]))
-    q_full = qb + d.q_e.values
-    C_sup = float(np.max(np.abs(q_full)) * np.sqrt(s) / A**2)
-    return {"C_cutoff_part": C_cutoff, "C_sup": C_sup}
+    envelope_b = A**2 * (np.log(s) / s**2) * (1.0 + np.abs(d.q_minus.grid.y) ** 3)
+    C_cutoff = np.max(np.abs(qb[..., d.support]) / envelope_b[d.support], axis=-1)
+    C_sup = np.max(np.abs(qb + d.q_e.values), axis=-1) * np.sqrt(s) / A**2
+    return {"C_cutoff_part": per_row(C_cutoff), "C_sup": per_row(C_sup)}
 
 
 def exit_classify(record) -> ExitInfo | None:

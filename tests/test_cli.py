@@ -126,14 +126,19 @@ def test_kind_flag_beats_config_and_override(base_ini, tmp_path, capsys):
 
 
 def test_override_lands_in_config_txt(base_ini, tmp_path):
+    # 0.05 differs from the file's ds = 0.02, so a dropped override fails:
+    # at 0.05 the run records 11 rows up to s_end; at 0.02 it records 24
+    # rows, up to its trap exit at s = 20.46
     out = tmp_path / "res"
     main([
         "run", str(base_ini), "--out", str(out),
-        "--override", "trajectory.ds=0.02",
+        "--override", "trajectory.ds=0.05",
     ])
     lines = (out / "config.txt").read_text().splitlines()
-    assert "trajectory.ds=0.02" in lines
+    assert "trajectory.ds=0.05" in lines
     assert "trajectory.s_end=20.5" in lines  # file value survives
+    rows = (out / "trajectory.csv").read_text().splitlines()
+    assert len(rows) - 1 == 11  # data rows below the header
 
 
 def test_failed_check_returns_one_but_writes_artifacts(base_ini, tmp_path, capsys):

@@ -15,6 +15,7 @@ from blowup_lab.hermite import (
     apply_L_discrete,
     cubic_weighted_sup,
     cutoff_chi,
+    cutoff_support,
     decompose,
     hermite_h,
     hermite_h_explicit,
@@ -101,6 +102,14 @@ def test_cutoff_plateau_and_support():
     assert 0.0 < chi[3] < 1.0 and 0.0 < chi[5] < 1.0
     assert np.all(chi[6:] == 0.0)
     assert chi[4] == pytest.approx(np.exp(1.0 - 1.0 / (1.0 - 0.25)), rel=1e-12)
+
+
+@pytest.mark.parametrize("K0, s", [(4.0, 20.0), (4.0, 26.0), (2.0, 16.0), (1.0, 4.0)])
+def test_cutoff_support_slice_selects_the_support_nodes(grid20, K0, s):
+    y = grid20.y
+    idx = np.flatnonzero(np.abs(y) <= 2.0 * K0 * np.sqrt(s))
+    sl = cutoff_support(grid20, K0, s)
+    assert (sl.start, sl.stop) == (idx[0], idx[-1] + 1)
 
 
 def test_cutoff_monotone_on_bridge():

@@ -46,7 +46,7 @@ from blowup_lab.solver import (
     step_q,
     step_w,
 )
-from blowup_lab.trapset import TrapParams
+from blowup_lab.trapset import TrapParams, check_membership
 
 
 def _traj_grid(s_max=22.0):
@@ -71,25 +71,36 @@ def test_config_validation():
 # source terms
 
 
-@pytest.mark.parametrize("lane", ["pure_p2", "perturbed_p2"])
-def test_source_terms_rhs_matches_model_functions(lane, request):
-    pr = request.getfixturevalue(lane)
+@pytest.mark.parametrize(
+    "perturbed, p",
+    [
+        pytest.param(pert, p, id=f"{'perturbed' if pert else 'pure'}_p{p:g}")
+        for p in (1.5, 2.0, 3.0)
+        for pert in (False, True)
+    ],
+)
+def test_source_terms_rhs_matches_model_functions(perturbed, p):
+    """The one-pass sources are bit for bit the model's own functions."""
+    kw = dict(alpha=1.0, alpha_bar=1.0, mu=1.0, mu_bar=1.0, mu0=1.0) if perturbed else {}
+    pr = make_params(p, **kw)
     g = _traj_grid()
     s = 20.5
     qv = initial_q(pr, g, InitialDataParams(d0=0.01, d1=-0.003, s0=s)).values
-    rhs = SourceTerms(pr, g, s).rhs(qv)
+    src = SourceTerms(pr, g, s)
     phi_val = phi(pr, g.y, s)
+    np.testing.assert_array_equal(src.phi_val, phi_val)
+    np.testing.assert_array_equal(src.phi_y, phi_dy(pr, g.y, s))
+    np.testing.assert_array_equal(src.V, potential_V(pr, g.y, s))
+    np.testing.assert_array_equal(src.R, remainder_R(pr, g.y, s))
     by_hand = (
         potential_V(pr, g.y, s) * qv
         + nonlinear_B(pr, phi_val, qv)
         + remainder_R(pr, g.y, s)
     )
-    if lane == "pure_p2":
-        np.testing.assert_array_equal(rhs, by_hand)
-    else:
+    if perturbed:
         w_y = phi_dy(pr, g.y, s) + gradient(g, qv)
         by_hand = by_hand + perturbation_N(pr, w_y, phi_val + qv, s)
-        assert np.max(np.abs(rhs - by_hand)) <= 1e-15 * np.max(np.abs(by_hand))
+    assert src.rhs(qv).tobytes() == by_hand.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +372,40 @@ def test_batched_rows_match_single_runs(lane, narrow_trap, request, monkeypatch)
     else:
         assert far.exit.reason == "divergence" and bool(np.all(far.inside))
         assert s0 < far.exit.s_star < s_end and far.s.size < edge.s.size
+
+
+@pytest.mark.parametrize("lane", ["pure_p2", "perturbed_p2"])
+def test_observe_rows_match_lone_fields(lane, request):
+    """Each row of a (3, n) observation is, byte for byte, the decomposition,
+    membership, sups and N of that field alone, each by its own function."""
+    pr = request.getfixturevalue(lane)
+    g = _traj_grid(21.0)
+    trap = TrapParams(A=8.0, K0=4.0)
+    s = 20.5
+    fields = [
+        initial_q(pr, g, InitialDataParams(d0=d0, d1=d1, s0=s)).values
+        for d0, d1 in ((0.012, 0.0), (0.0121, -0.002), (0.0119, 0.003))
+    ]
+    # a steep bump outside the support |y| <= 36.2, where the gradient sup
+    # is not taken
+    fields[1] = fields[1] + 0.05 * np.exp(-((g.y - 39.0) ** 2))
+    table, inside = solver._observe(Field(g, np.array(fields), s), pr, trap)
+    core = np.abs(g.y) <= 2.0 * trap.K0 * np.sqrt(s)
+    for row, ins, qv in zip(table, inside, fields):
+        d = decompose(Field(g, qv, s), trap.K0)
+        status = check_membership(d, trap)
+        qy = gradient(g, qv)
+        n_sup = 0.0
+        if pr.perturbed:
+            n = perturbation_N(pr, phi_dy(pr, g.y, s) + qy, phi(pr, g.y, s) + qv, s)
+            n_sup = np.max(np.abs(n))
+        alone = np.array(
+            [s, d.q0, d.q1, d.q2, seminorm_minus(d), d.q_e.sup(), np.max(np.abs(qv)),
+             np.max(np.abs(qy[core])), n_sup, *status.margins]
+        )
+        assert row.tobytes() == alone.tobytes()
+        assert ins == status.inside
+    assert np.max(np.abs(gradient(g, fields[1]))) > 10.0 * table[1, 7]
 
 
 def test_run_trajectories_argument_checks():

@@ -132,6 +132,26 @@ def test_derived_bound_constants_are_order_one(grid20):
     assert 0.01 < out["C_sup"] < 50.0
 
 
+def test_derived_bounds_and_reconstruction_act_row_wise(grid20):
+    # K == 3 rows against n nodes, and K == n, where a missing row axis
+    # would broadcast the amplitudes along y without an error
+    trap = TrapParams(A=8.0, K0=2.0)
+    y = grid20.y
+    rows = np.array([f * np.exp(-(y**2) / 8.0) * (1.0 + c * y) for f, c in
+                     ((1e-3, 0.0), (-2e-3, 0.3), (5e-4, -1.0))])
+    for K in (3, grid20.n):
+        stack = np.resize(rows, (K, grid20.n))
+        d = decompose(Field(grid20, stack, 20.0), trap.K0)
+        derived = check_derived_bounds(d, trap)
+        recon = d.reconstruct()
+        assert recon.shape == stack.shape
+        for k in (0, 1, 2, K - 1):
+            lone = decompose(Field(grid20, stack[k], 20.0), trap.K0)
+            assert recon[k].tobytes() == lone.reconstruct().tobytes()
+            for key, value in check_derived_bounds(lone, trap).items():
+                assert derived[key][k] == value and isinstance(value, float)
+
+
 @settings(max_examples=100, derandomize=True)
 @given(
     scale=st.floats(0.1, 4.0),
