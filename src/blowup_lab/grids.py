@@ -8,7 +8,10 @@ spectrally accurate for the Gaussian-decaying integrands used here.
 
 A field holds one set of grid values, shape (n,), or a stack of K fields
 at the same time as the rows of a C-contiguous (K, n) array; row-wise
-operations (sup, gradient) act along the last axis.
+operations (sup, gradient) act along the last axis.  The grid is exactly
+symmetric, y[n_half - k] = -y[n_half + k], so an expression that is even
+(odd) in y, evaluated on the n_half + 1 nodes y >= 0 and then `mirror`ed,
+is bitwise that expression on the full grid.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = ["Grid", "Field", "make_grid", "default_y_max", "gradient", "per_row"]
+__all__ = ["Grid", "Field", "make_grid", "default_y_max", "gradient", "ipow", "mirror", "per_row"]
 
 
 @dataclass(frozen=True, eq=True)
@@ -98,12 +101,31 @@ def per_row(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
-def gradient(grid: Grid, values: np.ndarray) -> np.ndarray:
+def gradient(grid: Grid, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Centered first differences, one-sided at the two boundary nodes (per
-    row); the same arithmetic as `np.gradient(values, grid.dy, axis=-1)`."""
-    dy = grid.dy
-    out = np.empty_like(values, dtype=float)
-    out[..., 1:-1] = (values[..., 2:] - values[..., :-2]) / (2.0 * dy)
-    out[..., 0] = (values[..., 1] - values[..., 0]) / dy
-    out[..., -1] = (values[..., -1] - values[..., -2]) / dy
+    row), into out if given; the same arithmetic as
+    `np.gradient(values, grid.dy, axis=-1)`."""
+    n, dy = values.shape[-1], grid.dy
+    out = np.empty_like(values, dtype=float) if out is None else out
+    inner = np.subtract(values[..., 2:], values[..., :-2], out=out[..., 1:-1])
+    inner /= 2.0 * dy
+    # the two ends at once: nodes (1, n-1) minus nodes (0, n-2)
+    ends = np.subtract(values[..., 1::n - 2], values[..., : n - 1 : n - 2], out=out[..., :: n - 1])
+    ends /= dy
     return out
+
+
+def mirror(half: np.ndarray, odd: bool = False) -> np.ndarray:
+    """Rows on the full grid from their values on the nodes y >= 0 (the
+    last axis), extended as even functions of y, or as odd ones: each node
+    y < 0 gets its mirror node's value, negated if odd."""
+    left = half[..., :0:-1]
+    return np.concatenate((-left if odd else left, half), axis=-1)
+
+
+def ipow(x, e: float):
+    """x ** e, in place where x is an array; x ** 1 is x itself, bit for
+    bit, so that power is skipped."""
+    if e != 1.0:
+        x **= e
+    return x

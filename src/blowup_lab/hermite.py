@@ -29,9 +29,12 @@ The reconstruction above is exact at every node by construction.
 
 The decomposition and the seminorm act row-wise on a stack of fields
 (see `grids`), as do `SpectralDecomp.reconstruct` and the derived
-bounds of `trapset`: one cutoff chi and one support slice serve every
-row, and rho and h_0..h_2 are built once per grid.  Each row's amplitudes
-are the same trapezoid sums, in the same order, as for that field alone.
+bounds of `trapset`: one cutoff chi (evaluated on the nodes y >= 0 and
+mirrored, since it is even) and one support slice serve every row, and
+rho and h_0..h_2 are built once per grid.  Each row's amplitudes are the
+same trapezoid sums, in the same order, as for that field alone.
+`decompose_values` is the split itself, on bare arrays; `decompose` and
+the trajectory observation both run it.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from math import factorial
 
 import numpy as np
 
-from .grids import Field, Grid, gradient, per_row
+from .grids import Field, Grid, gradient, mirror, per_row
 
 __all__ = [
     "weight_rho",
@@ -54,6 +57,7 @@ __all__ = [
     "cutoff_support",
     "SpectralDecomp",
     "check_cutoff_support",
+    "decompose_values",
     "decompose",
     "seminorm_minus",
     "cubic_weighted_sup",
@@ -101,12 +105,12 @@ def hermite_norm_sq(m: int) -> float:
 
 
 @lru_cache(maxsize=8)
-def _mode_rows(grid: Grid) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """rho and h_0, h_1, h_2 on the nodes of a grid, built once per grid."""
-    rows = (weight_rho(grid.y),) + tuple(hermite_h(m, grid.y) for m in range(3))
-    for row in rows:
-        row.flags.writeable = False
-    return rows[0], rows[1:]
+def _mode_rows(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """rho and the (3, n) rows h_0, h_1, h_2 on the nodes of a grid, built
+    once per grid."""
+    rho, modes = weight_rho(grid.y), np.array([hermite_h(m, grid.y) for m in range(3)])
+    rho.flags.writeable = modes.flags.writeable = False
+    return rho, modes
 
 
 def inner_rho(grid: Grid, fvals: np.ndarray, gvals: np.ndarray):
@@ -171,7 +175,7 @@ class SpectralDecomp:
 def cutoff_support(grid: Grid, K0: float, s: float) -> slice:
     """The nodes of the cutoff's support at time s, |y| <= 2*K0*sqrt(s): one
     run around y = 0 on the sorted symmetric grid, so a slice (a view)."""
-    k = int(np.count_nonzero(grid.y[grid.n_half:] <= 2.0 * K0 * np.sqrt(s)))
+    k = int(np.searchsorted(grid.y[grid.n_half:], 2.0 * K0 * np.sqrt(s), "right"))
     return slice(grid.n_half + 1 - k, grid.n_half + k)
 
 
@@ -185,6 +189,30 @@ def check_cutoff_support(y_max: float, K0: float, s: float) -> None:
         )
 
 
+_NORMS = np.array([hermite_norm_sq(m) for m in range(3)])
+
+
+def decompose_values(grid: Grid, values: np.ndarray, s: float, K0: float) -> tuple:
+    """(q0, q1, q2 along the last axis, q_minus, q_e) of one field or a
+    stack of values at time s; see `decompose`."""
+    check_cutoff_support(grid.y_max, K0, s)
+    chi = mirror(cutoff_chi(grid.y[grid.n_half:], s, K0))
+    qb = values * chi
+    rho, modes = _mode_rows(grid)
+    wqb = grid.weights * qb
+    amps = np.empty(qb.shape[:-1] + (3,))
+    recon, tmp = np.zeros_like(qb), np.empty_like(qb)
+    # one mode at a time, so that no array is larger than the field
+    for m, hm in enumerate(modes):
+        # ((w qb) h_m) rho summed along each row: the product order of inner_rho
+        np.multiply(wqb, hm, out=tmp)
+        tmp *= rho
+        amps[..., m] = tmp.sum(axis=-1) / _NORMS[m]
+        recon += np.multiply(amps[..., m, None], hm, out=tmp)
+    qb -= recon  # the projection residue
+    return amps, qb, values * np.subtract(1.0, chi, out=chi)
+
+
 def decompose(q: Field, K0: float) -> SpectralDecomp:
     """Split q (one field or a stack) into mode amplitudes, projection
     residue, and outer part.
@@ -192,22 +220,9 @@ def decompose(q: Field, K0: float) -> SpectralDecomp:
     Requires the grid to contain the full cutoff support (see
     `check_cutoff_support`); the projections use the analytic norms 2^m m!.
     """
-    grid, s = q.grid, q.s
-    check_cutoff_support(grid.y_max, K0, s)
-    chi = cutoff_chi(grid.y, s, K0)
-    qb = q.values * chi
-    rho, modes = _mode_rows(grid)
-    wqb = grid.weights * qb
-    amps = []
-    recon = np.zeros_like(qb)
-    for m, hm in enumerate(modes):
-        # ((w qb) h_m) rho summed along each row: the product order of inner_rho
-        qm = np.sum(wqb * hm * rho, axis=-1, keepdims=True) / hermite_norm_sq(m)
-        recon += qm * hm
-        amps.append(qm[:, 0] if qm.ndim == 2 else float(qm[0]))
-    qb -= recon  # the projection residue
-    qe = Field(grid, q.values * (1.0 - chi), s)
-    return SpectralDecomp(*amps, Field(grid, qb, s), qe, K0, s)
+    amps, q_minus, q_e = decompose_values(q.grid, q.values, q.s, K0)
+    amps = amps.T if amps.ndim == 2 else amps.tolist()
+    return SpectralDecomp(*amps, Field(q.grid, q_minus, q.s), Field(q.grid, q_e, q.s), K0, q.s)
 
 
 @lru_cache(maxsize=8)
@@ -226,7 +241,7 @@ def cubic_weighted_sup(grid: Grid, values: np.ndarray, mask=None):
         values, weight = values[..., mask], weight[mask]
         if weight.size == 0:
             return per_row(np.zeros(values.shape[:-1]))
-    return per_row(np.max(np.abs(values) / weight, axis=-1))
+    return per_row((np.abs(values) / weight).max(axis=-1))
 
 
 def seminorm_minus(d: SpectralDecomp):

@@ -52,6 +52,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grids import ipow
+
 __all__ = [
     "ModelParams",
     "ParameterError",
@@ -330,12 +332,22 @@ def perturbation_N(params: ModelParams, w_grad, w_val, s: float):
     return perturbation_sum(params, perturbation_decay(params, s), w_grad, w_val)
 
 
-def perturbation_sum(params: ModelParams, decay: tuple, w_grad, w_val):
-    """N from the decay factors of its time, `perturbation_decay(params, s)`."""
+def perturbation_sum(params: ModelParams, decay: tuple, w_grad, w_val, out=None, tmp=None):
+    """N from the decay factors of its time, `perturbation_decay(params, s)`,
+    summed as e3 + e1 |w_grad|^alpha + e2 |w|^alpha_bar into out (which may
+    be w_grad) with tmp as scratch (which may be w_val), each allocated if
+    not given."""
     e1, e2, e3 = decay
-    out = np.full(np.broadcast(np.asarray(w_grad), np.asarray(w_val)).shape, e3)
+    if out is None:
+        out = np.empty(np.broadcast(np.asarray(w_grad), np.asarray(w_val)).shape)
     if e1 != 0.0:
-        out += e1 * np.abs(w_grad) ** params.alpha
+        out = ipow(np.abs(w_grad, out=out), params.alpha)
+        out *= e1
+        out += e3
+    else:
+        out[...] = e3
     if e2 != 0.0:
-        out += e2 * np.abs(w_val) ** params.alpha_bar
+        tmp = ipow(np.abs(w_val, out=tmp), params.alpha_bar)
+        tmp *= e2
+        out += tmp
     return out

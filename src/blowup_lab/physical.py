@@ -289,8 +289,9 @@ def integrate_us(
 
     estimates = []
     for i, (u_end, n_steps, blew_up) in enumerate(ends):
-        sample_t = np.array(ts[i])
-        sample_umax = np.array(umaxs[i])
+        # the records no longer grow: share their buffers (writable views)
+        sample_t = np.frombuffer(ts[i])
+        sample_umax = np.frombuffer(umaxs[i])
         if blew_up:
             T_est, r2 = _fit_blowup_time(
                 sample_t, sample_umax, params.p, FIT_LO * umax0[i], FIT_HI * umax0[i]

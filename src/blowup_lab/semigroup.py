@@ -27,11 +27,12 @@ KERNEL_FLOOR = 1e-17 of the row's max, and the columns past the grid edge,
 are stored as 0.0.  The dropped mass is below 1e-16 of the row sum, a
 truncation below roundoff, and every kept entry is bitwise the dense one.
 Applying the band to a vector is one product over a strided, copy-free
-window view of the zero-padded vector per block; a (K, n) stack is applied
-row by row.  `kernel_matrix` is the one way to a kernel: it caches one band
-per exact (theta, grid), for the step sizes and for the gaps between the
-quadrature times of the integral-form checks alike, and
-`apply_semigroup_values` is the one way to apply it.
+window view of a zero-padded buffer per block; the buffer and its views
+are built once per kernel, and a (K, n) stack is applied row by row.
+`kernel_matrix` is the one way to a kernel: it caches one band per exact
+(theta, grid), for the step sizes and for the gaps between the quadrature
+times of the integral-form checks alike, and `apply_semigroup_values` is
+the one way to apply it.
 """
 
 from __future__ import annotations
@@ -125,10 +126,11 @@ class BandKernel:
     """The (n, n) quadrature matrix of e^(theta L), stored as a sheared band.
 
     `data` is (n, W): row i holds the columns from start_i on, where
-    start_i = i + shift_b on the rows of block b.  The vector a product
-    reads is padded with `left` zeros in front and zeros behind, so every
-    window lies inside it.  `blocks` lists (rows, row values, index in the
-    padded vector of the first row's window).
+    start_i = i + shift_b on the rows of block b.  A product copies
+    each row into one zero-padded buffer held with the kernel, with `left`
+    zeros in front and zeros behind, so every window lies inside it.
+    `blocks` lists (rows, row values, index in the padded vector of the
+    first row's window); the window views of the buffer are built with it.
     """
 
     def __init__(self, data: np.ndarray, blocks: list, left: int, length: int):
@@ -137,6 +139,11 @@ class BandKernel:
         self._blocks = blocks
         self._left = left
         self._length = length
+        self._padded = np.zeros(length)
+        self._windows = [
+            (rows, vals, _windows(self._padded, len(vals), data.shape[1], first))
+            for rows, vals, first in blocks
+        ]
 
     @property
     def nnz(self) -> int:
@@ -146,13 +153,12 @@ class BandKernel:
     def apply(self, values: np.ndarray) -> np.ndarray:
         """The product with one field, or with each row of a (K, n) stack
         as it would be alone."""
-        n, width = self.data.shape
+        n = self.data.shape[0]
         out = np.empty(values.shape)
-        padded = np.zeros(self._length)
+        row_in = self._padded[self._left:self._left + n]
         for row, dest in zip(values.reshape(-1, n), out.reshape(-1, n)):
-            padded[self._left:self._left + n] = row
-            for rows, vals, first in self._blocks:
-                win = _windows(padded, len(vals), width, first)
+            row_in[...] = row
+            for rows, vals, win in self._windows:
                 np.einsum("ij,ij->i", vals, win, out=dest[rows])
         return out
 

@@ -15,14 +15,14 @@ end nodes are pinned onto the profile ansatz: q to -kappa/(2ps) and w to
 phi, so w - (phi + q) is kappa/(2ps) there.  The local sources Vq, B, R
 and N of the q form come from one `SourceTerms` object, whose coefficient
 fields (profile, its gradient and powers, potential, residual) are built
-in one pass at one time: the step midpoint s + ds/2 for both halves,
-which keeps the composition time-symmetric and the scheme second order.
-The integral-form check reads the same object; the per-step N sup of a
-trajectory record needs only phi and phi_y, so it takes those two from
-`model` without the rest of the pass.  The w form adds the same
-perturbation N (`model.perturbation_N`) and integrates the power
-nonlinearity w' = |w|^{p-1} w in closed form, so the constant steady
-state kappa is preserved to O(ds^3) per step.
+in one pass over the nodes y >= 0 and mirrored, at one time: the step
+midpoint s + ds/2 for both halves, which keeps the composition
+time-symmetric and the scheme second order.  Its B and N write into
+scratch arrays that the step and the integral-form check pass in; N sums
+through `model.perturbation_sum`, the one formula of N, which the
+observation's N sup runs too.  The w form adds the same perturbation N
+and integrates the power nonlinearity w' = |w|^{p-1} w in closed form, so
+the constant steady state kappa is preserved to O(ds^3) per step.
 
 A trajectory run records the spectral decomposition of the deviation at
 every step, checks trap membership, and stops at the first exit or at any
@@ -32,10 +32,12 @@ array: each step evaluates one `SourceTerms` for every row and applies
 the cached kernel to every row in one call, and each observation takes
 one cutoff and one support slice for every row, while the boundary
 condition, the overflow guard, trap membership, the N sup and the exit
-classification stay per row.  A row that exits or diverges leaves the
-ensemble and the others go on.  Every reduction runs along a row in the
-order of a lone field, so each row is bitwise the trajectory run alone; a
-single trajectory is the case K = 1.
+classification stay per row.  The observation runs the split of
+`hermite.decompose_values` on the bare rows and takes its sups directly,
+without building a decomposition object.  A row that exits or diverges
+leaves the ensemble and the others go on.  Every reduction runs along a
+row in the order of a lone field, so each row is bitwise the trajectory
+run alone; a single trajectory is the case K = 1.
 """
 
 from __future__ import annotations
@@ -44,11 +46,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import Field, Grid, gradient
-from .hermite import decompose, seminorm_minus
-# kernel_matrix, nonlinear_B, potential_V and remainder_R are not called
-# here; they stay names of this module for perfbench/tracing.py, which
-# wraps them here
+from .grids import Field, Grid, gradient, ipow, mirror
+from .hermite import (
+    cubic_weighted_sup,
+    cutoff_support,
+    decompose,
+    decompose_values,
+    seminorm_minus,
+)
+# check_membership, kernel_matrix, nonlinear_B, potential_V and
+# remainder_R are not called here; they stay names of this module for
+# perfbench/tracing.py, which wraps them here.  mode_ode_check lives in
+# trapset, with the other readers of a trajectory record, and stays
+# importable from here.
 from .model import (
     ModelParams,
     ansatz_fields,
@@ -62,7 +72,15 @@ from .model import (
     remainder_R,
 )
 from .semigroup import apply_semigroup_values, kernel_matrix
-from .trapset import COMPONENTS, ExitInfo, TrapParams, check_membership, exit_classify
+from .trapset import (
+    COMPONENTS,
+    ExitInfo,
+    TrapParams,
+    check_membership,
+    exit_classify,
+    membership,
+    mode_ode_check,
+)
 
 __all__ = [
     "SolverConfig",
@@ -115,66 +133,83 @@ class DivergenceError(RuntimeError):
 class SourceTerms:
     """Local sources Vq, B(q), R and N of the deviation equation at time s.
 
-    The coefficient fields phi, phi_y, phi^p, p phi^(p-1), V and R come
-    from one `model.ansatz_fields` pass when the object is built, with the
-    three decay factors of N.  qv may be one field or a stack of rows that
-    share them; w, where given, is phi + qv and qy the gradient of qv.
+    The coefficient fields come from one `model.ansatz_fields` pass over
+    the nodes y >= 0: phi, phi^p, p phi^(p-1), V and R are even in y and
+    are mirrored as one block, and phi_y is odd and mirrored only where
+    N's gradient term reads it (mu != 0; else it is None).  N's three
+    decay factors are taken once too.  qv may be one field or a stack of
+    rows that share them; w is phi + qv, and out and tmp are arrays of
+    qv's shape that B, N and rhs write into.
     """
 
     def __init__(self, params: ModelParams, grid: Grid, s: float):
         self.params, self.grid, self.s = params, grid, s
-        self.phi_val, self.phi_y, self.phi_p, self.dphi_p, self.V, self.R = ansatz_fields(
-            params, grid.y, s
-        )
+        phi_val, phi_y, *even = ansatz_fields(params, grid.y[grid.n_half:], s)
+        self.phi_val, self.phi_p, self.dphi_p, self.V, self.R = mirror(np.array([phi_val, *even]))
+        self.phi_y = mirror(phi_y, odd=True) if params.mu != 0.0 else None
         self.decay = perturbation_decay(params, s)
 
-    def B(self, qv: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
-        w = self.phi_val + qv if w is None else w
-        return np.abs(w) ** (self.params.p - 1.0) * w - self.phi_p - self.dphi_p * qv
+    def B(self, qv, w, out, tmp):
+        """B(q) into out, in the order of `model.nonlinear_B`."""
+        ipow(np.abs(w, out=out), self.params.p - 1.0)
+        out *= w
+        out -= self.phi_p
+        out -= np.multiply(self.dphi_p, qv, out=tmp)
+        return out
 
-    def N(self, qv: np.ndarray, qy: np.ndarray | None = None, w: np.ndarray | None = None):
+    def N(self, qv, w, out, tmp):
+        """N into out; tmp may be w, which it then overwrites."""
         w_grad = 0.0  # read by the gradient term only, which needs mu != 0
         if self.params.mu != 0.0:
-            w_grad = self.phi_y + (gradient(self.grid, qv) if qy is None else qy)
-        w = self.phi_val + qv if w is None else w
-        return perturbation_sum(self.params, self.decay, w_grad, w)
+            w_grad = gradient(self.grid, qv, out)
+            w_grad += self.phi_y
+        return perturbation_sum(self.params, self.decay, w_grad, w, out, tmp)
 
-    def rhs(self, qv: np.ndarray) -> np.ndarray:
-        """Vq + B(q) + R, plus N in a perturbed model, on one phi + q."""
-        w = self.phi_val + qv
-        out = self.V * qv
-        out += self.B(qv, w)
+    def rhs(self, qv, out, w, tmp):
+        """Vq + B(q) + R, plus N in a perturbed model, into out, on one
+        w = phi + q; w and tmp are scratch."""
+        np.add(self.phi_val, qv, out=w)
+        self.B(qv, w, tmp, out)  # out is B's scratch until Vq goes in
+        np.multiply(self.V, qv, out=out)
+        out += tmp
         out += self.R
         if self.params.perturbed:
-            out += self.N(qv, w=w)
+            out += self.N(qv, w, tmp, w)
         return out
 
 
-def _midpoint_half(rhs, v: np.ndarray, h: float) -> np.ndarray:
-    # k1 = rhs(v) is freed before the second rhs runs
-    return v + h * rhs(v + 0.5 * h * rhs(v))
+def _midpoint_half(rhs, v, h, work):
+    """v + h rhs(v + (h/2) rhs(v)) in the four scratch arrays of work;
+    the result is work[1]."""
+    k1, k2, w, tmp = work
+    rhs(v, k1, w, tmp)
+    k1 *= 0.5 * h
+    k1 += v
+    rhs(k1, k2, w, tmp)
+    k2 *= h
+    k2 += v
+    return k2
 
 
 def _apply_bc_q(values: np.ndarray, params: ModelParams, s: float) -> None:
-    values[..., [0, -1]] = -params.kappa / (2.0 * params.p * s)
+    values[..., 0] = values[..., -1] = -params.kappa / (2.0 * params.p * s)
 
 
 def _apply_bc_w(values: np.ndarray, params: ModelParams, grid: Grid, s: float) -> None:
-    values[[0, -1]] = phi(params, grid.y[[0, -1]], s)
+    values[..., 0], values[..., -1] = phi(params, grid.y[[0, -1]], s)
 
 
 def _guard(values: np.ndarray, s: float) -> None:
-    amax = np.max(np.abs(values), axis=-1)
-    bad = ~(amax <= OVERFLOW)  # NaN and inf fail the comparison too
-    if not np.any(bad):
+    if np.abs(values).max() <= OVERFLOW:  # NaN and inf fail the comparison too
         return
+    amax = np.max(np.abs(values), axis=-1)
     worst = float(np.max(amax))
     message = (
         f"field magnitude {worst:.3e} exceeds overflow cap"
         if np.isfinite(worst)
         else "field is no longer finite"
     )
-    rows = np.flatnonzero(bad) if values.ndim == 2 else None
+    rows = np.flatnonzero(~(amax <= OVERFLOW)) if values.ndim == 2 else None
     raise DivergenceError(s, message, rows)
 
 
@@ -188,9 +223,10 @@ def step_q(q: Field, params: ModelParams, cfg: SolverConfig) -> Field:
     ds = cfg.ds
     s_new = q.s + ds
     rhs = SourceTerms(params, q.grid, q.s + 0.5 * ds).rhs
-    v = _midpoint_half(rhs, q.values, 0.5 * ds)
+    work = [np.empty_like(q.values) for _ in range(4)]
+    v = _midpoint_half(rhs, q.values, 0.5 * ds, work)
     v = apply_semigroup_values(ds, q.grid, v)
-    v = _midpoint_half(rhs, v, 0.5 * ds)
+    v = _midpoint_half(rhs, v, 0.5 * ds, work)
     _apply_bc_q(v, params, s_new)
     _guard(v, s_new)
     return Field(grid=q.grid, values=v, s=s_new)
@@ -200,8 +236,10 @@ def _power_flow(params: ModelParams, wv: np.ndarray, t: float, s: float) -> np.n
     """Exact flow of w' = |w|^{p-1} w over time t (elementwise)."""
     pm1 = params.p - 1.0
     base = 1.0 - pm1 * t * np.abs(wv) ** pm1
-    if np.any(base <= 0.0):
-        raise DivergenceError(s, "power sub-flow reached its blow-up time inside a step")
+    bad = np.any(base <= 0.0, axis=-1)
+    if np.any(bad):
+        rows = np.flatnonzero(bad) if wv.ndim == 2 else None
+        raise DivergenceError(s, "power sub-flow reached its blow-up time inside a step", rows)
     return wv * base ** (-1.0 / pm1)
 
 
@@ -217,16 +255,18 @@ def step_w(w: Field, params: ModelParams, cfg: SolverConfig) -> Field:
     sm = w.s + 0.5 * ds
     grid = w.grid
     p = params
+    decay = perturbation_decay(params, sm)
+    work = [np.empty_like(w.values) for _ in range(4)]
 
-    def pert(wv: np.ndarray) -> np.ndarray:
-        w_grad = gradient(grid, wv) if params.mu != 0.0 else 0.0
-        return perturbation_N(params, w_grad, wv, sm)
+    def pert(wv, out, _, tmp):
+        w_grad = gradient(grid, wv, out) if params.mu != 0.0 else 0.0
+        return perturbation_sum(params, decay, w_grad, wv, out, tmp)
 
     def half(wv: np.ndarray, h: float) -> np.ndarray:
         if not params.perturbed:
             return _power_flow(params, wv, h, sm)
         v = _power_flow(params, wv, 0.5 * h, sm)
-        v = _midpoint_half(pert, v, h)
+        v = _midpoint_half(pert, v, h, work)
         return _power_flow(params, v, 0.5 * h, sm)
 
     v = half(w.values, 0.5 * ds)
@@ -237,19 +277,23 @@ def step_w(w: Field, params: ModelParams, cfg: SolverConfig) -> Field:
     return Field(grid=grid, values=v, s=s_new)
 
 
+def _series():
+    return field(default_factory=lambda: np.empty(0))
+
+
 @dataclass
 class TrajectoryRecord:
     """Per-step scalar diagnostics of one deviation trajectory."""
 
-    s: np.ndarray = field(default_factory=lambda: np.empty(0))
-    q0: np.ndarray = field(default_factory=lambda: np.empty(0))
-    q1: np.ndarray = field(default_factory=lambda: np.empty(0))
-    q2: np.ndarray = field(default_factory=lambda: np.empty(0))
-    sem_minus: np.ndarray = field(default_factory=lambda: np.empty(0))
-    qe_sup: np.ndarray = field(default_factory=lambda: np.empty(0))
-    q_sup: np.ndarray = field(default_factory=lambda: np.empty(0))
-    gradq_sup: np.ndarray = field(default_factory=lambda: np.empty(0))
-    N_sup: np.ndarray = field(default_factory=lambda: np.empty(0))
+    s: np.ndarray = _series()
+    q0: np.ndarray = _series()
+    q1: np.ndarray = _series()
+    q2: np.ndarray = _series()
+    sem_minus: np.ndarray = _series()
+    qe_sup: np.ndarray = _series()
+    q_sup: np.ndarray = _series()
+    gradq_sup: np.ndarray = _series()
+    N_sup: np.ndarray = _series()
     margins: np.ndarray = field(default_factory=lambda: np.empty((0, 5)))
     inside: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=bool))
     exit: ExitInfo | None = None
@@ -271,33 +315,33 @@ _SERIES = (
 
 def _observe(q: Field, params: ModelParams, trap: TrapParams) -> tuple[np.ndarray, np.ndarray]:
     """One observation row per row of the stack q, and which rows are inside."""
-    grid, s = q.grid, q.s
-    d = decompose(q, trap.K0)
-    status = check_membership(d, trap)
-    qy = gradient(grid, q.values)
+    grid, s, qv = q.grid, q.s, q.values
+    amps, q_minus, q_e = decompose_values(grid, qv, s, trap.K0)
+    support = cutoff_support(grid, trap.K0, s)
+    qy = gradient(grid, qv)
     n_sup = 0.0
     if params.perturbed:
-        w_grad = phi_dy(params, grid.y, s) + qy if params.mu != 0.0 else 0.0
-        n = perturbation_N(params, w_grad, phi(params, grid.y, s) + q.values, s)
-        n_sup = np.max(np.abs(n), axis=-1)
+        y = grid.y[grid.n_half:]
+        w_grad = mirror(phi_dy(params, y, s), odd=True) + qy if params.mu != 0.0 else 0.0
+        n = perturbation_N(params, w_grad, mirror(phi(params, y, s)) + qv, s)
+        n_sup = np.abs(n).max(axis=-1)
+    table = np.empty((len(qv), len(_SERIES) + len(COMPONENTS)))
+    table[:, 0] = s
+    table[:, 1:4] = amps
     # The gradient sup is a decay diagnostic, so it is restricted to the
     # cutoff support |y| <= 2 K0 sqrt(s) (same region as the seminorm):
     # outside it the deviation is pinned by the boundary condition and the
     # collar gradient reflects domain truncation, not the solution.
-    columns = (
-        s,
-        d.q0,
-        d.q1,
-        d.q2,
-        status.measured[:, 3],  # seminorm of q_minus
-        status.measured[:, 4],  # sup of q_e
-        q.sup(),
-        np.max(np.abs(qy[:, d.support]), axis=-1),
+    sups = (
+        cubic_weighted_sup(grid, q_minus, support),  # seminorm of q_minus
+        np.abs(q_e).max(axis=-1),
+        np.abs(qv).max(axis=-1),
+        np.abs(qy[:, support]).max(axis=-1),
         n_sup,
     )
-    table = np.empty((q.values.shape[0], len(_SERIES) + len(COMPONENTS)))
-    for j, col in enumerate(columns):
+    for j, col in enumerate(sups, 4):
         table[:, j] = col
+    status = membership(np.concatenate((np.abs(amps), table[:, 4:6]), axis=-1), trap, s)
     table[:, len(_SERIES):] = status.margins
     return table, status.inside
 
@@ -410,36 +454,6 @@ def run_trajectory(
     return run_trajectories([q_init], params, trap, cfg, s_end)[0]
 
 
-def mode_ode_check(record: TrajectoryRecord, m: int) -> dict:
-    """Defect of a recorded mode against its linearized law q_m' = (1 - m/2) q_m.
-
-    The derivative is a centered difference on the recorded series, so the
-    two end records, which have none, are left out of the window.  The
-    defect collects the projected nonlinear, residual and perturbation
-    sources, so along a trapped trajectory s^2 |defect| should stay of
-    order one.  Returns the window sups of |defect| and s^2 |defect|.
-    """
-    if m not in (0, 1, 2):
-        raise ValueError(f"mode index must be 0, 1 or 2, got {m!r}")
-    series = (record.q0, record.q1, record.q2)[m]
-    s = record.s
-    if s.size < 5:
-        raise ValueError("record too short for a mode derivative estimate")
-    h = np.diff(s)
-    if not np.allclose(h, h[0], rtol=1e-8, atol=0.0):
-        raise ValueError("mode check needs a uniformly recorded trajectory")
-    dq = (series[2:] - series[:-2]) / (s[2:] - s[:-2])
-    defect = dq - (1.0 - 0.5 * m) * series[1:-1]
-    s_win = s[1:-1]
-    return {
-        "mode": m,
-        "s_lo": float(s_win[0]),
-        "s_hi": float(s_win[-1]),
-        "sup_defect": float(np.max(np.abs(defect))),
-        "sup_scaled_defect": float(np.max(s_win**2 * np.abs(defect))),
-    }
-
-
 # trapezoid times of the integral-form check, spread evenly over its window
 _N_QUAD = 17
 
@@ -466,9 +480,15 @@ def _duhamel_pieces(
 
     def sources(q: Field) -> np.ndarray:
         """The rows B, R, N, Vq at q.s."""
-        src = SourceTerms(params, grid, q.s)
-        n = src.N(q.values) if params.perturbed else np.zeros_like(q.values)
-        return np.stack([src.B(q.values), src.R, n, src.V * q.values])
+        src, qv = SourceTerms(params, grid, q.s), q.values
+        rows = np.zeros((4, grid.n))  # N stays 0 in an unperturbed model
+        w = src.phi_val + qv
+        src.B(qv, w, rows[0], rows[3])
+        rows[1] = src.R
+        if params.perturbed:
+            src.N(qv, w, rows[2], w)
+        np.multiply(src.V, qv, out=rows[3])
+        return rows
 
     # one row per piece: alpha, beta, gamma, delta, vpart
     acc = np.empty((5, grid.n))
@@ -541,27 +561,19 @@ def duhamel_split_check(
     resid = float(np.max(np.abs(reconstruction - q.values)))
 
     d = decompose(Field(grid=grid, values=delta, s=s_end), trap.K0)
-    window = s_end - tau
-    scale = s_end**3 / window
-    out = {
+    scale = s_end**3 / (s_end - tau)
+    delta_parts = {"delta2": abs(d.q2), "delta_minus": seminorm_minus(d), "delta_e": d.q_e.sup()}
+    names = ("alpha", "beta", "gamma", "delta", "v")
+    return {
         "tau": tau,
         "s": s_end,
         "n_quad": n_times,
-        "alpha_sup": float(np.max(np.abs(alpha))),
-        "beta_sup": float(np.max(np.abs(beta))),
-        "gamma_sup": float(np.max(np.abs(gamma))),
-        "delta_sup": float(np.max(np.abs(delta))),
-        "v_sup": float(np.max(np.abs(vpart))),
+        **{f"{name}_sup": float(np.max(np.abs(x))) for name, x in zip(names, pieces)},
         "reconstruction_residual": resid,
         "q_sup": q.sup(),
-        "delta2": abs(d.q2),
-        "delta_minus": seminorm_minus(d),
-        "delta_e": d.q_e.sup(),
-        "C_delta2": abs(d.q2) * scale,
-        "C_delta_minus": seminorm_minus(d) * scale,
-        "C_delta_e": d.q_e.sup() * scale,
+        **delta_parts,
+        **{f"C_{name}": x * scale for name, x in delta_parts.items()},
     }
-    return out
 
 
 def forms_consistency_check(

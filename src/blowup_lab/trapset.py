@@ -15,6 +15,10 @@ the trap through those two faces, transversally (the outward velocity has
 the sign of the violated mode), which is what makes two-parameter shooting
 on the initial data sufficient.
 
+A trajectory record (`solver.TrajectoryRecord`) is read here twice: for
+its first exit (`exit_classify`) and for the defect of its recorded modes
+against their linearized law (`mode_ode_check`).
+
 Membership implies two derived envelopes that are checked separately: the
 cutoff part q_b = q0 h0 + q1 h1 + q2 h2 + q_minus obeys
 |q_b| <= C A^2 (log s / s^2)(1 + |y|^3) and the full field obeys
@@ -38,8 +42,10 @@ __all__ = [
     "component_bounds",
     "measured_components",
     "check_membership",
+    "membership",
     "check_derived_bounds",
     "exit_classify",
+    "mode_ode_check",
     "reduction_witness",
 ]
 
@@ -119,9 +125,13 @@ def check_membership(d: SpectralDecomp, trap: TrapParams) -> TrapStatus:
     For a stack of fields, `measured`, `margins` and `inside` have one row
     per field.
     """
-    measured = measured_components(d)
-    margins = component_bounds(trap, d.s) - measured
-    inside = np.all(margins >= 0.0, axis=-1)
+    return membership(measured_components(d), trap, d.s)
+
+
+def membership(measured: np.ndarray, trap: TrapParams, s: float) -> TrapStatus:
+    """`check_membership` of the measured components at time s."""
+    margins = component_bounds(trap, s) - measured
+    inside = (margins >= 0.0).all(axis=-1)
     if margins.ndim == 1:
         inside = bool(inside)
     return TrapStatus(inside=inside, measured=measured, margins=margins)
@@ -174,6 +184,37 @@ def exit_classify(record) -> ExitInfo | None:
         info.dqm_ds = float(dq)
         info.transverse = bool(info.omega * dq > 0.0)
     return info
+
+
+def mode_ode_check(record, m: int) -> dict:
+    """Defect of a recorded mode against its linearized law q_m' = (1 - m/2) q_m.
+
+    The derivative is a centered difference on the recorded series, so the
+    two end records, which have none, are left out of the window.  The
+    defect collects the projected nonlinear, residual and perturbation
+    sources, so along a trapped trajectory s^2 |defect| should stay of
+    order one.  Returns the window sups of |defect| and s^2 |defect|.
+    """
+    if m not in (0, 1, 2):
+        raise ValueError(f"mode index must be 0, 1 or 2, got {m!r}")
+    series = (record.q0, record.q1, record.q2)[m]
+    s = record.s
+    if s.size < 5:
+        raise ValueError("record too short for a mode derivative estimate")
+    h = np.diff(s)
+    if not np.allclose(h, h[0], rtol=1e-8, atol=0.0):
+        raise ValueError("mode check needs a uniformly recorded trajectory")
+    dq = (series[2:] - series[:-2]) / (s[2:] - s[:-2])
+    defect = dq - (1.0 - 0.5 * m) * series[1:-1]
+    s_win = s[1:-1]
+    return {
+        "mode": m,
+        "s_lo": float(s_win[0]),
+        "s_hi": float(s_win[-1]),
+        "sup_defect": float(np.max(np.abs(defect))),
+        "sup_scaled_defect": float(np.max(s_win**2 * np.abs(defect))),
+    }
+
 
 
 def reduction_witness(records, trap: TrapParams) -> dict:

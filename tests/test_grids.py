@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from blowup_lab.grids import Field, Grid, default_y_max, gradient, make_grid
+from blowup_lab.grids import Field, Grid, default_y_max, gradient, make_grid, mirror
 
 
 def test_make_grid_symmetric_odd():
@@ -85,3 +85,23 @@ def test_grid_is_hashable_key():
     assert a.key() == b.key()
     assert a == b and isinstance(hash(a), int)
     assert Grid(n_half=3, dy=0.5).key() == (3, 0.5)
+
+
+@pytest.mark.parametrize("n_half", [1, 2, 20])
+def test_gradient_into_out_is_bitwise_np_gradient(n_half):
+    g = Grid(n_half=n_half, dy=0.1)
+    v = np.random.default_rng(3).standard_normal((3, g.n))
+    out = np.full_like(v, np.nan)
+    assert gradient(g, v, out) is out
+    assert out.tobytes() == np.gradient(v, g.dy, axis=-1).tobytes()
+
+
+def test_mirror_fills_the_negative_half():
+    half = np.array([[0.0, 1.5, -2.0], [-0.0, 3.0, 4.0]])
+    even, odd = mirror(half), mirror(half, odd=True)
+    np.testing.assert_array_equal(even, [[-2.0, 1.5, 0.0, 1.5, -2.0], [4.0, 3.0, -0.0, 3.0, 4.0]])
+    np.testing.assert_array_equal(odd, [[2.0, -1.5, 0.0, 1.5, -2.0], [-4.0, -3.0, -0.0, 3.0, 4.0]])
+    # the node y = 0 keeps its own bits, the sign of zero included
+    assert np.signbit(odd[1, 2]) and not np.signbit(odd[0, 2])
+    g = make_grid(3.0, 0.25)
+    np.testing.assert_array_equal(mirror(g.y[g.n_half:], odd=True), g.y)

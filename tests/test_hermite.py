@@ -203,6 +203,30 @@ def test_decompose_outer_part(grid20):
     assert np.array_equal(d.q_e.values, far)
 
 
+@pytest.mark.parametrize("shape", [(), (3,)])
+def test_decompose_is_bitwise_the_per_mode_reference(grid20, shape):
+    """The split, one field or a stack, against a reference that spells it
+    out: chi on the full grid, each amplitude an `inner_rho` of q chi with
+    h_m over 2^m m!, the residue q chi - (((0 + q0 h0) + q1 h1) + q2 h2)
+    and the outer part q (1 - chi); bit for bit, sign of zero included."""
+    y, s, K0 = grid20.y, 16.0, 2.0
+    rng = np.random.default_rng(5)
+    vals = np.exp(-(y**2) / 9.0) * rng.standard_normal(shape + (1,))
+    vals = vals + rng.standard_normal(shape + y.shape) * 1e-3
+    d = decompose(_field(grid20, vals, s=s), K0=K0)
+    chi = cutoff_chi(y, s, K0)
+    for row, q in enumerate(np.reshape(vals, (-1, y.size))):
+        qb = q * chi
+        amps = [inner_rho(grid20, qb, hermite_h(m, y)) / hermite_norm_sq(m) for m in range(3)]
+        recon = np.zeros_like(qb)
+        for m, a in enumerate(amps):
+            recon += a * hermite_h(m, y)
+        got = [np.reshape(a, -1)[row] for a in (d.q0, d.q1, d.q2)]
+        assert np.array(got).tobytes() == np.array(amps).tobytes()
+        assert np.reshape(d.q_minus.values, (-1, y.size))[row].tobytes() == (qb - recon).tobytes()
+        assert np.reshape(d.q_e.values, (-1, y.size))[row].tobytes() == (q * (1.0 - chi)).tobytes()
+
+
 def test_residue_is_weighted_orthogonal(grid20):
     y = grid20.y
     vals = np.exp(-(y**2) / 7.0) * (1.0 + 0.5 * y - 0.2 * y**2)

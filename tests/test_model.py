@@ -10,8 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blowup_lab.grids import default_y_max, make_grid, mirror
+from blowup_lab.hermite import cutoff_chi
 from blowup_lab.model import (
     ParameterError,
+    ansatz_fields,
     make_params,
     nonlinear_B,
     perturbation_N,
@@ -327,3 +330,26 @@ def test_perturbation_N_all_terms_and_broadcast(perturbed_p2):
     assert np.allclose(n, by_hand, rtol=1e-14)
     # exponential smallness at the starting time already
     assert float(np.max(n)) < 1e-4
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 5.0])
+@pytest.mark.parametrize("s", [4.0, 20.01, 49.99])
+def test_half_grid_fields_mirror_to_the_full_grid_bitwise(p, s):
+    """The even fields (and the odd phi_y) evaluated on the nodes y >= 0 and
+    mirrored are, bit for bit and sign of zero included, the full-grid
+    evaluation: the grid is exactly symmetric and each expression exactly
+    even or odd in y."""
+    pr = make_params(p)
+    g = make_grid(default_y_max(4.0, 50.0), 0.05)
+    y = g.y[g.n_half:]
+
+    def same(a, b):
+        np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    full = ansatz_fields(pr, g.y, s)
+    for k, (f, h) in enumerate(zip(full, ansatz_fields(pr, y, s))):
+        same(mirror(h, odd=k == 1), f)
+    assert np.signbit(full[1][g.n_half])  # phi_y is -0.0 at y = 0
+    same(mirror(cutoff_chi(y, s, 4.0)), cutoff_chi(g.y, s, 4.0))
+    same(mirror(phi(pr, y, s)), phi(pr, g.y, s))
+    same(mirror(phi_dy(pr, y, s), odd=True), phi_dy(pr, g.y, s))

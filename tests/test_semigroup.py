@@ -251,3 +251,20 @@ def test_comparison_check_rejects_bad_window(grid20):
         kernel_comparison_check(s=20.0, sigma=20.0, n_field=src)
 
 
+
+
+def test_apply_reuses_its_buffer_without_carrying_anything_over(grid20):
+    """Applies in a row with different inputs (a field, a stack, zeros)
+    equal, bit for bit, the applies of freshly built kernels."""
+    rng = np.random.default_rng(11)
+    inputs = [
+        rng.standard_normal(grid20.n),
+        rng.standard_normal((3, grid20.n)) * 1e3,
+        np.zeros(grid20.n),
+        rng.standard_normal(grid20.n),
+    ]
+    kept = _banded_kernel(0.07, grid20)
+    for x in inputs:
+        fresh = _banded_kernel(0.07, grid20).apply(x)
+        assert kept.apply(x).tobytes() == fresh.tobytes()
+    assert not np.any(kept.apply(np.zeros(grid20.n)))

@@ -53,6 +53,12 @@ def _traj_grid(s_max=22.0):
     return make_grid(default_y_max(4.0, s_max), 0.05)
 
 
+def _bits(x):
+    """The bit patterns of a float array, so that equality counts the sign
+    of zero."""
+    return np.ascontiguousarray(x, dtype=float).view(np.uint64)
+
+
 # ---------------------------------------------------------------------------
 # configuration
 
@@ -80,27 +86,40 @@ def test_config_validation():
     ],
 )
 def test_source_terms_rhs_matches_model_functions(perturbed, p):
-    """The one-pass sources are bit for bit the model's own functions."""
+    """The one-pass sources are bit for bit the model's own functions, on
+    one field and on each row of a (3, n) stack."""
     kw = dict(alpha=1.0, alpha_bar=1.0, mu=1.0, mu_bar=1.0, mu0=1.0) if perturbed else {}
     pr = make_params(p, **kw)
     g = _traj_grid()
     s = 20.5
-    qv = initial_q(pr, g, InitialDataParams(d0=0.01, d1=-0.003, s0=s)).values
+    stack = np.array([
+        initial_q(pr, g, InitialDataParams(d0=d0, d1=d1, s0=s)).values
+        for d0, d1 in ((0.01, -0.003), (-0.0121, 0.0), (0.0119, 0.003))
+    ])
     src = SourceTerms(pr, g, s)
     phi_val = phi(pr, g.y, s)
     np.testing.assert_array_equal(src.phi_val, phi_val)
-    np.testing.assert_array_equal(src.phi_y, phi_dy(pr, g.y, s))
     np.testing.assert_array_equal(src.V, potential_V(pr, g.y, s))
     np.testing.assert_array_equal(src.R, remainder_R(pr, g.y, s))
-    by_hand = (
-        potential_V(pr, g.y, s) * qv
-        + nonlinear_B(pr, phi_val, qv)
-        + remainder_R(pr, g.y, s)
-    )
+    # phi_y is mirrored only where N's gradient term reads it
     if perturbed:
-        w_y = phi_dy(pr, g.y, s) + gradient(g, qv)
-        by_hand = by_hand + perturbation_N(pr, w_y, phi_val + qv, s)
-    assert src.rhs(qv).tobytes() == by_hand.tobytes()
+        np.testing.assert_array_equal(src.phi_y, phi_dy(pr, g.y, s))
+    else:
+        assert src.phi_y is None
+    out, w, tmp = (np.full_like(stack, np.nan) for _ in range(3))
+    src.rhs(stack, out, w, tmp)
+    for qv, row in zip(stack, out):
+        by_hand = (
+            potential_V(pr, g.y, s) * qv
+            + nonlinear_B(pr, phi_val, qv)
+            + remainder_R(pr, g.y, s)
+        )
+        if perturbed:
+            w_y = phi_dy(pr, g.y, s) + gradient(g, qv)
+            by_hand = by_hand + perturbation_N(pr, w_y, phi_val + qv, s)
+        lone = src.rhs(qv, *(np.empty_like(qv) for _ in range(3)))
+        np.testing.assert_array_equal(_bits(lone), _bits(by_hand))
+        np.testing.assert_array_equal(_bits(row), _bits(by_hand))
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +206,33 @@ def test_power_flow_divergence_inside_step():
     w = Field(grid=g, values=np.full(g.n, 100.0), s=20.0)
     with pytest.raises(DivergenceError, match="blow-up time inside a step"):
         step_w(w, pr, SolverConfig(ds=0.5))
+
+
+@pytest.mark.parametrize("lane", ["pure_p2", "perturbed_p2"])
+def test_step_w_rows_match_lone_fields(lane, request):
+    """Each row of a (2, n) w stack steps bitwise as it would alone, the
+    end pins included."""
+    pr = request.getfixturevalue(lane)
+    g = make_grid(10.0, 0.05)
+    cfg = SolverConfig(ds=0.02)
+    bumps = ((1e-3, 0.5), (-2e-3, -1.0))
+    rows = [phi(pr, g.y, 20.0) + a * np.exp(-(g.y - b) ** 2) for a, b in bumps]
+    stack = Field(g, np.array(rows), 20.0)
+    lone = [Field(g, r, 20.0) for r in rows]
+    for _ in range(3):
+        stack = step_w(stack, pr, cfg)
+        lone = [step_w(w, pr, cfg) for w in lone]
+    for got, w in zip(stack.values, lone):
+        np.testing.assert_array_equal(_bits(got), _bits(w.values))
+
+
+def test_power_flow_divergence_names_its_rows():
+    pr = make_params(2.0)
+    g = make_grid(8.0, 0.1)
+    w = Field(grid=g, values=np.array([np.full(g.n, 0.8), np.full(g.n, 100.0)]), s=20.0)
+    with pytest.raises(DivergenceError, match="blow-up time inside a step") as err:
+        step_w(w, pr, SolverConfig(ds=0.5))
+    assert err.value.rows.tolist() == [1]
 
 
 # ---------------------------------------------------------------------------
@@ -480,9 +526,14 @@ def _quadrature_samples(init, pr, cfg, s_target):
             q = step_q(q, pr, cfg)
             q.s = init.s + k * cfg.ds
         if k in marks:
-            src = SourceTerms(pr, q.grid, q.s)
-            n = src.N(q.values) if pr.perturbed else np.zeros(q.grid.n)
-            samples.append((q.s, [src.B(q.values), src.R, n, src.V * q.values]))
+            qv, g = q.values, q.grid
+            b = nonlinear_B(pr, phi(pr, g.y, q.s), qv)
+            n = np.zeros(g.n)
+            if pr.perturbed:
+                w_y = phi_dy(pr, g.y, q.s) + gradient(g, qv)
+                n = perturbation_N(pr, w_y, phi(pr, g.y, q.s) + qv, q.s)
+            v = potential_V(pr, g.y, q.s) * qv
+            samples.append((q.s, [b, remainder_R(pr, g.y, q.s), n, v]))
     sigma = np.array([s for s, _ in samples])
     weights = np.zeros_like(sigma)
     weights[:-1] += 0.5 * np.diff(sigma)
