@@ -117,15 +117,18 @@ _KERNEL_CHECKS = ("semigroup-checks", "full-pipeline")
 MEMORY_BUDGET = 2 * 2**30
 
 # What the largest arrays of a run cost, as tracemalloc measured them: a
-# kernel keeps 8 bytes per stored band entry (`semigroup.band_layout`'s
-# width per node, float64 values); its build adds about 34 bytes per node
-# (32.3-34.1 on the 12315-node grid at theta = 0.01, 0.02, 0.07 and 5: the
-# padded node positions and weights, the grid's own, and one chunk of 2**13
-# window entries, about 0.15 MiB at any width).  On the 2465-node grid, one
-# row of the (K, n) stack takes about 175 bytes per node through a step
-# and an observation; one observation of one row is 14 float64 columns and
-# an inside flag.  On 100001 and 200001 nodes, a lone physical run takes
-# 72 bytes per node before its snapshots (8 bytes each, five by default),
+# kernel keeps 4 bytes per node per entry of `semigroup.band_layout`'s
+# width (float64 values of the n_half + 1 rows y >= 0; 4.002 on the
+# 12315-node grid at theta = 0.02, 0.07 and 5); its build adds about 34
+# bytes per node (32.3-34.1 on that grid at theta = 0.01, 0.02, 0.07 and 5:
+# the padded node positions and weights, the grid's own, and one chunk of
+# 2**13 window entries, about 0.15 MiB at any width).  On the 2465-node
+# grid, a lone row takes about 164 bytes per node through a step and an
+# observation, and each further row of the (K, n) stack about 58 (the
+# kernel product lays out at most four rows and their mirrors at once);
+# one observation of one row is 14 float64 columns and an inside flag.
+# On 100001 and 200001 nodes, a lone physical run takes 72 bytes per node
+# before its snapshots (8 bytes each, five by default),
 # and the 7-row stack of the stability probe takes 408 (58.3 per row): each
 # further row adds about 56, its field, its initial field and its four RK4
 # work rows.  A physical run with its profile check
@@ -142,7 +145,7 @@ MEMORY_BUDGET = 2 * 2**30
 # run the cap admits: 256 x 7.2e6 + 7 MB is 1.85 GB.
 # On 1601 and 4801 nodes, where the record weighs more, the peaks are 0.67
 # and 2.06 MB, 419 and 429 bytes per node.
-_KERNEL_KEPT_BYTES = 8
+_KERNEL_KEPT_BYTES = 4
 _KERNEL_BUILD_BYTES = 34
 _ROW_NODE_BYTES = 180
 _OBSERVATION_BYTES = 14 * 8 + 1

@@ -17,7 +17,10 @@ directly from the convolution structure and are checked numerically here:
 
 Discrete application is plain trapezoid quadrature of the kernel, so the
 quadrature exactness of the Gaussian integrands on these grids is kept.
-Row i of the matrix is a Gaussian centred at y_i e^(-theta/2), and it is
+The grid is symmetric and the weights even, so the matrix is exactly
+centrosymmetric, A[n-1-i, n-1-j] = A[i, j], and only the n_half + 1 rows
+with y_i >= 0 are stored; a row i < n_half is row n-1-i applied to the
+mirrored field.  Row i is a Gaussian centred at y_i e^(-theta/2), and it is
 stored as a band: the W values of the columns from i + shift_b on, where
 the shift is shared by a block b of consecutive rows.  The centre drifts by
 1 - e^(-theta/2) columns per row against the diagonal, so W is the window
@@ -26,13 +29,14 @@ keep that padding near a quarter of the window.  Entries below
 KERNEL_FLOOR = 1e-17 of the row's max, and the columns past the grid edge,
 are stored as 0.0.  The dropped mass is below 1e-16 of the row sum, a
 truncation below roundoff, and every kept entry is bitwise the dense one.
-Applying the band to a vector is one product over a strided, copy-free
-window view of a zero-padded buffer per block; the buffer and its views
-are built once per kernel, and a (K, n) stack is applied row by row.
-`kernel_matrix` is the one way to a kernel: it caches one band per exact
-(theta, grid), for the step sizes and for the gaps between the quadrature
-times of the integral-form checks alike, and `apply_semigroup_values` is
-the one way to apply it.
+Applying the band to a (K, n) stack is one product per block over a
+strided, copy-free (2k, rows, W) window view of a zero-padded buffer that
+holds k <= 4 of the fields and their mirrors, so each row of a stack is
+bitwise its lone product, and an even (odd) field goes to an exactly even
+(odd) one.  `kernel_matrix` is the one way to a kernel: it caches one band per
+exact (theta, grid), for the step sizes and for the gaps between the
+quadrature times of the integral-form checks alike, and
+`apply_semigroup_values` is the one way to apply it.
 """
 
 from __future__ import annotations
@@ -60,6 +64,12 @@ KERNEL_FLOOR = 1e-17
 
 # window entries a build evaluates at once
 _BUILD_ENTRIES = 2**13
+
+# fields a product lays out at once, with their mirrors: the buffer of a
+# much larger group pushes the band out of cache (2465 nodes, theta = 0.02,
+# best of 10: 16 fields took 1.20 ms in groups of 4, 1.37 ms one by one and
+# 1.60 ms in one group; 49 fields 3.62, 3.97 and 5.14 ms)
+_STACKED = 4
 
 # Nodes within 8 standard deviations of the widest kernel (variance
 # 2(1 - e^-theta) < 2) of the grid edge see it clipped by the finite domain.
@@ -92,7 +102,7 @@ def _band_reach(theta: float, dy: float) -> int:
 
 
 def band_layout(theta: float, grid: Grid) -> tuple[int, int, int]:
-    """(reach, rows per block, stored width W) of the band of e^(theta L).
+    """(reach, rows per block, stored width W) of the half band of e^(theta L).
 
     Row i needs the columns within `reach` of its centre node
     rint(y_i e^(-theta/2) / dy) + n_half; the window reaches
@@ -102,48 +112,47 @@ def band_layout(theta: float, grid: Grid) -> tuple[int, int, int]:
     half-weight end node, hence the ln 2.  Against the row index the centre
     falls behind by d = 1 - e^(-theta/2) per row, so over a block of R rows
     the window start moves by at most ceil((R - 1) d) + 1 columns less than
-    the row: that is the padding a shared shift needs.  Blocks hold about
-    window / (4 d) rows, which keeps the padding near a quarter of the
-    window.  Closed form, so that it sizes grids too large to build.
+    the row: that is the padding a shared shift needs.  The n_half + 1
+    stored rows y >= 0 are cut into blocks of about window / (4 d) rows,
+    which keeps the padding near a quarter of the window.  Closed form, so
+    that it sizes grids too large to build.
     """
     reach = min(_band_reach(theta, grid.dy), grid.n)
     window = 2 * reach + 1
     drift = float(1.0 - np.exp(-0.5 * theta))
-    rows = -(-grid.n // max(1, math.ceil(4.0 * grid.n * drift / window)))
+    stored = grid.n_half + 1
+    rows = -(-stored // max(1, math.ceil(4.0 * stored * drift / window)))
     return reach, rows, window + math.ceil((rows - 1) * drift) + 1
 
 
-def _windows(buf: np.ndarray, n_rows: int, width: int, first: int, step: int = 1):
-    """A copy-free (n_rows, width) view of the flat data of buf: row r holds
-    the width entries from first + r * step on."""
+def _windows(buf: np.ndarray, shape: tuple, first: int, steps: tuple):
+    """A copy-free view of the flat data of buf: entry (a, ..., z) is the
+    one at first + a * steps[0] + ... + z * steps[-1]."""
     item = buf.itemsize
     return np.ndarray(
-        (n_rows, width), buffer=buf, offset=first * item, strides=(step * item, item)
+        shape, buffer=buf, offset=first * item, strides=[step * item for step in steps]
     )
 
 
 class BandKernel:
-    """The (n, n) quadrature matrix of e^(theta L), stored as a sheared band.
+    """The (n, n) quadrature matrix of e^(theta L), stored as the sheared
+    band of its rows y >= 0.
 
-    `data` is (n, W): row i holds the columns from start_i on, where
-    start_i = i + shift_b on the rows of block b.  A product copies
-    each row into one zero-padded buffer held with the kernel, with `left`
-    zeros in front and zeros behind, so every window lies inside it.
-    `blocks` lists (rows, row values, index in the padded vector of the
-    first row's window); the window views of the buffer are built with it.
+    `data` is (n_half + 1, W): its row r is matrix row n_half + r and holds
+    the columns from start_r on, where start_r = r + n_half + shift_b on
+    the rows of block b.  A product lays k fields and then their mirrors
+    out as the rows of a zero-padded (2k, length) buffer, with `left`
+    zeros in front and zeros behind, so every window lies inside it.  `blocks` lists (stored rows, their values, index in a padded row
+    of the first row's window).
     """
 
     def __init__(self, data: np.ndarray, blocks: list, left: int, length: int):
         self.data = data
-        self.shape = (data.shape[0], data.shape[0])
+        n = 2 * data.shape[0] - 1
+        self.shape = (n, n)
         self._blocks = blocks
         self._left = left
         self._length = length
-        self._padded = np.zeros(length)
-        self._windows = [
-            (rows, vals, _windows(self._padded, len(vals), data.shape[1], first))
-            for rows, vals, first in blocks
-        ]
 
     @property
     def nnz(self) -> int:
@@ -152,28 +161,51 @@ class BandKernel:
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """The product with one field, or with each row of a (K, n) stack
-        as it would be alone."""
-        n = self.data.shape[0]
+        as it would be alone.
+
+        Matrix row n_half + r is stored row r against the field, and row
+        n_half - r is stored row r against the mirrored field; row n_half
+        is the mean of the two, so an odd field goes to exactly 0 there.
+        A stack is laid out _STACKED fields at a time."""
+        stored, width = self.data.shape
+        n, length, left = self.shape[0], self._length, self._left
+        rows = values.reshape(-1, n)
         out = np.empty(values.shape)
-        row_in = self._padded[self._left:self._left + n]
-        for row, dest in zip(values.reshape(-1, n), out.reshape(-1, n)):
-            row_in[...] = row
-            for rows, vals, win in self._windows:
-                np.einsum("ij,ij->i", vals, win, out=dest[rows])
+        flat = out.reshape(-1, n)
+        group = min(len(rows), _STACKED)
+        padded = np.zeros((2 * group, length))
+        half = np.empty((2 * group, stored))
+        for lo in range(0, len(rows), _STACKED):
+            fields = rows[lo:lo + _STACKED]
+            k = len(fields)
+            padded[:k, left:left + n] = fields
+            padded[k:2 * k, left:left + n] = fields[:, ::-1]
+            for block, vals, first in self._blocks:
+                win = _windows(padded, (2 * k, len(vals), width), first, (length, 1, 1))
+                np.einsum("ij,bij->bi", vals, win, out=half[:2 * k, block])
+            dest = flat[lo:lo + k]
+            dest[:, stored - 1:] = half[:k]
+            dest[:, :stored - 1] = half[k:2 * k, :0:-1]
+            dest[:, stored - 1] = (half[:k, 0] + half[k:2 * k, 0]) * 0.5
         return out
 
     def toarray(self) -> np.ndarray:
         """The dense (n, n) matrix."""
-        n, width = self.data.shape
-        wide = np.zeros((n, self._length))
-        for rows, vals, first in self._blocks:
-            start = rows.start * self._length + first
-            _windows(wide, len(vals), width, start, self._length + 1)[...] = vals
-        return wide[:, self._left:self._left + n].copy()
+        stored, width = self.data.shape
+        n, length = self.shape[0], self._length
+        wide = np.zeros((stored, length))
+        for block, vals, first in self._blocks:
+            start = block.start * length + first
+            _windows(wide, vals.shape, start, (length + 1, 1))[...] = vals
+        dense = np.empty((n, n))
+        dense[stored - 1:] = wide[:, self._left:self._left + n]
+        dense[:stored - 1] = dense[:stored - 1:-1, ::-1]
+        return dense
 
 
 def _banded_kernel(theta: float, grid: Grid) -> BandKernel:
-    """A[i, j] = w_j * kernel(theta, y_i, x_j) where >= KERNEL_FLOOR * max_j A[i, j].
+    """A[i, j] = w_j * kernel(theta, y_i, x_j) where >= KERNEL_FLOOR * max_j A[i, j],
+    on the rows i >= n_half.
 
     Built afresh on every call; `kernel_matrix` caches it.  The band is
     evaluated in chunks of rows, each of them by `kernel_eval` against a
@@ -182,37 +214,38 @@ def _banded_kernel(theta: float, grid: Grid) -> BandKernel:
     """
     if theta <= 0:
         raise ValueError(f"theta must be > 0, got {theta!r}")
-    n = grid.n
+    n, n_half = grid.n, grid.n_half
     reach, rows, width = band_layout(theta, grid)
-    firsts = np.arange(0, n, rows)
+    firsts = np.arange(n_half, n, rows)
     lasts = np.minimum(firsts + rows, n) - 1
     centre = np.rint(grid.y[lasts] * np.exp(-0.5 * theta) / grid.dy).astype(np.int64)
     # the window of row i starts at column i + shift of its block; the
     # centre falls behind the row, so the block's last row sets the shift
-    shifts = centre + grid.n_half - reach - lasts
+    shifts = centre + n_half - reach - lasts
     left = max(0, -int(np.min(firsts + shifts)))
     length = left + max(n, int(np.max(lasts + shifts)) + width)
     # node positions and weights on the padded columns, zero weight off the
     # grid; the grid part is bitwise grid.y
-    ys = (np.arange(-left, length - left) - grid.n_half) * grid.dy
+    ys = (np.arange(-left, length - left) - n_half) * grid.dy
     ws = np.zeros(length)
     ws[left:left + n] = grid.weights
-    data = np.empty((n, width))
+    data = np.empty((n - n_half, width))
     chunk = max(1, _BUILD_ENTRIES // width)
     blocks = []
     for first, last, shift in zip(firsts.tolist(), lasts.tolist(), shifts.tolist()):
         start = left + first + shift
         for r0 in range(first, last + 1, chunk):
             r1 = min(r0 + chunk, last + 1)
-            at = start + r0 - first
-            vals = data[r0:r1]
+            at, shape = start + r0 - first, (r1 - r0, width)
+            vals = data[r0 - n_half:r1 - n_half]
             np.multiply(
-                kernel_eval(theta, grid.y[r0:r1, None], _windows(ys, r1 - r0, width, at)),
-                _windows(ws, r1 - r0, width, at),
+                kernel_eval(theta, grid.y[r0:r1, None], _windows(ys, shape, at, (1, 1))),
+                _windows(ws, shape, at, (1, 1)),
                 out=vals,
             )
             vals[vals < KERNEL_FLOOR * vals.max(axis=1, keepdims=True)] = 0.0
-        blocks.append((slice(first, last + 1), data[first:last + 1], start))
+        block = slice(first - n_half, last + 1 - n_half)
+        blocks.append((block, data[block], start))
     return BandKernel(data, blocks, left, length)
 
 

@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import semigroup
 from .grids import Field, Grid, gradient, ipow, mirror
 from .hermite import (
     cubic_weighted_sup,
@@ -490,6 +491,8 @@ def _duhamel_pieces(
         np.multiply(src.V, qv, out=rows[3])
         return rows
 
+    cache = semigroup._MATRIX_CACHE
+    held = set(cache)
     # one row per piece: alpha, beta, gamma, delta, vpart
     acc = np.empty((5, grid.n))
     acc[0] = q_tau.values
@@ -503,6 +506,10 @@ def _duhamel_pieces(
             acc = apply_semigroup_values((k - marks[j - 1]) * cfg.ds, grid, acc)
             acc[1:] += weights[j] * sources(q)
             j += 1
+    # nothing reads the gap kernels wider than a step after the check
+    for key in set(cache) - held:
+        if key[0] != cfg.ds:
+            del cache[key]
     return q, acc, len(marks)
 
 
@@ -542,7 +549,8 @@ def duhamel_split_check(
     so that at s it holds e^{(s-tau)L} q(tau) and sum_k w_k e^{(s-sigma_k)L} S_k.
     The times are evenly spread whole steps, so their gaps take at most two
     values; each gap's kernel comes from the kernel cache, so a one-step
-    gap reuses the stepping kernel.  On a finite grid the gap kernels
+    gap reuses the stepping kernel, and the wider gap kernels the check
+    added leave the cache when it returns.  On a finite grid the gap kernels
     compose to e^{(s-sigma)L} only up to the clipping at the grid edge, so
     near the edge the sum differs from one with a kernel per time.
 

@@ -224,9 +224,11 @@ def test_y_max_checked_on_the_grid_the_run_builds(y_max, ok):
         r"\[grid\] a trajectory run on 867333045 nodes",
     ),
     ({"grid": {"y_max": 1e6}}, "spectral-checks", r"\[grid\] a spectral-checks run"),
-    # the derived grid at s_end = 26 has 91587 nodes, and a dy = 0.001
-    # kernel of ds = 0.02 spans 3555 of them per row
-    ({"grid": {"dy": 0.001}}, "shoot", r"\[grid\] a shoot run on 91587 nodes"),
+    # the derived grid at s_end = 26 has 183171 nodes, and a dy = 0.0005
+    # kernel of ds = 0.02 reaches 3555 of them on each side of a row's
+    # centre: the cap is 65011 nodes (dy = 0.001 fits, 91587 nodes against
+    # a cap of 126337)
+    ({"grid": {"dy": 0.0005}}, "shoot", r"\[grid\] a shoot run on 183171 nodes"),
     # 5e7 steps of ds = 0.02 to record leave no room for any node
     ({"trajectory": {"s_end": 1e6}}, "trajectory", r"\[grid\] .* holds at most 0 nodes"),
     ({"physical": {"n_x": 400000001}}, "physical", r"\[physical\] n_x: a physical run"),

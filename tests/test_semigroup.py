@@ -124,11 +124,33 @@ def test_apply_matches_full_kernel_product(theta):
 
 def test_stacked_apply_matches_lone_rows():
     grid = make_grid(default_y_max(4.0, 50.0), 0.05)
-    vals = np.random.default_rng(3).standard_normal((3, grid.n))
-    out = apply_semigroup_values(0.02, grid, vals)
-    assert out.shape == (3, grid.n)
-    for k in range(3):
-        assert out[k].tobytes() == apply_semigroup_values(0.02, grid, vals[k]).tobytes()
+    for theta in (0.02, 0.07):
+        for rows in (3, 5):
+            vals = np.random.default_rng(3).standard_normal((rows, grid.n))
+            out = apply_semigroup_values(theta, grid, vals)
+            assert out.shape == (rows, grid.n)
+            for k in range(rows):
+                lone = apply_semigroup_values(theta, grid, vals[k])
+                assert out[k].tobytes() == lone.tobytes()
+
+
+@pytest.mark.parametrize("theta", [1e-3, 0.02, 0.07, 1.0])
+@pytest.mark.parametrize("dy", [0.05, 0.025])
+def test_apply_keeps_parity_exactly(theta, dy):
+    # row n_half - r is row n_half + r against the mirrored field, so the
+    # two halves of an even (odd) output are bitwise equal (negatives)
+    grid = make_grid(40.0, dy)
+    c = grid.n_half
+    vals = np.random.default_rng(5).standard_normal((2, grid.n))
+    even = vals + vals[:, ::-1]
+    odd = vals - vals[:, ::-1]
+    out_even = apply_semigroup_values(theta, grid, even)
+    out_odd = apply_semigroup_values(theta, grid, odd)
+    assert np.array_equal(out_even.view(np.uint64), out_even[:, ::-1].view(np.uint64))
+    assert np.array_equal(
+        out_odd[:, c + 1:].view(np.uint64), (-out_odd[:, c - 1::-1]).view(np.uint64)
+    )
+    assert not np.any(out_odd[:, c])  # odd: the centre is 0
 
 
 @pytest.mark.parametrize("theta", [1e-3, 0.02, 1.0, 5.0])
@@ -140,11 +162,12 @@ def test_kernel_stores_exactly_the_entries_above_the_floor(theta):
     stored = banded.toarray()
     assert np.array_equal(stored != 0.0, keep)
     assert np.array_equal(stored[keep], dense[keep])  # bitwise
-    # the band stores W entries per row, zeros included
-    assert banded.data.shape == (grid.n, band_layout(theta, grid)[2])
+    assert banded.shape == (grid.n, grid.n)
+    # the band stores W entries of each row y >= 0, zeros included
+    assert banded.data.shape == (grid.n_half + 1, band_layout(theta, grid)[2])
     assert banded.nnz == banded.data.size
     if theta == 0.02:  # the solver's step on the acceptance grid
-        assert banded.nnz < 0.05 * grid.n**2  # 3.7 % measured
+        assert banded.nnz < 0.025 * grid.n**2  # 1.85 % measured
 
 
 def test_matrix_cache_consistency(grid20):
@@ -168,7 +191,8 @@ def test_matrix_cache_keys_on_the_exact_theta(grid20, thetas):
 
 
 def test_kernel_build_holds_little_beyond_the_band():
-    # the build evaluates the band in chunks of rows; 1.07 measured
+    # the build evaluates the half band in chunks of rows; 1.18 measured
+    # (1.09 when the band held every row)
     grid = make_grid(default_y_max(4.0, 50.0), 0.05)
     assert grid.n == 2465
     tracemalloc.start()
@@ -182,8 +206,9 @@ def test_kernel_build_holds_little_beyond_the_band():
 
 def test_band_layout_of_a_step_below_roundoff(grid20):
     # 1 - e^(-theta/2) rounds to 0 at theta = 2**-60, a step size that
-    # validation accepts on a window of 2**-50 from s0 = 4: one block
-    assert band_layout(2.0**-60, grid20)[1] == grid20.n
+    # validation accepts on a window of 2**-50 from s0 = 4: one block of
+    # the stored rows y >= 0
+    assert band_layout(2.0**-60, grid20)[1] == grid20.n_half + 1
 
 
 def test_smoothing_constants_bounded(grid20):

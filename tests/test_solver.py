@@ -602,13 +602,18 @@ def test_duhamel_reconstruction_closes_inside_the_edge_collar(lane, request):
 
 
 def _checked_with_kernels(check, cfg, grid, monkeypatch) -> tuple:
-    """What check() returns, and the keys it adds to a kernel cache that
-    holds only the stepping kernel of cfg.ds."""
+    """What check() returns, and the keys of the kernels it builds, from a
+    kernel cache that holds only the stepping kernel of cfg.ds."""
     monkeypatch.setattr(semigroup, "_MATRIX_CACHE", {})
     kernel_matrix(cfg.ds, grid)
-    before = list(semigroup._MATRIX_CACHE)
-    out = check()
-    return out, [key for key in semigroup._MATRIX_CACHE if key not in before]
+    built, build = [], semigroup._banded_kernel
+
+    def recording(theta, g):
+        built.append((float(theta), g.key()))
+        return build(theta, g)
+
+    monkeypatch.setattr(semigroup, "_banded_kernel", recording)
+    return check(), built
 
 
 def test_duhamel_builds_only_the_gap_kernels(perturbed_p2, monkeypatch):
@@ -617,11 +622,28 @@ def test_duhamel_builds_only_the_gap_kernels(perturbed_p2, monkeypatch):
     trap = TrapParams(A=8.0, K0=4.0)
     init = initial_q(perturbed_p2, g, InitialDataParams(d0=0.0128, d1=0.0, s0=20.0))
     cfg = SolverConfig(ds=0.01)
-    _, added = _checked_with_kernels(
+    _, built = _checked_with_kernels(
         lambda: duhamel_split_check(init, perturbed_p2, trap, cfg, 21.0), cfg, g, monkeypatch
     )
-    assert len(added) == 2
-    assert sorted(theta for theta, _ in added) == pytest.approx([0.06, 0.07], rel=1e-12)
+    assert len(built) == 2
+    assert sorted(theta for theta, _ in built) == pytest.approx([0.06, 0.07], rel=1e-12)
+
+
+def test_duhamel_releases_the_gap_kernels_it_added(perturbed_p2, monkeypatch):
+    """After the check the cache holds what it held before, plus at most
+    the stepping kernel: the 0.06 gap kernel it built is dropped, and the
+    0.07 one cached before the check stays."""
+    g = _traj_grid()
+    trap = TrapParams(A=8.0, K0=4.0)
+    init = initial_q(perturbed_p2, g, InitialDataParams(d0=0.0128, d1=0.0, s0=20.0))
+    cfg = SolverConfig(ds=0.01)
+    monkeypatch.setattr(semigroup, "_MATRIX_CACHE", {})
+    kernel_matrix(0.07, g)
+    before = dict(semigroup._MATRIX_CACHE)
+    duhamel_split_check(init, perturbed_p2, trap, cfg, 21.0)
+    after = semigroup._MATRIX_CACHE
+    assert set(after) - set(before) <= {(cfg.ds, g.key())}
+    assert all(after.get(key) is kernel for key, kernel in before.items())
 
 
 def test_duhamel_one_step_gap_reuses_the_stepping_kernel(perturbed_p2, monkeypatch):
@@ -633,10 +655,10 @@ def test_duhamel_one_step_gap_reuses_the_stepping_kernel(perturbed_p2, monkeypat
     trap = TrapParams(A=8.0, K0=4.0)
     init = initial_q(pr, g, InitialDataParams(d0=0.0128, d1=0.0, s0=20.0))
     cfg = SolverConfig(ds=0.01)
-    out, added = _checked_with_kernels(
+    out, built = _checked_with_kernels(
         lambda: duhamel_split_check(init, pr, trap, cfg, 20.2), cfg, g, monkeypatch
     )
-    assert added == [(2 * cfg.ds, g.key())]
+    assert built == [(2 * cfg.ds, g.key())]
 
     # the same Horner sums with one product per row: the 17 times over 20
     # steps sit 1 or 2 steps apart
