@@ -126,7 +126,7 @@ MEMORY_BUDGET = 2 * 2**30
 # grid, a lone row takes about 164 bytes per node through a step and an
 # observation, and each further row of the (K, n) stack about 58 (the
 # kernel product lays out at most four rows and their mirrors at once);
-# one observation of one row is 14 float64 columns and an inside flag.
+# one observation of one row is 14 float64 columns.
 # On 100001 and 200001 nodes, a lone physical run takes 72 bytes per node
 # before its snapshots (8 bytes each, five by default),
 # and the 7-row stack of the stability probe takes 408 (58.3 per row): each
@@ -148,7 +148,7 @@ MEMORY_BUDGET = 2 * 2**30
 _KERNEL_KEPT_BYTES = 4
 _KERNEL_BUILD_BYTES = 34
 _ROW_NODE_BYTES = 180
-_OBSERVATION_BYTES = 14 * 8 + 1
+_OBSERVATION_BYTES = 14 * 8
 _PHYSICAL_RUN_BYTES = 170
 _STACK_ROW_BYTES = 60
 _PROFILED_RUN_BYTES = 300

@@ -19,9 +19,8 @@ from .hermite import (
     hermite_h,
     hermite_norm_sq,
     inner_rho,
-    weight_rho,
 )
-from .model import make_params, potential_V, profile_f, profile_residual
+from .model import make_params, potential_V, profile_residual
 from .semigroup import (
     apply_semigroup,
     interior_mask,
@@ -39,7 +38,7 @@ from .shooting import (
 )
 from .solver import SolverConfig, mode_ode_check, run_trajectory
 from .physical import integrate_u, profile_error, stability_probe
-from .trapset import TrapParams, check_derived_bounds, check_membership
+from .trapset import TrapParams, check_derived_bounds
 
 __all__ = ["run_experiment"]
 
@@ -198,14 +197,13 @@ def run_trajectory_experiment(cfg: dict):
     init = initial_q(
         params, grid, InitialDataParams(d0=tj["d0"], d1=tj["d1"], s0=tj["s0"])
     )
-    status0 = check_membership(decompose(init, trap.K0), trap)
     rec = run_trajectory(init, params, trap, scfg, tj["s_end"])
     report = {
         "s0": tj["s0"],
         "s_end": tj["s_end"],
         "d0": tj["d0"],
         "d1": tj["d1"],
-        "initially_inside": status0.inside,
+        "initially_inside": bool((rec.margins[0] >= 0.0).all()),  # observed at s0
         "final_s": rec.final_s,
         "survived": rec.survived(tj["s_end"]),
         "n_records": int(rec.s.size),

@@ -26,7 +26,8 @@ __all__ = ["Grid", "Field", "make_grid", "default_y_max", "gradient", "ipow", "m
 
 @dataclass(frozen=True, eq=True)
 class Grid:
-    """Uniform symmetric 1-d grid; n = 2*n_half + 1 nodes, spacing dy."""
+    """Uniform symmetric 1-d grid; n = 2*n_half + 1 nodes, spacing dy.
+    Frozen, so a grid is its own cache key."""
 
     n_half: int
     dy: float
@@ -52,9 +53,6 @@ class Grid:
         w[0] = w[-1] = 0.5 * self.dy
         w.flags.writeable = False
         return w
-
-    def key(self) -> tuple:
-        return (self.n_half, self.dy)
 
 
 def make_grid(y_max: float, dy: float = 0.05) -> Grid:

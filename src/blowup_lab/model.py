@@ -60,12 +60,9 @@ __all__ = [
     "make_params",
     "profile_f",
     "profile_fprime",
-    "profile_fsecond",
     "profile_residual",
     "phi",
     "phi_dy",
-    "phi_laplacian",
-    "phi_ds",
     "ansatz_fields",
     "potential_V",
     "nonlinear_B",
@@ -192,17 +189,6 @@ def profile_fprime(params: ModelParams, z):
     return -((p - 1.0) / (2.0 * p)) * z * fp
 
 
-def profile_fsecond(params: ModelParams, z):
-    """Second derivative of the profile, f''(z), in closed form."""
-    p = params.p
-    z = np.asarray(z, dtype=float)
-    g = (p - 1.0) + _bcoef(p) * z**2
-    fp = g ** (-p / (p - 1.0))
-    f2pm1 = g ** (-(2.0 * p - 1.0) / (p - 1.0))  # = f(z)^(2p-1)
-    c = (p - 1.0) / (2.0 * p)
-    return -c * fp + c**2 * p * z**2 * f2pm1
-
-
 def profile_residual(params: ModelParams, z):
     """Residual of the profile balance -z/2 f' - f/(p-1) + f^p.
 
@@ -234,28 +220,15 @@ def phi_dy(params: ModelParams, y, s: float):
     return profile_fprime(params, np.asarray(y, dtype=float) / rs) / rs
 
 
-def phi_laplacian(params: ModelParams, y, s: float):
-    """d2(phi)/dy2 = f''(y/sqrt(s)) / s."""
-    return profile_fsecond(params, np.asarray(y, dtype=float) / np.sqrt(s)) / s
-
-
-def phi_ds(params: ModelParams, y, s: float):
-    """d(phi)/ds = -(z/(2s)) f'(z) - kappa/(2 p s^2), with z = y/sqrt(s)."""
-    z = np.asarray(y, dtype=float) / np.sqrt(s)
-    return -(z / (2.0 * s)) * profile_fprime(params, z) - params.kappa / (
-        2.0 * params.p * s**2
-    )
-
-
 # ---------------------------------------------------------------------------
 # linearization ingredients
 
 
 def ansatz_fields(params: ModelParams, y, s: float) -> tuple:
     """(phi, phi_y, phi^p, p phi^(p-1), V, R) at (y, s) from one z, one
-    g = p-1 + b z^2 and one each of its powers f, f^p and f^(2p-1).  Each
-    field is the expression of its own function above, in the same order,
-    so they agree bit for bit."""
+    g = p-1 + b z^2 and one each of its powers f, f^p and f^(2p-1).  phi,
+    phi_y and V are bitwise `phi`, `phi_dy` and `potential_V` (the same
+    expressions in the same order); phi_yy and phi_s of R live only here."""
     p = params.p
     y = np.asarray(y, dtype=float)
     rs = np.sqrt(s)
@@ -300,8 +273,8 @@ def nonlinear_B(params: ModelParams, phi_val, q_val):
 def remainder_R(params: ModelParams, y, s: float):
     """Residual of the ansatz in the rescaled equation.
 
-    R = phi_yy - y/2 phi_y - phi/(p-1) + phi^p - phi_s, all terms from the
-    closed-form derivatives above.  Its sup norm decays like 1/s.
+    R = phi_yy - y/2 phi_y - phi/(p-1) + phi^p - phi_s, every term in
+    closed form in `ansatz_fields`.  Its sup norm decays like 1/s.
     """
     return ansatz_fields(params, y, s)[5]
 

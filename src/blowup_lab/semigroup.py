@@ -251,7 +251,7 @@ def _banded_kernel(theta: float, grid: Grid) -> BandKernel:
 
 def kernel_matrix(theta: float, grid: Grid) -> BandKernel:
     """Banded quadrature matrix A[i, j] = w_j * kernel(theta, y_i, x_j), cached."""
-    key = (float(theta), grid.key())
+    key = (float(theta), grid)
     mat = _MATRIX_CACHE.get(key)
     if mat is None:
         mat = _banded_kernel(theta, grid)

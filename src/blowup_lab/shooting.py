@@ -102,9 +102,16 @@ def initial_q(params: ModelParams, grid: Grid, init: InitialDataParams) -> Field
     return Field(grid=grid, values=values, s=init.s0)
 
 
+def _prepared(params: ModelParams, grid: Grid, s0: float, points) -> Field:
+    """The prepared deviations at s0 of the (d0, d1) points, as one stack;
+    each row is bitwise its `initial_q`."""
+    rows = [initial_q(params, grid, InitialDataParams(d0, d1, s0)).values for d0, d1 in points]
+    return Field(grid, np.array(rows), s0)
+
+
 @dataclass(frozen=True)
 class ModeMap:
-    """Affine map (d0, d1) -> (q0, q1) at the initial time.
+    """Affine map (d0, d1) -> (q0, q1) at the initial time s0.
 
     modes = M @ (d0, d1) + b, with M the 2x2 matrix and b the offset that
     the log-correction of the ansatz deposits on the even mode.
@@ -113,7 +120,6 @@ class ModeMap:
     M: np.ndarray
     b: np.ndarray
     s0: float
-    K0: float
 
     def modes(self, d0: float, d1: float) -> np.ndarray:
         return self.M @ np.array([d0, d1]) + self.b
@@ -125,20 +131,14 @@ class ModeMap:
 def initial_mode_map(
     params: ModelParams, grid: Grid, s0: float, K0: float
 ) -> ModeMap:
-    """Measure the affine mode map by decomposing three prepared fields."""
-
-    def modes_of(d0: float, d1: float) -> np.ndarray:
-        q = initial_q(params, grid, InitialDataParams(d0=d0, d1=d1, s0=s0))
-        d = decompose(q, K0)
-        return np.array([d.q0, d.q1])
-
-    b = modes_of(0.0, 0.0)
-    col0 = modes_of(1.0, 0.0) - b
-    col1 = modes_of(0.0, 1.0) - b
-    M = np.column_stack([col0, col1])
+    """Measure the affine mode map by decomposing three prepared fields,
+    of (d0, d1) = (0, 0), (1, 0) and (0, 1), as one stack."""
+    d = decompose(_prepared(params, grid, s0, ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))), K0)
+    b, e0, e1 = np.column_stack((d.q0, d.q1))
+    M = np.column_stack([e0 - b, e1 - b])
     if abs(np.linalg.det(M)) < 1e-12:
         raise RuntimeError("mode map is numerically singular on this grid")
-    return ModeMap(M=M, b=b, s0=s0, K0=K0)
+    return ModeMap(M=M, b=b, s0=s0)
 
 
 def initial_rectangle(
@@ -180,8 +180,8 @@ def initial_components_check(
 
     All five measured components are affine in (d0, d1) up to absolute
     values, so their maxima over the rectangle sit at corners; the four
-    corners and the center are checked.  Returns the worst margin per
-    component and whether every probe was inside.
+    corners and the center are checked, as one stack.  Returns the worst
+    margin per component and whether every probe was inside.
     """
     (d0_lo, d0_hi), (d1_lo, d1_hi) = rect
     probes = [
@@ -191,13 +191,8 @@ def initial_components_check(
         (d0_hi, d1_hi),
         (0.5 * (d0_lo + d0_hi), 0.5 * (d1_lo + d1_hi)),
     ]
-    worst = np.full(5, np.inf)
-    all_inside = True
-    for d0, d1 in probes:
-        q = initial_q(params, grid, InitialDataParams(d0=d0, d1=d1, s0=s0))
-        status = check_membership(decompose(q, trap.K0), trap)
-        worst = np.minimum(worst, status.margins)
-        all_inside = all_inside and status.inside
+    status = check_membership(decompose(_prepared(params, grid, s0, probes), trap.K0), trap)
+    worst, all_inside = status.margins.min(axis=0), bool(status.inside.all())
     return {"all_inside": all_inside, "worst_margins": worst, "n_probes": len(probes)}
 
 
@@ -344,6 +339,13 @@ def shoot(
             level_stats=list(level_stats),
         )
 
+    def finish_on(point: tuple[float, float], level: int, status: str, note: str) -> ShootResult:
+        """Evaluate one more point and finish on it: "survived" if it does."""
+        (last,) = evaluate(point)
+        if last.survived:
+            return finish("survived", last, level)
+        return finish(status, last, level, note)
+
     def cut(m: int) -> tuple[float, str]:
         """Axis m's cut of the current bracket and how it was placed."""
         lo, hi = rect[m]
@@ -364,14 +366,8 @@ def shoot(
             # at floating point resolution the sign test of that bracket
             # would compare a point against itself
             axes = " and ".join(f"d{m}" for m in np.flatnonzero(granular))
-            (center,) = evaluate((c0, c1))
-            if center.survived:
-                return finish("survived", center, level)
-            return finish(
-                "granularity",
-                center,
-                level,
-                note=f"the {axes} bracket reached floating point granularity",
+            return finish_on(
+                cuts, level, "granularity", f"the {axes} bracket reached floating point granularity"
             )
         d0_ends = ((rect[0, 0], c1), (rect[0, 1], c1))
         d1_ends = ((c0, rect[1, 0]), (c0, rect[1, 1]))
@@ -437,10 +433,9 @@ def shoot(
         d1_ends_due = center.sign[1] != 0
 
     # the budget is spent: evaluate the cut the next level would take
-    (best,) = evaluate((cut(0)[0], cut(1)[0]))
-    if best.survived:
-        return finish("survived", best, max_levels)
-    return finish("max-levels", best, max_levels, note="refinement budget exhausted")
+    return finish_on(
+        (cut(0)[0], cut(1)[0]), max_levels, "max-levels", "refinement budget exhausted"
+    )
 
 
 def certificate_dict(result: ShootResult) -> dict:

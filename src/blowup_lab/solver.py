@@ -284,7 +284,8 @@ def _series():
 
 @dataclass
 class TrajectoryRecord:
-    """Per-step scalar diagnostics of one deviation trajectory."""
+    """Per-step scalar diagnostics of one deviation trajectory; a step is
+    inside the trap when all five of its margins are >= 0."""
 
     s: np.ndarray = _series()
     q0: np.ndarray = _series()
@@ -296,7 +297,6 @@ class TrajectoryRecord:
     gradq_sup: np.ndarray = _series()
     N_sup: np.ndarray = _series()
     margins: np.ndarray = field(default_factory=lambda: np.empty((0, 5)))
-    inside: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=bool))
     exit: ExitInfo | None = None
 
     @property
@@ -388,7 +388,6 @@ def run_trajectories(
     n_steps = window_steps(s0, s_end, cfg.ds)
     n_rows = len(q_inits)
     table = np.empty((n_steps + 1, n_rows, len(_SERIES) + len(COMPONENTS)))
-    inside_table = np.zeros((n_steps + 1, n_rows), dtype=bool)
     n_rec = np.zeros(n_rows, dtype=int)
     diverged_at: dict[int, float] = {}
 
@@ -404,7 +403,6 @@ def run_trajectories(
         j = n_rec[rows[0]]  # every active row has been observed equally often
         obs, inside = _observe(q, params, trap)
         table[j, rows] = obs
-        inside_table[j, rows] = inside
         n_rec[rows] = j + 1
         keep_rows(inside)
 
@@ -432,11 +430,8 @@ def run_trajectories(
         for j, name in enumerate(_SERIES):
             setattr(rec, name, obs[:, j].copy())
         rec.margins = obs[:, len(_SERIES):].copy()
-        rec.inside = inside_table[: n_rec[r], r].copy()
         if r in diverged_at:
-            rec.exit = ExitInfo(
-                s_star=diverged_at[r], reason="divergence", component=None, margins=None
-            )
+            rec.exit = ExitInfo(s_star=diverged_at[r], reason="divergence", component=None)
         else:
             rec.exit = exit_classify(rec)
         records.append(rec)

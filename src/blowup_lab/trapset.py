@@ -16,8 +16,9 @@ the sign of the violated mode), which is what makes two-parameter shooting
 on the initial data sufficient.
 
 A trajectory record (`solver.TrajectoryRecord`) is read here twice: for
-its first exit (`exit_classify`) and for the defect of its recorded modes
-against their linearized law (`mode_ode_check`).
+its first exit (`exit_classify`), which takes membership from its stored
+margins, and for the defect of its recorded modes against their
+linearized law (`mode_ode_check`).
 
 Membership implies two derived envelopes that are checked separately: the
 cutoff part q_b = q0 h0 + q1 h1 + q2 h2 + q_minus obeys
@@ -71,7 +72,6 @@ class TrapStatus:
     """Signed margins (bound - measured) per component at one time."""
 
     inside: bool | np.ndarray
-    measured: np.ndarray
     margins: np.ndarray
 
 
@@ -82,7 +82,6 @@ class ExitInfo:
     s_star: float
     reason: str  # "trap-exit" or "divergence"
     component: str | None
-    margins: np.ndarray | None
     mode: int | None = None
     omega: float | None = None
     dqm_ds: float | None = None
@@ -122,8 +121,7 @@ def measured_components(d: SpectralDecomp) -> np.ndarray:
 def check_membership(d: SpectralDecomp, trap: TrapParams) -> TrapStatus:
     """Compare a decomposition against the bounds at its own time.
 
-    For a stack of fields, `measured`, `margins` and `inside` have one row
-    per field.
+    For a stack of fields, `margins` and `inside` have one row per field.
     """
     return membership(measured_components(d), trap, d.s)
 
@@ -134,7 +132,7 @@ def membership(measured: np.ndarray, trap: TrapParams, s: float) -> TrapStatus:
     inside = (margins >= 0.0).all(axis=-1)
     if margins.ndim == 1:
         inside = bool(inside)
-    return TrapStatus(inside=inside, measured=measured, margins=margins)
+    return TrapStatus(inside=inside, margins=margins)
 
 
 def check_derived_bounds(d: SpectralDecomp, trap: TrapParams) -> dict:
@@ -151,24 +149,20 @@ def check_derived_bounds(d: SpectralDecomp, trap: TrapParams) -> dict:
 def exit_classify(record) -> ExitInfo | None:
     """Locate and classify the first trap exit in a trajectory record.
 
-    For an expanding-mode exit (q0 or q1) the outward velocity dq_m/ds is
-    estimated by a 3-point backward difference at the exit step and the
-    crossing is transverse when omega * dq_m/ds > 0 with omega the sign of
-    the violated mode.  The exit component is the one of least margin, the
-    lowest index on a tie.  Returns None if the record never leaves the trap.
+    A step is inside when all its stored margins are >= 0, the rule of
+    `membership`.  For an expanding-mode exit (q0 or q1) the outward
+    velocity dq_m/ds is estimated by a 3-point backward difference at the
+    exit step and the crossing is transverse when omega * dq_m/ds > 0 with
+    omega the sign of the violated mode.  The exit component is the one of
+    least margin, the lowest index on a tie.  Returns None if the record
+    never leaves the trap.
     """
-    inside = record.inside
+    inside = (record.margins >= 0.0).all(axis=1)
     if bool(np.all(inside)):
         return None
     i = int(np.argmin(inside))  # first False
-    margins = record.margins[i]
-    comp = COMPONENTS[int(np.argmin(margins))]
-    info = ExitInfo(
-        s_star=float(record.s[i]),
-        reason="trap-exit",
-        component=comp,
-        margins=margins.copy(),
-    )
+    comp = COMPONENTS[int(np.argmin(record.margins[i]))]
+    info = ExitInfo(s_star=float(record.s[i]), reason="trap-exit", component=comp)
     if comp in ("q0", "q1"):
         m = 0 if comp == "q0" else 1
         series = record.q0 if m == 0 else record.q1
@@ -214,7 +208,6 @@ def mode_ode_check(record, m: int) -> dict:
         "sup_defect": float(np.max(np.abs(defect))),
         "sup_scaled_defect": float(np.max(s_win**2 * np.abs(defect))),
     }
-
 
 
 def reduction_witness(records, trap: TrapParams) -> dict:

@@ -13,8 +13,8 @@ Each check prints exactly one line
 
 directly to the terminal (outside capture, so the line is visible in a
 plain pytest run) and then asserts.  The two tuned parameter searches
-dominate the runtime at about 7 s each (about 19-20 s for the whole file,
-one BLAS thread on a 2-vCPU VM); everything else is seconds.  All
+dominate the runtime at 3.3-4.4 s each (10-13 s for the whole file, one
+BLAS thread on a 2-vCPU VM); everything else is seconds.  All
 tolerances are pinned from measurements recorded next to the assertions.
 """
 

@@ -80,11 +80,13 @@ def test_gradient_is_bitwise_np_gradient(shape):
 
 
 def test_grid_is_hashable_key():
+    # a grid keys the kernel cache itself: equal (n_half, dy), one key
     a = make_grid(20.0, 0.05)
     b = make_grid(20.0, 0.05)
-    assert a.key() == b.key()
-    assert a == b and isinstance(hash(a), int)
-    assert Grid(n_half=3, dy=0.5).key() == (3, 0.5)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert {(0.02, a): 1}[(0.02, b)] == 1
+    assert Grid(n_half=3, dy=0.5) != Grid(n_half=3, dy=0.25)
+    assert Grid(n_half=3, dy=0.5) != Grid(n_half=4, dy=0.5)
 
 
 @pytest.mark.parametrize("n_half", [1, 2, 20])

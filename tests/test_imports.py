@@ -1,8 +1,10 @@
 """What importing the package, and a run, loads: no scipy module at all,
 so a fresh process pays for none.  The kernel is a numpy band; only a
 perturbed `homogeneous_oracle`, which no experiment kind calls, imports
-`scipy.integrate` when it runs."""
+`scipy.integrate` when it runs.  And what each module imports: every name
+is used or exported."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -85,3 +87,39 @@ def test_trajectory_run_loads_no_heavy_scipy_subpackage(tmp_path):
     )
     assert _loaded_heavy(code) == []
     assert (tmp_path / "res" / "MANIFEST.txt").exists()
+
+
+# names a module imports only so that perfbench/tracing.py can wrap them
+# there; each goes once the tracer no longer needs it
+_KEPT_FOR_TRACING = {
+    "shooting": {"run_trajectory"},
+    "solver": {"check_membership", "kernel_matrix", "nonlinear_B", "potential_V", "remainder_R"},
+}
+
+
+def _unused_imports(source: str) -> set[str]:
+    """The names a module imports (not from __future__) that it neither
+    reads nor lists in its __all__."""
+    tree = ast.parse(source)
+    imported, exported = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported = set(ast.literal_eval(node.value))
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return imported - read - exported
+
+
+def test_every_imported_name_is_used_or_exported():
+    modules = sorted(Path(blowup_lab.__file__).parent.glob("*.py"))
+    assert len(modules) > 10
+    unused = {
+        path.stem: _unused_imports(path.read_text(encoding="utf-8")) for path in modules
+    }
+    assert {m: names for m, names in unused.items() if names} == _KEPT_FOR_TRACING

@@ -7,6 +7,7 @@ import pytest
 
 from blowup_lab import shooting
 from blowup_lab.grids import default_y_max, make_grid
+from blowup_lab.hermite import decompose
 from blowup_lab.model import make_params
 from blowup_lab.shooting import (
     InitialDataParams,
@@ -18,7 +19,7 @@ from blowup_lab.shooting import (
     shoot,
 )
 from blowup_lab.solver import SolverConfig, TrajectoryRecord
-from blowup_lab.trapset import ExitInfo, TrapParams
+from blowup_lab.trapset import ExitInfo, TrapParams, check_membership
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +149,44 @@ def test_initial_components_check_saturates_mode_faces(shoot_grid, trap8):
     assert np.all(out["worst_margins"][2:] > 1e-2)
 
 
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_stacked_set_up_is_bitwise_the_per_field_loop(shoot_grid, trap8, p):
+    """The mode map and the probe margins, measured on one stack, are bit
+    for bit those of one decomposition per prepared field."""
+    pr = make_params(p)
+    s0 = 20.0
+
+    def lone(d0, d1):
+        q = initial_q(pr, shoot_grid, InitialDataParams(d0=d0, d1=d1, s0=s0))
+        return decompose(q, trap8.K0)
+
+    def modes_of(d0, d1):
+        d = lone(d0, d1)
+        return np.array([d.q0, d.q1])
+
+    b = modes_of(0.0, 0.0)
+    M = np.column_stack([modes_of(1.0, 0.0) - b, modes_of(0.0, 1.0) - b])
+    mm = initial_mode_map(pr, shoot_grid, s0, trap8.K0)
+    assert mm.M.shape == (2, 2) and mm.M.tobytes() == M.tobytes()
+    assert mm.b.shape == (2,) and mm.b.tobytes() == b.tobytes()
+
+    rect = initial_rectangle(mm, trap8)
+    # the rectangle, and one three times as wide whose corners are outside
+    for r in (rect, 3.0 * rect):
+        (d0_lo, d0_hi), (d1_lo, d1_hi) = r
+        probes = [(d0_lo, d1_lo), (d0_lo, d1_hi), (d0_hi, d1_lo), (d0_hi, d1_hi),
+                  (0.5 * (d0_lo + d0_hi), 0.5 * (d1_lo + d1_hi))]
+        worst, all_inside = np.full(5, np.inf), True
+        for d0, d1 in probes:
+            status = check_membership(lone(d0, d1), trap8)
+            worst = np.minimum(worst, status.margins)
+            all_inside = all_inside and status.inside
+        out = initial_components_check(pr, shoot_grid, s0, trap8, r)
+        assert out["worst_margins"].tobytes() == worst.tobytes()
+        assert out["all_inside"] is all_inside
+    assert all_inside is False
+
+
 # ---------------------------------------------------------------------------
 # the search
 
@@ -263,7 +302,7 @@ def _linear_trajectories(a0, a1=lambda d1: d1, component=None, batches=None):
             exit = None
             if s_star < s_end:
                 exit = ExitInfo(s_star=s_star, reason="trap-exit",
-                                component=component or f"q{m}", margins=None)
+                                component=component or f"q{m}")
             records.append(TrajectoryRecord(
                 s=np.array([init.s0, s_star]),
                 q0=np.array([amp[0], q[0]]), q1=np.array([amp[1], q[1]]), exit=exit,

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -180,7 +182,6 @@ class _FakeRecord:
         self.q0 = np.asarray(q0, dtype=float)
         self.q1 = np.asarray(q1, dtype=float)
         self.margins = np.asarray(margins_rows, dtype=float)
-        self.inside = np.all(self.margins >= 0.0, axis=1)
         self.exit = exit_classify(self)
 
 
@@ -258,6 +259,30 @@ def test_membership_tie_resolves_to_lowest_index():
     assert info.component == "q0" and info.mode == 0
 
 
+def test_exit_classify_reads_membership_from_the_margins():
+    """A step is inside when all its margins are >= 0, -0.0 included, and
+    the first step with a negative or NaN margin is the exit, wherever it
+    sits in the record; the record needs no inside flags."""
+    s = np.array([20.0, 20.1, 20.2, 20.3, 20.4])
+    q1 = np.array([0.0, 0.01, 0.02, 0.01, 0.0])
+    rows = np.array([
+        [0.0, -0.0, 1.0, 1.0, 1.0],
+        _margins_for(),
+        _margins_for(q1_excess=0.01),
+        _margins_for(),
+        _margins_for(q0_excess=0.5),
+    ])
+    rec = SimpleNamespace(s=s, q0=np.zeros(5), q1=q1, margins=rows)
+    info = exit_classify(rec)
+    assert not hasattr(rec, "inside")
+    assert info.s_star == 20.2 and info.component == "q1" and info.mode == 1
+    # (3*0.02 - 4*0.01 + 0.0)/(2*0.1) = 0.1
+    assert info.dqm_ds == pytest.approx(0.1, rel=1e-12)
+    rows[1, 3] = np.nan
+    info = exit_classify(rec)
+    assert info.s_star == 20.1 and info.component == "q_minus"
+
+
 def test_exit_classify_non_mode_component():
     rows = [[1.0, 1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0, -0.1]]
     rec = _FakeRecord([20.0, 20.1], [0.0, 0.0], [0.0, 0.0], rows)
@@ -295,7 +320,7 @@ def test_reduction_witness_counts_a_divergence(pure_p2, monkeypatch):
     g = make_grid(10.0, 0.1)
     big = Field(grid=g, values=np.full(g.n, 50.0), s=20.0)
     rec = run_trajectory(big, pure_p2, trap, SolverConfig(ds=0.1), 22.0)
-    assert rec.exit.reason == "divergence" and bool(np.all(rec.inside))
+    assert rec.exit.reason == "divergence" and bool(np.all(rec.margins >= 0.0))
     out = reduction_witness([rec], trap)
     assert out["by_component"]["divergence"] == 1
     assert out["n_exits"] == 1 and out["n_survivors"] == 0
