@@ -10,8 +10,10 @@ Every kind reads the data (d0, d1) prepared at s0, the window end s_end
 and the step ds from [trajectory]; the [physical] keys and defaults are
 fields of `PhysicalConfig`.  Range checks belong to the objects a run
 builds from each section; validation builds them and reports their errors
-under the section's name.  Validation also caps the nodes of the grids a
-run would build so that its largest arrays fit in MEMORY_BUDGET.
+under the section's name.  [grid] sets only dy: `run_grid` derives the
+half-width from K0 and s_end.  Validation caps the nodes of the grids a
+run would build so that its largest arrays fit in MEMORY_BUDGET, then
+checks the grid a run builds for its cutoff support and edge collar.
 """
 
 from __future__ import annotations
@@ -74,7 +76,6 @@ SCHEMA: dict[str, dict[str, tuple[type, object]]] = {
     },
     "grid": {
         "dy": (float, 0.05),
-        "y_max": (float, 0.0),  # 0 means: derive from K0 and the final time
     },
     "trap": {
         "A": (float, 8.0),
@@ -87,9 +88,6 @@ SCHEMA: dict[str, dict[str, tuple[type, object]]] = {
         "s_end": (float, 26.0),
         "ds": (float, 0.02),
     },
-    "shooting": {
-        "max_levels": (int, 64),
-    },
     "physical": {
         f.name: (type(f.default), f.default)
         for f in fields(PhysicalConfig)
@@ -98,15 +96,6 @@ SCHEMA: dict[str, dict[str, tuple[type, object]]] = {
     "experiment": {
         "kind": (str, "trajectory"),
     },
-}
-
-# experiment kind -> the latest [trajectory] time at which it decomposes a
-# field on the grid, needing y_max >= 2 K0 sqrt(s)
-_DECOMPOSE_AT = {
-    "spectral-checks": "s0",
-    "trajectory": "s_end",
-    "shoot": "s_end",
-    "full-pipeline": "s_end",
 }
 
 # experiment kinds that check the kernel on the grid's interior
@@ -227,12 +216,9 @@ def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
 
 
 def run_grid(cfg: dict) -> Grid:
-    """The grid a run builds: [grid] y_max, or when that is 0 a half-width
-    that holds the cutoff support up to [trajectory] s_end, at spacing
-    [grid] dy."""
-    y_max = cfg["grid"]["y_max"]
-    if y_max <= 0.0:
-        y_max = default_y_max(cfg["trap"]["K0"], cfg["trajectory"]["s_end"])
+    """The grid a run builds: a half-width that holds the cutoff support up
+    to [trajectory] s_end, at spacing [grid] dy."""
+    y_max = default_y_max(cfg["trap"]["K0"], cfg["trajectory"]["s_end"])
     return make_grid(y_max, cfg["grid"]["dy"])
 
 
@@ -310,8 +296,6 @@ def validate_config(cfg: dict) -> None:
     _build("model", make_params, **cfg["model"])
     if not (0.0 < cfg["grid"]["dy"] < math.inf):
         bad("grid", "dy", "must be > 0 and finite")
-    if not (0.0 <= cfg["grid"]["y_max"] < math.inf):
-        bad("grid", "y_max", "must be >= 0 and finite (0 derives it from the trap)")
     _build("trap", TrapParams, **cfg["trap"])
     tj = cfg["trajectory"]
     _build("trajectory", SolverConfig, ds=tj["ds"])
@@ -322,26 +306,21 @@ def validate_config(cfg: dict) -> None:
     except ValueError as err:
         bad("trajectory", "s_end", str(err))
     _build("trajectory", InitialDataParams, d0=tj["d0"], d1=tj["d1"], s0=tj["s0"])
-    if not (1 <= cfg["shooting"]["max_levels"]):
-        bad("shooting", "max_levels", "must be >= 1")
     _build("physical", physical_config, cfg=cfg, d0=tj["d0"], d1=tj["d1"])
     kind = cfg["experiment"]["kind"]
     if kind not in EXPERIMENT_KINDS:
         bad("experiment", "kind", f"must be one of {EXPERIMENT_KINDS}")
     _check_memory(cfg, kind)
-    if cfg["grid"]["y_max"] > 0:  # 0 derives a wide enough grid
-        grid = _build("grid", make_grid, y_max=cfg["grid"]["y_max"], dy=cfg["grid"]["dy"])
-        key = _DECOMPOSE_AT.get(kind)
-        if key is not None:
-            try:
-                check_cutoff_support(grid.y_max, cfg["trap"]["K0"], tj[key])
-            except ValueError as err:
-                bad("grid", "y_max", f"{kind} decomposes at [trajectory] {key}; {err}")
-        if kind in _KERNEL_CHECKS:
-            try:
+    if _grid_demand(cfg, kind) is not None:
+        # a grid derived from s_end holds every earlier time, unless dy
+        # rounds its half-width down
+        grid = run_grid(cfg)
+        try:
+            check_cutoff_support(grid.y_max, cfg["trap"]["K0"], tj["s_end"])
+            if kind in _KERNEL_CHECKS:
                 interior_mask(grid)
-            except ValueError as err:
-                bad("grid", "y_max", f"{kind} checks the kernel inside the edge; {err}")
+        except ValueError as err:
+            bad("grid", "dy", f"on the grid of a {kind} run to [trajectory] s_end, {err}")
 
 
 def _canon(value) -> str:

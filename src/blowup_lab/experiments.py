@@ -238,16 +238,7 @@ def run_shoot_experiment(cfg: dict):
     mode_map = initial_mode_map(params, grid, tj["s0"], trap.K0)
     rect0 = initial_rectangle(mode_map, trap)
     init_chk = initial_components_check(params, grid, tj["s0"], trap, rect0)
-    result = shoot(
-        params,
-        grid,
-        trap,
-        scfg,
-        tj["s0"],
-        tj["s_end"],
-        rect0=rect0,
-        max_levels=cfg["shooting"]["max_levels"],
-    )
+    result = shoot(params, grid, trap, scfg, tj["s0"], tj["s_end"], rect0=rect0)
     report = {
         "mode_map_M": mode_map.M.tolist(),
         "mode_map_b": mode_map.b.tolist(),

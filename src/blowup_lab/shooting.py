@@ -193,7 +193,7 @@ def initial_components_check(
     ]
     status = check_membership(decompose(_prepared(params, grid, s0, probes), trap.K0), trap)
     worst, all_inside = status.margins.min(axis=0), bool(status.inside.all())
-    return {"all_inside": all_inside, "worst_margins": worst, "n_probes": len(probes)}
+    return {"all_inside": all_inside, "worst_margins": worst}
 
 
 _MODE_COMPONENTS = ("q0", "q1")
@@ -229,7 +229,7 @@ class ShootResult:
     rect0: np.ndarray
     rect: np.ndarray
     record: TrajectoryRecord | None
-    note: str = ""
+    note: str
     # one row per refinement level: level, min and max exit s* over the
     # points evaluated at that level, and per axis m the bracket [lo, hi] the
     # level started from (dm_bracket), the exit signs of q_m at its two ends
@@ -237,7 +237,7 @@ class ShootResult:
     # taken (dm_step): "interp" for the secant root, "bisect" for the
     # midpoint where that root was undefined or outside the open bracket,
     # "shrink" for a center below the noise floor
-    level_stats: list = None
+    level_stats: list
 
 
 def _sign_with_floor(x: float, floor: float) -> float:
@@ -264,7 +264,6 @@ def shoot(
     s0: float,
     s_end: float,
     rect0: np.ndarray | None = None,
-    max_levels: int = 64,
 ) -> ShootResult:
     """Enclose the critical (d0, d1) by bracketed secant steps until survival.
 
@@ -278,8 +277,9 @@ def shoot(
     was non-zero; a level that skips them rests on its center's sub-floor
     q1 and on the parity of the equation, which puts d1* at 0.  A center
     whose q1 sign turns non-zero on such a level has its d1 ends run as a
-    second batch before the cut.  When max_levels runs out, the point
-    evaluated last is the cut the next level would take.
+    second batch before the cut.  When the MAX_LEVELS levels run out, the
+    point evaluated last is the cut the next level would take, and the
+    search ends "max-levels" unless that point survives.
     """
     if rect0 is None:
         mode_map = initial_mode_map(params, grid, s0, trap.K0)
@@ -357,7 +357,7 @@ def shoot(
     # level 0 and a level after a center with a non-zero q1 sign re-run the
     # d1 ends; otherwise they wait for this level's center to need them
     d1_ends_due = True
-    for level in range(max_levels):
+    for level in range(MAX_LEVELS):
         width = rect[:, 1] - rect[:, 0]
         cuts, steps = zip(cut(0), cut(1))
         c0, c1 = cuts
@@ -434,7 +434,7 @@ def shoot(
 
     # the budget is spent: evaluate the cut the next level would take
     return finish_on(
-        (cut(0)[0], cut(1)[0]), max_levels, "max-levels", "refinement budget exhausted"
+        (cut(0)[0], cut(1)[0]), MAX_LEVELS, "max-levels", "refinement budget exhausted"
     )
 
 
@@ -470,3 +470,7 @@ def certificate_dict(result: ShootResult) -> dict:
             out["exit_s"] = rec.exit.s_star
             out["exit_reason"] = rec.exit.reason
     return out
+
+
+# the refinement levels a shoot may take before it ends "max-levels"
+MAX_LEVELS = 64

@@ -303,8 +303,8 @@ class TrajectoryRecord:
     def final_s(self) -> float:
         return float(self.s[-1]) if self.s.size else float("nan")
 
-    def survived(self, s_end: float, tol: float = 1e-9) -> bool:
-        return self.exit is None and self.final_s >= s_end - tol
+    def survived(self, s_end: float) -> bool:
+        return self.exit is None and self.final_s >= s_end - 1e-9
 
 
 # per-step series of a TrajectoryRecord, in the column order of an

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from blowup_lab import physical
+from blowup_lab import physical, shooting
 from blowup_lab.cli import main
 from blowup_lab.config import load_config, validate_config
 
@@ -141,13 +141,15 @@ def test_override_lands_in_config_txt(base_ini, tmp_path):
     assert len(rows) - 1 == 11  # data rows below the header
 
 
-def test_failed_check_returns_one_but_writes_artifacts(base_ini, tmp_path, capsys):
+def test_failed_check_returns_one_but_writes_artifacts(
+    base_ini, tmp_path, capsys, monkeypatch
+):
     # one level of search cannot tune (d0, d1) to s_end = 26, so the shoot
     # ends on its budget, fails its check and still writes its artifacts
+    monkeypatch.setattr(shooting, "MAX_LEVELS", 1)
     out = tmp_path / "res"
     rc = main([
         "run", str(base_ini), "--out", str(out), "--kind", "shoot",
-        "--override", "shooting.max_levels=1",
         "--override", "trajectory.s_end=26",
     ])
     assert rc == 1
@@ -194,12 +196,15 @@ def test_value_outside_the_schema_returns_two(base_ini, tmp_path, capsys, item, 
 
 
 # the copies of the [trajectory] data, window and step that the solver, the
-# shoot and the physical run kept
+# shoot and the physical run kept, the given grid half-width and the shoot's
+# level budget
 _REMOVED_NAMES = [
     ("solver", "ds", "unknown section [solver]"),
-    ("shooting", "s0", "unknown key 's0' in [shooting]"),
-    ("shooting", "s_end", "unknown key 's_end' in [shooting]"),
-    ("shooting", "ds", "unknown key 'ds' in [shooting]"),
+    ("shooting", "s0", "unknown section [shooting]"),
+    ("shooting", "s_end", "unknown section [shooting]"),
+    ("shooting", "ds", "unknown section [shooting]"),
+    ("shooting", "max_levels", "unknown section [shooting]"),
+    ("grid", "y_max", "unknown key 'y_max' in [grid]"),
     ("physical", "s0", "unknown key 's0' in [physical]"),
     ("physical", "d0", "unknown key 'd0' in [physical]"),
     ("physical", "d1", "unknown key 'd1' in [physical]"),
@@ -273,13 +278,29 @@ def test_numerical_failure_returns_three(base_ini, tmp_path, capsys, monkeypatch
 def test_grid_too_narrow_for_decomposition_returns_two(
     base_ini, tmp_path, capsys, kind
 ):
+    # dy rounds the derived half-width 41.2 down to a one-node grid
     out = tmp_path / "res"
     rc = main([
         "run", str(base_ini), "--out", str(out), "--kind", kind,
-        "--override", "grid.y_max=10",
+        "--override", "grid.dy=1e15",
     ])
     assert rc == 2
-    assert "config error: [grid] y_max" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error: [grid] dy: " in err and "grid too narrow" in err
+    assert not out.exists()
+
+
+def test_grid_without_interior_returns_two(base_ini, tmp_path, capsys):
+    # at K0 = 0.5 the derived half-width is 20, and dy = 10 keeps only y = 0
+    # clear of the kernel checks' edge collar
+    out = tmp_path / "res"
+    rc = main([
+        "run", str(base_ini), "--out", str(out), "--kind", "semigroup-checks",
+        "--override", "trap.K0=0.5", "--override", "grid.dy=10",
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error: [grid] dy: " in err and "edge collar" in err
     assert not out.exists()
 
 

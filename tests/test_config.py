@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blowup_lab import semigroup
@@ -17,9 +17,12 @@ from blowup_lab.config import (
     config_text,
     default_config,
     load_config,
+    run_grid,
     validate_config,
 )
 from blowup_lab.experiments import run_semigroup_checks
+from blowup_lab.hermite import check_cutoff_support
+from blowup_lab.semigroup import interior_mask
 
 
 def _write(tmp_path, text):
@@ -39,12 +42,12 @@ def test_defaults_cover_every_schema_key():
 
 
 def test_schema_holds_only_keys_a_run_sets():
-    assert sum(len(keys) for keys in SCHEMA.values()) == 19
-    assert len(SCHEMA) == 7
+    assert sum(len(keys) for keys in SCHEMA.values()) == 17
+    assert len(SCHEMA) == 6
     # each run parameter has one home: every kind reads its data, window
-    # and step from [trajectory]
+    # and step from [trajectory], and derives its grid's half-width
     assert list(SCHEMA["trajectory"]) == ["d0", "d1", "s0", "s_end", "ds"]
-    assert list(SCHEMA["shooting"]) == ["max_levels"]
+    assert list(SCHEMA["grid"]) == ["dy"]
     assert list(SCHEMA["physical"]) == ["z_max", "n_x"]
 
 
@@ -94,19 +97,29 @@ def test_load_rejects_non_finite_floats(tmp_path, raw):
 
 def test_load_rejects_removed_keys(tmp_path):
     # [solver] is gone with its step (now [trajectory] ds), the per-term
-    # switches, the scheme and boundary choices and the overflow cap
-    for key in ("ds", "include_residual", "scheme", "bc", "overflow"):
-        path = _write(tmp_path, f"[solver]\n{key} = 0\n")
-        with pytest.raises(ConfigError, match=r"unknown section \[solver\]"):
-            load_config(path)
-    # the shoot's and the physical run's copies of the [trajectory] data,
-    # window and step, the physical dt0/t_budget knobs, step law, stop
-    # level, fit window and time tolerance, and the trajectory record
-    # stride are gone
+    # switches, the scheme and boundary choices and the overflow cap, and
+    # [shooting] with its copies of the [trajectory] window and step and
+    # its level budget (now shooting.MAX_LEVELS)
     for section, key in (
+        ("solver", "ds"),
+        ("solver", "include_residual"),
+        ("solver", "scheme"),
+        ("solver", "bc"),
+        ("solver", "overflow"),
         ("shooting", "s0"),
         ("shooting", "s_end"),
         ("shooting", "ds"),
+        ("shooting", "max_levels"),
+    ):
+        path = _write(tmp_path, f"[{section}]\n{key} = 0\n")
+        with pytest.raises(ConfigError, match=rf"unknown section \[{section}\]"):
+            load_config(path)
+    # the given grid half-width (now always derived), the physical run's
+    # copies of the [trajectory] data, the physical dt0/t_budget knobs,
+    # step law, stop level, fit window and time tolerance, and the
+    # trajectory record stride are gone
+    for section, key in (
+        ("grid", "y_max"),
         ("physical", "s0"),
         ("physical", "d0"),
         ("physical", "d1"),
@@ -144,13 +157,11 @@ def test_override_syntax_errors():
 @pytest.mark.parametrize("section,key,value,msg", [
     ("model", "p", 1.0, "must be > 1"),
     ("grid", "dy", 0.0, "must be > 0"),
-    ("grid", "y_max", -1.0, "must be >= 0"),
     ("trap", "A", 0.5, "must be >= 1"),
     ("trap", "K0", 0.0, "must be > 0"),
     ("trajectory", "ds", 0.9, r"must be in \(0, 0.5\]"),
     ("trajectory", "s_end", 19.0, "must exceed"),
     ("trajectory", "s0", 2.0, "must be >= e"),
-    ("shooting", "max_levels", 0, "must be >= 1"),
     ("physical", "n_x", 1600, "odd integer"),
     ("physical", "z_max", -1.0, r"\[physical\] z_max must be > 0"),
     ("experiment", "kind", "warp", "must be one of"),
@@ -166,7 +177,6 @@ def test_validation_messages(section, key, value, msg):
     ("trajectory", "s_end", math.inf),
     ("trajectory", "s_end", math.nan),
     ("grid", "dy", math.nan),
-    ("grid", "y_max", math.nan),
     ("trap", "K0", math.nan),
     ("trap", "A", math.nan),
     ("trajectory", "d0", math.nan),
@@ -201,20 +211,6 @@ def test_s0_between_e_and_2_8_validates():
     validate_config(cfg)
 
 
-@pytest.mark.parametrize("y_max,ok", [(39.98, True), (39.9, False)])
-def test_y_max_checked_on_the_grid_the_run_builds(y_max, ok):
-    # trajectory decomposes at s_end = 25, needing 2*K0*sqrt(25) = 40; the
-    # run rounds y_max up to a multiple of dy, so 39.98 gives a 40.0 grid
-    cfg = default_config()
-    cfg["trajectory"]["s_end"] = 25.0
-    cfg["grid"]["y_max"] = y_max
-    if ok:
-        validate_config(cfg)
-    else:
-        with pytest.raises(ConfigError, match=r"\[grid\] y_max: .*grid too narrow"):
-            validate_config(cfg)
-
-
 @pytest.mark.parametrize("overrides,kind,field", [
     # 8.7e8 nodes on the grid derived at s_end = 23; this run was killed for
     # lack of memory
@@ -223,7 +219,9 @@ def test_y_max_checked_on_the_grid_the_run_builds(y_max, ok):
         "trajectory",
         r"\[grid\] a trajectory run on 867333045 nodes",
     ),
-    ({"grid": {"y_max": 1e6}}, "spectral-checks", r"\[grid\] a spectral-checks run"),
+    # without kernels a node costs 180 bytes: the cap is 11930464 nodes, and
+    # dy = 1e-6 lays 91.6e6 on the derived grid
+    ({"grid": {"dy": 1e-6}}, "spectral-checks", r"\[grid\] a spectral-checks run"),
     # the derived grid at s_end = 26 has 183171 nodes, and a dy = 0.0005
     # kernel of ds = 0.02 reaches 3555 of them on each side of a row's
     # centre: the cap is 65011 nodes (dy = 0.001 fits, 91587 nodes against
@@ -269,8 +267,6 @@ def test_node_caps_follow_what_the_kind_builds(overrides, kind):
 @pytest.mark.parametrize("overrides,kind", [
     # the derived half-width 2 K0 sqrt(s_end) + 5 overflows to inf
     ({"trap": {"K0": 1e300}, "trajectory": {"s_end": 1e300}}, "spectral-checks"),
-    # a kind without a grid demand still builds the given grid
-    ({"grid": {"y_max": 1e300, "dy": 1e-300}}, "physical"),
 ])
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_grids_whose_node_count_overflows_are_config_errors(overrides, kind):
@@ -282,41 +278,43 @@ def test_grids_whose_node_count_overflows_are_config_errors(overrides, kind):
         validate_config(cfg)
 
 
-@pytest.mark.parametrize("y_max,field", [
-    # 4e23 nodes: the node cap rejects the grid
+@pytest.mark.parametrize("dy,field", [
+    # 9e301 nodes on the derived grid: the node cap rejects it
     (1e-300, r"\[grid\] a semigroup-checks run on \d+ nodes .* memory budget"),
-    # 41 nodes, within the cap: the edge collar rejects the grid
-    (1e-322, r"\[grid\] y_max: .*edge collar"),
+    # the derived half-width over a subnormal dy is not finite
+    (5e-324, r"\[grid\] need finite y_max .* finite ratio"),
 ])
-def test_subnormal_dy_is_a_config_error(y_max, field):
-    # y_max / dy is finite but half a kernel's width / dy is not; checked
-    # by validation alone, never run
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_subnormal_dy_is_a_config_error(dy, field):
+    # checked by validation alone, never run
     cfg = default_config()
     cfg["experiment"]["kind"] = "semigroup-checks"
-    cfg["grid"].update({"dy": 5e-324, "y_max": y_max})
+    cfg["grid"]["dy"] = dy
     with pytest.raises(ConfigError, match=field):
         validate_config(cfg)
 
 
-@pytest.mark.parametrize("y_max, ok", [(11.3, False), (11.35, False), (11.37, True)])
-def test_semigroup_checks_need_an_interior_beyond_the_edge_collar(y_max, ok):
+@pytest.mark.parametrize("dy, ok", [(11.3, False), (11.37, True), (10.0, False), (9.0, True)])
+def test_semigroup_checks_need_an_interior_beyond_the_edge_collar(dy, ok):
     # the kernel checks keep nodes 8 sqrt(2) ~ 11.314 inside the edge and
-    # need y = 0 and its two neighbours among them: y_max >= 11.364 at
-    # dy = 0.05, on the grid the run builds (11.37 rounds up to 11.4)
+    # need y = 0 and its two neighbours among them; at K0 = 0.5 the derived
+    # half-width 20 rounds up to 2 dy for dy in [10, 20), which needs
+    # dy >= 11.314, and to 3 dy = 27 at dy = 9
     cfg = default_config()
     cfg["experiment"]["kind"] = "semigroup-checks"
-    cfg["grid"]["y_max"] = y_max
+    cfg["trap"]["K0"] = 0.5
+    cfg["grid"]["dy"] = dy
     if ok:
         validate_config(cfg)
     else:
-        with pytest.raises(ConfigError, match=r"\[grid\] y_max: .*edge collar"):
+        with pytest.raises(ConfigError, match=r"\[grid\] dy: .*edge collar"):
             validate_config(cfg)
 
 
 def test_semigroup_checks_keep_the_kernels_the_memory_cap_counts(monkeypatch):
     # a semigroup-checks run keeps as many kernels as `_check_memory` plans for
     monkeypatch.setattr(semigroup, "_MATRIX_CACHE", {})
-    cfg = apply_overrides(default_config(), ["grid.y_max=12", "grid.dy=0.1"])
+    cfg = apply_overrides(default_config(), ["trap.K0=0.5", "grid.dy=0.1"])
     run_semigroup_checks(cfg)
     assert len(semigroup._MATRIX_CACHE) == _CHECK_KERNELS
 
@@ -415,18 +413,27 @@ def _assert_in_range(cfg):
     assert m["p"] > 1.0
     assert 0.0 <= m["alpha"] < 2.0 * m["p"] / (m["p"] + 1.0)
     assert 0.0 <= m["alpha_bar"] < m["p"]
-    assert cfg["grid"]["dy"] > 0.0 and cfg["grid"]["y_max"] >= 0.0
+    assert cfg["grid"]["dy"] > 0.0
     assert cfg["trap"]["A"] >= 1.0 and cfg["trap"]["K0"] > 0.0
     assert 0.0 < cfg["trajectory"]["ds"] <= 0.5
     assert math.e <= cfg["trajectory"]["s0"] < cfg["trajectory"]["s_end"]
-    assert cfg["shooting"]["max_levels"] >= 1
     ph = cfg["physical"]
     assert ph["n_x"] >= 17 and ph["n_x"] % 2 == 1
     assert ph["z_max"] > 0.0
+    # the grid a run builds holds the cutoff support up to s_end, and the
+    # kernel checks keep an interior beyond the edge collar
+    kind = cfg["experiment"]["kind"]
+    if kind in ("spectral-checks", "semigroup-checks", "trajectory", "shoot", "full-pipeline"):
+        grid = run_grid(cfg)
+        check_cutoff_support(grid.y_max, cfg["trap"]["K0"], cfg["trajectory"]["s_end"])
+        if kind in ("semigroup-checks", "full-pipeline"):
+            interior_mask(grid)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
 @given(_overrides())
+# dy rounds the derived half-width down to a one-node grid
+@example(({("grid", "dy"): 1e300}, "shoot"))
 def test_validation_either_rejects_or_keeps_every_range(drawn):
     # validation alone: no run is started, so the memory-cap cases are safe
     values, kind = drawn

@@ -2,7 +2,8 @@
 so a fresh process pays for none.  The kernel is a numpy band; only a
 perturbed `homogeneous_oracle`, which no experiment kind calls, imports
 `scipy.integrate` when it runs.  And what each module imports: every name
-is used or exported."""
+is used or exported; what each function declares: every parameter is read,
+and every default is one some caller overrides."""
 
 import ast
 import os
@@ -123,3 +124,134 @@ def test_every_imported_name_is_used_or_exported():
         path.stem: _unused_imports(path.read_text(encoding="utf-8")) for path in modules
     }
     assert {m: names for m, names in unused.items() if names} == _KEPT_FOR_TRACING
+
+
+# knobs the scan below lets stand, each with why it stays
+_KNOBS_KEPT = {
+    # never read; perfbench/workloads.py passes it positionally
+    "trapset.reduction_witness.trap",
+    # the console script calls main() with no argument
+    "cli.main.argv",
+    # run_trajectories fills each in turn, and test fakes build partial records
+    *(
+        f"solver.TrajectoryRecord.{name}"
+        for name in (
+            "s", "q0", "q1", "q2", "sem_minus", "qe_sup", "q_sup", "gradq_sup", "N_sup",
+            "margins", "exit",
+        )
+    ),
+    # None marks an exit through a component that is not a mode
+    *(f"trapset.ExitInfo.{name}" for name in ("mode", "omega", "dqm_ds", "transverse")),
+}
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    for deco in cls.decorator_list:
+        func = deco.func if isinstance(deco, ast.Call) else deco
+        if getattr(func, "id", getattr(func, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _signatures(tree: ast.Module, module: str):
+    """(name, callee, positional names after self, defaulted names, def) of
+    every function, method and dataclass of a module; a class's __init__
+    and fields are passed by calls of the class."""
+    out = []
+
+    def visit(node, prefix: str, cls: str | None):
+        for child in ast.iter_child_nodes(node):
+            name = f"{prefix}.{getattr(child, 'name', '')}"
+            if isinstance(child, ast.FunctionDef):
+                args = child.args
+                positional = [a.arg for a in args.posonlyargs + args.args]
+                static = any(getattr(d, "id", None) == "staticmethod" for d in child.decorator_list)
+                if cls is not None and not static:
+                    positional = positional[1:]
+                defaulted = positional[len(positional) - len(args.defaults):]
+                defaulted += [
+                    a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+                ]
+                callee = cls if child.name == "__init__" else child.name
+                out.append((name, callee, positional, defaulted, child))
+                visit(child, name, None)
+            elif isinstance(child, ast.ClassDef):
+                if _is_dataclass(child):
+                    fields = [
+                        st for st in child.body
+                        if isinstance(st, ast.AnnAssign) and isinstance(st.target, ast.Name)
+                    ]
+                    positional = [st.target.id for st in fields]
+                    defaulted = [st.target.id for st in fields if st.value is not None]
+                    out.append((name, child.name, positional, defaulted, None))
+                visit(child, name, child.name)
+
+    visit(tree, module, None)
+    return out
+
+
+def _unread_parameters(func: ast.FunctionDef) -> list[str]:
+    """Parameters the body never reads; self, cls and _ are exempt."""
+    args = func.args
+    declared = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+    declared += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+    read = {n.id for st in func.body for n in ast.walk(st) if isinstance(n, ast.Name)}
+    return [p for p in declared if p not in read and p not in ("self", "cls", "_")]
+
+
+def _passes(call: ast.Call, positional: list[str], param: str) -> bool:
+    """Whether a call passes param: by keyword, by position, or through a
+    * or ** argument, which counts as passing everything."""
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    if any(k.arg is None or k.arg == param for k in call.keywords):
+        return True
+    return param in positional and positional.index(param) < len(call.args)
+
+
+def _idle_knobs(modules: dict[str, str], callers: list[str]) -> set[str]:
+    """The unread parameters, and the defaulted parameters and dataclass
+    fields that no call in the callers' sources passes; calls match by the
+    bare name called."""
+    calls: dict[str, list[ast.Call]] = {}
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+    idle = set()
+    for module, source in modules.items():
+        for name, callee, positional, defaulted, func in _signatures(ast.parse(source), module):
+            if func is not None:
+                idle.update(f"{name}.{p}" for p in _unread_parameters(func))
+            idle.update(
+                f"{name}.{p}"
+                for p in defaulted
+                if not any(_passes(c, positional, p) for c in calls.get(callee, ()))
+            )
+    return idle
+
+
+def test_idle_knob_scan_flags_unread_and_never_passed_parameters():
+    source = (
+        "from dataclasses import dataclass\n"
+        "def f(a, b=1, *, c=2):\n    return a + c\n"
+        "@dataclass\nclass D:\n    x: int\n    y: int = 0\n"
+        "    def g(self, t=1e-9):\n        return t\n"
+        "f(1, c=3)\nD(1).g()\n"
+    )
+    assert _idle_knobs({"m": source}, [source]) == {"m.f.b", "m.D.y", "m.D.g.t"}
+    assert _idle_knobs({"m": source}, [source, "f(0, *x)\nD(**y)\nd.g(2)\n"]) == {"m.f.b"}
+
+
+def test_every_parameter_is_read_and_every_default_overridden():
+    # tests do not count as callers: a default only a test overrides is a
+    # setting no run uses
+    package = Path(blowup_lab.__file__).parent
+    modules = {path.stem: path.read_text(encoding="utf-8") for path in package.glob("*.py")}
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    callers = list(modules.values()) + [
+        path.read_text(encoding="utf-8") for path in sorted(perfbench.glob("*.py"))
+    ]
+    assert len(callers) > len(modules)
+    assert _idle_knobs(modules, callers) == _KNOBS_KEPT

@@ -141,7 +141,6 @@ def test_initial_components_check_saturates_mode_faces(shoot_grid, trap8):
     rect = initial_rectangle(mm, trap8)
     out = initial_components_check(pr, shoot_grid, 20.0, trap8, rect)
     assert out["all_inside"] is True
-    assert out["n_probes"] == 5
     # corners sit on the pulled-in mode faces: margin = shrink * A/s0^2
     assert out["worst_margins"][0] == pytest.approx(2.0e-11, rel=1e-3)
     assert out["worst_margins"][1] == pytest.approx(2.0e-11, rel=1e-3)
@@ -251,11 +250,12 @@ def test_shoot_small_amplitude_trap(shoot_grid):
     _assert_search_invariants(res)
 
 
-def test_shoot_reports_max_levels(shoot_grid, trap8):
+def test_shoot_reports_max_levels(shoot_grid, trap8, monkeypatch):
     # the s_end = 26 window needs three levels; the cut level 1 would take
     # exits at s = 25.88
     pr = make_params(2.0)
-    res = shoot(pr, shoot_grid, trap8, SolverConfig(ds=0.02), 20.0, 26.0, max_levels=1)
+    monkeypatch.setattr(shooting, "MAX_LEVELS", 1)
+    res = shoot(pr, shoot_grid, trap8, SolverConfig(ds=0.02), 20.0, 26.0)
     assert res.status == "max-levels"
     assert res.levels == 1 and res.n_evals == 6
     assert res.note == "refinement budget exhausted"
@@ -265,13 +265,14 @@ def test_shoot_reports_max_levels(shoot_grid, trap8):
     assert len(res.level_stats) == 1
 
 
-def test_shoot_budget_exit_evaluates_the_next_cut(shoot_grid, trap8):
+def test_shoot_budget_exit_evaluates_the_next_cut(shoot_grid, trap8, monkeypatch):
     # the s_end = 24 window needs two levels, and the cut of level 1
     # survives; the midpoint of the rectangle exits through q0 at s = 20.68
     pr = make_params(2.0)
     cfg = SolverConfig(ds=0.02)
     full = shoot(pr, shoot_grid, trap8, cfg, 20.0, 24.0)
-    res = shoot(pr, shoot_grid, trap8, cfg, 20.0, 24.0, max_levels=1)
+    monkeypatch.setattr(shooting, "MAX_LEVELS", 1)
+    res = shoot(pr, shoot_grid, trap8, cfg, 20.0, 24.0)
     assert res.status == "survived"
     assert res.levels == 1 and res.n_evals == 6
     assert (res.d0, res.d1) == (full.d0, full.d1)
