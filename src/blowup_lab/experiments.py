@@ -38,7 +38,7 @@ from .shooting import (
 )
 from .solver import SolverConfig, mode_ode_check, run_trajectory
 from .physical import integrate_u, profile_error, stability_probe
-from .trapset import TrapParams, check_derived_bounds
+from .trapset import COMPONENTS, TrapParams, check_derived_bounds
 
 __all__ = ["run_experiment"]
 
@@ -167,24 +167,14 @@ def run_semigroup_checks(cfg: dict):
     return report, tables, all(checks.values())
 
 
+# the record series of a trajectory table, in column order; a column per
+# trap margin follows them
+_TABLE_SERIES = ("s", "q0", "q1", "q2", "sem_minus", "qe_sup", "q_sup")
+
+
 def _trajectory_table(rec):
-    header = (
-        "s",
-        "q0",
-        "q1",
-        "q2",
-        "sem_minus",
-        "qe_sup",
-        "q_sup",
-        "margin_q0",
-        "margin_q1",
-        "margin_q2",
-        "margin_q_minus",
-        "margin_q_e",
-    )
-    columns = np.column_stack((
-        rec.s, rec.q0, rec.q1, rec.q2, rec.sem_minus, rec.qe_sup, rec.q_sup, rec.margins
-    ))
+    header = _TABLE_SERIES + tuple(f"margin_{c}" for c in COMPONENTS)
+    columns = np.column_stack([getattr(rec, name) for name in _TABLE_SERIES] + [rec.margins])
     return header, [tuple(map(_cell, row)) for row in columns]
 
 
@@ -249,12 +239,9 @@ def run_shoot_experiment(cfg: dict):
         },
         "certificate": certificate_dict(result),
     }
-    tables = {}
-    if result.record is not None:
-        tables["survivor_trajectory"] = _trajectory_table(result.record)
     ok = result.status == "survived" and init_chk["all_inside"]
     report["ok"] = ok
-    return report, tables, ok
+    return report, {"survivor_trajectory": _trajectory_table(result.record)}, ok
 
 
 def run_physical_experiment(cfg: dict):

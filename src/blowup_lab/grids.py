@@ -55,7 +55,7 @@ class Grid:
         return w
 
 
-def make_grid(y_max: float, dy: float = 0.05) -> Grid:
+def make_grid(y_max: float, dy: float) -> Grid:
     """Grid covering [-y_max, y_max]; y_max is rounded up to a multiple of dy."""
     if not (0.0 < y_max < np.inf and 0.0 < dy < np.inf and y_max / dy < np.inf):
         raise ValueError(

@@ -31,8 +31,9 @@ The decomposition and the seminorm act row-wise on a stack of fields
 (see `grids`), as do `SpectralDecomp.reconstruct` and the derived
 bounds of `trapset`: one cutoff chi (evaluated on the nodes y >= 0 and
 mirrored, since it is even) and one support slice serve every row, and
-rho and h_0..h_2 are built once per grid.  Each row's amplitudes are the
-same trapezoid sums, in the same order, as for that field alone.
+rho, h_0..h_2 and the cubic weight 1 + |y|^3 are built once per grid, as
+one cached table.  Each row's amplitudes are the same trapezoid sums, in
+the same order, as for that field alone.
 `decompose_values` is the split itself, on bare arrays; `decompose` and
 the trajectory observation both run it.
 """
@@ -105,19 +106,20 @@ def hermite_norm_sq(m: int) -> float:
 
 
 @lru_cache(maxsize=8)
-def _mode_rows(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """rho and the (3, n) rows h_0, h_1, h_2 on the nodes of a grid, built
-    once per grid."""
+def _grid_rows(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """rho, the (3, n) rows h_0, h_1, h_2 and the cubic weight 1 + |y|^3 on
+    the nodes of a grid, built once per grid."""
     rho, modes = weight_rho(grid.y), np.array([hermite_h(m, grid.y) for m in range(3)])
-    rho.flags.writeable = modes.flags.writeable = False
-    return rho, modes
+    cubic = 1.0 + np.abs(grid.y) ** 3
+    rho.flags.writeable = modes.flags.writeable = cubic.flags.writeable = False
+    return rho, modes, cubic
 
 
 def inner_rho(grid: Grid, fvals: np.ndarray, gvals: np.ndarray):
     """Trapezoid quadrature of f*g against the Gaussian weight; per row for
     a stack, summed along the row so that a stacked row matches its lone
     field."""
-    rho, _ = _mode_rows(grid)
+    rho, _, _ = _grid_rows(grid)
     return per_row(np.sum(grid.weights * fvals * gvals * rho, axis=-1))
 
 
@@ -163,7 +165,7 @@ class SpectralDecomp:
 
     def cutoff_part(self) -> np.ndarray:
         """q_b = q0 h0 + q1 h1 + q2 h2 + q_minus, row by row for a stack."""
-        _, (h0, h1, h2) = _mode_rows(self.q_minus.grid)
+        _, (h0, h1, h2), _ = _grid_rows(self.q_minus.grid)
         q0, q1, q2 = (np.asarray(a)[..., None] for a in (self.q0, self.q1, self.q2))
         return q0 * h0 + q1 * h1 + q2 * h2 + self.q_minus.values
 
@@ -198,7 +200,7 @@ def decompose_values(grid: Grid, values: np.ndarray, s: float, K0: float) -> tup
     check_cutoff_support(grid.y_max, K0, s)
     chi = mirror(cutoff_chi(grid.y[grid.n_half:], s, K0))
     qb = values * chi
-    rho, modes = _mode_rows(grid)
+    rho, modes, _ = _grid_rows(grid)
     wqb = grid.weights * qb
     amps = np.empty(qb.shape[:-1] + (3,))
     recon, tmp = np.zeros_like(qb), np.empty_like(qb)
@@ -225,18 +227,10 @@ def decompose(q: Field, K0: float) -> SpectralDecomp:
     return SpectralDecomp(*amps, Field(q.grid, q_minus, q.s), Field(q.grid, q_e, q.s), K0, q.s)
 
 
-@lru_cache(maxsize=8)
-def _cubic_weight(grid: Grid) -> np.ndarray:
-    """1 + |y|^3 on the nodes of a grid, built once per grid."""
-    out = 1.0 + np.abs(grid.y) ** 3
-    out.flags.writeable = False
-    return out
-
-
 def cubic_weighted_sup(grid: Grid, values: np.ndarray, mask=None):
     """sup over nodes of |values| / (1 + |y|^3), optionally restricted to
     the nodes a mask or slice selects; per row for a stack."""
-    weight = _cubic_weight(grid)
+    _, _, weight = _grid_rows(grid)
     if mask is not None:
         values, weight = values[..., mask], weight[mask]
         if weight.size == 0:

@@ -113,16 +113,13 @@ def _prepared(params: ModelParams, grid: Grid, s0: float, points) -> Field:
 class ModeMap:
     """Affine map (d0, d1) -> (q0, q1) at the initial time s0.
 
-    modes = M @ (d0, d1) + b, with M the 2x2 matrix and b the offset that
-    the log-correction of the ansatz deposits on the even mode.
+    (q0, q1) = M @ (d0, d1) + b, with M the 2x2 matrix and b the offset
+    that the log-correction of the ansatz deposits on the even mode.
     """
 
     M: np.ndarray
     b: np.ndarray
     s0: float
-
-    def modes(self, d0: float, d1: float) -> np.ndarray:
-        return self.M @ np.array([d0, d1]) + self.b
 
     def preimage(self, q0: float, q1: float) -> np.ndarray:
         return np.linalg.solve(self.M, np.array([q0, q1]) - self.b)
@@ -228,7 +225,8 @@ class ShootResult:
     n_evals: int
     rect0: np.ndarray
     rect: np.ndarray
-    record: TrajectoryRecord | None
+    # the trajectory of the point (d0, d1) the search ended on
+    record: TrajectoryRecord
     note: str
     # one row per refinement level: level, min and max exit s* over the
     # points evaluated at that level, and per axis m the bracket [lo, hi] the
@@ -268,10 +266,13 @@ def shoot(
     """Enclose the critical (d0, d1) by bracketed secant steps until survival.
 
     Returns with status "survived" and the surviving trajectory record as
-    soon as any evaluated point stays in the trap up to s_end.  A zero exit
-    sign at the center (the classified mode is below the noise floor)
-    triggers a half-width shrink around the center, clipped to the
-    bracket, instead of a cut, which preserves containment unconditionally.
+    soon as any evaluated point stays in the trap up to s_end.  Every other
+    status ends on an evaluated point too (the exit that was not through a
+    mode, the center of a lost enclosure, or the cut evaluated last) and
+    carries that point's record.  A zero exit sign at the center (the
+    classified mode is below the noise floor) triggers a half-width shrink
+    around the center, clipped to the bracket, instead of a cut, which
+    preserves containment unconditionally.
 
     The two d1 ends run only at level 0 and after a center whose q1 sign
     was non-zero; a level that skips them rests on its center's sub-floor
@@ -323,18 +324,18 @@ def shoot(
                 )
         return [cache[key] for key in points]
 
-    def finish(status: str, point: _PointOutcome | None, level: int, note: str = "") -> ShootResult:
+    def finish(status: str, point: _PointOutcome, level: int, note: str = "") -> ShootResult:
         return ShootResult(
             status=status,
-            d0=point.d0 if point else float(np.mean(rect[0])),
-            d1=point.d1 if point else float(np.mean(rect[1])),
+            d0=point.d0,
+            d1=point.d1,
             s0=s0,
             s_end=s_end,
             levels=level,
             n_evals=n_evals,
             rect0=np.array(rect0, dtype=float),
             rect=rect.copy(),
-            record=point.record if point else None,
+            record=point.record,
             note=note,
             level_stats=list(level_stats),
         )
@@ -462,13 +463,12 @@ def certificate_dict(result: ShootResult) -> dict:
         out["min_exit_monotone"] = bool(
             all(b >= a - 1e-9 for a, b in zip(mins, mins[1:]))
         )
-    if rec is not None:
-        out["final_s"] = rec.final_s
-        out["min_margin"] = float(np.min(rec.margins)) if rec.margins.size else None
-        if rec.exit is not None:
-            out["exit_component"] = rec.exit.component
-            out["exit_s"] = rec.exit.s_star
-            out["exit_reason"] = rec.exit.reason
+    out["final_s"] = rec.final_s
+    out["min_margin"] = float(np.min(rec.margins))
+    if rec.exit is not None:
+        out["exit_component"] = rec.exit.component
+        out["exit_s"] = rec.exit.s_star
+        out["exit_reason"] = rec.exit.reason
     return out
 
 

@@ -26,23 +26,26 @@ the constant steady state kappa is preserved to O(ds^3) per step.
 
 A trajectory run records the spectral decomposition of the deviation at
 every step, checks trap membership, and stops at the first exit or at any
-divergence of the field.  The q form advances K trajectories of one grid
-and one starting time together, as the rows of a C-contiguous (K, n)
-array: each step evaluates one `SourceTerms` for every row and applies
-the cached kernel to every row in one call, and each observation takes
-one cutoff and one support slice for every row, while the boundary
-condition, the overflow guard, trap membership, the N sup and the exit
-classification stay per row.  The observation runs the split of
-`hermite.decompose_values` on the bare rows and takes its sups directly,
-without building a decomposition object.  A row that exits or diverges
-leaves the ensemble and the others go on.  Every reduction runs along a
-row in the order of a lone field, so each row is bitwise the trajectory
-run alone; a single trajectory is the case K = 1.
+divergence of the field.  Each observation is one row of a table, its
+columns in the field order of `TrajectoryRecord`, and each record is
+built in one call from its rows: the series are the rows of one copied
+block.  The q form advances K trajectories of one grid and one starting
+time together, as the rows of a C-contiguous (K, n) array: each step
+evaluates one `SourceTerms` for every row and applies the cached kernel
+to every row in one call, and each observation takes one cutoff and one
+support slice for every row, while the boundary condition, the overflow
+guard, trap membership, the N sup and the exit classification stay per
+row.  The observation runs the split of `hermite.decompose_values` on the
+bare rows and takes its sups directly, without building a decomposition
+object.  A row that exits or diverges leaves the ensemble and the others
+go on.  Every reduction runs along a row in the order of a lone field, so
+each row is bitwise the trajectory run alone; a single trajectory is the
+case K = 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -95,7 +98,6 @@ __all__ = [
     "run_trajectory",
     "mode_ode_check",
     "duhamel_split_check",
-    "forms_consistency_check",
 ]
 
 # a field that exceeds this in sup norm, or stops being finite, has diverged
@@ -125,7 +127,7 @@ class DivergenceError(RuntimeError):
     a single field).
     """
 
-    def __init__(self, s: float, message: str, rows: np.ndarray | None = None):
+    def __init__(self, s: float, message: str, rows: np.ndarray | None):
         super().__init__(f"s={s:.6f}: {message}")
         self.s = s
         self.rows = rows
@@ -194,10 +196,6 @@ def _midpoint_half(rhs, v, h, work):
 
 def _apply_bc_q(values: np.ndarray, params: ModelParams, s: float) -> None:
     values[..., 0] = values[..., -1] = -params.kappa / (2.0 * params.p * s)
-
-
-def _apply_bc_w(values: np.ndarray, params: ModelParams, grid: Grid, s: float) -> None:
-    values[..., 0], values[..., -1] = phi(params, grid.y[[0, -1]], s)
 
 
 def _guard(values: np.ndarray, s: float) -> None:
@@ -273,13 +271,9 @@ def step_w(w: Field, params: ModelParams, cfg: SolverConfig) -> Field:
     v = half(w.values, 0.5 * ds)
     v = np.exp(-ds * (p.p / (p.p - 1.0))) * apply_semigroup_values(ds, grid, v)
     v = half(v, 0.5 * ds)
-    _apply_bc_w(v, params, grid, s_new)
+    v[..., 0], v[..., -1] = phi(params, grid.y[[0, -1]], s_new)
     _guard(v, s_new)
     return Field(grid=grid, values=v, s=s_new)
-
-
-def _series():
-    return field(default_factory=lambda: np.empty(0))
 
 
 @dataclass
@@ -287,16 +281,16 @@ class TrajectoryRecord:
     """Per-step scalar diagnostics of one deviation trajectory; a step is
     inside the trap when all five of its margins are >= 0."""
 
-    s: np.ndarray = _series()
-    q0: np.ndarray = _series()
-    q1: np.ndarray = _series()
-    q2: np.ndarray = _series()
-    sem_minus: np.ndarray = _series()
-    qe_sup: np.ndarray = _series()
-    q_sup: np.ndarray = _series()
-    gradq_sup: np.ndarray = _series()
-    N_sup: np.ndarray = _series()
-    margins: np.ndarray = field(default_factory=lambda: np.empty((0, 5)))
+    s: np.ndarray
+    q0: np.ndarray
+    q1: np.ndarray
+    q2: np.ndarray
+    sem_minus: np.ndarray
+    qe_sup: np.ndarray
+    q_sup: np.ndarray
+    gradq_sup: np.ndarray
+    N_sup: np.ndarray
+    margins: np.ndarray
     exit: ExitInfo | None = None
 
     @property
@@ -309,9 +303,7 @@ class TrajectoryRecord:
 
 # per-step series of a TrajectoryRecord, in the column order of an
 # observation row; the five trap margins follow them
-_SERIES = (
-    "s", "q0", "q1", "q2", "sem_minus", "qe_sup", "q_sup", "gradq_sup", "N_sup",
-)
+_SERIES = tuple(f.name for f in fields(TrajectoryRecord)[:-2])
 
 
 def _observe(q: Field, params: ModelParams, trap: TrapParams) -> tuple[np.ndarray, np.ndarray]:
@@ -426,10 +418,7 @@ def run_trajectories(
     records = []
     for r in range(n_rows):
         obs = table[: n_rec[r], r]
-        rec = TrajectoryRecord()
-        for j, name in enumerate(_SERIES):
-            setattr(rec, name, obs[:, j].copy())
-        rec.margins = obs[:, len(_SERIES):].copy()
+        rec = TrajectoryRecord(*obs[:, : len(_SERIES)].T.copy(), obs[:, len(_SERIES) :].copy())
         if r in diverged_at:
             rec.exit = ExitInfo(s_star=diverged_at[r], reason="divergence", component=None)
         else:
@@ -578,40 +567,3 @@ def duhamel_split_check(
         **{f"C_{name}": x * scale for name, x in delta_parts.items()},
     }
 
-
-def forms_consistency_check(
-    params: ModelParams,
-    grid: Grid,
-    s0: float,
-    q0_values: np.ndarray,
-    n_steps: int,
-    cfg: SolverConfig,
-) -> dict:
-    """Advance w and q = w - phi side by side and report their disagreement.
-
-    Both forms discretize the same dynamics with the same splitting, so away
-    from the boundary the difference w - (phi + q) after n_steps is pure
-    discretization error.  Within 2 of the ends the two forms see
-    different kernel-truncation and pinning errors: w is O(1) there, q is
-    O(1/s), and at the end nodes the pins -kappa/(2ps) of q and phi of w
-    leave a difference of kappa/(2ps).  So the interior sup is the
-    meaningful figure; the global sup is reported alongside for scale.
-    """
-    q = Field(grid=grid, values=q0_values.copy(), s=s0)
-    w = Field(grid=grid, values=phi(params, grid.y, s0) + q0_values, s=s0)
-    inner = np.abs(grid.y) <= grid.y_max - 2.0
-    sup_diff = 0.0
-    sup_global = 0.0
-    for k in range(1, n_steps + 1):
-        q = step_q(q, params, cfg)
-        w = step_w(w, params, cfg)
-        q.s = w.s = s0 + k * cfg.ds
-        diff = np.abs(w.values - (phi(params, grid.y, w.s) + q.values))
-        sup_diff = max(sup_diff, float(np.max(diff[inner])))
-        sup_global = max(sup_global, float(np.max(diff)))
-    return {
-        "n_steps": n_steps,
-        "s_end": w.s,
-        "sup_diff": sup_diff,
-        "sup_diff_global": sup_global,
-    }

@@ -3,7 +3,7 @@ so a fresh process pays for none.  The kernel is a numpy band; only a
 perturbed `homogeneous_oracle`, which no experiment kind calls, imports
 `scipy.integrate` when it runs.  And what each module imports: every name
 is used or exported; what each function declares: every parameter is read,
-and every default is one some caller overrides."""
+every default is one some caller overrides, and some call leaves it out."""
 
 import ast
 import os
@@ -132,14 +132,6 @@ _KNOBS_KEPT = {
     "trapset.reduction_witness.trap",
     # the console script calls main() with no argument
     "cli.main.argv",
-    # run_trajectories fills each in turn, and test fakes build partial records
-    *(
-        f"solver.TrajectoryRecord.{name}"
-        for name in (
-            "s", "q0", "q1", "q2", "sem_minus", "qe_sup", "q_sup", "gradq_sup", "N_sup",
-            "margins", "exit",
-        )
-    ),
     # None marks an exit through a component that is not a mode
     *(f"trapset.ExitInfo.{name}" for name in ("mode", "omega", "dqm_ds", "transverse")),
 }
@@ -199,26 +191,35 @@ def _unread_parameters(func: ast.FunctionDef) -> list[str]:
     return [p for p in declared if p not in read and p not in ("self", "cls", "_")]
 
 
-def _passes(call: ast.Call, positional: list[str], param: str) -> bool:
+def _passes(call: ast.Call, positional: list[str], param: str, starred: bool = True) -> bool:
     """Whether a call passes param: by keyword, by position, or through a
-    * or ** argument, which counts as passing everything."""
-    if any(isinstance(a, ast.Starred) for a in call.args):
-        return True
-    if any(k.arg is None or k.arg == param for k in call.keywords):
+    * or ** argument, which counts as passing everything, or as passing
+    nothing when starred is False."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(
+        k.arg is None for k in call.keywords
+    ):
+        return starred
+    if any(k.arg == param for k in call.keywords):
         return True
     return param in positional and positional.index(param) < len(call.args)
 
 
-def _idle_knobs(modules: dict[str, str], callers: list[str]) -> set[str]:
-    """The unread parameters, and the defaulted parameters and dataclass
-    fields that no call in the callers' sources passes; calls match by the
-    bare name called."""
+def _calls(callers: list[str]) -> dict[str, list[ast.Call]]:
+    """The calls in the callers' sources, by the bare name called."""
     calls: dict[str, list[ast.Call]] = {}
     for source in callers:
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "id", getattr(node.func, "attr", None))
                 calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _idle_knobs(modules: dict[str, str], callers: list[str]) -> set[str]:
+    """The unread parameters, and the defaulted parameters and dataclass
+    fields that no call in the callers' sources passes; calls match by the
+    bare name called."""
+    calls = _calls(callers)
     idle = set()
     for module, source in modules.items():
         for name, callee, positional, defaulted, func in _signatures(ast.parse(source), module):
@@ -230,6 +231,24 @@ def _idle_knobs(modules: dict[str, str], callers: list[str]) -> set[str]:
                 if not any(_passes(c, positional, p) for c in calls.get(callee, ()))
             )
     return idle
+
+
+def _unread_defaults(modules: dict[str, str], callers: list[str]) -> set[str]:
+    """The defaulted parameters and dataclass fields that every call in the
+    callers' sources passes, so that no run reads the default.  A * or **
+    call may leave the parameter out, so here it passes nothing; a callee
+    that no call reaches is left to `_idle_knobs`."""
+    calls = _calls(callers)
+    unread = set()
+    for module, source in modules.items():
+        for name, callee, positional, defaulted, _ in _signatures(ast.parse(source), module):
+            found = calls.get(callee, ())
+            unread.update(
+                f"{name}.{p}"
+                for p in defaulted
+                if found and all(_passes(c, positional, p, starred=False) for c in found)
+            )
+    return unread
 
 
 def test_idle_knob_scan_flags_unread_and_never_passed_parameters():
@@ -244,9 +263,24 @@ def test_idle_knob_scan_flags_unread_and_never_passed_parameters():
     assert _idle_knobs({"m": source}, [source, "f(0, *x)\nD(**y)\nd.g(2)\n"]) == {"m.f.b"}
 
 
-def test_every_parameter_is_read_and_every_default_overridden():
-    # tests do not count as callers: a default only a test overrides is a
-    # setting no run uses
+def test_unread_default_scan_flags_defaults_every_call_passes():
+    source = (
+        "from dataclasses import dataclass\n"
+        "def f(a, b=1, *, c=2):\n    return a + b + c\n"
+        "def g(x=0):\n    return x\n"
+        "def h(z=3):\n    return z\n"
+        "@dataclass\nclass D:\n    x: int\n    y: int = 0\n"
+        "f(1, 2, c=3)\nf(0, b=5, c=1)\ng(1)\ng(*x)\nD(1, 2)\n"
+    )
+    assert _unread_defaults({"m": source}, [source]) == {"m.f.b", "m.f.c", "m.D.y"}
+    assert _unread_defaults({"m": source}, [source, "f(0, c=1)\nD(**y)\n"]) == {"m.f.c"}
+
+
+def _program() -> tuple[dict[str, str], list[str]]:
+    """The package's modules by name, and the sources of every program
+    call: the package and perfbench.  Tests do not count as callers: a
+    default only a test overrides, or only a test leaves out, is a setting
+    no run uses."""
     package = Path(blowup_lab.__file__).parent
     modules = {path.stem: path.read_text(encoding="utf-8") for path in package.glob("*.py")}
     perfbench = Path(__file__).resolve().parents[1] / "perfbench"
@@ -254,4 +288,23 @@ def test_every_parameter_is_read_and_every_default_overridden():
         path.read_text(encoding="utf-8") for path in sorted(perfbench.glob("*.py"))
     ]
     assert len(callers) > len(modules)
-    assert _idle_knobs(modules, callers) == _KNOBS_KEPT
+    return modules, callers
+
+
+def test_every_parameter_is_read_and_every_default_overridden():
+    assert _idle_knobs(*_program()) == _KNOBS_KEPT
+
+
+# defaults that every program call passes, each with why it stays
+_DEFAULTS_KEPT = {
+    # the acceptance fixtures call shoot without a rectangle
+    "shooting.shoot.rect0",
+    # physical.py stays byte for byte until ROADMAP item 11 reworks it
+    "physical.BlowupEstimate.snapshots",
+    "physical.BlowupEstimate.blew_up",
+    "physical.homogeneous_oracle.c",
+}
+
+
+def test_every_default_is_left_out_by_some_call():
+    assert _unread_defaults(*_program()) == _DEFAULTS_KEPT

@@ -96,7 +96,7 @@ def test_mode_map_roundtrip(shoot_grid):
     pr = make_params(2.0)
     mm = initial_mode_map(pr, shoot_grid, 20.0, 4.0)
     d = mm.preimage(0.003, -0.004)
-    back = mm.modes(*d)
+    back = mm.M @ d + mm.b
     assert np.max(np.abs(back - np.array([0.003, -0.004]))) < 1e-15
 
 
@@ -285,7 +285,9 @@ def _linear_trajectories(a0, a1=lambda d1: d1, component=None, batches=None):
     q_m(s) = a_m e^((1 - m/2)(s - s0)) exactly, with a0 = a0(d0) and
     a1 = a1(d1), and a point exits through q_m (or through `component`)
     when |q_m| first reaches 1, so the back-projected exit amplitude is a_m.
-    The (d0, d1) of each batch are appended to `batches` when given.
+    Each record holds the start and the end: the mode margins are 1 - |q_m|,
+    the other margins 1 and the other series 0.  The (d0, d1) of each batch
+    are appended to `batches` when given.
     """
 
     def run(inits, params, trap, cfg, s_end):
@@ -304,9 +306,14 @@ def _linear_trajectories(a0, a1=lambda d1: d1, component=None, batches=None):
             if s_star < s_end:
                 exit = ExitInfo(s_star=s_star, reason="trap-exit",
                                 component=component or f"q{m}")
+            margins = np.ones((2, 5))
+            margins[:, :2] = 1.0 - np.abs([amp, q])
+            zeros = np.zeros(2)
             records.append(TrajectoryRecord(
                 s=np.array([init.s0, s_star]),
-                q0=np.array([amp[0], q[0]]), q1=np.array([amp[1], q[1]]), exit=exit,
+                q0=np.array([amp[0], q[0]]), q1=np.array([amp[1], q[1]]),
+                q2=zeros, sem_minus=zeros, qe_sup=zeros, q_sup=zeros, gradq_sup=zeros,
+                N_sup=zeros, margins=margins, exit=exit,
             ))
         return records
 

@@ -39,7 +39,6 @@ from blowup_lab.solver import (
     TrajectoryRecord,
     _duhamel_pieces,
     duhamel_split_check,
-    forms_consistency_check,
     mode_ode_check,
     run_trajectories,
     run_trajectory,
@@ -252,11 +251,42 @@ def test_one_step_from_zero_matches_remainder_size():
             assert 0.2 < ratio < 0.3, (ds, s0, ratio)
 
 
+def _forms_consistency(params, grid, s0, q0_values, n_steps, cfg) -> dict:
+    """Advance w and q = w - phi side by side and report their disagreement.
+
+    Both forms discretize the same dynamics with the same splitting, so away
+    from the boundary the difference w - (phi + q) after n_steps is pure
+    discretization error.  Within 2 of the ends the two forms see
+    different kernel-truncation and pinning errors: w is O(1) there, q is
+    O(1/s), and at the end nodes the pins -kappa/(2ps) of q and phi of w
+    leave a difference of kappa/(2ps).  So the interior sup is the
+    meaningful figure; the global sup is reported alongside for scale.
+    """
+    q = Field(grid=grid, values=q0_values.copy(), s=s0)
+    w = Field(grid=grid, values=phi(params, grid.y, s0) + q0_values, s=s0)
+    inner = np.abs(grid.y) <= grid.y_max - 2.0
+    sup_diff = 0.0
+    sup_global = 0.0
+    for k in range(1, n_steps + 1):
+        q = step_q(q, params, cfg)
+        w = step_w(w, params, cfg)
+        q.s = w.s = s0 + k * cfg.ds
+        diff = np.abs(w.values - (phi(params, grid.y, w.s) + q.values))
+        sup_diff = max(sup_diff, float(np.max(diff[inner])))
+        sup_global = max(sup_global, float(np.max(diff)))
+    return {
+        "n_steps": n_steps,
+        "s_end": w.s,
+        "sup_diff": sup_diff,
+        "sup_diff_global": sup_global,
+    }
+
+
 def test_forms_consistency():
     pr = make_params(2.0)
     g = _traj_grid()
     init = initial_q(pr, g, InitialDataParams(d0=0.0128, d1=0.0, s0=20.0))
-    out = forms_consistency_check(pr, g, 20.0, init.values, 50, SolverConfig(ds=0.01))
+    out = _forms_consistency(pr, g, 20.0, init.values, 50, SolverConfig(ds=0.01))
     assert out["sup_diff"] < 1e-5  # measured 5.55e-6
     assert out["s_end"] == pytest.approx(20.5)
     # at the ends w is O(1) while q is O(1/s): the two pinning rules differ
