@@ -41,6 +41,8 @@ def _pin_threads() -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from .config import EXPERIMENT_KINDS
+
     parser = argparse.ArgumentParser(
         prog="blowup-lab",
         description="Numerical lab for profile-tracking blow-up in a perturbed "
@@ -53,8 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--kind",
         default=None,
-        help="override [experiment] kind (spectral-checks, semigroup-checks, "
-        "trajectory, shoot, physical, stability, full-pipeline)",
+        help=f"override [experiment] kind ({', '.join(EXPERIMENT_KINDS)})",
     )
     run.add_argument(
         "--override",

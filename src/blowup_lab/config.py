@@ -11,9 +11,12 @@ and the step ds from [trajectory]; the [physical] keys and defaults are
 fields of `PhysicalConfig`.  Range checks belong to the objects a run
 builds from each section; validation builds them and reports their errors
 under the section's name.  [grid] sets only dy: `run_grid` derives the
-half-width from K0 and s_end.  Validation caps the nodes of the grids a
-run would build so that its largest arrays fit in MEMORY_BUDGET, then
-checks the grid a run builds for its cutoff support and edge collar.
+half-width from K0 and s_end.  Each experiment kind states once what a
+run of it holds (`_demand`); full-pipeline runs the PIPELINE kinds in
+order and holds the most that any of them holds.  Validation builds a
+run's grid once, caps its nodes and [physical] n_x so that the largest
+arrays fit in MEMORY_BUDGET, then checks that grid for its cutoff
+support and edge collar.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ __all__ = [
     "ConfigError",
     "SCHEMA",
     "EXPERIMENT_KINDS",
+    "PIPELINE",
     "default_config",
     "load_config",
     "apply_overrides",
@@ -62,6 +66,10 @@ EXPERIMENT_KINDS = (
     "stability",
     "full-pipeline",
 )
+
+# the kinds full-pipeline runs, in order; its physical run starts from the
+# data the shoot certifies
+PIPELINE = ("spectral-checks", "semigroup-checks", "shoot", "physical")
 
 
 # section -> key -> (type, default).  A float must be finite.
@@ -97,9 +105,6 @@ SCHEMA: dict[str, dict[str, tuple[type, object]]] = {
         "kind": (str, "trajectory"),
     },
 }
-
-# experiment kinds that check the kernel on the grid's interior
-_KERNEL_CHECKS = ("semigroup-checks", "full-pipeline")
 
 # The memory a run may plan for, in bytes.  The runs of the examples and
 # the tests stay below 200 MiB.
@@ -145,15 +150,6 @@ _PROFILED_RUN_BYTES = 300
 # 0.5, 0.7, 1, 2 and 5, each sized as theta = inf, whose stored band is
 # within 2.5 % of the widest of any theta
 _CHECK_KERNELS = 9
-
-# experiment kind -> the bytes per physical.n_x node it takes: the stability
-# probe steps its baseline and its bumped fields as one (K, n_x) stack and
-# reads no snapshot
-_PHYSICAL_NODE_BYTES = {
-    "physical": _PROFILED_RUN_BYTES,
-    "full-pipeline": _PROFILED_RUN_BYTES,
-    "stability": _PHYSICAL_RUN_BYTES + _STACK_ROW_BYTES * 2 * len(PROBE_REL_EPS),
-}
 
 
 def default_config() -> dict:
@@ -227,52 +223,29 @@ def physical_config(cfg: dict, d0: float, d1: float) -> PhysicalConfig:
     return PhysicalConfig(s0=cfg["trajectory"]["s0"], d0=d0, d1=d1, **cfg["physical"])
 
 
-def _grid_demand(cfg: dict, kind: str):
-    """What an experiment kind asks of its grid, which holds [trajectory]
-    s_end, or None if it builds none: the thetas of the kernels it keeps,
-    the rows it steps together and the observations of each row."""
+def _demand(cfg: dict, kind: str):
+    """What a run of an experiment kind holds: the grid it builds, which
+    holds [trajectory] s_end, as the thetas of the kernels it keeps, the
+    rows it steps together and the observations of each row, or None if it
+    builds none; and the bytes per [physical] n_x node, or 0 if it makes no
+    physical run.  A full-pipeline run holds the most any part holds."""
+    if kind == "full-pipeline":
+        grids, node_bytes = zip(*(_demand(cfg, part) for part in PIPELINE))
+        thetas, rows, n_obs = zip(*(grid for grid in grids if grid is not None))
+        return (sum(thetas, ()), max(rows), max(n_obs)), max(node_bytes)
     tj = cfg["trajectory"]
     n_obs = window_steps(tj["s0"], tj["s_end"], tj["ds"]) + 1
-    checks = (math.inf,) * _CHECK_KERNELS
     return {
-        "spectral-checks": ((), 1, 0),
-        "semigroup-checks": (checks, 1, 0),
-        "trajectory": ((tj["ds"],), 1, n_obs),
+        "spectral-checks": (((), 1, 0), 0),
+        "semigroup-checks": (((math.inf,) * _CHECK_KERNELS, 1, 0), 0),
+        "trajectory": (((tj["ds"],), 1, n_obs), 0),
         # a level runs the five points of its plus-pattern together
-        "shoot": ((tj["ds"],), 5, n_obs),
-        "full-pipeline": (checks + (tj["ds"],), 5, n_obs),
-    }.get(kind)
-
-
-def _check_memory(cfg: dict, kind: str) -> None:
-    """Cap the nodes of the grids the run would build by MEMORY_BUDGET."""
-    budget = f"the memory budget of {MEMORY_BUDGET / 2**30:g} GiB"
-    demand = _grid_demand(cfg, kind)
-    if demand is not None:
-        thetas, rows, n_obs = demand
-        # a derived half-width can overflow to inf on finite inputs
-        grid = _build("grid", run_grid, cfg=cfg)
-        widths = [band_layout(theta, grid)[2] for theta in thetas]
-        per_node = (
-            _KERNEL_KEPT_BYTES * sum(widths)
-            + (_KERNEL_BUILD_BYTES if thetas else 0)
-            + _ROW_NODE_BYTES * rows
-        )
-        cap = (MEMORY_BUDGET - _OBSERVATION_BYTES * rows * n_obs) // per_node
-        if grid.n > cap:
-            raise ConfigError(
-                f"[grid] a {kind} run on {grid.n} nodes (dy={grid.dy!r}, "
-                f"y_max={grid.y_max!r}) does not fit in {budget}, which "
-                f"holds at most {max(cap, 0)} nodes"
-            )
-    n_x = cfg["physical"]["n_x"]
-    if kind in _PHYSICAL_NODE_BYTES:
-        per_node = _PHYSICAL_NODE_BYTES[kind]
-        if n_x > MEMORY_BUDGET // per_node:
-            raise ConfigError(
-                f"[physical] n_x: a {kind} run on {n_x} nodes does not fit in "
-                f"{budget}, which holds at most {MEMORY_BUDGET // per_node} nodes"
-            )
+        "shoot": (((tj["ds"],), 5, n_obs), 0),
+        "physical": (None, _PROFILED_RUN_BYTES),
+        # the probe steps its baseline and its bumped fields as one (K, n_x)
+        # stack and reads no snapshot
+        "stability": (None, _PHYSICAL_RUN_BYTES + _STACK_ROW_BYTES * 2 * len(PROBE_REL_EPS)),
+    }[kind]
 
 
 def _build(section: str, make, **kwargs):
@@ -310,14 +283,37 @@ def validate_config(cfg: dict) -> None:
     kind = cfg["experiment"]["kind"]
     if kind not in EXPERIMENT_KINDS:
         bad("experiment", "kind", f"must be one of {EXPERIMENT_KINDS}")
-    _check_memory(cfg, kind)
-    if _grid_demand(cfg, kind) is not None:
+    budget = f"the memory budget of {MEMORY_BUDGET / 2**30:g} GiB"
+    demand, node_bytes = _demand(cfg, kind)
+    if demand is not None:
+        thetas, rows, n_obs = demand
+        # a derived half-width can overflow to inf on finite inputs
+        grid = _build("grid", run_grid, cfg=cfg)
+        widths = [band_layout(theta, grid)[2] for theta in thetas]
+        per_node = (
+            _KERNEL_KEPT_BYTES * sum(widths)
+            + (_KERNEL_BUILD_BYTES if thetas else 0)
+            + _ROW_NODE_BYTES * rows
+        )
+        cap = (MEMORY_BUDGET - _OBSERVATION_BYTES * rows * n_obs) // per_node
+        if grid.n > cap:
+            raise ConfigError(
+                f"[grid] a {kind} run on {grid.n} nodes (dy={grid.dy!r}, "
+                f"y_max={grid.y_max!r}) does not fit in {budget}, which "
+                f"holds at most {max(cap, 0)} nodes"
+            )
+    n_x = cfg["physical"]["n_x"]
+    if node_bytes and n_x > MEMORY_BUDGET // node_bytes:
+        raise ConfigError(
+            f"[physical] n_x: a {kind} run on {n_x} nodes does not fit in "
+            f"{budget}, which holds at most {MEMORY_BUDGET // node_bytes} nodes"
+        )
+    if demand is not None:
         # a grid derived from s_end holds every earlier time, unless dy
         # rounds its half-width down
-        grid = run_grid(cfg)
         try:
             check_cutoff_support(grid.y_max, cfg["trap"]["K0"], tj["s_end"])
-            if kind in _KERNEL_CHECKS:
+            if math.inf in thetas:
                 interior_mask(grid)
         except ValueError as err:
             bad("grid", "dy", f"on the grid of a {kind} run to [trajectory] s_end, {err}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import physical_config, run_grid
+from .config import PIPELINE, physical_config, run_grid
 from .grids import Field
 from .hermite import (
     cubic_weighted_sup,
@@ -113,7 +113,6 @@ def run_spectral_checks(cfg: dict):
 
 
 def run_semigroup_checks(cfg: dict):
-    params = _params(cfg)
     grid = run_grid(cfg)
     y = grid.y
 
@@ -245,12 +244,10 @@ def run_shoot_experiment(cfg: dict):
 
 
 def run_physical_experiment(cfg: dict):
+    """One physical run from the [trajectory] data, its blow-up fit and profiles."""
+    params = _params(cfg)
     tj = cfg["trajectory"]
-    return _physical_run(_params(cfg), physical_config(cfg, tj["d0"], tj["d1"]))
-
-
-def _physical_run(params, pcfg):
-    """One physical run from pcfg's data, its blow-up fit and profiles."""
+    pcfg = physical_config(cfg, tj["d0"], tj["d1"])
     est = integrate_u(params, pcfg)
     T = pcfg.T
     stride = max(1, est.sample_t.size // 2000)
@@ -336,36 +333,24 @@ def run_stability_experiment(cfg: dict):
 
 
 def run_full_pipeline(cfg: dict):
-    """Spectral and semigroup checks, a shoot, and the physical follow-up."""
+    """The PIPELINE kinds in order, each report and table under the kind's
+    name without "-checks"; a failed shoot ends the run, and the physical
+    run starts from the data the shoot certifies."""
     report: dict = {}
     tables: dict = {}
     ok = True
-
-    sub, tb, good = run_spectral_checks(cfg)
-    report["spectral"] = sub
-    tables.update({f"spectral_{k}": v for k, v in tb.items()})
-    ok = ok and good
-
-    sub, tb, good = run_semigroup_checks(cfg)
-    report["semigroup"] = sub
-    tables.update({f"semigroup_{k}": v for k, v in tb.items()})
-    ok = ok and good
-
-    sub, tb, good = run_shoot_experiment(cfg)
-    report["shoot"] = sub
-    tables.update({f"shoot_{k}": v for k, v in tb.items()})
-    ok = ok and good
-
-    # follow the tuned parameters into physical variables
-    if good:
-        cert = sub["certificate"]
-        sub, tb, good = _physical_run(
-            _params(cfg), physical_config(cfg, cert["d0"], cert["d1"])
-        )
-        report["physical"] = sub
-        tables.update({f"physical_{k}": v for k, v in tb.items()})
+    for kind in PIPELINE:
+        sub, tb, good = _RUNNERS[kind](cfg)
+        part = kind.removesuffix("-checks")
+        report[part] = sub
+        tables.update({f"{part}_{k}": v for k, v in tb.items()})
         ok = ok and good
-
+        if kind == "shoot":
+            if not good:
+                break
+            cert = sub["certificate"]
+            tj = {**cfg["trajectory"], "d0": cert["d0"], "d1": cert["d1"]}
+            cfg = {**cfg, "trajectory": tj}
     report["ok"] = ok
     return report, tables, ok
 

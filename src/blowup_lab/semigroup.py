@@ -191,7 +191,7 @@ class BandKernel:
 
     def toarray(self) -> np.ndarray:
         """The dense (n, n) matrix."""
-        stored, width = self.data.shape
+        stored = self.data.shape[0]
         n, length = self.shape[0], self._length
         wide = np.zeros((stored, length))
         for block, vals, first in self._blocks:

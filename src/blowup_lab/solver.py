@@ -295,7 +295,7 @@ class TrajectoryRecord:
 
     @property
     def final_s(self) -> float:
-        return float(self.s[-1]) if self.s.size else float("nan")
+        return float(self.s[-1])
 
     def survived(self, s_end: float) -> bool:
         return self.exit is None and self.final_s >= s_end - 1e-9

@@ -255,6 +255,22 @@ def test_full_pipeline_follows_the_certificate(base_ini, tmp_path):
     assert phys["rel_T_err"] < 1e-5
 
 
+def test_full_pipeline_stops_after_a_failed_shoot(base_ini, tmp_path, monkeypatch):
+    # one level of search cannot tune (d0, d1) to s_end = 26: no certificate,
+    # so no physical run
+    monkeypatch.setattr(shooting, "MAX_LEVELS", 1)
+    out = tmp_path / "res"
+    rc = main([
+        "run", str(base_ini), "--out", str(out), "--kind", "full-pipeline",
+        "--override", "trajectory.s_end=26",
+    ])
+    assert rc == 1
+    report = json.loads((out / "report.json").read_text())
+    assert set(report) == {"spectral", "semigroup", "shoot", "ok"}
+    assert report["ok"] is False
+    assert not list(out.glob("physical_*"))
+
+
 def test_numerical_failure_returns_three(base_ini, tmp_path, capsys, monkeypatch):
     # an absurd step law makes the first steps leap past the entire
     # blow-up window; the estimator cannot fit and the run aborts

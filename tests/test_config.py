@@ -6,12 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blowup_lab import semigroup
+from blowup_lab import experiments, semigroup
 from blowup_lab.config import (
     _CHECK_KERNELS,
     EXPERIMENT_KINDS,
+    PIPELINE,
     SCHEMA,
     ConfigError,
+    _demand,
     apply_overrides,
     config_hash,
     config_text,
@@ -356,6 +358,16 @@ def test_known_kinds_are_frozen():
         "stability",
         "full-pipeline",
     )
+
+
+def test_each_kind_has_a_runner_and_a_demand_row():
+    assert set(experiments._RUNNERS) == set(EXPERIMENT_KINDS)
+    cfg = default_config()
+    rows = {kind: _demand(cfg, kind) for kind in EXPERIMENT_KINDS}
+    assert set(PIPELINE) < set(EXPERIMENT_KINDS) and "full-pipeline" not in PIPELINE
+    # full-pipeline keeps the nine check kernels and the shoot's, steps the
+    # shoot's five rows over its 301 observations and profiles its physical run
+    assert rows["full-pipeline"] == (((math.inf,) * _CHECK_KERNELS + (0.02,), 5, 301), 300)
 
 
 def test_config_text_is_sorted_and_canonical():

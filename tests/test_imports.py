@@ -3,7 +3,8 @@ so a fresh process pays for none.  The kernel is a numpy band; only a
 perturbed `homogeneous_oracle`, which no experiment kind calls, imports
 `scipy.integrate` when it runs.  And what each module imports: every name
 is used or exported; what each function declares: every parameter is read,
-every default is one some caller overrides, and some call leaves it out."""
+every default is one some caller overrides, and some call leaves it out;
+and every local a function assigns is read."""
 
 import ast
 import os
@@ -308,3 +309,64 @@ _DEFAULTS_KEPT = {
 
 def test_every_default_is_left_out_by_some_call():
     assert _unread_defaults(*_program()) == _DEFAULTS_KEPT
+
+
+def _unused_locals(module: str, source: str) -> set[str]:
+    """The names a function assigns and never reads, nested functions
+    included: a name a nested function reads counts as read, as do the
+    target of `x += ...` and a nonlocal or global name; _ is exempt."""
+    unused = set()
+
+    def visit(node, prefix: str):
+        for child in ast.iter_child_nodes(node):
+            name = f"{prefix}.{getattr(child, 'name', '')}"
+            if isinstance(child, ast.FunctionDef):
+                unused.update(f"{name}.{n}" for n in _unread_stores(child))
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, name)
+
+    visit(ast.parse(source), module)
+    return unused
+
+
+def _unread_stores(func) -> set[str]:
+    """The names func stores outside its nested functions, less those it
+    reads anywhere."""
+    stored, read = set(), set()
+
+    def own(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Store):
+                stored.add(child.id)
+            elif not isinstance(child, (ast.FunctionDef, ast.Lambda)):
+                own(child)
+
+    own(func)
+    for node in ast.walk(func):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
+            read.add(node.target.id)
+        elif isinstance(node, (ast.Nonlocal, ast.Global)):
+            read.update(node.names)
+    return stored - read - {"_"}
+
+
+def test_unused_local_scan_flags_names_assigned_and_never_read():
+    source = (
+        "def f(a):\n"
+        "    x, y = a\n    n = 0\n    n += 1\n    _ = 2\n"
+        "    def g():\n        nonlocal t\n        t = 1\n        u = x\n"
+        "    t = 0\n    for i, v in a:\n        pass\n"
+        "    return g\n"
+        "class C:\n    def h(self):\n        w = 1\n        return [k for k in ()]\n"
+    )
+    assert _unused_locals("m", source) == {"m.f.y", "m.f.g.u", "m.f.i", "m.f.v", "m.C.h.w"}
+
+
+def test_every_assigned_local_is_read():
+    modules = sorted(Path(blowup_lab.__file__).parent.glob("*.py"))
+    found = set()
+    for path in modules:
+        found |= _unused_locals(path.stem, path.read_text(encoding="utf-8"))
+    assert found == set()
