@@ -9,8 +9,9 @@ per recorded table, the canonical effective configuration, and a
 wall clock, hostname, or thread count, so reruns are byte-identical.
 
 Exit codes: 0 run completed and all checks passed; 1 run completed but a
-check failed; 2 configuration or usage error, including a grid too narrow
-for the kind's spectral decompositions; 3 numerical failure, including any
+check failed; 2 configuration or usage error, including an unreadable
+config file, a grid too narrow for the kind's spectral decompositions and
+an output path through a file; 3 numerical failure, including any
 ValueError a run raises after validation.  Codes 2 and 3 write nothing.
 
 BLAS/OpenMP thread counts are pinned to 1 before numpy is first imported
@@ -117,24 +118,26 @@ def main(argv: list[str] | None = None) -> int:
         apply_overrides(cfg, args.override)
         if args.kind is not None:
             apply_overrides(cfg, [f"experiment.kind={args.kind}"])
-        validate_config(cfg)
+        run = validate_config(cfg)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
+        return 2
+    out_dir = Path(args.out)
+    if any(path.exists() and not path.is_dir() for path in (out_dir, *out_dir.parents)):
+        print(f"usage error: --out {out_dir} is, or lies under, a file", file=sys.stderr)
         return 2
 
     from .experiments import run_experiment
 
-    kind = cfg["experiment"]["kind"]
-    print(f"running {kind} ...")
+    print(f"running {run.kind} ...")
     try:
-        report, tables, ok = run_experiment(cfg)
+        report, tables, ok = run_experiment(run)
     except (FloatingPointError, RuntimeError, ValueError) as err:
         # RuntimeError covers solver divergence; a ValueError that survives
         # config validation is a numerical failure of the run as well
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
 
-    out_dir = Path(args.out)
     _write_artifacts(out_dir, cfg, report, tables)
     n_files = len(tables) + 3
     print(f"wrote {n_files} files to {out_dir}")

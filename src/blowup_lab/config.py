@@ -9,10 +9,10 @@ which is what makes result manifests reproducible byte for byte.
 Every kind reads the data (d0, d1) prepared at s0, the window end s_end
 and the step ds from [trajectory]; the [physical] keys and defaults are
 fields of `PhysicalConfig`.  Range checks belong to the objects a run
-builds from each section; validation builds them and reports their errors
-under the section's name.  [grid] sets only dy: `run_grid` derives the
-half-width from K0 and s_end.  Each experiment kind states once what a
-run of it holds (`_demand`); full-pipeline runs the PIPELINE kinds in
+builds from each section; validation builds them, reports their errors
+under the section's name and returns them, the `Run` the runners take.
+[grid] sets only dy: the half-width is derived from K0 and s_end.  Each
+experiment kind states once what a run of it holds (`_demand`); full-pipeline runs the PIPELINE kinds in
 order and holds the most that any of them holds.  Validation builds a
 run's grid once, caps its nodes and [physical] n_x so that the largest
 arrays fit in MEMORY_BUDGET, then checks that grid for its cutoff
@@ -24,12 +24,12 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
-from dataclasses import fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .grids import Grid, default_y_max, make_grid
 from .hermite import check_cutoff_support
-from .model import make_params
+from .model import ModelParams, make_params
 from .physical import PROBE_REL_EPS, PhysicalConfig
 from .semigroup import band_layout, interior_mask
 from .shooting import InitialDataParams
@@ -38,6 +38,7 @@ from .trapset import TrapParams
 
 __all__ = [
     "ConfigError",
+    "Run",
     "SCHEMA",
     "EXPERIMENT_KINDS",
     "PIPELINE",
@@ -47,14 +48,27 @@ __all__ = [
     "validate_config",
     "config_hash",
     "config_text",
-    "run_grid",
-    "physical_config",
     "MEMORY_BUDGET",
 ]
 
 
 class ConfigError(ValueError):
     """Malformed, unknown, or out-of-range configuration input."""
+
+
+@dataclass(frozen=True)
+class Run:
+    """A validated run: its kind, the objects built from each section, the
+    window end s_end, and the grid the kind builds (None if it builds none)."""
+
+    kind: str
+    params: ModelParams
+    trap: TrapParams
+    solver: SolverConfig
+    init: InitialDataParams
+    s_end: float
+    physical: PhysicalConfig
+    grid: Grid | None
 
 
 EXPERIMENT_KINDS = (
@@ -177,9 +191,14 @@ def load_config(path: str | Path) -> dict:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(interpolation=None)
+    # no header can name the section "\n", so [DEFAULT] is a section like
+    # any other (and unknown); keys keep their case, as [trap] A and K0 do
+    parser = configparser.ConfigParser(interpolation=None, default_section="\n")
+    parser.optionxform = str
     try:
-        parser.read_string(path.read_text())
+        parser.read_string(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"could not read {path}: {err}") from None
     except configparser.Error as err:
         raise ConfigError(f"could not parse {path}: {err}") from None
     cfg = default_config()
@@ -209,18 +228,6 @@ def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
             raise ConfigError(f"override target {head.strip()!r} is not a known key")
         cfg[section][key] = _parse_value(section, key, raw)
     return cfg
-
-
-def run_grid(cfg: dict) -> Grid:
-    """The grid a run builds: a half-width that holds the cutoff support up
-    to [trajectory] s_end, at spacing [grid] dy."""
-    y_max = default_y_max(cfg["trap"]["K0"], cfg["trajectory"]["s_end"])
-    return make_grid(y_max, cfg["grid"]["dy"])
-
-
-def physical_config(cfg: dict, d0: float, d1: float) -> PhysicalConfig:
-    """The physical run from the data (d0, d1) prepared at [trajectory] s0."""
-    return PhysicalConfig(s0=cfg["trajectory"]["s0"], d0=d0, d1=d1, **cfg["physical"])
 
 
 def _demand(cfg: dict, kind: str):
@@ -256,8 +263,8 @@ def _build(section: str, make, **kwargs):
         raise ConfigError(f"[{section}] {err}") from None
 
 
-def validate_config(cfg: dict) -> None:
-    """Range and choice checks beyond plain typing.
+def validate_config(cfg: dict) -> Run:
+    """Range and choice checks beyond plain typing; returns the run.
 
     Each check states the accepted range, so a NaN or an infinity that
     reaches it unparsed fails it too.
@@ -266,29 +273,36 @@ def validate_config(cfg: dict) -> None:
     def bad(section: str, key: str, why: str):
         raise ConfigError(f"[{section}] {key}: {why} (got {cfg[section][key]!r})")
 
-    _build("model", make_params, **cfg["model"])
+    params = _build("model", make_params, **cfg["model"])
     if not (0.0 < cfg["grid"]["dy"] < math.inf):
         bad("grid", "dy", "must be > 0 and finite")
-    _build("trap", TrapParams, **cfg["trap"])
+    trap = _build("trap", TrapParams, **cfg["trap"])
     tj = cfg["trajectory"]
-    _build("trajectory", SolverConfig, ds=tj["ds"])
+    solver = _build("trajectory", SolverConfig, ds=tj["ds"])
     if not (tj["s0"] < tj["s_end"]):
         bad("trajectory", "s_end", "must exceed [trajectory] s0")
     try:
         window_steps(tj["s0"], tj["s_end"], tj["ds"])
     except ValueError as err:
         bad("trajectory", "s_end", str(err))
-    _build("trajectory", InitialDataParams, d0=tj["d0"], d1=tj["d1"], s0=tj["s0"])
-    _build("physical", physical_config, cfg=cfg, d0=tj["d0"], d1=tj["d1"])
+    init = _build("trajectory", InitialDataParams, d0=tj["d0"], d1=tj["d1"], s0=tj["s0"])
+    # from the [trajectory] data; called directly, so that the scans of
+    # what calls pass in tests/test_imports.py see this call
+    physical = _build(
+        "physical", lambda: PhysicalConfig(s0=init.s0, d0=init.d0, d1=init.d1, **cfg["physical"])
+    )
     kind = cfg["experiment"]["kind"]
     if kind not in EXPERIMENT_KINDS:
         bad("experiment", "kind", f"must be one of {EXPERIMENT_KINDS}")
     budget = f"the memory budget of {MEMORY_BUDGET / 2**30:g} GiB"
     demand, node_bytes = _demand(cfg, kind)
+    grid = None
     if demand is not None:
         thetas, rows, n_obs = demand
-        # a derived half-width can overflow to inf on finite inputs
-        grid = _build("grid", run_grid, cfg=cfg)
+        # the half-width that holds the cutoff support up to s_end, which
+        # can overflow to inf on finite inputs
+        y_max = default_y_max(trap.K0, tj["s_end"])
+        grid = _build("grid", make_grid, y_max=y_max, dy=cfg["grid"]["dy"])
         widths = [band_layout(theta, grid)[2] for theta in thetas]
         per_node = (
             _KERNEL_KEPT_BYTES * sum(widths)
@@ -308,7 +322,7 @@ def validate_config(cfg: dict) -> None:
             f"[physical] n_x: a {kind} run on {n_x} nodes does not fit in "
             f"{budget}, which holds at most {MEMORY_BUDGET // node_bytes} nodes"
         )
-    if demand is not None:
+    if grid is not None:
         # a grid derived from s_end holds every earlier time, unless dy
         # rounds its half-width down
         try:
@@ -317,6 +331,7 @@ def validate_config(cfg: dict) -> None:
                 interior_mask(grid)
         except ValueError as err:
             bad("grid", "dy", f"on the grid of a {kind} run to [trajectory] s_end, {err}")
+    return Run(kind, params, trap, solver, init, tj["s_end"], physical, grid)
 
 
 def _canon(value) -> str:

@@ -1,17 +1,19 @@
 """Experiment drivers behind the command line interface.
 
-Each runner takes the validated configuration dictionary and returns
+Each runner takes the `config.Run` that validation returns and returns
 (report, tables, ok): a JSON-serializable report, a mapping of CSV table
 name to (header, rows), and an overall pass flag.  Runners are pure
-functions of the configuration — no randomness, no clocks — so repeated
-runs produce byte-identical artifacts.
+functions of the run — no randomness, no clocks — so repeated runs
+produce byte-identical artifacts.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from .config import PIPELINE, physical_config, run_grid
+from .config import PIPELINE, Run
 from .grids import Field
 from .hermite import (
     cubic_weighted_sup,
@@ -20,7 +22,7 @@ from .hermite import (
     hermite_norm_sq,
     inner_rho,
 )
-from .model import make_params, potential_V, profile_residual
+from .model import potential_V, profile_residual
 from .semigroup import (
     apply_semigroup,
     interior_mask,
@@ -28,7 +30,6 @@ from .semigroup import (
     verify_smoothing,
 )
 from .shooting import (
-    InitialDataParams,
     certificate_dict,
     initial_components_check,
     initial_mode_map,
@@ -36,9 +37,9 @@ from .shooting import (
     initial_rectangle,
     shoot,
 )
-from .solver import SolverConfig, mode_ode_check, run_trajectory
+from .solver import mode_ode_check, run_trajectory
 from .physical import integrate_u, profile_error, stability_probe
-from .trapset import COMPONENTS, TrapParams, check_derived_bounds
+from .trapset import COMPONENTS, check_derived_bounds
 
 __all__ = ["run_experiment"]
 
@@ -48,14 +49,8 @@ def _cell(v) -> str:
     return repr(float(v))
 
 
-def _params(cfg: dict):
-    return make_params(**cfg["model"])
-
-
-def run_spectral_checks(cfg: dict):
-    params = _params(cfg)
-    s0 = cfg["trajectory"]["s0"]
-    grid = run_grid(cfg)
+def run_spectral_checks(run: Run):
+    params, trap, grid = run.params, run.trap, run.grid
     y = grid.y
 
     n_modes = 6
@@ -77,13 +72,12 @@ def run_spectral_checks(cfg: dict):
 
     h3_sup = cubic_weighted_sup(grid, hermite_h(3, y))
 
-    v100 = potential_V(params, np.array([2.0 * cfg["trap"]["K0"] * 10.0]), 100.0)
+    v100 = potential_V(params, np.array([2.0 * trap.K0 * 10.0]), 100.0)
     v_far = float(abs(v100[0] + params.p / (params.p - 1.0)))
 
     # one decomposition round trip on a synthetic field
-    trap = TrapParams(**cfg["trap"])
     rng_free = 1e-3 * (np.exp(-(y**2) / 6.0) * (1.0 + 0.3 * y)) + 2e-4 * np.tanh(y / 3.0)
-    d = decompose(Field(grid=grid, values=rng_free, s=s0), trap.K0)
+    d = decompose(Field(grid=grid, values=rng_free, s=run.init.s0), trap.K0)
     recon_err = float(np.max(np.abs(d.reconstruct() - rng_free)))
     derived = check_derived_bounds(d, trap)
 
@@ -112,8 +106,8 @@ def run_spectral_checks(cfg: dict):
     return report, tables, all(checks.values())
 
 
-def run_semigroup_checks(cfg: dict):
-    grid = run_grid(cfg)
+def run_semigroup_checks(run: Run):
+    grid = run.grid
     y = grid.y
 
     thetas = (0.01, 0.1, 0.5, 1.0, 2.0)
@@ -177,24 +171,18 @@ def _trajectory_table(rec):
     return header, [tuple(map(_cell, row)) for row in columns]
 
 
-def run_trajectory_experiment(cfg: dict):
-    params = _params(cfg)
-    tj = cfg["trajectory"]
-    grid = run_grid(cfg)
-    trap = TrapParams(**cfg["trap"])
-    scfg = SolverConfig(ds=tj["ds"])
-    init = initial_q(
-        params, grid, InitialDataParams(d0=tj["d0"], d1=tj["d1"], s0=tj["s0"])
-    )
-    rec = run_trajectory(init, params, trap, scfg, tj["s_end"])
+def run_trajectory_experiment(run: Run):
+    init, s_end = run.init, run.s_end
+    q_init = initial_q(run.params, run.grid, init)
+    rec = run_trajectory(q_init, run.params, run.trap, run.solver, s_end)
     report = {
-        "s0": tj["s0"],
-        "s_end": tj["s_end"],
-        "d0": tj["d0"],
-        "d1": tj["d1"],
+        "s0": init.s0,
+        "s_end": s_end,
+        "d0": init.d0,
+        "d1": init.d1,
         "initially_inside": bool((rec.margins[0] >= 0.0).all()),  # observed at s0
         "final_s": rec.final_s,
-        "survived": rec.survived(tj["s_end"]),
+        "survived": rec.survived(s_end),
         "n_records": int(rec.s.size),
     }
     if rec.exit is not None:
@@ -208,7 +196,7 @@ def run_trajectory_experiment(cfg: dict):
         }
     if rec.s.size >= 12:
         report["mode_checks"] = [mode_ode_check(rec, m) for m in (0, 1)]
-    ok = rec.survived(tj["s_end"]) or (
+    ok = rec.survived(s_end) or (
         rec.exit is not None
         and rec.exit.reason == "trap-exit"
         and rec.exit.component in ("q0", "q1")
@@ -218,16 +206,12 @@ def run_trajectory_experiment(cfg: dict):
     return report, {"trajectory": _trajectory_table(rec)}, ok
 
 
-def run_shoot_experiment(cfg: dict):
-    params = _params(cfg)
-    tj = cfg["trajectory"]
-    grid = run_grid(cfg)
-    trap = TrapParams(**cfg["trap"])
-    scfg = SolverConfig(ds=tj["ds"])
-    mode_map = initial_mode_map(params, grid, tj["s0"], trap.K0)
+def run_shoot_experiment(run: Run):
+    params, grid, trap, s0 = run.params, run.grid, run.trap, run.init.s0
+    mode_map = initial_mode_map(params, grid, s0, trap.K0)
     rect0 = initial_rectangle(mode_map, trap)
-    init_chk = initial_components_check(params, grid, tj["s0"], trap, rect0)
-    result = shoot(params, grid, trap, scfg, tj["s0"], tj["s_end"], rect0=rect0)
+    init_chk = initial_components_check(params, grid, s0, trap, rect0)
+    result = shoot(params, grid, trap, run.solver, s0, run.s_end, rect0=rect0)
     report = {
         "mode_map_M": mode_map.M.tolist(),
         "mode_map_b": mode_map.b.tolist(),
@@ -243,13 +227,11 @@ def run_shoot_experiment(cfg: dict):
     return report, {"survivor_trajectory": _trajectory_table(result.record)}, ok
 
 
-def run_physical_experiment(cfg: dict):
+def run_physical_experiment(run: Run):
     """One physical run from the [trajectory] data, its blow-up fit and profiles."""
-    params = _params(cfg)
-    tj = cfg["trajectory"]
-    pcfg = physical_config(cfg, tj["d0"], tj["d1"])
-    est = integrate_u(params, pcfg)
-    T = pcfg.T
+    params = run.params
+    est = integrate_u(params, run.physical)
+    T = run.physical.T
     stride = max(1, est.sample_t.size // 2000)
     rows = [
         (_cell(est.sample_t[i]), _cell(est.sample_umax[i]))
@@ -294,9 +276,8 @@ def run_physical_experiment(cfg: dict):
     return report, tables, all(checks.values())
 
 
-def run_stability_experiment(cfg: dict):
-    tj = cfg["trajectory"]
-    probe = stability_probe(_params(cfg), physical_config(cfg, tj["d0"], tj["d1"]))
+def run_stability_experiment(run: Run):
+    probe = stability_probe(run.params, run.physical)
     rows = probe["rows"]
     eps_values = sorted({r["eps"] for r in rows}, reverse=True)
     worst_dT = {
@@ -332,7 +313,7 @@ def run_stability_experiment(cfg: dict):
     return report, tables, all(checks.values())
 
 
-def run_full_pipeline(cfg: dict):
+def run_full_pipeline(run: Run):
     """The PIPELINE kinds in order, each report and table under the kind's
     name without "-checks"; a failed shoot ends the run, and the physical
     run starts from the data the shoot certifies."""
@@ -340,7 +321,7 @@ def run_full_pipeline(cfg: dict):
     tables: dict = {}
     ok = True
     for kind in PIPELINE:
-        sub, tb, good = _RUNNERS[kind](cfg)
+        sub, tb, good = _RUNNERS[kind](run)
         part = kind.removesuffix("-checks")
         report[part] = sub
         tables.update({f"{part}_{k}": v for k, v in tb.items()})
@@ -349,8 +330,8 @@ def run_full_pipeline(cfg: dict):
             if not good:
                 break
             cert = sub["certificate"]
-            tj = {**cfg["trajectory"], "d0": cert["d0"], "d1": cert["d1"]}
-            cfg = {**cfg, "trajectory": tj}
+            physical = replace(run.physical, d0=cert["d0"], d1=cert["d1"])
+            run = replace(run, physical=physical)
     report["ok"] = ok
     return report, tables, ok
 
@@ -366,11 +347,6 @@ _RUNNERS = {
 }
 
 
-def run_experiment(cfg: dict):
-    """Dispatch on [experiment] kind; returns (report, tables, ok)."""
-    kind = cfg["experiment"]["kind"]
-    try:
-        runner = _RUNNERS[kind]
-    except KeyError:
-        raise ValueError(f"unknown experiment kind {kind!r}") from None
-    return runner(cfg)
+def run_experiment(run: Run):
+    """Dispatch on the run's kind; returns (report, tables, ok)."""
+    return _RUNNERS[run.kind](run)

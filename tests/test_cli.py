@@ -177,6 +177,29 @@ def test_config_errors_return_two(base_ini, tmp_path, capsys):
     assert "must be one of" in capsys.readouterr().err
 
 
+def test_unreadable_config_returns_two(tmp_path, capsys):
+    # the bytes ff fe decode as no UTF-8
+    ini = tmp_path / "utf16.ini"
+    ini.write_bytes(b"\xff\xfe[model]\np = 2.0\n")
+    out = tmp_path / "res"
+    assert main(["run", str(ini), "--out", str(out)]) == 2
+    assert "config error: could not read" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("under", ["", "sub"])
+def test_output_path_through_a_file_returns_two(base_ini, tmp_path, capsys, under):
+    # checked before the run: a file where a directory must go
+    blocker = tmp_path / "taken"
+    blocker.write_text("kept\n")
+    out = blocker / under if under else blocker
+    assert main(["run", str(base_ini), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "is, or lies under, a file" in captured.err
+    assert "running" not in captured.out
+    assert blocker.read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("item,msg", [
     ("trajectory.s_end=inf", "[trajectory] s_end: expected a finite number"),
     ("trajectory.s_end=nan", "[trajectory] s_end: expected a finite number"),
@@ -323,7 +346,7 @@ def test_grid_without_interior_returns_two(base_ini, tmp_path, capsys):
 def test_value_error_during_run_returns_three(base_ini, tmp_path, capsys, monkeypatch):
     # a ValueError that survives validation is a numerical failure, and
     # the run writes nothing
-    def fail(cfg):
+    def fail(run):
         raise ValueError("zero-size array")
 
     monkeypatch.setattr("blowup_lab.experiments.run_experiment", fail)

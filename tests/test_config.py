@@ -1,5 +1,6 @@
 """INI schema, overrides, validation messages, canonical hashing."""
 
+import dataclasses
 import math
 
 import pytest
@@ -13,16 +14,17 @@ from blowup_lab.config import (
     PIPELINE,
     SCHEMA,
     ConfigError,
+    Run,
     _demand,
     apply_overrides,
     config_hash,
     config_text,
     default_config,
     load_config,
-    run_grid,
     validate_config,
 )
 from blowup_lab.experiments import run_semigroup_checks
+from blowup_lab.grids import default_y_max, make_grid
 from blowup_lab.hermite import check_cutoff_support
 from blowup_lab.semigroup import interior_mask
 
@@ -75,6 +77,32 @@ def test_load_rejects_unknown_section(tmp_path):
 def test_load_rejects_unknown_key(tmp_path):
     path = _write(tmp_path, "[model]\nq = 2.0\n")
     with pytest.raises(ConfigError, match="unknown key 'q'"):
+        load_config(path)
+
+
+def test_load_keeps_the_case_of_keys(tmp_path):
+    path = _write(tmp_path, "[trap]\nA = 4.0\nK0 = 3.0\n")
+    assert load_config(path)["trap"] == {"A": 4.0, "K0": 3.0}
+    path = _write(tmp_path, "[trap]\nk0 = 3.0\n")
+    with pytest.raises(ConfigError, match=r"unknown key 'k0' in \[trap\]"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("text", [
+    "[DEFAULT]\np = 3.0\n",
+    "[trajectory]\nds = 0.01\n\n[DEFAULT]\np = 3.0\n",
+    "[DEFAULT]\n",
+], ids=["alone", "after-a-known-section", "empty"])
+def test_load_rejects_the_default_section(tmp_path, text):
+    # configparser would hand its keys to every section, or drop them
+    with pytest.raises(ConfigError, match=r"unknown section \[DEFAULT\]"):
+        load_config(_write(tmp_path, text))
+
+
+def test_load_rejects_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_bytes(b"\xff\xfe[model]\np = 2.0\n")
+    with pytest.raises(ConfigError, match="could not read"):
         load_config(path)
 
 
@@ -196,6 +224,23 @@ def test_validation_rejects_unparsed_non_finite_values(section, key, value):
         validate_config(cfg)
 
 
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+def test_validation_returns_the_run_it_built(kind):
+    cfg = default_config()
+    cfg["experiment"]["kind"] = kind
+    run = validate_config(cfg)
+    assert isinstance(run, Run) and run.kind == kind
+    assert (run.params.p, run.trap.A, run.trap.K0, run.solver.ds) == (2.0, 8.0, 4.0, 0.02)
+    assert (run.init.d0, run.init.d1, run.init.s0, run.s_end) == (0.0, 0.0, 20.0, 26.0)
+    assert (run.physical.s0, run.physical.n_x) == (20.0, 1601)
+    # only the kinds that step or decompose on the y grid build it, with a
+    # half-width that holds the cutoff support up to s_end
+    grid = None if kind in ("physical", "stability") else make_grid(default_y_max(4.0, 26.0), 0.05)
+    assert run.grid == grid
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        run.kind = "shoot"
+
+
 def test_validation_defers_model_coupling_to_params():
     # cross-parameter conditions come from the model constructor verbatim
     cfg = default_config()
@@ -314,10 +359,13 @@ def test_semigroup_checks_need_an_interior_beyond_the_edge_collar(dy, ok):
 
 
 def test_semigroup_checks_keep_the_kernels_the_memory_cap_counts(monkeypatch):
-    # a semigroup-checks run keeps as many kernels as `_check_memory` plans for
+    # a semigroup-checks run keeps as many kernels as `_demand`'s
+    # semigroup-checks row plans for
     monkeypatch.setattr(semigroup, "_MATRIX_CACHE", {})
-    cfg = apply_overrides(default_config(), ["trap.K0=0.5", "grid.dy=0.1"])
-    run_semigroup_checks(cfg)
+    cfg = apply_overrides(
+        default_config(), ["trap.K0=0.5", "grid.dy=0.1", "experiment.kind=semigroup-checks"]
+    )
+    run_semigroup_checks(validate_config(cfg))
     assert len(semigroup._MATRIX_CACHE) == _CHECK_KERNELS
 
 
@@ -417,7 +465,7 @@ def _overrides(draw):
     return values, draw(st.sampled_from(EXPERIMENT_KINDS))
 
 
-def _assert_in_range(cfg):
+def _assert_in_range(cfg, run):
     for section, key, typ in _NUMERIC_KEYS:
         if typ is float:
             assert math.isfinite(cfg[section][key]), (section, key)
@@ -436,7 +484,7 @@ def _assert_in_range(cfg):
     # kernel checks keep an interior beyond the edge collar
     kind = cfg["experiment"]["kind"]
     if kind in ("spectral-checks", "semigroup-checks", "trajectory", "shoot", "full-pipeline"):
-        grid = run_grid(cfg)
+        grid = run.grid
         check_cutoff_support(grid.y_max, cfg["trap"]["K0"], cfg["trajectory"]["s_end"])
         if kind in ("semigroup-checks", "full-pipeline"):
             interior_mask(grid)
@@ -454,7 +502,7 @@ def test_validation_either_rejects_or_keeps_every_range(drawn):
         cfg[section][key] = value
     cfg["experiment"]["kind"] = kind
     try:
-        validate_config(cfg)
+        run = validate_config(cfg)
     except ConfigError:
         return
-    _assert_in_range(cfg)
+    _assert_in_range(cfg, run)

@@ -292,6 +292,14 @@ def _program() -> tuple[dict[str, str], list[str]]:
     return modules, callers
 
 
+def test_runners_take_what_validation_built():
+    # config.validate_config builds the run's objects and grid once, and
+    # the runners take that run
+    source = (Path(blowup_lab.__file__).parent / "experiments.py").read_text(encoding="utf-8")
+    built = {"make_params", "TrapParams", "SolverConfig", "InitialDataParams", "PhysicalConfig"}
+    assert set(_calls([source])).isdisjoint(built | {"make_grid", "run_grid"})
+
+
 def test_every_parameter_is_read_and_every_default_overridden():
     assert _idle_knobs(*_program()) == _KNOBS_KEPT
 
