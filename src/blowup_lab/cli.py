@@ -10,9 +10,10 @@ wall clock, hostname, or thread count, so reruns are byte-identical.
 
 Exit codes: 0 run completed and all checks passed; 1 run completed but a
 check failed; 2 configuration or usage error, including an unreadable
-config file, a grid too narrow for the kind's spectral decompositions and
-an output path through a file; 3 numerical failure, including any
-ValueError a run raises after validation.  Codes 2 and 3 write nothing.
+config file, a grid too narrow for the kind's spectral decompositions, an
+output path through a file and an output directory that holds a non-file
+named like an artifact; 3 numerical failure, including any ValueError a
+run raises after validation.  Codes 2 and 3 write nothing.
 
 BLAS/OpenMP thread counts are pinned to 1 before numpy is first imported
 (unless the caller already set them), since reduction order varies with
@@ -126,6 +127,13 @@ def main(argv: list[str] | None = None) -> int:
     if any(path.exists() and not path.is_dir() for path in (out_dir, *out_dir.parents)):
         print(f"usage error: --out {out_dir} is, or lies under, a file", file=sys.stderr)
         return 2
+    # an entry named like an artifact (each table is a .csv) must be a file
+    artifacts = ("report.json", "config.txt", "MANIFEST.txt")
+    for path in sorted(out_dir.iterdir()) if out_dir.is_dir() else ():
+        if (path.name in artifacts or path.suffix == ".csv") and not path.is_file():
+            print(f"usage error: --out {out_dir} holds {path.name}, which is not a file",
+                  file=sys.stderr)
+            return 2
 
     from .experiments import run_experiment
 

@@ -42,6 +42,8 @@ __all__ = [
     "SCHEMA",
     "EXPERIMENT_KINDS",
     "PIPELINE",
+    "CHECK_DS",
+    "WITNESS_SIDE",
     "default_config",
     "load_config",
     "apply_overrides",
@@ -84,6 +86,13 @@ EXPERIMENT_KINDS = (
 # the kinds full-pipeline runs, in order; its physical run starts from the
 # data the shoot certifies
 PIPELINE = ("spectral-checks", "semigroup-checks", "shoot", "physical")
+
+# the fixed step of the checks a shoot runs on its certified data (the
+# Duhamel split and the mode-0 defect) and of the similarity-variable march
+# of full-pipeline's physical part; and the side of the shoot's square of
+# reduction witness data
+CHECK_DS = 0.01
+WITNESS_SIDE = 7
 
 
 # section -> key -> (type, default).  A float must be finite.
@@ -196,7 +205,8 @@ def load_config(path: str | Path) -> dict:
     parser = configparser.ConfigParser(interpolation=None, default_section="\n")
     parser.optionxform = str
     try:
-        parser.read_string(path.read_text(encoding="utf-8"))
+        # utf-8-sig drops a leading byte order mark
+        parser.read_string(path.read_text(encoding="utf-8-sig"))
     except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"could not read {path}: {err}") from None
     except configparser.Error as err:
@@ -235,9 +245,11 @@ def _demand(cfg: dict, kind: str):
     holds [trajectory] s_end, as the thetas of the kernels it keeps, the
     rows it steps together and the observations of each row, or None if it
     builds none; and the bytes per [physical] n_x node, or 0 if it makes no
-    physical run.  A full-pipeline run holds the most any part holds."""
+    physical run.  A full-pipeline run holds the most any part holds, and
+    the kernel of the last, shorter step of its physical part's march."""
     if kind == "full-pipeline":
         grids, node_bytes = zip(*(_demand(cfg, part) for part in PIPELINE))
+        grids += (((CHECK_DS,), 1, 0),)
         thetas, rows, n_obs = zip(*(grid for grid in grids if grid is not None))
         return (sum(thetas, ()), max(rows), max(n_obs)), max(node_bytes)
     tj = cfg["trajectory"]
@@ -246,8 +258,13 @@ def _demand(cfg: dict, kind: str):
         "spectral-checks": (((), 1, 0), 0),
         "semigroup-checks": (((math.inf,) * _CHECK_KERNELS, 1, 0), 0),
         "trajectory": (((tj["ds"],), 1, n_obs), 0),
-        # a level runs the five points of its plus-pattern together
-        "shoot": (((tj["ds"],), 5, n_obs), 0),
+        # a level runs the five points of its plus-pattern together, and the
+        # witness all its rows; the checks keep the CHECK_DS kernel, and the
+        # Duhamel split's 17 times over its 100 steps lie 6 or 7 steps apart
+        "shoot": (
+            ((tj["ds"], CHECK_DS, 6 * CHECK_DS, 7 * CHECK_DS), WITNESS_SIDE**2, n_obs),
+            0,
+        ),
         "physical": (None, _PROFILED_RUN_BYTES),
         # the probe steps its baseline and its bumped fields as one (K, n_x)
         # stack and reads no snapshot

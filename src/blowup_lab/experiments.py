@@ -4,7 +4,10 @@ Each runner takes the `config.Run` that validation returns and returns
 (report, tables, ok): a JSON-serializable report, a mapping of CSV table
 name to (header, rows), and an overall pass flag.  Runners are pure
 functions of the run — no randomness, no clocks — so repeated runs
-produce byte-identical artifacts.
+produce byte-identical artifacts.  Every figure the acceptance criteria
+read is a report field of the kind that owns it, so `blowup-lab run`
+reproduces each of them.  Steps, data and grids other than the run's are
+`dataclasses.replace`s of the objects validation built.
 """
 
 from __future__ import annotations
@@ -13,16 +16,17 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import PIPELINE, Run
+from .config import CHECK_DS, PIPELINE, WITNESS_SIDE, Run
 from .grids import Field
 from .hermite import (
+    apply_L_discrete,
     cubic_weighted_sup,
     decompose,
     hermite_h,
     hermite_norm_sq,
     inner_rho,
 )
-from .model import potential_V, profile_residual
+from .model import phi, potential_V, profile_f, profile_residual, remainder_R
 from .semigroup import (
     apply_semigroup,
     interior_mask,
@@ -37,9 +41,10 @@ from .shooting import (
     initial_rectangle,
     shoot,
 )
-from .solver import mode_ode_check, run_trajectory
+from .solver import DivergenceError, duhamel_split_check, run_trajectories, run_trajectory, step_w
 from .physical import integrate_u, profile_error, stability_probe
-from .trapset import COMPONENTS, check_derived_bounds
+from .similarity import _not_a_knot_spline
+from .trapset import COMPONENTS, check_derived_bounds, mode_ode_check, reduction_witness
 
 __all__ = ["run_experiment"]
 
@@ -49,8 +54,15 @@ def _cell(v) -> str:
     return repr(float(v))
 
 
+def _operator_defect(grid, m: int):
+    """Gaussian-weighted norm of L_h h_m - (1 - m/2) h_m on a grid."""
+    hm = hermite_h(m, grid.y)
+    resid = apply_L_discrete(grid, hm) - (1.0 - 0.5 * m) * hm
+    return np.sqrt(inner_rho(grid, resid, resid))
+
+
 def run_spectral_checks(run: Run):
-    params, trap, grid = run.params, run.trap, run.grid
+    params, trap, grid, s0 = run.params, run.trap, run.grid, run.init.s0
     y = grid.y
 
     n_modes = 6
@@ -59,16 +71,31 @@ def run_spectral_checks(run: Run):
         hi = hermite_h(i, y)
         for j in range(n_modes):
             gram[i, j] = inner_rho(grid, hi, hermite_h(j, y))
-    norm_err = max(
-        abs(gram[m, m] / hermite_norm_sq(m) - 1.0) for m in range(n_modes)
-    )
-    off = gram.copy()
-    np.fill_diagonal(off, 0.0)
-    ortho_err = float(np.max(np.abs(off)))
+    norms = np.array([hermite_norm_sq(m) for m in range(n_modes)])
+    norm_err = max(abs(gram[m, m] / norms[m] - 1.0) for m in range(n_modes))
+    ortho_err = float(np.max(np.abs(gram - np.diag(np.diag(gram)))))
+    gram_err = float(np.max(np.abs(gram - np.diag(norms)) / norms[:, None]))
 
-    # profile identity, sampled where the closed forms are well scaled
+    # L_h is second order: its defect on h3-h5 at 4 dy, 2 dy and dy over
+    # the same half-width (at least one node on each side of y = 0)
+    ladder = [replace(grid, n_half=max(1, grid.n_half // k), dy=k * grid.dy) for k in (4, 2, 1)]
+    errs = np.array([[_operator_defect(g, m) for g in ladder] for m in (3, 4, 5)])
+    with np.errstate(divide="ignore", invalid="ignore"):  # nan on a grid too coarse for a mode
+        order_min = float(np.min(np.log2(errs[:, :-1] / errs[:, 1:])))
+
+    # profile identity, sampled where the closed forms are well scaled; the
+    # scaled residual divides by f^p, the size of each term of the ODE
     zs = np.linspace(-3.0, 3.0, 1001)
-    prof_resid = float(np.max(np.abs(profile_residual(params, zs))))
+    resid = profile_residual(params, zs)
+    prof_resid = float(np.max(np.abs(resid)))
+    prof_scaled = float(np.max(np.abs(resid / profile_f(params, zs) ** params.p)))
+
+    # the source R decays like 1/s: its sup over |z| <= 10 at s0, 2 s0,
+    # 4 s0 and 8 s0
+    svals = s0 * np.array([1.0, 2.0, 4.0, 8.0])
+    zr = np.linspace(-10.0, 10.0, 4001)
+    sups = [float(np.max(np.abs(remainder_R(params, zr * np.sqrt(s), s)))) for s in svals]
+    source_slope = float(np.polyfit(np.log(svals), np.log(sups), 1)[0])
 
     h3_sup = cubic_weighted_sup(grid, hermite_h(3, y))
 
@@ -77,7 +104,7 @@ def run_spectral_checks(run: Run):
 
     # one decomposition round trip on a synthetic field
     rng_free = 1e-3 * (np.exp(-(y**2) / 6.0) * (1.0 + 0.3 * y)) + 2e-4 * np.tanh(y / 3.0)
-    d = decompose(Field(grid=grid, values=rng_free, s=run.init.s0), trap.K0)
+    d = decompose(Field(grid=grid, values=rng_free, s=s0), trap.K0)
     recon_err = float(np.max(np.abs(d.reconstruct() - rng_free)))
     derived = check_derived_bounds(d, trap)
 
@@ -91,17 +118,19 @@ def run_spectral_checks(run: Run):
     report = {
         "orthogonality_max_offdiag": ortho_err,
         "norm_max_rel_err": norm_err,
+        "gram_max_rel_err": gram_err,
+        "operator_defect_order_min": order_min,
         "profile_residual_sup": prof_resid,
         "profile_residual_over_eps": prof_resid / eps,
+        "profile_residual_scaled_over_eps": prof_scaled / eps,
+        "source_sup_slope": source_slope,
         "h3_cubic_weighted_sup": h3_sup,
         "potential_far_field_gap": v_far,
         "reconstruction_residual": recon_err,
         "derived_bounds": derived,
         "checks": checks,
     }
-    rows = [
-        (i, j, _cell(gram[i, j])) for i in range(n_modes) for j in range(n_modes)
-    ]
+    rows = [(i, j, _cell(gram[i, j])) for i in range(n_modes) for j in range(n_modes)]
     tables = {"gram": (("i", "j", "inner_product"), rows)}
     return report, tables, all(checks.values())
 
@@ -114,7 +143,7 @@ def run_semigroup_checks(run: Run):
     eig_rows = []
     eig_err = 0.0
     mask = interior_mask(grid)
-    for m in range(4):
+    for m in range(5):
         h = Field(grid=grid, values=hermite_h(m, y), s=0.0)
         for theta in thetas:
             out = apply_semigroup(theta, h)
@@ -206,12 +235,48 @@ def run_trajectory_experiment(run: Run):
     return report, {"trajectory": _trajectory_table(rec)}, ok
 
 
+def _record_checks(run: Run, rec) -> dict:
+    """Whether N <= R in sup at every step of a shoot's record, the peak
+    of s^4 N, and over s >= s0 + 2 (if two records lie there) the log-log
+    slopes of ||q||_inf and of the gradient sup and the peak over its
+    start of the sqrt(s)-scaled gradient sup."""
+    # where N = 0, as everywhere in an unperturbed model, N <= R holds
+    n_le_r = all(
+        n <= np.max(np.abs(remainder_R(run.params, run.grid.y, s)))
+        for s, n in zip(rec.s, rec.N_sup) if n > 0.0
+    )
+    out = {"N_le_R_all_steps": n_le_r, "max_s4_N": float(np.max(rec.s**4 * rec.N_sup))}
+    fit = rec.s >= run.init.s0 + 2.0
+    if np.count_nonzero(fit) >= 2:
+        log_s, scaled_g = np.log(rec.s[fit]), rec.gradq_sup[fit] * np.sqrt(rec.s[fit])
+        out["slope_q"] = float(np.polyfit(log_s, np.log(rec.q_sup[fit]), 1)[0])
+        out["slope_gradq"] = float(np.polyfit(log_s, np.log(rec.gradq_sup[fit]), 1)[0])
+        out["grad_bound_ratio"] = float(np.max(scaled_g) / scaled_g[0])
+    return out
+
+
+def _initial(run: Run, d0: float, d1: float, s0: float):
+    """The prepared deviation of (d0, d1) at s0 on the run's grid."""
+    return initial_q(run.params, run.grid, replace(run.init, d0=float(d0), d1=float(d1), s0=s0))
+
+
 def run_shoot_experiment(run: Run):
+    """The shoot, the decay of its record and the exit statistics of the
+    7x7 data over rect0 stepped to s_end; once it certifies, at steps of
+    CHECK_DS, the Duhamel split of the certified data over [s0, s0 + 1]
+    and the s^2-scaled mode-0 defect over 1.5 time units from the
+    rectangle centres at s0 and 2 s0, each when the window reaches that far."""
     params, grid, trap, s0 = run.params, run.grid, run.trap, run.init.s0
     mode_map = initial_mode_map(params, grid, s0, trap.K0)
     rect0 = initial_rectangle(mode_map, trap)
     init_chk = initial_components_check(params, grid, s0, trap, rect0)
     result = shoot(params, grid, trap, run.solver, s0, run.s_end, rect0=rect0)
+    square = [
+        _initial(run, d0, d1, s0)
+        for d0 in np.linspace(*rect0[0], WITNESS_SIDE)
+        for d1 in np.linspace(*rect0[1], WITNESS_SIDE)
+    ]
+    witness = reduction_witness(run_trajectories(square, params, trap, run.solver, run.s_end), trap)
     report = {
         "mode_map_M": mode_map.M.tolist(),
         "mode_map_b": mode_map.b.tolist(),
@@ -221,14 +286,60 @@ def run_shoot_experiment(run: Run):
             "worst_margins": init_chk["worst_margins"].tolist(),
         },
         "certificate": certificate_dict(result),
+        "record_checks": _record_checks(run, result.record),
+        "witness": {k: v for k, v in witness.items() if k != "exits"},
     }
-    ok = result.status == "survived" and init_chk["all_inside"]
+    fine = replace(run.solver, ds=CHECK_DS)
+    certified = result.status == "survived"
+    if certified and run.s_end >= s0 + 1.0:
+        q = _initial(run, result.d0, result.d1, s0)
+        try:
+            du = duhamel_split_check(q, params, trap, fine, s0 + 1.0)
+            du["residual_over_q_sup"] = du["reconstruction_residual"] / du["q_sup"]
+        except DivergenceError as err:  # a step of CHECK_DS outgrows a kernel on a coarse grid
+            du = {"diverged_at": err.s}
+        report["duhamel"] = du
+    if certified and run.s_end >= 2.0 * s0 + 1.5:
+        defects = []
+        for start in (s0, 2.0 * s0):
+            rect = initial_rectangle(initial_mode_map(params, grid, start, trap.K0), trap)
+            q = _initial(run, np.mean(rect[0]), 0.0, start)
+            rec = run_trajectory(q, params, trap, fine, start + 1.5)
+            defects.append(mode_ode_check(rec, 0)["sup_scaled_defect"])
+        ratio = defects[1] / defects[0]
+        report["mode_ode_doubling"] = {"sup_scaled_defect": defects, "ratio": ratio}
+    ok = certified and init_chk["all_inside"]
     report["ok"] = ok
     return report, {"survivor_trajectory": _trajectory_table(result.record)}, ok
 
 
+def _round_trip(run: Run, est) -> float:
+    """Sup over |y| <= 10 of the gap between the run's data marched in
+    similarity variables on its grid (`solver.step_w`, steps of CHECK_DS
+    and a shorter last one) and its first snapshot, rescaled with the
+    exact blow-up time and splined."""
+    params, grid, cfg = run.params, run.grid, run.physical
+    t_snap, u_snap = est.snapshots[0]
+    tau = cfg.T - t_snap
+    s_snap = -np.log(tau)
+    # w = phi + q at s0
+    w = _initial(run, cfg.d0, cfg.d1, cfg.s0)
+    w.values += phi(params, grid.y, cfg.s0)
+    fine = replace(run.solver, ds=CHECK_DS)
+    for _ in range(int((s_snap - cfg.s0) / CHECK_DS)):
+        w = step_w(w, params, fine)
+    if s_snap - w.s > 1e-12:
+        w = step_w(w, params, replace(fine, ds=s_snap - w.s))
+    mask = np.abs(grid.y) <= 10.0
+    rescaled = tau ** (1.0 / (params.p - 1.0)) * u_snap
+    spline, _ = _not_a_knot_spline(est.x / np.sqrt(tau), rescaled, grid.y[mask])
+    return float(np.max(np.abs(w.values[mask] - spline)))
+
+
 def run_physical_experiment(run: Run):
-    """One physical run from the [trajectory] data, its blow-up fit and profiles."""
+    """One physical run from the [trajectory] data, its blow-up fit and
+    profiles; as the part of full-pipeline, which builds a grid, also the
+    round trip of its data through the similarity variables."""
     params = run.params
     est = integrate_u(params, run.physical)
     T = run.physical.T
@@ -256,6 +367,9 @@ def run_physical_experiment(run: Run):
         profile_error(est.x, u_snap, t_snap, est, params)
         for t_snap, u_snap in est.snapshots
     ]
+    # the rescaled centre value at the last step, against the ansatz's kappa
+    scale_end = (est.T_est - est.t_end) ** (1.0 / (params.p - 1.0))
+    w_center = float(scale_end * est.u_end[est.x.size // 2])
     checks = {
         "fit_quality": est.fit_quality > 0.999,
         "blowup_after_last_sample": est.T_est > est.t_end,
@@ -266,13 +380,23 @@ def run_physical_experiment(run: Run):
         "T_est": est.T_est,
         "rel_T_err": rel_T,
         "a_est": est.a_est,
+        "dx": float(est.x[1] - est.x[0]),
         "fit_quality": est.fit_quality,
         "n_steps": est.n_steps,
         "t_end": est.t_end,
         "growth": est.umax_end / float(est.sample_umax[0]),
+        "w_center_end": w_center,
+        "kappa_rel_gap_end": abs(w_center - params.kappa) / params.kappa,
         "profile_errors": profs,
+        # in units of the deviation's 1/sqrt(s) decay
+        "scaled_profile_errors": [float(p["e_sup_f"] * np.sqrt(p["s"])) for p in profs],
         "checks": checks,
     }
+    if run.grid is not None:
+        try:
+            report["transform_diff"] = _round_trip(run, est)
+        except DivergenceError as err:  # as the shoot's Duhamel split may
+            report["transform_diff_diverged_at"] = err.s
     return report, tables, all(checks.values())
 
 
@@ -280,9 +404,10 @@ def run_stability_experiment(run: Run):
     probe = stability_probe(run.params, run.physical)
     rows = probe["rows"]
     eps_values = sorted({r["eps"] for r in rows}, reverse=True)
-    worst_dT = {
-        eps: max(abs(r["dT"]) for r in rows if r["eps"] == eps) for eps in eps_values
-    }
+    worst_dT, worst_da = (
+        {eps: max(abs(r[key]) for r in rows if r["eps"] == eps) for eps in eps_values}
+        for key in ("dT", "da")
+    )
     shrinking = all(
         worst_dT[eps_values[i + 1]] <= worst_dT[eps_values[i]]
         for i in range(len(eps_values) - 1)
@@ -294,6 +419,7 @@ def run_stability_experiment(run: Run):
     report = {
         "baseline": probe["baseline"],
         "worst_dT_by_eps": {repr(k): v for k, v in worst_dT.items()},
+        "worst_da_by_eps": {repr(k): v for k, v in worst_da.items()},
         "checks": checks,
     }
     table_rows = [

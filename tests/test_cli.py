@@ -187,17 +187,25 @@ def test_unreadable_config_returns_two(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("under", ["", "sub"])
+@pytest.mark.parametrize("under", ["", "sub", "report.json", "trajectory.csv", "MANIFEST.txt"])
 def test_output_path_through_a_file_returns_two(base_ini, tmp_path, capsys, under):
-    # checked before the run: a file where a directory must go
-    blocker = tmp_path / "taken"
-    blocker.write_text("kept\n")
-    out = blocker / under if under else blocker
+    # checked before the run: a file where a directory must go, or a
+    # directory where an artifact must go
+    taken = tmp_path / "taken"
+    if "." in under:
+        (taken / under).mkdir(parents=True)
+        out, msg = taken, f"holds {under}, which is not a file"
+    else:
+        taken.write_text("kept\n")
+        out, msg = taken / under, "is, or lies under, a file"
     assert main(["run", str(base_ini), "--out", str(out)]) == 2
     captured = capsys.readouterr()
-    assert "is, or lies under, a file" in captured.err
+    assert msg in captured.err
     assert "running" not in captured.out
-    assert blocker.read_text() == "kept\n"
+    if taken.is_file():
+        assert taken.read_text() == "kept\n"
+    else:
+        assert [p.name for p in taken.rglob("*")] == [under]
 
 
 @pytest.mark.parametrize("item,msg", [
@@ -276,6 +284,14 @@ def test_full_pipeline_follows_the_certificate(base_ini, tmp_path):
     assert phys["T"] == math.exp(-20.0)
     # measured 3.97e-6 (n_x = 1601, certificate at level 2)
     assert phys["rel_T_err"] < 1e-5
+    # all 49 witness rows leave through an expanding mode (by s = 23.1),
+    # and the mode-0 defect at 2 s0 needs a window to 2 s0 + 1.5 = 41.5
+    shoot = report["shoot"]
+    assert (shoot["witness"]["n_runs"], shoot["witness"]["fraction_q0q1"]) == (49, 1.0)
+    figures = [shoot["record_checks"][k] for k in ("slope_q", "slope_gradq", "grad_bound_ratio")]
+    figures += [shoot["duhamel"]["residual_over_q_sup"], phys["transform_diff"]]
+    assert all(math.isfinite(x) for x in figures)
+    assert "mode_ode_doubling" not in shoot
 
 
 def test_full_pipeline_stops_after_a_failed_shoot(base_ini, tmp_path, monkeypatch):

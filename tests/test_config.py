@@ -106,6 +106,15 @@ def test_load_rejects_a_file_that_is_not_utf8(tmp_path):
         load_config(path)
 
 
+def test_load_takes_a_utf8_file_with_a_byte_order_mark(tmp_path):
+    # some editors save UTF-8 with ef bb bf in front
+    text = "[model]\np = 3.0\n[trajectory]\ns_end = 23.0\n"
+    path = tmp_path / "bom.ini"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert load_config(path) == load_config(_write(tmp_path, text))
+    assert load_config(path)["model"]["p"] == 3.0
+
+
 def test_load_rejects_bad_number(tmp_path):
     path = _write(tmp_path, "[model]\np = two\n")
     with pytest.raises(ConfigError, match="expected float, got 'two'"):
@@ -271,8 +280,8 @@ def test_s0_between_e_and_2_8_validates():
     ({"grid": {"dy": 1e-6}}, "spectral-checks", r"\[grid\] a spectral-checks run"),
     # the derived grid at s_end = 26 has 183171 nodes, and a dy = 0.0005
     # kernel of ds = 0.02 reaches 3555 of them on each side of a row's
-    # centre: the cap is 65011 nodes (dy = 0.001 fits, 91587 nodes against
-    # a cap of 126337)
+    # centre: the kernel and five rows alone cap the run at 65011 nodes,
+    # and with the checks of the certificate the cap is 11432
     ({"grid": {"dy": 0.0005}}, "shoot", r"\[grid\] a shoot run on 183171 nodes"),
     # 5e7 steps of ds = 0.02 to record leave no room for any node
     ({"trajectory": {"s_end": 1e6}}, "trajectory", r"\[grid\] .* holds at most 0 nodes"),
@@ -413,9 +422,28 @@ def test_each_kind_has_a_runner_and_a_demand_row():
     cfg = default_config()
     rows = {kind: _demand(cfg, kind) for kind in EXPERIMENT_KINDS}
     assert set(PIPELINE) < set(EXPERIMENT_KINDS) and "full-pipeline" not in PIPELINE
-    # full-pipeline keeps the nine check kernels and the shoot's, steps the
-    # shoot's five rows over its 301 observations and profiles its physical run
-    assert rows["full-pipeline"] == (((math.inf,) * _CHECK_KERNELS + (0.02,), 5, 301), 300)
+    # full-pipeline keeps the nine check kernels, the shoot's, the CHECK_DS
+    # kernel and the Duhamel split's gap kernels of 6 and 7 steps, and the
+    # kernel of the last step of its physical part's march; it steps the
+    # witness's 49 rows over the shoot's 301 observations and profiles its
+    # physical run
+    kernels = (math.inf,) * _CHECK_KERNELS + (0.02, 0.01, 0.06, 0.07, 0.01)
+    assert rows["full-pipeline"] == ((kernels, 49, 301), 300)
+
+
+def test_shoot_demand_counts_the_checks_of_its_certificate():
+    # the witness steps 49 rows together, and the Duhamel split keeps the
+    # kernels of 0.06 and 0.07 next to those of 0.02 and 0.01.  On the
+    # 45795-node grid of dy = 0.002 each alone fits (caps of 126957 and
+    # 46944 nodes; 239068 for the five rows and one kernel of the shoot
+    # itself), and both together cap the run at 39987 nodes
+    cfg = default_config()
+    cfg["experiment"]["kind"] = "shoot"
+    cfg["grid"]["dy"] = 0.002
+    with pytest.raises(ConfigError, match=r"a shoot run on 45795 nodes .* at most 39987 nodes"):
+        validate_config(cfg)
+    cfg["grid"]["dy"] = 0.003
+    validate_config(cfg)
 
 
 def test_config_text_is_sorted_and_canonical():

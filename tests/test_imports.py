@@ -129,7 +129,8 @@ def test_every_imported_name_is_used_or_exported():
 
 # knobs the scan below lets stand, each with why it stays
 _KNOBS_KEPT = {
-    # never read; perfbench/workloads.py passes it positionally
+    # never read; perfbench/workloads.py and the shoot's witness pass it
+    # positionally
     "trapset.reduction_witness.trap",
     # the console script calls main() with no argument
     "cli.main.argv",
@@ -300,13 +301,30 @@ def test_runners_take_what_validation_built():
     assert set(_calls([source])).isdisjoint(built | {"make_grid", "run_grid"})
 
 
+def test_acceptance_reads_its_figures_from_reports():
+    # the acceptance file builds runs as the command line does and reads
+    # their reports; only the homogeneous oracle, which no kind runs, is
+    # called directly
+    tree = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text(encoding="utf-8"))
+    names = {
+        f"{node.module}.{a.name}" if isinstance(node, ast.ImportFrom) else a.name
+        for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+        for a in node.names
+    }
+    package = [name.split(".")[1:] for name in names if name.split(".")[0] == "blowup_lab"]
+    allowed = (["config"], ["experiments"], ["cli"])
+    assert package and all(
+        name[:1] in allowed or name == ["physical", "homogeneous_oracle"] for name in package
+    )
+
+
 def test_every_parameter_is_read_and_every_default_overridden():
     assert _idle_knobs(*_program()) == _KNOBS_KEPT
 
 
 # defaults that every program call passes, each with why it stays
 _DEFAULTS_KEPT = {
-    # the acceptance fixtures call shoot without a rectangle
+    # tests call shoot without a rectangle
     "shooting.shoot.rect0",
     # physical.py stays byte for byte until ROADMAP item 11 reworks it
     "physical.BlowupEstimate.snapshots",

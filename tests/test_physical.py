@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from blowup_lab.grids import Field, default_y_max, make_grid
+from blowup_lab import experiments
+from blowup_lab.config import apply_overrides, default_config, validate_config
 from blowup_lab.model import make_params, phi, phi_dy, profile_f
 from blowup_lab.physical import (
     STOP_FACTOR,
@@ -29,7 +30,6 @@ from blowup_lab.physical import (
     stability_probe,
 )
 from blowup_lab.similarity import _not_a_knot_spline
-from blowup_lab.solver import SolverConfig, step_w
 
 D0_STAR = 0.012083243220314307
 
@@ -273,27 +273,13 @@ def test_profile_error_rejects_snapshot_past_estimate(pure, tuned_run):
         profile_error(est.x, u_snap, 2.0 * est.T_est, est, pure)
 
 
-def test_physical_matches_similarity_solver(pure, tuned_run):
+def test_physical_matches_similarity_solver(tuned_run):
     """Transform the first snapshot to (y, w) with the exact T and compare
-    against the rescaled solver run from the matched initial data."""
+    against the rescaled solver run from the matched initial data: the
+    round trip of full-pipeline's physical part, on its grid."""
     cfg, est = tuned_run
-    t_snap, u_snap = est.snapshots[0]
-    tau = cfg.T - t_snap
-    s_snap = -np.log(tau)
-
-    g = make_grid(default_y_max(4.0, s_snap + 0.5), 0.05)
-    f0 = profile_f(pure, g.y / np.sqrt(20.0))
-    w = Field(grid=g, values=f0 + D0_STAR * f0**2, s=20.0)
-    scfg = SolverConfig(ds=0.01)
-    for _ in range(int((s_snap - 20.0) / scfg.ds)):
-        w = step_w(w, pure, scfg)
-    rem = s_snap - w.s
-    if rem > 1e-12:
-        w = step_w(w, pure, SolverConfig(ds=rem))
-
-    w_phys = CubicSpline(est.x / np.sqrt(tau), tau * u_snap)
-    mask = np.abs(g.y) <= 10.0
-    diff = np.max(np.abs(w.values[mask] - w_phys(g.y[mask])))
+    run = validate_config(apply_overrides(default_config(), ["experiment.kind=full-pipeline"]))
+    diff = experiments._round_trip(replace(run, physical=cfg), est)
     assert diff < 5e-5  # measured 1.07e-5
 
 
