@@ -10,10 +10,11 @@ wall clock, hostname, or thread count, so reruns are byte-identical.
 
 Exit codes: 0 run completed and all checks passed; 1 run completed but a
 check failed; 2 configuration or usage error, including an unreadable
-config file, a grid too narrow for the kind's spectral decompositions, an
-output path through a file and an output directory that holds a non-file
-named like an artifact; 3 numerical failure, including any ValueError a
-run raises after validation.  Codes 2 and 3 write nothing.
+config file, a grid too narrow for the kind's spectral decompositions or
+too coarse for its narrowest kernel, an output path through a file and
+an output directory that holds a non-file named like an artifact; 3
+numerical failure, including any ValueError a run raises after
+validation.  Codes 2 and 3 write nothing.
 
 BLAS/OpenMP thread counts are pinned to 1 before numpy is first imported
 (unless the caller already set them), since reduction order varies with

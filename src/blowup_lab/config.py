@@ -12,11 +12,12 @@ fields of `PhysicalConfig`.  Range checks belong to the objects a run
 builds from each section; validation builds them, reports their errors
 under the section's name and returns them, the `Run` the runners take.
 [grid] sets only dy: the half-width is derived from K0 and s_end.  Each
-experiment kind states once what a run of it holds (`_demand`); full-pipeline runs the PIPELINE kinds in
-order and holds the most that any of them holds.  Validation builds a
-run's grid once, caps its nodes and [physical] n_x so that the largest
-arrays fit in MEMORY_BUDGET, then checks that grid for its cutoff
-support and edge collar.
+experiment kind states once what a run of it holds (`_demand`);
+full-pipeline runs the PIPELINE kinds in order and holds the most that
+any of them holds.  Validation builds a run's grid once, caps its nodes
+and [physical] n_x so that the largest arrays fit in MEMORY_BUDGET, then
+checks that grid for its cutoff support and for a dy fine enough for the
+narrowest kernel the kind applies (`kernel_mass_error`).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .grids import Grid, default_y_max, make_grid
 from .hermite import check_cutoff_support
 from .model import ModelParams, make_params
 from .physical import PROBE_REL_EPS, PhysicalConfig
-from .semigroup import band_layout, interior_mask
+from .semigroup import band_layout
 from .shooting import InitialDataParams
 from .solver import SolverConfig, window_steps
 from .trapset import TrapParams
@@ -51,6 +52,7 @@ __all__ = [
     "config_hash",
     "config_text",
     "MEMORY_BUDGET",
+    "kernel_mass_error",
 ]
 
 
@@ -139,11 +141,15 @@ MEMORY_BUDGET = 2 * 2**30
 # 12315-node grid at theta = 0.02, 0.07 and 5); its build adds about 34
 # bytes per node (32.3-34.1 on that grid at theta = 0.01, 0.02, 0.07 and 5:
 # the padded node positions and weights, the grid's own, and one chunk of
-# 2**13 window entries, about 0.15 MiB at any width).  On the 2465-node
-# grid, a lone row takes about 164 bytes per node through a step and an
-# observation, and each further row of the (K, n) stack about 58 (the
-# kernel product lays out at most four rows and their mirrors at once);
-# one observation of one row is 14 float64 columns.
+# 2**13 window entries, about 0.15 MiB at any width).  Over 10 steps and
+# their observations of `solver.run_trajectories`, with the initial fields
+# it is handed, a lone row peaks at 123 bytes per node (pure) and 131
+# (perturbed) on the 2465-node grid, 5 rows at 422 and 430, 25 at 1554 and
+# 1816 and 49 at 2912 and 3559 (2887 and 3534 on 12315 nodes): a further
+# row of the (K, n) stack takes 56-65 (pure) and 65-73 (perturbed), so 180
+# for the lone row and 72 for each further one bound them all (the kernel
+# product lays out at most four rows and their mirrors at once).  One
+# observation of one row is 14 float64 columns.
 # On 100001 and 200001 nodes, a lone physical run takes 72 bytes per node
 # before its snapshots (8 bytes each, five by default),
 # and the 7-row stack of the stability probe takes 408 (58.3 per row): each
@@ -165,9 +171,10 @@ MEMORY_BUDGET = 2 * 2**30
 _KERNEL_KEPT_BYTES = 4
 _KERNEL_BUILD_BYTES = 34
 _ROW_NODE_BYTES = 180
+_FURTHER_ROW_BYTES = 72
 _OBSERVATION_BYTES = 14 * 8
 _PHYSICAL_RUN_BYTES = 170
-_STACK_ROW_BYTES = 60
+_PHYSICAL_ROW_BYTES = 60
 _PROFILED_RUN_BYTES = 300
 # the semigroup checks keep nine kernels, of theta 0.01, 1/32, 0.1, 0.3,
 # 0.5, 0.7, 1, 2 and 5, each sized as theta = inf, whose stored band is
@@ -246,7 +253,8 @@ def _demand(cfg: dict, kind: str):
     rows it steps together and the observations of each row, or None if it
     builds none; and the bytes per [physical] n_x node, or 0 if it makes no
     physical run.  A full-pipeline run holds the most any part holds, and
-    the kernel of the last, shorter step of its physical part's march."""
+    the kernel of its physical part's march, whose steps are at most
+    CHECK_DS."""
     if kind == "full-pipeline":
         grids, node_bytes = zip(*(_demand(cfg, part) for part in PIPELINE))
         grids += (((CHECK_DS,), 1, 0),)
@@ -268,8 +276,22 @@ def _demand(cfg: dict, kind: str):
         "physical": (None, _PROFILED_RUN_BYTES),
         # the probe steps its baseline and its bumped fields as one (K, n_x)
         # stack and reads no snapshot
-        "stability": (None, _PHYSICAL_RUN_BYTES + _STACK_ROW_BYTES * 2 * len(PROBE_REL_EPS)),
+        "stability": (None, _PHYSICAL_RUN_BYTES + _PHYSICAL_ROW_BYTES * 2 * len(PROBE_REL_EPS)),
     }[kind]
+
+
+def kernel_mass_error(theta: float, dy: float) -> float:
+    """Relative error in the row mass of the kernel of `semigroup` for a
+    step theta, sampled at spacing dy.
+
+    By Poisson summation, the trapezoid sum of a Gaussian of variance
+    v = 2 (1 - e^-theta) over nodes dy apart exceeds its integral by the
+    aliased terms, the first of them 2 exp(-2 pi^2 v / dy^2).  It matches
+    the row sums of `semigroup.kernel_matrix` within 1e-4 of itself from
+    1e-12 to 0.1 (above, the next term shows: 0.9 % at 0.42), and it is
+    2.5e-2 at theta = 0.01 on dy = 0.3.
+    """
+    return 2.0 * math.exp(-4.0 * math.pi**2 * -math.expm1(-theta) / dy**2)
 
 
 def _build(section: str, make, **kwargs):
@@ -324,7 +346,8 @@ def validate_config(cfg: dict) -> Run:
         per_node = (
             _KERNEL_KEPT_BYTES * sum(widths)
             + (_KERNEL_BUILD_BYTES if thetas else 0)
-            + _ROW_NODE_BYTES * rows
+            + _ROW_NODE_BYTES
+            + _FURTHER_ROW_BYTES * (rows - 1)
         )
         cap = (MEMORY_BUDGET - _OBSERVATION_BYTES * rows * n_obs) // per_node
         if grid.n > cap:
@@ -344,10 +367,29 @@ def validate_config(cfg: dict) -> Run:
         # rounds its half-width down
         try:
             check_cutoff_support(grid.y_max, cfg["trap"]["K0"], tj["s_end"])
-            if math.inf in thetas:
-                interior_mask(grid)
         except ValueError as err:
             bad("grid", "dy", f"on the grid of a {kind} run to [trajectory] s_end, {err}")
+        # a kernel loses or gains mass on a grid that under-resolves it, and
+        # a run of its steps drifts or diverges.  The narrowest kernel of a
+        # kind: the semigroup checks' 0.01, the step ds, the checks'
+        # CHECK_DS, and the march of full-pipeline's physical part, whose
+        # equal steps over more than CHECK_DS are each longer than
+        # CHECK_DS / 2.  A dy that keeps its error at roundoff (at most
+        # 0.0834, 0.1178, 0.1661 and 0.2607 for theta = 0.005, 0.01, 0.02
+        # and 0.05) also leaves the semigroup checks an interior beyond the
+        # kernels' edge collar, as y_max >= 20
+        theta = {
+            "semigroup-checks": 0.01,
+            "trajectory": solver.ds,
+            "shoot": min(solver.ds, CHECK_DS),
+            "full-pipeline": min(solver.ds, CHECK_DS / 2),
+        }.get(kind)
+        if theta is not None and kernel_mass_error(theta, grid.dy) > 1e-12:
+            bad(
+                "grid", "dy",
+                f"too coarse for the kernel of theta={theta!r} that a {kind} run applies, "
+                f"whose row mass is off by {kernel_mass_error(theta, grid.dy):.2g}",
+            )
     return Run(kind, params, trap, solver, init, tj["s_end"], physical, grid)
 
 

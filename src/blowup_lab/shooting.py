@@ -59,8 +59,8 @@ import numpy as np
 from .grids import Field, Grid
 from .hermite import decompose
 from .model import ModelParams, profile_f
-# run_trajectory stays a name of this module for perfbench/tracing.py,
-# which wraps it here
+# run_trajectory and check_membership stay names of this module for
+# perfbench/tracing.py, which wraps them here
 from .solver import SolverConfig, TrajectoryRecord, run_trajectories, run_trajectory
 from .trapset import TrapParams, check_membership
 
@@ -71,7 +71,6 @@ __all__ = [
     "initial_q",
     "initial_mode_map",
     "initial_rectangle",
-    "initial_components_check",
     "shoot",
     "certificate_dict",
 ]
@@ -102,13 +101,6 @@ def initial_q(params: ModelParams, grid: Grid, init: InitialDataParams) -> Field
     return Field(grid=grid, values=values, s=init.s0)
 
 
-def _prepared(params: ModelParams, grid: Grid, s0: float, points) -> Field:
-    """The prepared deviations at s0 of the (d0, d1) points, as one stack;
-    each row is bitwise its `initial_q`."""
-    rows = [initial_q(params, grid, InitialDataParams(d0, d1, s0)).values for d0, d1 in points]
-    return Field(grid, np.array(rows), s0)
-
-
 @dataclass(frozen=True)
 class ModeMap:
     """Affine map (d0, d1) -> (q0, q1) at the initial time s0.
@@ -130,7 +122,9 @@ def initial_mode_map(
 ) -> ModeMap:
     """Measure the affine mode map by decomposing three prepared fields,
     of (d0, d1) = (0, 0), (1, 0) and (0, 1), as one stack."""
-    d = decompose(_prepared(params, grid, s0, ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))), K0)
+    points = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
+    rows = [initial_q(params, grid, InitialDataParams(d0, d1, s0)).values for d0, d1 in points]
+    d = decompose(Field(grid, np.array(rows), s0), K0)
     b, e0, e1 = np.column_stack((d.q0, d.q1))
     M = np.column_stack([e0 - b, e1 - b])
     if abs(np.linalg.det(M)) < 1e-12:
@@ -164,33 +158,6 @@ def initial_rectangle(
             [corners[:, 1].min(), corners[:, 1].max()],
         ]
     )
-
-
-def initial_components_check(
-    params: ModelParams,
-    grid: Grid,
-    s0: float,
-    trap: TrapParams,
-    rect: np.ndarray,
-) -> dict:
-    """Trap membership of the prepared data across the rectangle.
-
-    All five measured components are affine in (d0, d1) up to absolute
-    values, so their maxima over the rectangle sit at corners; the four
-    corners and the center are checked, as one stack.  Returns the worst
-    margin per component and whether every probe was inside.
-    """
-    (d0_lo, d0_hi), (d1_lo, d1_hi) = rect
-    probes = [
-        (d0_lo, d1_lo),
-        (d0_lo, d1_hi),
-        (d0_hi, d1_lo),
-        (d0_hi, d1_hi),
-        (0.5 * (d0_lo + d0_hi), 0.5 * (d1_lo + d1_hi)),
-    ]
-    status = check_membership(decompose(_prepared(params, grid, s0, probes), trap.K0), trap)
-    worst, all_inside = status.margins.min(axis=0), bool(status.inside.all())
-    return {"all_inside": all_inside, "worst_margins": worst}
 
 
 _MODE_COMPONENTS = ("q0", "q1")

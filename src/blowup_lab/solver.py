@@ -49,7 +49,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import semigroup
 from .grids import Field, Grid, gradient, ipow, mirror
 from .hermite import (
     cubic_weighted_sup,
@@ -82,6 +81,7 @@ from .trapset import (
     TrapParams,
     check_membership,
     exit_classify,
+    inside,
     membership,
     mode_ode_check,
 )
@@ -278,8 +278,9 @@ def step_w(w: Field, params: ModelParams, cfg: SolverConfig) -> Field:
 
 @dataclass
 class TrajectoryRecord:
-    """Per-step scalar diagnostics of one deviation trajectory; a step is
-    inside the trap when all five of its margins are >= 0."""
+    """Per-step scalar diagnostics of one deviation trajectory and its five
+    trap margins per step, the one record of its membership
+    (`trapset.inside`)."""
 
     s: np.ndarray
     q0: np.ndarray
@@ -334,9 +335,9 @@ def _observe(q: Field, params: ModelParams, trap: TrapParams) -> tuple[np.ndarra
     )
     for j, col in enumerate(sups, 4):
         table[:, j] = col
-    status = membership(np.concatenate((np.abs(amps), table[:, 4:6]), axis=-1), trap, s)
-    table[:, len(_SERIES):] = status.margins
-    return table, status.inside
+    margins = membership(np.concatenate((np.abs(amps), table[:, 4:6]), axis=-1), trap, s)
+    table[:, len(_SERIES):] = margins
+    return table, inside(margins)
 
 
 def window_steps(s0: float, s_end: float, ds: float) -> int:
@@ -475,8 +476,6 @@ def _duhamel_pieces(
         np.multiply(src.V, qv, out=rows[3])
         return rows
 
-    cache = semigroup._MATRIX_CACHE
-    held = set(cache)
     # one row per piece: alpha, beta, gamma, delta, vpart
     acc = np.empty((5, grid.n))
     acc[0] = q_tau.values
@@ -490,10 +489,6 @@ def _duhamel_pieces(
             acc = apply_semigroup_values((k - marks[j - 1]) * cfg.ds, grid, acc)
             acc[1:] += weights[j] * sources(q)
             j += 1
-    # nothing reads the gap kernels wider than a step after the check
-    for key in set(cache) - held:
-        if key[0] != cfg.ds:
-            del cache[key]
     return q, acc, len(marks)
 
 
@@ -533,8 +528,7 @@ def duhamel_split_check(
     so that at s it holds e^{(s-tau)L} q(tau) and sum_k w_k e^{(s-sigma_k)L} S_k.
     The times are evenly spread whole steps, so their gaps take at most two
     values; each gap's kernel comes from the kernel cache, so a one-step
-    gap reuses the stepping kernel, and the wider gap kernels the check
-    added leave the cache when it returns.  On a finite grid the gap kernels
+    gap reuses the stepping kernel.  On a finite grid the gap kernels
     compose to e^{(s-sigma)L} only up to the clipping at the grid edge, so
     near the edge the sum differs from one with a kernel per time.
 

@@ -15,10 +15,12 @@ the trap through those two faces, transversally (the outward velocity has
 the sign of the violated mode), which is what makes two-parameter shooting
 on the initial data sufficient.
 
-A trajectory record (`solver.TrajectoryRecord`) is read here twice: for
-its first exit (`exit_classify`), which takes membership from its stored
-margins, and for the defect of its recorded modes against their
-linearized law (`mode_ode_check`).
+Membership is kept as margins only: the signed gaps (bound - measured)
+of the five components, one row per field or per recorded step, and
+`inside` is the one rule that reads them (every margin >= 0).  A
+trajectory record (`solver.TrajectoryRecord`) is read here twice: for its
+first exit (`exit_classify`), and for the defect of its recorded modes
+against their linearized law (`mode_ode_check`).
 
 Membership implies two derived envelopes that are checked separately: the
 cutoff part q_b = q0 h0 + q1 h1 + q2 h2 + q_minus obeys
@@ -38,12 +40,11 @@ from .hermite import SpectralDecomp, seminorm_minus
 __all__ = [
     "COMPONENTS",
     "TrapParams",
-    "TrapStatus",
     "ExitInfo",
     "component_bounds",
-    "measured_components",
     "check_membership",
     "membership",
+    "inside",
     "check_derived_bounds",
     "exit_classify",
     "mode_ode_check",
@@ -65,14 +66,6 @@ class TrapParams:
             raise ValueError(f"trap amplitude must be >= 1 and finite, got A={self.A!r}")
         if not (0.0 < self.K0 < np.inf):
             raise ValueError(f"cutoff radius must be > 0 and finite, got K0={self.K0!r}")
-
-
-@dataclass
-class TrapStatus:
-    """Signed margins (bound - measured) per component at one time."""
-
-    inside: bool | np.ndarray
-    margins: np.ndarray
 
 
 @dataclass
@@ -104,35 +97,24 @@ def component_bounds(trap: TrapParams, s: float) -> np.ndarray:
     )
 
 
-def measured_components(d: SpectralDecomp) -> np.ndarray:
-    """The five measured components, one row of them per field of a stack."""
-    return np.stack(
-        [
-            np.abs(d.q0),
-            np.abs(d.q1),
-            np.abs(d.q2),
-            seminorm_minus(d),
-            d.q_e.sup(),
-        ],
-        axis=-1,
+def check_membership(d: SpectralDecomp, trap: TrapParams) -> np.ndarray:
+    """The margins of a decomposition against the bounds at its own time,
+    one row per field of a stack."""
+    measured = np.stack(
+        [np.abs(d.q0), np.abs(d.q1), np.abs(d.q2), seminorm_minus(d), d.q_e.sup()], axis=-1
     )
+    return membership(measured, trap, d.s)
 
 
-def check_membership(d: SpectralDecomp, trap: TrapParams) -> TrapStatus:
-    """Compare a decomposition against the bounds at its own time.
-
-    For a stack of fields, `margins` and `inside` have one row per field.
-    """
-    return membership(measured_components(d), trap, d.s)
+def membership(measured: np.ndarray, trap: TrapParams, s: float) -> np.ndarray:
+    """The margins (bound - measured) of the measured components at time s."""
+    return component_bounds(trap, s) - measured
 
 
-def membership(measured: np.ndarray, trap: TrapParams, s: float) -> TrapStatus:
-    """`check_membership` of the measured components at time s."""
-    margins = component_bounds(trap, s) - measured
-    inside = (margins >= 0.0).all(axis=-1)
-    if margins.ndim == 1:
-        inside = bool(inside)
-    return TrapStatus(inside=inside, margins=margins)
+def inside(margins: np.ndarray) -> np.ndarray | np.bool_:
+    """Whether each row of margins lies in the trap: all five are >= 0
+    (a NaN margin is outside)."""
+    return (margins >= 0.0).all(axis=-1)
 
 
 def check_derived_bounds(d: SpectralDecomp, trap: TrapParams) -> dict:
@@ -149,18 +131,18 @@ def check_derived_bounds(d: SpectralDecomp, trap: TrapParams) -> dict:
 def exit_classify(record) -> ExitInfo | None:
     """Locate and classify the first trap exit in a trajectory record.
 
-    A step is inside when all its stored margins are >= 0, the rule of
-    `membership`.  For an expanding-mode exit (q0 or q1) the outward
-    velocity dq_m/ds is estimated by a 3-point backward difference at the
-    exit step and the crossing is transverse when omega * dq_m/ds > 0 with
-    omega the sign of the violated mode.  The exit component is the one of
+    A step is inside by the `inside` rule on its stored margins.  For an
+    expanding-mode exit (q0 or q1) the outward velocity dq_m/ds is
+    estimated by a 3-point backward difference at the exit step and the
+    crossing is transverse when omega * dq_m/ds > 0 with omega the sign of
+    the violated mode.  The exit component is the one of
     least margin, the lowest index on a tie.  Returns None if the record
     never leaves the trap.
     """
-    inside = (record.margins >= 0.0).all(axis=1)
-    if bool(np.all(inside)):
+    steps_inside = inside(record.margins)
+    if bool(np.all(steps_inside)):
         return None
-    i = int(np.argmin(inside))  # first False
+    i = int(np.argmin(steps_inside))  # first False
     comp = COMPONENTS[int(np.argmin(record.margins[i]))]
     info = ExitInfo(s_star=float(record.s[i]), reason="trap-exit", component=comp)
     if comp in ("q0", "q1"):

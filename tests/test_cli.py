@@ -347,7 +347,9 @@ def test_grid_too_narrow_for_decomposition_returns_two(
 
 def test_grid_without_interior_returns_two(base_ini, tmp_path, capsys):
     # at K0 = 0.5 the derived half-width is 20, and dy = 10 keeps only y = 0
-    # clear of the kernel checks' edge collar
+    # clear of the kernel checks' edge collar; validation rejects it for
+    # the checks' narrowest kernel, which no grid without an interior
+    # resolves
     out = tmp_path / "res"
     rc = main([
         "run", str(base_ini), "--out", str(out), "--kind", "semigroup-checks",
@@ -355,7 +357,23 @@ def test_grid_without_interior_returns_two(base_ini, tmp_path, capsys):
     ])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "config error: [grid] dy: " in err and "edge collar" in err
+    assert "config error: [grid] dy: too coarse for the kernel of theta=0.01 " in err
+    assert not out.exists()
+
+
+def test_grid_too_coarse_for_its_kernels_returns_two(base_ini, tmp_path, capsys):
+    # the shoot's kernels lose 9e-4 of their mass per step at ds = 0.05 on
+    # dy = 0.5 and 0.42 at CHECK_DS = 0.01; this run used to certify and
+    # exit 0 while its Duhamel split diverged at s = 20.35
+    out = tmp_path / "res"
+    overrides = ["trap.K0=0.5", "grid.dy=0.5", "trajectory.ds=0.05", "trajectory.s_end=25",
+                 "model.p=1.5"]
+    rc = main(["run", str(base_ini), "--out", str(out), "--kind", "shoot",
+               *(arg for o in overrides for arg in ("--override", o))])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "[grid] dy: too coarse for the kernel of theta=0.01 that a shoot run applies" in err
+    assert "off by 0.42" in err
     assert not out.exists()
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from blowup_lab.config import (
     config_hash,
     config_text,
     default_config,
+    kernel_mass_error,
     load_config,
     validate_config,
 )
@@ -350,21 +352,58 @@ def test_subnormal_dy_is_a_config_error(dy, field):
         validate_config(cfg)
 
 
-@pytest.mark.parametrize("dy, ok", [(11.3, False), (11.37, True), (10.0, False), (9.0, True)])
-def test_semigroup_checks_need_an_interior_beyond_the_edge_collar(dy, ok):
+@pytest.mark.parametrize("dy, clear", [(11.3, False), (11.37, True), (10.0, False), (9.0, True)])
+def test_semigroup_checks_need_an_interior_beyond_the_edge_collar(dy, clear):
     # the kernel checks keep nodes 8 sqrt(2) ~ 11.314 inside the edge and
     # need y = 0 and its two neighbours among them; at K0 = 0.5 the derived
     # half-width 20 rounds up to 2 dy for dy in [10, 20), which needs
-    # dy >= 11.314, and to 3 dy = 27 at dy = 9
+    # dy >= 11.314, and to 3 dy = 27 at dy = 9.  Validation rejects all
+    # four, cleared or not, for the checks' narrowest kernel (theta = 0.01
+    # needs dy <= 0.1178); a grid that fine holds y_max >= 20 > 8 sqrt(2) + dy,
+    # so the edge collar needs no check of its own
     cfg = default_config()
     cfg["experiment"]["kind"] = "semigroup-checks"
     cfg["trap"]["K0"] = 0.5
     cfg["grid"]["dy"] = dy
-    if ok:
-        validate_config(cfg)
+    grid = make_grid(default_y_max(0.5, cfg["trajectory"]["s_end"]), dy)
+    if clear:
+        interior_mask(grid)
     else:
-        with pytest.raises(ConfigError, match=r"\[grid\] dy: .*edge collar"):
-            validate_config(cfg)
+        with pytest.raises(ValueError, match="edge collar"):
+            interior_mask(grid)
+    with pytest.raises(ConfigError, match=r"\[grid\] dy: too coarse .* theta=0.01 "):
+        validate_config(cfg)
+    # the coarsest dy it admits: |y| <= 171 dy - 8 sqrt(2) = 8.69 holds 149 nodes
+    cfg["grid"]["dy"] = 0.117
+    assert np.count_nonzero(interior_mask(validate_config(cfg).grid)) == 149
+
+
+# the narrowest kernel of each kind at [trajectory] ds = 0.02 and 0.05, and
+# the coarsest dy to 3 digits that keeps its row mass error at most 1e-12
+# (0.0834, 0.1178, 0.1661 and 0.2607 for theta = 0.005, 0.01, 0.02, 0.05)
+@pytest.mark.parametrize("kind, ds, theta, dy_max", [
+    ("semigroup-checks", 0.02, 0.01, 0.117),
+    ("trajectory", 0.02, 0.02, 0.166),
+    ("trajectory", 0.05, 0.05, 0.26),
+    ("shoot", 0.05, 0.01, 0.117),
+    ("full-pipeline", 0.02, 0.005, 0.083),
+])
+def test_grid_must_resolve_the_narrowest_kernel(kind, ds, theta, dy_max):
+    # validation alone; K0 = 1 keeps the grids small
+    cfg = apply_overrides(default_config(), ["trap.K0=1", f"trajectory.ds={ds}"])
+    cfg["experiment"]["kind"] = kind
+    assert kernel_mass_error(theta, dy_max) <= 1e-12 < kernel_mass_error(theta, dy_max + 1e-3)
+    cfg["grid"]["dy"] = dy_max
+    validate_config(cfg)
+    cfg["grid"]["dy"] = dy_max + 1e-3
+    with pytest.raises(ConfigError, match=rf"\[grid\] dy: too coarse .* theta={theta!r} "):
+        validate_config(cfg)
+
+
+def test_spectral_checks_apply_no_kernel_and_take_any_grid():
+    cfg = apply_overrides(default_config(), ["trap.K0=0.5", "grid.dy=5"])
+    cfg["experiment"]["kind"] = "spectral-checks"
+    assert validate_config(cfg).grid.n == 9
 
 
 def test_semigroup_checks_keep_the_kernels_the_memory_cap_counts(monkeypatch):
@@ -434,16 +473,24 @@ def test_each_kind_has_a_runner_and_a_demand_row():
 def test_shoot_demand_counts_the_checks_of_its_certificate():
     # the witness steps 49 rows together, and the Duhamel split keeps the
     # kernels of 0.06 and 0.07 next to those of 0.02 and 0.01.  On the
-    # 45795-node grid of dy = 0.002 each alone fits (caps of 126957 and
-    # 46944 nodes; 239068 for the five rows and one kernel of the shoot
-    # itself), and both together cap the run at 39987 nodes
+    # 45795-node grid of dy = 0.002 each alone fits (caps of 590162 nodes
+    # for the rows, a lone one and 48 further, and 47890 for the kernels
+    # and a build), and both together cap the run at 44264 nodes
     cfg = default_config()
     cfg["experiment"]["kind"] = "shoot"
     cfg["grid"]["dy"] = 0.002
-    with pytest.raises(ConfigError, match=r"a shoot run on 45795 nodes .* at most 39987 nodes"):
+    with pytest.raises(ConfigError, match=r"a shoot run on 45795 nodes .* at most 44264 nodes"):
         validate_config(cfg)
     cfg["grid"]["dy"] = 0.003
     validate_config(cfg)
+
+
+def test_shoot_demand_counts_further_rows_at_their_own_cost():
+    # 43613 nodes at dy = 0.0021: counting each of the 49 rows as a lone
+    # one (180 bytes per node) capped the run at 41652 nodes; a lone row
+    # and 48 further ones of 72 fit
+    cfg = apply_overrides(default_config(), ["experiment.kind=shoot", "grid.dy=0.0021"])
+    assert validate_config(cfg).grid.n == 43613
 
 
 def test_config_text_is_sorted_and_canonical():
@@ -508,12 +555,18 @@ def _assert_in_range(cfg, run):
     ph = cfg["physical"]
     assert ph["n_x"] >= 17 and ph["n_x"] % 2 == 1
     assert ph["z_max"] > 0.0
-    # the grid a run builds holds the cutoff support up to s_end, and the
-    # kernel checks keep an interior beyond the edge collar
+    # the grid a run builds holds the cutoff support up to s_end, its dy
+    # resolves the narrowest kernel, and the kernel checks keep an interior
+    # beyond the edge collar
     kind = cfg["experiment"]["kind"]
     if kind in ("spectral-checks", "semigroup-checks", "trajectory", "shoot", "full-pipeline"):
         grid = run.grid
         check_cutoff_support(grid.y_max, cfg["trap"]["K0"], cfg["trajectory"]["s_end"])
+        ds = cfg["trajectory"]["ds"]
+        narrowest = {"semigroup-checks": 0.01, "trajectory": ds, "shoot": min(ds, 0.01),
+                     "full-pipeline": min(ds, 0.005)}
+        if kind in narrowest:
+            assert kernel_mass_error(narrowest[kind], grid.dy) <= 1e-12
         if kind in ("semigroup-checks", "full-pipeline"):
             interior_mask(grid)
 

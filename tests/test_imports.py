@@ -94,7 +94,7 @@ def test_trajectory_run_loads_no_heavy_scipy_subpackage(tmp_path):
 # names a module imports only so that perfbench/tracing.py can wrap them
 # there; each goes once the tracer no longer needs it
 _KEPT_FOR_TRACING = {
-    "shooting": {"run_trajectory"},
+    "shooting": {"check_membership", "run_trajectory"},
     "solver": {"check_membership", "kernel_matrix", "nonlinear_B", "potential_V", "remainder_R"},
 }
 
@@ -291,6 +291,47 @@ def _program() -> tuple[dict[str, str], list[str]]:
     ]
     assert len(callers) > len(modules)
     return modules, callers
+
+
+def _package_trees() -> dict[str, ast.Module]:
+    return {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(Path(blowup_lab.__file__).parent.glob("*.py"))
+    }
+
+
+def _names(node) -> set[str]:
+    """The names and attribute names read anywhere in node."""
+    return {
+        getattr(n, "id", getattr(n, "attr", None))
+        for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def test_only_semigroup_names_its_kernel_cache():
+    # the cache is semigroup's: no other module reads, fills or evicts it
+    found = {name for name, tree in _package_trees().items() if "_MATRIX_CACHE" in _names(tree)}
+    assert found == {"semigroup.py"}
+
+
+def _is_number(node) -> bool:
+    try:
+        return isinstance(ast.literal_eval(node), (int, float))
+    except ValueError:
+        return False
+
+
+def test_only_trapset_tests_margins_against_a_number():
+    # trapset.inside is the one rule of membership: elsewhere a margin is
+    # stored, reduced or passed on, but never compared with a number
+    found = set()
+    for name, tree in _package_trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare):
+                sides = [node.left, *node.comparators]
+                if any("margins" in _names(x) for x in sides) and any(map(_is_number, sides)):
+                    found.add(name)
+    assert found == {"trapset.py"}
 
 
 def test_runners_take_what_validation_built():

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from blowup_lab import semigroup
+from blowup_lab.config import kernel_mass_error
 from blowup_lab.grids import Field, default_y_max, make_grid
 from blowup_lab.hermite import hermite_h
 from blowup_lab.semigroup import (
@@ -77,6 +78,23 @@ def test_kernel_mass_small_theta_aliasing():
         e.append(float(np.max(np.abs(mass[rows] / np.exp(1e-3) - 1.0))))
     assert 1e-8 < e[0] < 1e-6
     assert e[1] < 1e-12
+
+
+@pytest.mark.parametrize("theta", [0.01, 0.02, 0.05])
+def test_kernel_mass_error_predicts_the_row_sums(theta):
+    # the worst row mass error over |y| <= 10 against the closed form:
+    # within 1e-4 of it from 1e-12 to 0.1, within 1 % above, where the next
+    # aliased term shows (0.9 % at theta = 0.01, dy = 0.5), and at roundoff
+    # where it is below 1e-12
+    for dy in (0.1, 0.2, 0.3, 0.4, 0.5):
+        g = make_grid(20.0, dy)
+        mass = kernel_matrix(theta, g).apply(np.ones(g.n))
+        err = np.max(np.abs(mass[np.abs(g.y) <= 10.0] / np.exp(theta) - 1.0))
+        predicted = kernel_mass_error(theta, dy)
+        if predicted > 1e-12:
+            assert err == pytest.approx(predicted, rel=1e-2 if predicted > 0.1 else 1e-4)
+        else:
+            assert err < 1e-14
 
 
 @pytest.mark.parametrize("theta", [0.25, 0.5, 1.0, 2.0])

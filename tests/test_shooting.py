@@ -1,25 +1,27 @@
 """Prepared data, the affine mode map, and the shooting search."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from blowup_lab import shooting
+from blowup_lab.config import WITNESS_SIDE, apply_overrides, default_config, validate_config
+from blowup_lab.experiments import run_experiment
 from blowup_lab.grids import default_y_max, make_grid
 from blowup_lab.hermite import decompose
 from blowup_lab.model import make_params
 from blowup_lab.shooting import (
     InitialDataParams,
     certificate_dict,
-    initial_components_check,
     initial_mode_map,
     initial_q,
     initial_rectangle,
     shoot,
 )
-from blowup_lab.solver import SolverConfig, TrajectoryRecord
-from blowup_lab.trapset import ExitInfo, TrapParams, check_membership
+from blowup_lab.solver import SolverConfig, TrajectoryRecord, run_trajectories
+from blowup_lab.trapset import ExitInfo, TrapParams, check_membership, inside
 
 
 @pytest.fixture(scope="module")
@@ -135,23 +137,37 @@ def test_rectangle_shrinks_like_one_over_s0_squared(shoot_grid, trap8):
     assert w40 / w20 == pytest.approx(0.247080, abs=1e-6)
 
 
-def test_initial_components_check_saturates_mode_faces(shoot_grid, trap8):
-    pr = make_params(2.0)
-    mm = initial_mode_map(pr, shoot_grid, 20.0, 4.0)
-    rect = initial_rectangle(mm, trap8)
-    out = initial_components_check(pr, shoot_grid, 20.0, trap8, rect)
-    assert out["all_inside"] is True
+def test_initial_components_check_saturates_mode_faces():
+    """The shoot kind's initial check is the witness square's observation
+    at s0, whose corners are those of rect0."""
+    cfg = apply_overrides(default_config(), ["experiment.kind=shoot", "trajectory.s_end=21"])
+    run = validate_config(cfg)
+    report, _, ok = run_experiment(run)
+    out = report["initial_check"]
+    assert ok and out["all_inside"] is True
+    worst = np.array(out["worst_margins"])
     # corners sit on the pulled-in mode faces: margin = shrink * A/s0^2
-    assert out["worst_margins"][0] == pytest.approx(2.0e-11, rel=1e-3)
-    assert out["worst_margins"][1] == pytest.approx(2.0e-11, rel=1e-3)
+    assert worst[0] == pytest.approx(2.0e-11, rel=1e-3)
+    assert worst[1] == pytest.approx(2.0e-11, rel=1e-3)
     # the other three components have real room
-    assert np.all(out["worst_margins"][2:] > 1e-2)
+    assert np.all(worst[2:] > 1e-2)
+    # the worst of the four lone corners; the face points between them
+    # differ from it by roundoff
+    (d0_lo, d0_hi), (d1_lo, d1_hi) = report["rect0"]
+    corners = [
+        initial_q(run.params, run.grid, replace(run.init, d0=d0, d1=d1))
+        for d0 in (d0_lo, d0_hi)
+        for d1 in (d1_lo, d1_hi)
+    ]
+    margins = [check_membership(decompose(q, run.trap.K0), run.trap) for q in corners]
+    assert np.max(np.abs(np.min(margins, axis=0) - worst)) <= 1e-17
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0])
 def test_stacked_set_up_is_bitwise_the_per_field_loop(shoot_grid, trap8, p):
-    """The mode map and the probe margins, measured on one stack, are bit
-    for bit those of one decomposition per prepared field."""
+    """The mode map, and the s0 margins of the witness square at its
+    corners, measured on one stack, are bit for bit those of one
+    decomposition per prepared field."""
     pr = make_params(p)
     s0 = 20.0
 
@@ -170,20 +186,22 @@ def test_stacked_set_up_is_bitwise_the_per_field_loop(shoot_grid, trap8, p):
     assert mm.b.shape == (2,) and mm.b.tobytes() == b.tobytes()
 
     rect = initial_rectangle(mm, trap8)
-    # the rectangle, and one three times as wide whose corners are outside
-    for r in (rect, 3.0 * rect):
-        (d0_lo, d0_hi), (d1_lo, d1_hi) = r
-        probes = [(d0_lo, d1_lo), (d0_lo, d1_hi), (d0_hi, d1_lo), (d0_hi, d1_hi),
-                  (0.5 * (d0_lo + d0_hi), 0.5 * (d1_lo + d1_hi))]
-        worst, all_inside = np.full(5, np.inf), True
-        for d0, d1 in probes:
-            status = check_membership(lone(d0, d1), trap8)
-            worst = np.minimum(worst, status.margins)
-            all_inside = all_inside and status.inside
-        out = initial_components_check(pr, shoot_grid, s0, trap8, r)
-        assert out["worst_margins"].tobytes() == worst.tobytes()
-        assert out["all_inside"] is all_inside
-    assert all_inside is False
+    # the s0 margins of the witness square over the rectangle, and over one
+    # three times as wide whose corners are outside: each corner's row is
+    # its lone field's
+    for r, all_inside in ((rect, True), (3.0 * rect, False)):
+        square = [
+            initial_q(pr, shoot_grid, InitialDataParams(d0=float(d0), d1=float(d1), s0=s0))
+            for d0 in np.linspace(*r[0], WITNESS_SIDE)
+            for d1 in np.linspace(*r[1], WITNESS_SIDE)
+        ]
+        records = run_trajectories(square, pr, trap8, SolverConfig(ds=0.02), s0 + 0.02)
+        initial = np.array([rec.margins[0] for rec in records])
+        assert bool(inside(initial).all()) is all_inside
+        last = WITNESS_SIDE - 1
+        for i, (d0, d1) in ((0, r[:, 0]), (last, (r[0, 0], r[1, 1])),
+                            (last * WITNESS_SIDE, (r[0, 1], r[1, 0])), (-1, r[:, 1])):
+            assert initial[i].tobytes() == check_membership(lone(d0, d1), trap8).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from blowup_lab import solver
 from blowup_lab.grids import Field, make_grid
-from blowup_lab.hermite import SpectralDecomp, decompose, hermite_h
+from blowup_lab.hermite import SpectralDecomp, decompose, hermite_h, seminorm_minus
 from blowup_lab.solver import SolverConfig, run_trajectory
 from blowup_lab.trapset import (
     COMPONENTS,
@@ -17,7 +17,7 @@ from blowup_lab.trapset import (
     check_membership,
     component_bounds,
     exit_classify,
-    measured_components,
+    inside,
     reduction_witness,
 )
 
@@ -86,27 +86,41 @@ def test_measured_components_mapping(grid20):
     minus = 1e-4 * np.where(np.abs(y) <= 8.0, np.sin(y), 0.0)
     outer = 5e-3 * np.where(np.abs(y) >= 18.0, 1.0, 0.0)
     d = _decomp(grid20, q0=-0.01, q1=0.002, q2=-0.0005, minus=minus, outer=outer, s=16.0)
-    m = measured_components(d)
-    assert m[0] == 0.01 and m[1] == 0.002 and m[2] == 0.0005
-    assert m[3] > 0.0 and m[4] == 5e-3
-    assert len(COMPONENTS) == len(m) == 5
+    trap = TrapParams(A=8.0, K0=2.0)
+    measured = np.array([0.01, 0.002, 0.0005, seminorm_minus(d), 5e-3])
+    assert measured[3] > 0.0 and len(COMPONENTS) == 5
+    margins = check_membership(d, trap)
+    assert margins.tobytes() == (component_bounds(trap, 16.0) - measured).tobytes()
 
 
 def test_membership_inside(grid20):
     trap = TrapParams(A=8.0, K0=2.0)
     d = _decomp(grid20, q0=1e-3, q1=-1e-3, s=20.0)
-    st_ = check_membership(d, trap)
-    assert st_.inside is True
-    assert np.all(st_.margins >= 0.0)
+    margins = check_membership(d, trap)
+    assert margins.shape == (5,) and inside(margins)
 
 
 def test_membership_identifies_worst_component(grid20):
     trap = TrapParams(A=8.0, K0=2.0)
     # bound at s=20 is 0.02 for q0/q1; violate q1 harder than q0
     d = _decomp(grid20, q0=0.021, q1=-0.05, s=20.0)
-    st_ = check_membership(d, trap)
-    assert not st_.inside
-    assert COMPONENTS[int(np.argmin(st_.margins))] == "q1"
+    margins = check_membership(d, trap)
+    assert not inside(margins)
+    assert COMPONENTS[int(np.argmin(margins))] == "q1"
+
+
+def test_inside_reads_each_row_of_margins():
+    """One row is inside when all five margins are >= 0, -0.0 included; a
+    negative or NaN margin puts it outside.  A stack gets one flag per row."""
+    rows = np.array([
+        [0.0, -0.0, 1.0, 1.0, 1.0],
+        [1.0, 1.0, 1.0, 1.0, -1e-300],
+        [1.0, np.nan, 1.0, 1.0, 1.0],
+        [2.0, 2.0, 2.0, 2.0, 2.0],
+    ])
+    assert [bool(inside(row)) for row in rows] == [True, False, False, True]
+    assert inside(rows).tolist() == [True, False, False, True]
+    assert inside(rows[None]).shape == (1, 4)
 
 
 def test_derived_bound_constants_are_order_one(grid20):
@@ -165,8 +179,7 @@ def test_membership_threshold_scaling(scale, s):
     trap = TrapParams(A=3.0, K0=1.0)
     q0 = scale * trap.A / s**2
     d = _decomp(g, q0=q0, s=s, K0=1.0)
-    st_ = check_membership(d, trap)
-    assert st_.inside == (scale <= 1.0)
+    assert inside(check_membership(d, trap)) == (scale <= 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +333,7 @@ def test_reduction_witness_counts_a_divergence(pure_p2, monkeypatch):
     g = make_grid(10.0, 0.1)
     big = Field(grid=g, values=np.full(g.n, 50.0), s=20.0)
     rec = run_trajectory(big, pure_p2, trap, SolverConfig(ds=0.1), 22.0)
-    assert rec.exit.reason == "divergence" and bool(np.all(rec.margins >= 0.0))
+    assert rec.exit.reason == "divergence" and bool(inside(rec.margins).all())
     out = reduction_witness([rec], trap)
     assert out["by_component"]["divergence"] == 1
     assert out["n_exits"] == 1 and out["n_survivors"] == 0
