@@ -45,7 +45,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model import ModelParams, perturbation_N, profile_f
+from .model import ModelParams, ipow, perturbation_N, profile_f
 
 # profile_error stays a name of this module for perfbench/tracing.py,
 # which wraps it here
@@ -151,8 +151,7 @@ def _rhs(
     np.subtract(flat[2:], d, out=d)
     np.add(d, flat[:-2], out=d)
     np.divide(d, dx**2, out=d)
-    np.abs(mid, out=r)
-    np.power(r, params.p - 1.0, out=r)
+    ipow(np.abs(mid, out=r), params.p - 1.0)
     np.multiply(r, mid, out=r)
     np.add(d, r, out=d)
     if params.perturbed:

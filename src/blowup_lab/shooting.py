@@ -22,15 +22,18 @@ The center's d_m is the root of the secant through the two points of
 smallest |a_m| among those evaluated so far on axis m's arm of the
 pattern (its ends and the center): they lie nearest the root, where a_m
 is most nearly affine, while regula falsi would keep a far bracket end in
-every estimate.  The root is kept only strictly inside the bracket;
-otherwise (fewer than two points, equal amplitudes, or a root on or
-outside an end) the center is the midpoint, so each level narrows the
-bracket, though no level need halve it.  The bracket then keeps the part
-between the center and the end of opposite exit sign; a center whose sign
-is below the noise floor instead shrinks it to half its width around the
-center.  The points of a level that are not cached from earlier levels
-run as one ensemble (`solver.run_trajectories`), all of them before any
-survival check.
+every estimate.  Before axis m has any point, at level 0, the center's
+d_m is instead `predict_critical`'s: the slaved law of q0 on a trapped
+trajectory, taken back through the mode map, which lands about 1e-3
+relative from d0*.  Either guess is kept only strictly inside the
+bracket; otherwise (fewer than two points, equal amplitudes, or a guess
+on or outside an end) the center is the midpoint, so each level narrows
+the bracket, though no level need halve it.  The bracket then keeps the
+part between the center and the end of opposite exit sign; a center
+whose sign is below the noise floor instead shrinks it to half its width
+around the center.  The points of a level that are not cached from
+earlier levels run as one ensemble (`solver.run_trajectories`), all of
+them before any survival check.
 
 The d1 ends run at level 0 and on any level whose previous center had a
 q1 exit sign above the noise floor.  The equation is even in y (|u_x|^alpha,
@@ -57,8 +60,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import Field, Grid
-from .hermite import decompose
-from .model import ModelParams, profile_f
+from .hermite import decompose, inner_rho
+from .model import ModelParams, ansatz_fields, perturbation_N, profile_f
 # run_trajectory and check_membership stay names of this module for
 # perfbench/tracing.py, which wraps them here
 from .solver import SolverConfig, TrajectoryRecord, run_trajectories, run_trajectory
@@ -70,6 +73,7 @@ __all__ = [
     "ShootResult",
     "initial_q",
     "initial_mode_map",
+    "predict_critical",
     "initial_rectangle",
     "shoot",
     "certificate_dict",
@@ -132,6 +136,42 @@ def initial_mode_map(
     return ModeMap(M=M, b=b, s0=s0)
 
 
+# the 8-node Gauss-Laguerre rule for the weight e^(-x) on [0, inf), written
+# out: numpy's laggauss takes them from a LAPACK eigen-solver, whose first
+# call raised a shoot's peak RSS by about 0.7 MiB.  6 nodes move the
+# predicted d0 by 3e-14, far below the law's own 1e-3 relative gap
+_LAGUERRE_X = np.array([
+    0.17027963230510093, 0.90370177679938, 2.251086629866131, 4.266700170287659,
+    7.0459054023934655, 10.758516010180996, 15.740678641278004, 22.863131736889265,
+])
+_LAGUERRE_W = np.array([
+    0.36918858934163495, 0.4187867808143447, 0.17579498663717255, 0.033343492261215794,
+    0.0027945362352256834, 9.076508773358139e-05, 8.48574671627257e-07, 1.0480011748715153e-09,
+])
+
+
+def predict_critical(params: ModelParams, grid: Grid, s0: float, K0: float) -> np.ndarray:
+    """The (d0, d1) whose prepared q0 is that of a trapped trajectory.
+
+    While trapped, q0' = q0 + F0(s) with F0 the h0 projection of the
+    sources, and its one bounded solution has q0(s0) = -int e^(-x) F0(s0 + x)
+    dx over x >= 0.  To leading order F0 projects R, plus N on phi in a
+    perturbed lane, uncut, so the grid need not hold the cutoff's support at
+    s0 + x; the mode map takes (q0, 0) back to (d0, d1).
+    """
+
+    def F0(s: float) -> float:
+        # one node at a time: the eight at once raised a shoot's peak RSS
+        # by 0.9 MiB
+        phi_val, phi_y, *_, F = ansatz_fields(params, grid.y, s)
+        if params.perturbed:
+            F += perturbation_N(params, phi_y, phi_val, s)
+        return inner_rho(grid, F, 1.0)
+
+    q0 = -float(_LAGUERRE_W @ [F0(s0 + x) for x in _LAGUERRE_X])
+    return initial_mode_map(params, grid, s0, K0).preimage(q0, 0.0)
+
+
 def initial_rectangle(
     mode_map: ModeMap, trap: TrapParams, shrink: float = 1e-9
 ) -> np.ndarray:
@@ -191,6 +231,10 @@ class ShootResult:
     levels: int
     n_evals: int
     rect0: np.ndarray
+    # `predict_critical`'s point, where each axis made its first cut if
+    # the bracket held it
+    d0_predicted: float
+    d1_predicted: float
     rect: np.ndarray
     # the trajectory of the point (d0, d1) the search ended on
     record: TrajectoryRecord
@@ -199,9 +243,10 @@ class ShootResult:
     # points evaluated at that level, and per axis m the bracket [lo, hi] the
     # level started from (dm_bracket), the exit signs of q_m at its two ends
     # (dm_end_signs, None on a level that did not run them) and the step
-    # taken (dm_step): "interp" for the secant root, "bisect" for the
-    # midpoint where that root was undefined or outside the open bracket,
-    # "shrink" for a center below the noise floor
+    # taken (dm_step): "predict" for the predicted point, "interp" for the
+    # secant root, "bisect" for the midpoint where that guess was undefined
+    # or outside the open bracket, "shrink" for a center below the noise
+    # floor
     level_stats: list
 
 
@@ -232,6 +277,8 @@ def shoot(
 ) -> ShootResult:
     """Enclose the critical (d0, d1) by bracketed secant steps until survival.
 
+    Level 0 is centred on `predict_critical`'s point, axis by axis where
+    the bracket holds it strictly inside, and on the midpoint otherwise.
     Returns with status "survived" and the surviving trajectory record as
     soon as any evaluated point stays in the trap up to s_end.  Every other
     status ends on an evaluated point too (the exit that was not through a
@@ -252,6 +299,7 @@ def shoot(
     if rect0 is None:
         mode_map = initial_mode_map(params, grid, s0, trap.K0)
         rect0 = initial_rectangle(mode_map, trap)
+    predicted = predict_critical(params, grid, s0, trap.K0)
     rect = np.array(rect0, dtype=float).copy()
     cache: dict[tuple[float, float], _PointOutcome] = {}
     n_evals = 0
@@ -301,6 +349,8 @@ def shoot(
             levels=level,
             n_evals=n_evals,
             rect0=np.array(rect0, dtype=float),
+            d0_predicted=float(predicted[0]),
+            d1_predicted=float(predicted[1]),
             rect=rect.copy(),
             record=point.record,
             note=note,
@@ -317,9 +367,11 @@ def shoot(
     def cut(m: int) -> tuple[float, str]:
         """Axis m's cut of the current bracket and how it was placed."""
         lo, hi = rect[m]
-        guess = _secant_root(amplitudes[m])
+        guess, step = _secant_root(amplitudes[m]), "interp"
+        if guess is None and not amplitudes[m]:
+            guess, step = predicted[m], "predict"
         if guess is not None and lo < guess < hi:
-            return guess, "interp"
+            return guess, step
         return 0.5 * (lo + hi), "bisect"
 
     # level 0 and a level after a center with a non-zero q1 sign re-run the
@@ -418,6 +470,8 @@ def certificate_dict(result: ShootResult) -> dict:
         "levels": result.levels,
         "n_evals": result.n_evals,
         "rect0": result.rect0.tolist(),
+        "d0_predicted": result.d0_predicted,
+        "d1_predicted": result.d1_predicted,
         "rect": result.rect.tolist(),
         "note": result.note,
     }

@@ -144,13 +144,14 @@ def test_override_lands_in_config_txt(base_ini, tmp_path):
 def test_failed_check_returns_one_but_writes_artifacts(
     base_ini, tmp_path, capsys, monkeypatch
 ):
-    # one level of search cannot tune (d0, d1) to s_end = 26, so the shoot
-    # ends on its budget, fails its check and still writes its artifacts
+    # one level of search cannot tune (d0, d1) to s_end = 30 (the cut of
+    # level 1 exits at s = 29.56), so the shoot ends on its budget, fails
+    # its check and still writes its artifacts
     monkeypatch.setattr(shooting, "MAX_LEVELS", 1)
     out = tmp_path / "res"
     rc = main([
         "run", str(base_ini), "--out", str(out), "--kind", "shoot",
-        "--override", "trajectory.s_end=26",
+        "--override", "trajectory.s_end=30",
     ])
     assert rc == 1
     assert "FAIL" in capsys.readouterr().out
@@ -274,7 +275,7 @@ def test_full_pipeline_follows_the_certificate(base_ini, tmp_path):
     out = tmp_path / "res"
     rc = main([
         "run", str(base_ini), "--out", str(out), "--kind", "full-pipeline",
-        "--override", "trajectory.s_end=26",
+        "--override", "trajectory.s_end=28",
     ])
     assert rc == 0
     report = json.loads((out / "report.json").read_text())
@@ -282,7 +283,8 @@ def test_full_pipeline_follows_the_certificate(base_ini, tmp_path):
     assert report["shoot"]["certificate"]["status"] == "survived"
     phys = report["physical"]
     assert phys["T"] == math.exp(-20.0)
-    # measured 3.97e-6 (n_x = 1601, certificate at level 2)
+    # measured 4.57e-6 (n_x = 1601, certificate at level 1); the s_end = 28
+    # basin holds every certificate within this bound
     assert phys["rel_T_err"] < 1e-5
     # all 49 witness rows leave through an expanding mode (by s = 23.1),
     # and the mode-0 defect at 2 s0 needs a window to 2 s0 + 1.5 = 41.5
@@ -295,13 +297,13 @@ def test_full_pipeline_follows_the_certificate(base_ini, tmp_path):
 
 
 def test_full_pipeline_stops_after_a_failed_shoot(base_ini, tmp_path, monkeypatch):
-    # one level of search cannot tune (d0, d1) to s_end = 26: no certificate,
+    # one level of search cannot tune (d0, d1) to s_end = 30: no certificate,
     # so no physical run
     monkeypatch.setattr(shooting, "MAX_LEVELS", 1)
     out = tmp_path / "res"
     rc = main([
         "run", str(base_ini), "--out", str(out), "--kind", "full-pipeline",
-        "--override", "trajectory.s_end=26",
+        "--override", "trajectory.s_end=30",
     ])
     assert rc == 1
     report = json.loads((out / "report.json").read_text())

@@ -36,15 +36,30 @@ kind = trajectory
 """
 
 
-def _loaded_scipy(code: str) -> list[str]:
-    """The scipy modules in sys.modules after `code` runs in a fresh
+# a one-level shoot of the pure model over one time unit
+_SHORT_SHOOT = """\
+[model]
+p = 2.0
+
+[trajectory]
+s0 = 20.0
+s_end = 21.0
+ds = 0.02
+
+[experiment]
+kind = shoot
+"""
+
+
+def _loaded(code: str, package: str = "scipy") -> list[str]:
+    """The modules of `package` in sys.modules after `code` runs in a fresh
     interpreter."""
     src = str(Path(blowup_lab.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     code += (
         "\nprint(' '.join(m for m in sys.modules"
-        " if m == 'scipy' or m.startswith('scipy.')))\n"
+        f" if m == {package!r} or m.startswith({package + '.'!r})))\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", "import sys\n" + code],
@@ -55,11 +70,11 @@ def _loaded_scipy(code: str) -> list[str]:
 
 def _loaded_heavy(code: str) -> list[str]:
     """The _HEAVY subpackages among them."""
-    return [m for m in _loaded_scipy(code) if m in _HEAVY]
+    return [m for m in _loaded(code) if m in _HEAVY]
 
 
 def test_package_import_loads_no_scipy():
-    assert _loaded_scipy("import blowup_lab.experiments, blowup_lab.cli") == []
+    assert _loaded("import blowup_lab.experiments, blowup_lab.cli") == []
 
 
 def test_trajectory_run_loads_no_scipy(tmp_path):
@@ -71,7 +86,24 @@ def test_trajectory_run_loads_no_scipy(tmp_path):
         f"rc = cli.main(['run', {str(ini)!r}, '--out', {str(tmp_path / 'res')!r}])\n"
         "assert rc == 0, rc\n"
     )
-    assert _loaded_scipy(code) == []
+    assert _loaded(code) == []
+    assert (tmp_path / "res" / "MANIFEST.txt").exists()
+
+
+def test_short_shoot_loads_no_numpy_polynomial(tmp_path):
+    # shooting.predict_critical writes its Gauss-Laguerre nodes out.  Taken
+    # from numpy.polynomial's laggauss in the shoot, they raised the shoot
+    # benchmark's peak RSS by 0.6 to 0.7 MiB over three runs: the import of
+    # numpy.polynomial and the first call of the LAPACK eigen-solver that
+    # laggauss makes
+    ini = tmp_path / "shoot.ini"
+    ini.write_text(_SHORT_SHOOT)
+    code = (
+        "from blowup_lab import cli\n"
+        f"rc = cli.main(['run', {str(ini)!r}, '--out', {str(tmp_path / 'res')!r}])\n"
+        "assert rc == 0, rc\n"
+    )
+    assert _loaded(code, "numpy.polynomial") == []
     assert (tmp_path / "res" / "MANIFEST.txt").exists()
 
 
@@ -332,6 +364,16 @@ def test_only_trapset_tests_margins_against_a_number():
                 if any("margins" in _names(x) for x in sides) and any(map(_is_number, sides)):
                     found.add(name)
     assert found == {"trapset.py"}
+
+
+def test_no_module_calls_a_lapack_eigen_solver():
+    # the first eigen-solver call of a process costs its peak RSS: with an
+    # 8x8 np.linalg.eigh in the shoot, the shoot benchmark's peak RSS rose
+    # by 0.6 to 0.7 MiB over three runs, while the tracemalloc peak of its
+    # measured phase stayed level (1179 vs 1180 KiB)
+    solvers = {"eig", "eigh", "eigvals", "eigvalsh"}
+    found = {name for name, tree in _package_trees().items() if solvers & _names(tree)}
+    assert found == set()
 
 
 def test_runners_take_what_validation_built():

@@ -1,6 +1,7 @@
 """Prepared data, the affine mode map, and the shooting search."""
 
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +19,7 @@ from blowup_lab.shooting import (
     initial_mode_map,
     initial_q,
     initial_rectangle,
+    predict_critical,
     shoot,
 )
 from blowup_lab.solver import SolverConfig, TrajectoryRecord, run_trajectories
@@ -205,6 +207,45 @@ def test_stacked_set_up_is_bitwise_the_per_field_loop(shoot_grid, trap8, p):
 
 
 # ---------------------------------------------------------------------------
+# the predicted critical point
+
+# the s_end = 50 certificates of acceptance criteria 4 (pure) and 6 (perturbed)
+_D0_PURE_50, _D0_PERT_50 = 1.208300169e-2, 1.208259494e-2
+
+
+@pytest.fixture(scope="module")
+def grid50():
+    return make_grid(default_y_max(4.0, 50.0), 0.05)
+
+
+def test_laguerre_rule_is_exact_to_degree_15():
+    # int x^n e^(-x) dx over [0, inf) is n!, and 8 nodes integrate every
+    # degree up to 2 * 8 - 1 exactly
+    x, w = shooting._LAGUERRE_X, shooting._LAGUERRE_W
+    for n in range(16):
+        assert w @ x**n == pytest.approx(math.factorial(n), rel=1e-13)
+
+
+def test_prediction_lands_near_the_certified_d0(grid50):
+    d0, d1 = predict_critical(make_params(2.0), grid50, 20.0, 4.0)
+    # measured 1.044e-3 relative (1.26e-5 absolute): the sources V q and
+    # B(q), which the leading-order law leaves out
+    assert (d0 - _D0_PURE_50) / _D0_PURE_50 == pytest.approx(1.044e-3, abs=1e-6)
+    assert abs(d1) < 1e-15
+
+
+def test_prediction_of_the_perturbed_shift(grid50, perturbed_p2):
+    pure = predict_critical(make_params(2.0), grid50, 20.0, 4.0)
+    pert = predict_critical(perturbed_p2, grid50, 20.0, 4.0)
+    # N on phi alone: measured -4.0542e-7, against the certificates'
+    # -4.0675e-7 (ratio 0.9967)
+    shift = pert[0] - pure[0]
+    assert shift == pytest.approx(-4.0542e-7, rel=1e-4)
+    assert shift / (_D0_PERT_50 - _D0_PURE_50) == pytest.approx(0.9967, abs=1e-4)
+    assert pert[1] == pure[1]
+
+
+# ---------------------------------------------------------------------------
 # the search
 
 
@@ -213,10 +254,11 @@ def test_shoot_short_window_survives_at_center(shoot_grid, trap8):
     res = shoot(pr, shoot_grid, trap8, SolverConfig(ds=0.02), 20.0, 22.0)
     assert res.status == "survived"
     assert res.levels == 0 and res.n_evals == 5
-    # the surviving point is the rectangle center
-    assert res.d0 == pytest.approx(float(np.mean(res.rect0[0])), abs=1e-15)
+    # the surviving point is the center of level 0, the predicted point
+    assert [res.level_stats[0][f"d{m}_step"] for m in range(2)] == ["predict"] * 2
+    assert (res.d0, res.d1) == (res.d0_predicted, res.d1_predicted)
     assert abs(res.d1) < 1e-15
-    assert res.d0 == pytest.approx(0.0128034365, abs=1e-9)
+    assert res.d0 == pytest.approx(0.0120956114, abs=1e-9)
     assert res.record is not None and res.record.survived(22.0)
 
 
@@ -237,20 +279,21 @@ def _assert_search_invariants(res):
 
 def test_shoot_longer_window_refines(shoot_grid, trap8):
     pr = make_params(2.0)
-    res = shoot(pr, shoot_grid, trap8, SolverConfig(ds=0.02), 20.0, 24.0)
+    res = shoot(pr, shoot_grid, trap8, SolverConfig(ds=0.02), 20.0, 28.0)
     assert res.status == "survived"
     assert res.levels == 1
     # level 1 reuses the center of level 0 as a d0 end and skips the d1 ends
     assert res.n_evals == 6
     assert res.level_stats[1]["d1_end_signs"] is None
-    assert res.d0 == pytest.approx(0.0121185874179, abs=1e-9)
-    # any point of the s_end = 24 basin certifies; the bisection search
-    # certified d0 = 0.0121632647
+    assert res.d0 == pytest.approx(0.0120836798160, abs=1e-9)
+    # any point of the s_end = 28 basin certifies; the s_end = 50 shoot
+    # certified d0 = 0.01208300169, inside every shorter window's basin
     m00 = initial_mode_map(pr, shoot_grid, 20.0, 4.0).M[0, 0]
-    basin = 2.0 * trap8.A * np.exp(-4.0) / (24.0**2 * abs(m00))
-    assert abs(res.d0 - 0.0121632647) <= basin
+    basin = 2.0 * trap8.A * np.exp(-8.0) / (28.0**2 * abs(m00))
+    assert abs(res.d0 - 0.01208300169) <= basin
     cert = certificate_dict(res)
-    assert cert["final_s"] == 24.0
+    assert cert["final_s"] == 28.0
+    assert (cert["d0_predicted"], cert["d1_predicted"]) == (res.d0_predicted, res.d1_predicted)
     assert cert["min_margin"] > 0.0
     assert len(cert["level_stats"]) == res.levels + 1
     # refining toward the tuned point postpones the earliest exit
@@ -263,38 +306,41 @@ def test_shoot_small_amplitude_trap(shoot_grid):
     pr = make_params(2.0)
     res = shoot(pr, shoot_grid, TrapParams(A=1.0, K0=4.0), SolverConfig(ds=0.02), 20.0, 23.0)
     assert res.status == "survived"
-    assert res.levels == 2 and res.n_evals == 7
+    # measured: the predicted point survives
+    assert res.levels == 0 and res.n_evals == 5
     assert certificate_dict(res)["min_margin"] > 0.0
     _assert_search_invariants(res)
 
 
-def test_shoot_reports_max_levels(shoot_grid, trap8, monkeypatch):
-    # the s_end = 26 window needs three levels; the cut level 1 would take
-    # exits at s = 25.88
+def test_shoot_reports_max_levels(trap8, monkeypatch):
+    # the s_end = 30 window needs three levels; the cut level 1 would take
+    # exits at s = 29.56.  shoot_grid holds the cutoff support only to s = 29.4
     pr = make_params(2.0)
+    grid = make_grid(default_y_max(4.0, 30.0), 0.05)
     monkeypatch.setattr(shooting, "MAX_LEVELS", 1)
-    res = shoot(pr, shoot_grid, trap8, SolverConfig(ds=0.02), 20.0, 26.0)
+    res = shoot(pr, grid, trap8, SolverConfig(ds=0.02), 20.0, 30.0)
     assert res.status == "max-levels"
     assert res.levels == 1 and res.n_evals == 6
     assert res.note == "refinement budget exhausted"
-    assert res.d0 == pytest.approx(0.0121185874179, abs=1e-9)
-    assert not res.record.survived(26.0)
-    assert res.record.final_s == pytest.approx(25.88, abs=1e-9)
+    assert res.d0 == pytest.approx(0.0120836798160, abs=1e-9)
+    assert not res.record.survived(30.0)
+    assert res.record.final_s == pytest.approx(29.56, abs=1e-9)
     assert len(res.level_stats) == 1
 
 
 def test_shoot_budget_exit_evaluates_the_next_cut(shoot_grid, trap8, monkeypatch):
-    # the s_end = 24 window needs two levels, and the cut of level 1
-    # survives; the midpoint of the rectangle exits through q0 at s = 20.68
+    # the s_end = 28 window needs two levels, and the cut of level 1
+    # survives; the predicted point exits through q0 at s = 26.84
     pr = make_params(2.0)
     cfg = SolverConfig(ds=0.02)
-    full = shoot(pr, shoot_grid, trap8, cfg, 20.0, 24.0)
+    full = shoot(pr, shoot_grid, trap8, cfg, 20.0, 28.0)
+    assert full.level_stats[0]["max_exit_s"] == pytest.approx(26.84, abs=1e-9)
     monkeypatch.setattr(shooting, "MAX_LEVELS", 1)
-    res = shoot(pr, shoot_grid, trap8, cfg, 20.0, 24.0)
+    res = shoot(pr, shoot_grid, trap8, cfg, 20.0, 28.0)
     assert res.status == "survived"
     assert res.levels == 1 and res.n_evals == 6
     assert (res.d0, res.d1) == (full.d0, full.d1)
-    assert res.record.survived(24.0)
+    assert res.record.survived(28.0)
 
 
 def _linear_trajectories(a0, a1=lambda d1: d1, component=None, batches=None):
@@ -338,11 +384,31 @@ def _linear_trajectories(a0, a1=lambda d1: d1, component=None, batches=None):
     return run
 
 
-def _linear_shoot(monkeypatch, trap8, s_end, **kwargs):
+def _linear_shoot(monkeypatch, trap8, s_end, predicted=(2.0, 2.0), **kwargs):
     monkeypatch.setattr(shooting, "initial_q", lambda params, grid, init: init)
     monkeypatch.setattr(shooting, "run_trajectories", _linear_trajectories(**kwargs))
+    # by default a prediction outside rect0, so that each first cut is the
+    # midpoint
+    monkeypatch.setattr(shooting, "predict_critical", lambda *args: np.array(predicted))
     rect0 = np.array([[0.0, 1.0], [-1.0, 1.0]])
     return shoot(None, None, trap8, None, 20.0, s_end, rect0=rect0)
+
+
+def test_shoot_cuts_first_at_a_prediction_inside_the_bracket(monkeypatch, trap8):
+    # level 0 opens d0 at the prediction, which its bracket holds, and d1 at
+    # the midpoint, since the prediction sits on the bracket's end; from
+    # level 1 on the secant cuts
+    res = _linear_shoot(
+        monkeypatch, trap8, 40.0, predicted=(0.35, 1.0), a0=lambda d: d - 0.3,
+        a1=lambda d: d - 0.2,
+    )
+    rows = res.level_stats
+    assert (rows[0]["d0_step"], rows[0]["d1_step"]) == ("predict", "bisect")
+    assert {row[f"d{m}_step"] for row in rows[1:] for m in range(2)} == {"interp"}
+    assert (res.d0_predicted, res.d1_predicted) == (0.35, 1.0)
+    # a linear a0: the secant through the prediction and an end is exact
+    assert res.status == "survived" and res.levels == 1
+    assert res.d0 == pytest.approx(0.3, abs=1e-15)
 
 
 def _kinked_a0(d):
@@ -493,13 +559,13 @@ def test_shoot_reports_granularity(shoot_grid, trap8):
 def test_shoot_reports_granularity_on_one_axis(trap8):
     # past the float64 wall the d0 bracket closes to 1 ulp while the d1
     # bracket is still wide around d1* = 0.  Measured: the shoot ends here
-    # at level 10 after 14 evals; when both brackets had to be granular it
-    # ran on to "max-levels" after 64 levels and the same 14 evals
+    # at level 8 after 13 evals; when both brackets had to be granular it
+    # ran on to "max-levels" after 64 levels
     pr = make_params(2.0)
     grid = make_grid(default_y_max(4.0, 58.0), 0.2)
     res = shoot(pr, grid, trap8, SolverConfig(ds=0.1), 20.0, 58.0)
     assert res.status == "granularity"
-    assert (res.levels, res.n_evals) == (10, 14)
+    assert (res.levels, res.n_evals) == (8, 13)
     assert res.note == "the d0 bracket reached floating point granularity"
     assert res.rect[0, 1] - res.rect[0, 0] < 4.0 * np.spacing(res.d0)
     assert res.rect[1, 1] - res.rect[1, 0] > 1e-4
