@@ -141,7 +141,9 @@ MEMORY_BUDGET = 2 * 2**30
 # 12315-node grid at theta = 0.02, 0.07 and 5); its build adds about 34
 # bytes per node (32.3-34.1 on that grid at theta = 0.01, 0.02, 0.07 and 5:
 # the padded node positions and weights, the grid's own, and one chunk of
-# 2**13 window entries, about 0.15 MiB at any width).  Over 10 steps and
+# 2**13 window entries, about 0.15 MiB at any width).  A shoot keeps the
+# kernels of its step and of CHECK_DS only: the Duhamel split carries its
+# sum with the latter and keeps no kernel of its own.  Over 10 steps and
 # their observations of `solver.run_trajectories`, with the initial fields
 # it is handed, a lone row peaks at 123 bytes per node (pure) and 131
 # (perturbed) on the 2465-node grid, 5 rows at 422 and 430, 25 at 1554 and
@@ -267,12 +269,9 @@ def _demand(cfg: dict, kind: str):
         "semigroup-checks": (((math.inf,) * _CHECK_KERNELS, 1, 0), 0),
         "trajectory": (((tj["ds"],), 1, n_obs), 0),
         # a level runs the five points of its plus-pattern together, and the
-        # witness all its rows; the checks keep the CHECK_DS kernel, and the
-        # Duhamel split's 17 times over its 100 steps lie 6 or 7 steps apart
-        "shoot": (
-            ((tj["ds"], CHECK_DS, 6 * CHECK_DS, 7 * CHECK_DS), WITNESS_SIDE**2, n_obs),
-            0,
-        ),
+        # witness all its rows; the checks step by CHECK_DS, and the Duhamel
+        # split carries its sum with that step's kernel
+        "shoot": (((tj["ds"], CHECK_DS), WITNESS_SIDE**2, n_obs), 0),
         "physical": (None, _PROFILED_RUN_BYTES),
         # the probe steps its baseline and its bumped fields as one (K, n_x)
         # stack and reads no snapshot

@@ -35,7 +35,7 @@ from .semigroup import (
 )
 from .shooting import certificate_dict, initial_mode_map, initial_q, initial_rectangle, shoot
 from .solver import DivergenceError, duhamel_split_check, run_trajectories, run_trajectory, step_w
-from .physical import integrate_u, profile_error, stability_probe
+from .physical import fit_line, integrate_u, profile_error, stability_probe
 from .similarity import _not_a_knot_spline
 from .trapset import COMPONENTS, check_derived_bounds, inside, mode_ode_check, reduction_witness
 
@@ -88,7 +88,7 @@ def run_spectral_checks(run: Run):
     svals = s0 * np.array([1.0, 2.0, 4.0, 8.0])
     zr = np.linspace(-10.0, 10.0, 4001)
     sups = [float(np.max(np.abs(remainder_R(params, zr * np.sqrt(s), s)))) for s in svals]
-    source_slope = float(np.polyfit(np.log(svals), np.log(sups), 1)[0])
+    source_slope = fit_line(np.log(svals), np.log(sups))[0]
 
     h3_sup = cubic_weighted_sup(grid, hermite_h(3, y))
 
@@ -236,8 +236,8 @@ def _record_checks(run: Run, rec) -> dict:
     fit = rec.s >= run.init.s0 + 2.0
     if np.count_nonzero(fit) >= 2:
         log_s, scaled_g = np.log(rec.s[fit]), rec.gradq_sup[fit] * np.sqrt(rec.s[fit])
-        out["slope_q"] = float(np.polyfit(log_s, np.log(rec.q_sup[fit]), 1)[0])
-        out["slope_gradq"] = float(np.polyfit(log_s, np.log(rec.gradq_sup[fit]), 1)[0])
+        out["slope_q"] = fit_line(log_s, np.log(rec.q_sup[fit]))[0]
+        out["slope_gradq"] = fit_line(log_s, np.log(rec.gradq_sup[fit]))[0]
         out["grad_bound_ratio"] = float(np.max(scaled_g) / scaled_g[0])
     return out
 

@@ -58,6 +58,7 @@ __all__ = [
     "integrate_u",
     "integrate_us",
     "homogeneous_oracle",
+    "fit_line",
     "profile_error",
     "stability_probe",
     "PROBE_REL_EPS",
@@ -195,6 +196,16 @@ def _refine_peak(x: np.ndarray, u: np.ndarray) -> float:
     return float(x[i] + 0.5 * (x[i] - x[i - 1]) * (u[i - 1] - u[i + 1]) / denom)
 
 
+def fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Slope and intercept of the least-squares line through (x, y), in
+    closed form from centred sums: np.polyfit's first call of LAPACK
+    costs a process about 1.4 MiB of resident memory."""
+    xm, ym = x.mean(), y.mean()
+    dx = x - xm
+    slope = float(dx @ (y - ym) / (dx @ dx))
+    return slope, float(ym - slope * xm)
+
+
 def _fit_blowup_time(
     sample_t: np.ndarray,
     sample_umax: np.ndarray,
@@ -211,7 +222,7 @@ def _fit_blowup_time(
         raise RuntimeError("too few samples in the extrapolation window")
     tw = sample_t[window]
     vw = sample_umax[window] ** (-(p - 1.0))
-    slope, intercept = np.polyfit(tw, vw, 1)
+    slope, intercept = fit_line(tw, vw)
     if slope >= 0.0:
         raise RuntimeError("peak is not growing through the extrapolation window")
     resid = vw - (slope * tw + intercept)

@@ -34,9 +34,9 @@ strided, copy-free (2k, rows, W) window view of a zero-padded buffer that
 holds k <= 4 of the fields and their mirrors, so each row of a stack is
 bitwise its lone product, and an even (odd) field goes to an exactly even
 (odd) one.  `kernel_matrix` is the one way to a kernel: it caches one band per
-exact (theta, grid), for the step sizes and for the gaps between the
-quadrature times of the integral-form checks alike, and
-`apply_semigroup_values` is the one way to apply it.
+exact (theta, grid), for the step sizes (which also carry the Horner sum
+of the integral-form check) and for the spacing of the kernel comparison's
+quadrature alike, and `apply_semigroup_values` is the one way to apply it.
 """
 
 from __future__ import annotations

@@ -118,7 +118,19 @@ class ModeMap:
     s0: float
 
     def preimage(self, q0: float, q1: float) -> np.ndarray:
-        return np.linalg.solve(self.M, np.array([q0, q1]) - self.b)
+        """(d0, d1) with M @ (d0, d1) + b = (q0, q1), by Gaussian
+        elimination with partial pivoting in Python floats, which spares a
+        process the resident memory of a first LAPACK call.  It is
+        np.linalg.solve bit for bit on targets of the mode box; a d1 of
+        roundoff size can differ by an ulp where LAPACK fuses a
+        multiply-add."""
+        (a00, a01), (a10, a11) = self.M.tolist()
+        r0, r1 = q0 - float(self.b[0]), q1 - float(self.b[1])
+        if abs(a10) > abs(a00):
+            a00, a01, r0, a10, a11, r1 = a10, a11, r1, a00, a01, r0
+        m = a10 / a00
+        x1 = (r1 - m * r0) / (a11 - m * a01)
+        return np.array([(r0 - a01 * x1) / a00, x1])
 
 
 def initial_mode_map(
@@ -131,7 +143,7 @@ def initial_mode_map(
     d = decompose(Field(grid, np.array(rows), s0), K0)
     b, e0, e1 = np.column_stack((d.q0, d.q1))
     M = np.column_stack([e0 - b, e1 - b])
-    if abs(np.linalg.det(M)) < 1e-12:
+    if abs(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]) < 1e-12:
         raise RuntimeError("mode map is numerically singular on this grid")
     return ModeMap(M=M, b=b, s0=s0)
 

