@@ -158,18 +158,18 @@ MEMORY_BUDGET = 2 * 2**30
 # further row adds about 56, its field, its initial field and its four RK4
 # work rows.  A physical run with its profile check
 # (`experiments.run_physical_experiment`, also the last part of
-# full-pipeline) peaks at 5.48 MB on 19201 nodes and 10.40 MB on 38401,
-# with z_max = 60 and 120 so that both take the same 13292 steps: 256 bytes
+# full-pipeline) peaks at 5.59 MB on 19201 nodes and 10.52 MB on 38401,
+# with z_max = 60 and 120 so that both take the same 3090 steps: 256 bytes
 # per node, reached while `similarity.profile_error` splines a snapshot
-# through five Python float lists of n_x entries.  The rest, about 0.6 MB
-# here, is the kept (t, umax) record, 16 bytes per step, and the table of
-# fewer than 4000 samples.  The record is two array('d') per row, and with
+# through five Python float lists of n_x entries.  The rest, about 0.7 MB
+# here, holds the kept (t, umax) record, 16 bytes per step, and the table
+# of fewer than 4000 samples.  The record is two array('d') per row, and with
 # its copy into numpy arrays at the end it peaks at 33 bytes per step
 # (32.7 over 20000 to 60000 steps on 401 nodes), at most 7 MB at
 # PhysicalConfig.max_steps.  So 300 bytes per node bound the peak of any
 # run the cap admits: 256 x 7.2e6 + 7 MB is 1.85 GB.
-# On 1601 and 4801 nodes, where the record weighs more, the peaks are 0.67
-# and 2.06 MB, 419 and 429 bytes per node.
+# On 1601 and 4801 nodes, where the record weighs more, the peaks are 0.61
+# and 1.46 MB, 380 and 304 bytes per node.
 _KERNEL_KEPT_BYTES = 4
 _KERNEL_BUILD_BYTES = 34
 _ROW_NODE_BYTES = 180

@@ -69,7 +69,7 @@ __all__ = [
 PROBE_REL_EPS = (1e-2, 1e-3, 1e-4)
 
 # the step law, stop level and fit window (growth factors) of every run
-CFL, LAM = 0.2, 0.01
+CFL, LAM = 1.0, 0.01
 STOP_FACTOR = 1e4
 FIT_LO, FIT_HI = 30.0, 300.0
 

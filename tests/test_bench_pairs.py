@@ -20,9 +20,9 @@ def bench_pairs():
     del sys.modules[spec.name]
 
 
-def _report(wall, seed=0, outputs="x", failed=()):
+def _report(wall, seed=0, outputs="x", failed=(), attempted=20):
     return {"wall_s": wall, "setup_s": 0.2, "peak_rss_mb": 40.0, "seed": seed,
-            "outputs": {"o": outputs}, "failed": list(failed)}
+            "outputs": {"o": outputs}, "attempted": attempted, "failed": list(failed)}
 
 
 def test_quartiles_are_the_inclusive_ones(bench_pairs):
@@ -46,7 +46,9 @@ def test_summary_of_a_clear_gain(bench_pairs):
     assert wall["gain_met"] is False
     assert out["setup_s"]["change_better_pairs"] == "0/5"
     assert out["outputs_identical"] is True
-    assert out["failed_ops"] == {"parent": 0, "change": 0}
+    assert out["ops"] == {
+        side: {"attempted": 100, "failed": 0, "ok_share": 1.0} for side in ("parent", "change")
+    }
 
 
 def test_summary_needs_a_gap_beyond_the_parent_spread(bench_pairs):
@@ -65,6 +67,11 @@ def test_summary_flags_differing_outputs_and_failures(bench_pairs):
     change = [_report(0.9, outputs="a"), _report(0.9, outputs="c", failed=["op"])]
     out = bench_pairs.summarize(parent, change)
     assert out["outputs_identical"] is False
-    assert out["failed_ops"] == {"parent": 0, "change": 1}
+    assert out["ops"]["parent"] == {"attempted": 40, "failed": 0, "ok_share": 1.0}
+    assert out["ops"]["change"] == {"attempted": 40, "failed": 1, "ok_share": 39 / 40}
+    # the share pools the runs of a side, as perfbench/run.py pools its
+    # repetitions: a failure in a longer run weighs less
+    longer = [_report(0.9, attempted=10), _report(0.9, attempted=30, failed=["a", "b", "c"])]
+    assert bench_pairs.summarize(parent, longer)["ops"]["change"]["ok_share"] == 37 / 40
     with pytest.raises(ValueError, match="two pairs"):
         bench_pairs.summarize(parent[:1], change[:1])

@@ -12,12 +12,14 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from blowup_lab import experiments
+from blowup_lab import experiments, physical
 from blowup_lab.config import apply_overrides, default_config, validate_config
 from blowup_lab.model import make_params, phi, phi_dy, profile_f
 from blowup_lab.physical import (
+    CFL,
     FIT_HI,
     FIT_LO,
+    LAM,
     STOP_FACTOR,
     BlowupEstimate,
     PhysicalConfig,
@@ -124,7 +126,7 @@ def test_fit_window_needs_samples():
 def test_fit_line_is_polyfit_to_roundoff(tuned_run):
     # the closed-form line against np.polyfit, its lstsq reference, on the
     # 231 samples of the tuned run's growth window: slope and intercept
-    # agree to 2.0e-15 and 2.4e-15 relative, T_est to 4.4e-16
+    # agree to 5.2e-15 and 5.1e-15 relative, T_est to 2.0e-16
     _, est = tuned_run
     u0 = est.sample_umax[0]
     window = (est.sample_umax >= FIT_LO * u0) & (est.sample_umax <= FIT_HI * u0)
@@ -186,11 +188,13 @@ def test_oracle_rejects_nonpositive_start(pure):
 def test_tuned_run_hits_nominal_time(pure, tuned_run):
     cfg, est = tuned_run
     assert est.blew_up
-    assert abs(est.T_est - cfg.T) / cfg.T < 1e-5  # measured 4.14e-6
+    assert abs(est.T_est - cfg.T) / cfg.T < 1e-5  # measured 4.13e-6
     assert est.a_est == 0.0  # symmetric data, symmetric scheme
     assert est.fit_quality > 0.9999
     assert est.T_est > est.t_end  # extrapolation, never interpolation
-    assert 1000 < est.n_steps < 1100  # measured 1054
+    # every step is reaction-limited, and each such step grows the peak
+    # by about e^LAM, so the floor is ln(STOP_FACTOR)/LAM = 921 steps
+    assert est.n_steps == 926
     assert est.umax_end >= STOP_FACTOR * est.sample_umax[0]
 
 
@@ -306,17 +310,19 @@ def test_physical_matches_similarity_solver(tuned_run):
 
 
 def test_small_negative_data_does_not_blow_up(pure):
-    # 2000 diffusive steps of 0.01125 T each cover 22.5 T
+    # every step takes the diffusive limit CFL dx^2/2: dx^2 = 0.1125 T on
+    # this grid, so at CFL = 1 the 2000 steps cover 112.5 T
     cfg = PhysicalConfig(s0=20.0, d0=0.0, d1=0.0, n_x=801, max_steps=2000)
     x, u0 = initial_u(pure, cfg)
+    dx = x[1] - x[0]
     est = integrate_us(pure, cfg, np.full((1, u0.size), -0.01))[0]
     assert est.blew_up is False
     assert est.T_est == np.inf
     assert est.fit_quality == 0.0
     assert est.n_steps == cfg.max_steps
-    assert est.t_end == pytest.approx(22.5 * cfg.T, rel=1e-9)
-    # the scalar blow-up time for |u0| = 0.01 is ~1e2, nine orders beyond the
-    # run, so the peak is still where it started
+    assert est.t_end == pytest.approx(cfg.max_steps * CFL * dx**2 / 2.0, rel=1e-9)
+    # the scalar blow-up time for |u0| = 0.01 is ~1e2, over eight orders
+    # beyond the run, so the peak is still where it started
     assert est.umax_end == pytest.approx(0.01, abs=1e-9)
 
 
@@ -388,6 +394,24 @@ def test_stacked_rows_of_a_perturbed_model_are_their_lone_runs():
     assert all(est.blew_up for est in ests)
 
 
+def test_stacked_rows_switching_step_limits_are_their_lone_runs(pure):
+    # on 3201 nodes every row starts on the diffusive limit CFL dx^2/2 and
+    # takes the reaction limit from step 182 (bumped rows) or 185
+    # (baseline) on, so for three steps one stack holds rows on both limits
+    cfg = PhysicalConfig(s0=20.0, d0=D0_STAR, d1=0.0, n_x=3201)
+    _, u0s = _probe_fields(pure, cfg, (1e-2,), 40)
+    assert u0s.shape == (3, 3201)
+    ests = _assert_rows_match_lone_runs(pure, cfg, u0s)
+    dx = ests[0].x[1] - ests[0].x[0]
+    diffusive = [
+        np.count_nonzero(LAM * est.sample_umax[:-1] ** (1.0 - pure.p) > CFL * dx**2 / 2.0)
+        for est in ests
+    ]
+    assert diffusive == [184, 181, 181]
+    assert [est.n_steps for est in ests] == [1006, 1004, 1004]
+    assert all(len(est.snapshots) == 5 for est in ests)
+
+
 def test_rows_that_blow_up_leave_a_row_that_does_not(pure):
     # the data of test_small_negative_data_does_not_blow_up between two
     # blow-up rows, which leave on steps 924 and 923; it runs to max_steps
@@ -398,6 +422,49 @@ def test_rows_that_blow_up_leave_a_row_that_does_not(pure):
     ests = _assert_rows_match_lone_runs(pure, cfg, u0s)
     assert [est.blew_up for est in ests] == [True, False, True]
     assert [est.n_steps for est in ests] == [924, cfg.max_steps, 923]
+
+
+def test_diffusive_step_lies_inside_the_rk4_interval():
+    # the centred second difference has its eigenvalues in [-4/dx^2, 0],
+    # so the diffusive step CFL dx^2/2 puts dt lambda in [-2 CFL, 0]; RK4's
+    # amplification 1 + z + z^2/2 + z^3/6 + z^4/24 stays within [-1, 1] on
+    # the real axis down to the real root of 1 + z/2 + z^2/6 + z^3/24
+    roots = np.roots([1.0 / 24.0, 1.0 / 6.0, 0.5, 1.0])
+    limit = -roots[np.abs(roots.imag) < 1e-12].real.item()
+    assert limit == pytest.approx(2.785, abs=1e-3)
+    assert 2.0 * CFL < 2.785
+    # the reaction term adds at most p LAM = 0.02 (p = 2) to dt lambda
+    z = -2.0 * CFL
+    assert abs(1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0) < 1.0
+
+
+@pytest.mark.parametrize(
+    "lane, steps, bound",
+    [
+        # measured |dT_est|/T 1.19e-8
+        ("pure", (1006, 1981), 3e-8),
+        # alpha = 1.3 is near the critical 2p/(p+1) = 4/3; measured 7.06e-9
+        ("gradient", (997, 1967), 2e-8),
+    ],
+)
+def test_diffusive_step_keeps_the_estimates_of_the_old_step_law(lane, steps, bound, monkeypatch):
+    """The estimates at the module CFL against those at CFL = 0.2 on the
+    criterion-7 grid, where the diffusive limit takes 184 of the steps at
+    CFL = 1 and 1322 at CFL = 0.2 (pure lane).  Against a quarter step of
+    its own law (CFL/4, LAM/4), T_est moves by at most 7.9e-9 T at CFL = 1
+    and 4.3e-9 T at CFL = 0.2, far below the pure run's |T_est - T|/T of
+    2.3e-6."""
+    params = make_params(2.0) if lane == "pure" else make_params(2.0, alpha=1.3, mu=10.0)
+    cfg = PhysicalConfig(s0=20.0, d0=D0_STAR, d1=0.0, n_x=3201, snapshot_factors=())
+    new = integrate_u(params, cfg)
+    monkeypatch.setattr(physical, "CFL", 0.2)
+    old = integrate_u(params, cfg)
+    assert (new.n_steps, old.n_steps) == steps
+    assert new.blew_up and old.blew_up
+    assert abs(new.T_est - old.T_est) / cfg.T < bound
+    # both peaks sit on the centre node: a_est is 0 up to roundoff
+    dx = new.x[1] - new.x[0]
+    assert abs(new.a_est - old.a_est) < 1e-12 * dx
 
 
 def test_stack_shape_guard(pure):

@@ -12,8 +12,10 @@ pinned to 1 and ``PYTHONDONTWRITEBYTECODE=1``, at seed ``seeds[i % len]``.
 ``setup_s`` is taken from spawn to the end of set-up, as
 ``perfbench/run.py`` takes it.  The summary holds, per metric, the
 quartiles of each side, the pairs the change won (lower is better), the
-parent's interquartile range and the gap of the medians, plus whether the
-outputs of the two sides were identical seed by seed.  It is printed as
+parent's interquartile range and the gap of the medians; per side, the
+operations attempted and failed over all runs and the share that passed,
+as ``perfbench/run.py`` takes ``ops_ok_share``; and whether the outputs of
+the two sides were identical seed by seed.  It is printed as
 JSON and written to FILE if given.  Standard library only.
 """
 
@@ -71,10 +73,15 @@ def summarize(parent: list, change: list) -> dict:
             # the rule for a claimed gain: 9 wins in 10 and a gap beyond the spread
             "gain_met": wins * 10 >= 9 * len(a) and gap > iqr,
         }
-    out["failed_ops"] = {
-        "parent": sum(len(r["failed"]) for r in parent),
-        "change": sum(len(r["failed"]) for r in change),
-    }
+    out["ops"] = {}
+    for side, reps in (("parent", parent), ("change", change)):
+        attempted = sum(r["attempted"] for r in reps)
+        failed = sum(len(r["failed"]) for r in reps)
+        out["ops"][side] = {
+            "attempted": attempted,
+            "failed": failed,
+            "ok_share": (attempted - failed) / attempted,
+        }
     out["outputs_identical"] = all(
         x["seed"] == y["seed"] and x["outputs"] == y["outputs"] for x, y in zip(parent, change)
     )
