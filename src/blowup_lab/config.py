@@ -157,19 +157,25 @@ MEMORY_BUDGET = 2 * 2**30
 # and the 7-row stack of the stability probe takes 408 (58.3 per row): each
 # further row adds about 56, its field, its initial field and its four RK4
 # work rows.  A physical run with its profile check
-# (`experiments.run_physical_experiment`, also the last part of
-# full-pipeline) peaks at 5.59 MB on 19201 nodes and 10.52 MB on 38401,
-# with z_max = 60 and 120 so that both take the same 3090 steps: 256 bytes
-# per node, reached while `similarity.profile_error` splines a snapshot
-# through five Python float lists of n_x entries.  The rest, about 0.7 MB
-# here, holds the kept (t, umax) record, 16 bytes per step, and the table
-# of fewer than 4000 samples.  The record is two array('d') per row, and with
-# its copy into numpy arrays at the end it peaks at 33 bytes per step
-# (32.7 over 20000 to 60000 steps on 401 nodes), at most 7 MB at
-# PhysicalConfig.max_steps.  So 300 bytes per node bound the peak of any
-# run the cap admits: 256 x 7.2e6 + 7 MB is 1.85 GB.
-# On 1601 and 4801 nodes, where the record weighs more, the peaks are 0.61
-# and 1.46 MB, 380 and 304 bytes per node.
+# (`experiments.run_physical_experiment`) peaks at 2.13 MB on 19201 nodes
+# and 4.06 MB on 38401, with z_max = 60 and 120 so that both take the same
+# 3090 steps: 101 bytes per node between the two, the integration's own
+# (`integrate_u` alone peaks at 2.06 and 4.06 MB).  As the last part of
+# full-pipeline, whose round trip marches on the similarity grid, it peaks
+# at 2.52 and 4.06 MB.  `similarity.profile_error` splines only the nodes
+# within `similarity.MARGIN` of the window it compares, a few hundred here;
+# only for z_max below about 0.7 does that window hold every node, and then
+# the check peaks at 151 bytes per node with the run's kept grid, end field
+# and five snapshots (150.6-151.1 on 51201 to 204801 nodes of the initial
+# data at z_max = 0.5).  The rest, about 0.7 MB at 3090 steps, holds the
+# kept (t, umax) record, 16 bytes per step, and the table of fewer than
+# 4000 samples.  The record is two array('d') per row, and with its copy
+# into numpy arrays at the end it peaks at 33 bytes per step (32.7 over
+# 20000 to 60000 steps on 401 nodes), at most 7 MB at
+# PhysicalConfig.max_steps.  So 170 bytes per node bound the peak of any
+# physical run the cap admits: 151 x 1.26e7 + 7 MB is 1.91 GB.
+# On 1601 and 4801 nodes, where the record weighs more, the peaks are 0.38
+# and 0.72 MB, 236 and 149 bytes per node.
 _KERNEL_KEPT_BYTES = 4
 _KERNEL_BUILD_BYTES = 34
 _ROW_NODE_BYTES = 180
@@ -177,7 +183,6 @@ _FURTHER_ROW_BYTES = 72
 _OBSERVATION_BYTES = 14 * 8
 _PHYSICAL_RUN_BYTES = 170
 _PHYSICAL_ROW_BYTES = 60
-_PROFILED_RUN_BYTES = 300
 # the semigroup checks keep nine kernels, of theta 0.01, 1/32, 0.1, 0.3,
 # 0.5, 0.7, 1, 2 and 5, each sized as theta = inf, whose stored band is
 # within 2.5 % of the widest of any theta
@@ -272,7 +277,7 @@ def _demand(cfg: dict, kind: str):
         # witness all its rows; the checks step by CHECK_DS, and the Duhamel
         # split carries its sum with that step's kernel
         "shoot": (((tj["ds"], CHECK_DS), WITNESS_SIDE**2, n_obs), 0),
-        "physical": (None, _PROFILED_RUN_BYTES),
+        "physical": (None, _PHYSICAL_RUN_BYTES),
         # the probe steps its baseline and its bumped fields as one (K, n_x)
         # stack and reads no snapshot
         "stability": (None, _PHYSICAL_RUN_BYTES + _PHYSICAL_ROW_BYTES * 2 * len(PROBE_REL_EPS)),

@@ -62,6 +62,26 @@ def test_summary_needs_a_gap_beyond_the_parent_spread(bench_pairs):
     assert bench_pairs.summarize(parent, faster)["wall_s"]["gain_met"] is True
 
 
+def test_summary_flags_a_clear_regression(bench_pairs):
+    walls = [1.0, 1.1, 1.2, 1.3, 1.0, 1.1, 1.2, 1.3, 1.0, 1.1]
+    parent = [_report(w) for w in walls]
+    slower = [_report(w + 0.5) for w in walls]
+    wall = bench_pairs.summarize(parent, slower)["wall_s"]
+    assert wall["change_worse_pairs"] == "10/10" and wall["change_better_pairs"] == "0/10"
+    assert wall["median_gap"] == pytest.approx(-0.5) and wall["parent_iqr"] == pytest.approx(0.175)
+    assert wall["worse_met"] is True and wall["gain_met"] is False
+    # a gain is no regression, and ties count for neither side
+    assert bench_pairs.summarize(slower, parent)["wall_s"]["worse_met"] is False
+    same = bench_pairs.summarize(parent, parent)["wall_s"]
+    assert same["change_worse_pairs"] == "0/10" and same["worse_met"] is False
+    # 8 losses in 10 fall short of 9 in 10, however wide the gap
+    mixed = bench_pairs.summarize(parent, slower[:8] + [_report(0.5)] * 2)["wall_s"]
+    assert mixed["change_worse_pairs"] == "8/10" and mixed["worse_met"] is False
+    # and 10 losses in 10 inside the parent's spread are no regression either
+    barely = [_report(w + 0.01) for w in walls]
+    assert bench_pairs.summarize(parent, barely)["wall_s"]["worse_met"] is False
+
+
 def test_summary_flags_differing_outputs_and_failures(bench_pairs):
     parent = [_report(1.0, outputs="a"), _report(1.0, outputs="b")]
     change = [_report(0.9, outputs="a"), _report(0.9, outputs="c", failed=["op"])]

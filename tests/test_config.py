@@ -292,8 +292,9 @@ def test_s0_between_e_and_2_8_validates():
     # a physical run may take 5e6 nodes, but the stability probe steps seven
     # rows of them together
     ({"physical": {"n_x": 5_000_001}}, "stability", r"\[physical\] n_x: a stability run"),
-    # with its profile check, a physical run on 12e6 nodes peaks near 3 GB
-    ({"physical": {"n_x": 12_000_001}}, "physical", r"holds at most 7158278 nodes"),
+    # 170 bytes per node bound a physical run with its profile check: the
+    # cap is 12632256 nodes
+    ({"physical": {"n_x": 13_000_001}}, "physical", r"holds at most 12632256 nodes"),
 ])
 def test_node_counts_are_capped_by_the_memory_budget(overrides, kind, field):
     # checked by validation alone: none of these runs may be started
@@ -311,8 +312,8 @@ def test_node_counts_are_capped_by_the_memory_budget(overrides, kind, field):
     ({"grid": {"dy": 0.001}}, "spectral-checks"),
     # only the physical kinds build the n_x grid
     ({"physical": {"n_x": 400000001}}, "shoot"),
-    # 300 bytes per node bound a physical run: the cap is 7158278 nodes
-    ({"physical": {"n_x": 7_000_001}}, "physical"),
+    # 170 bytes per node bound a physical run: the cap is 12632256 nodes
+    ({"physical": {"n_x": 12_000_001}}, "physical"),
 ])
 def test_node_caps_follow_what_the_kind_builds(overrides, kind):
     cfg = default_config()
@@ -464,9 +465,10 @@ def test_each_kind_has_a_runner_and_a_demand_row():
     # full-pipeline keeps the nine check kernels, the shoot's, the CHECK_DS
     # kernel, which also carries the Duhamel split's sum, and the kernel of
     # the last step of its physical part's march; it steps the witness's 49
-    # rows over the shoot's 301 observations and profiles its physical run
+    # rows over the shoot's 301 observations, and its physical run holds at
+    # most what a lone physical run holds, its profile check included
     kernels = (math.inf,) * _CHECK_KERNELS + (0.02, 0.01, 0.01)
-    assert rows["full-pipeline"] == ((kernels, 49, 301), 300)
+    assert rows["full-pipeline"] == ((kernels, 49, 301), 170)
 
 
 def test_shoot_demand_counts_the_checks_of_its_certificate():

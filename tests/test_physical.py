@@ -1,12 +1,14 @@
 """Original-variables integration, blow-up extrapolation, profile comparison.
 
-The tuned shooting parameter d0* below was produced by the quadrisection
-search (six units of rescaled time at A = 8); with it the physical run's
-extrapolated blow-up time lands within a few 1e-6 of exp(-s0).
+The tuned shooting parameter d0* below was produced by the shoot's
+bracketed secant search (six units of rescaled time at A = 8); with it
+the physical run's extrapolated blow-up time lands within a few 1e-6 of
+exp(-s0).
 """
 
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,7 +36,7 @@ from blowup_lab.physical import (
     profile_error,
     stability_probe,
 )
-from blowup_lab.similarity import _not_a_knot_spline
+from blowup_lab.similarity import MARGIN, _not_a_knot_spline
 
 D0_STAR = 0.012083243220314307
 
@@ -286,6 +288,65 @@ def test_profile_error_matches_the_cubic_spline_figures(pure, criterion7_run):
         }
         for key, value in ref.items():
             assert pe[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
+
+
+def _assert_window_is_the_full_solve(x, y, t):
+    # t that reaches both ends of the data makes the window every node
+    value, deriv = _not_a_knot_spline(x, y, t)
+    full_value, full_deriv = _not_a_knot_spline(x, y, np.append(t, [x[0], x[-1]]))
+    assert np.array_equal(value, full_value[:-2]) and np.array_equal(deriv, full_deriv[:-2])
+
+
+def test_spline_window_is_bitwise_the_full_solve(criterion7_run):
+    est = criterion7_run
+    T = PhysicalConfig(s0=20.0, d0=D0_STAR, d1=0.0).T
+    grid = validate_config(apply_overrides(default_config(), ["experiment.kind=full-pipeline"])).grid
+    for t_snap, u_snap in est.snapshots:
+        # profile_error's points and the centre, on data rescaled with T_est
+        tau = est.T_est - t_snap
+        x = (est.x - est.a_est) / np.sqrt(tau)
+        y_hi = min(2.0 * np.sqrt(-np.log(tau)), 0.98 * x[-1])
+        t = np.append(np.linspace(-y_hi, y_hi, 801), 0.0)
+        _assert_window_is_the_full_solve(x, tau * u_snap, t)
+        # the round trip's grid points, on data rescaled with the exact T
+        tau = T - t_snap
+        t = grid.y[np.abs(grid.y) <= 10.0]
+        _assert_window_is_the_full_solve(est.x / np.sqrt(tau), tau * u_snap, t)
+    rng = np.random.default_rng(11)
+    x = np.sort(rng.uniform(-3.0, 5.0, 4000))
+    y = np.sin(3.0 * x) + x**2
+    for lo, hi in ((0.5, 1.5), (-3.5, -2.5), (4.5, 5.5)):
+        _assert_window_is_the_full_solve(x, y, rng.uniform(lo, hi, 300))
+
+
+def test_profile_error_reads_only_its_window(pure, criterion7_run):
+    est = criterion7_run
+    for t_snap, u_snap in est.snapshots:
+        pe = profile_error(est.x, u_snap, t_snap, est, pure)
+        y = (est.x - est.a_est) / np.sqrt(est.T_est - t_snap)
+        k = np.searchsorted(y, [-pe["y_window"], pe["y_window"]], side="right") - 1
+        blind = u_snap.copy()
+        blind[: k[0] - MARGIN] = np.nan
+        blind[k[1] + MARGIN + 2:] = np.nan
+        assert np.isnan(blind).sum() > u_snap.size // 2
+        assert profile_error(est.x, blind, t_snap, est, pure) == pe
+
+
+@pytest.mark.parametrize("n_x,bound", [(3201, 64), (51201, 40)])
+def test_profile_error_memory_follows_its_window(pure, n_x, bound):
+    # on the prepared data at t = 0 the check compares |y| <= 2 sqrt(20),
+    # 7 % of the grid: tracemalloc reads 45 and 23 bytes per node, where
+    # splining every node took about 200
+    cfg = PhysicalConfig(s0=20.0, d0=0.0, d1=0.0, n_x=n_x)
+    x, u0 = initial_u(pure, cfg)
+    est = SimpleNamespace(T_est=cfg.T, a_est=0.0)
+    tracemalloc.start()
+    try:
+        profile_error(x, u0, 0.0, est, pure)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n_x < bound
 
 
 def test_profile_error_rejects_snapshot_past_estimate(pure, tuned_run):

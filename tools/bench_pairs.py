@@ -11,8 +11,11 @@ with its checkout as working directory, the BLAS and OpenMP thread counts
 pinned to 1 and ``PYTHONDONTWRITEBYTECODE=1``, at seed ``seeds[i % len]``.
 ``setup_s`` is taken from spawn to the end of set-up, as
 ``perfbench/run.py`` takes it.  The summary holds, per metric, the
-quartiles of each side, the pairs the change won (lower is better), the
-parent's interquartile range and the gap of the medians; per side, the
+quartiles of each side, the pairs the change won and lost (lower is
+better), the parent's interquartile range, the gap of the medians, and
+whether the change is better (``gain_met``) or worse (``worse_met``) by
+the rule for a claimed gain: 9 pairs in 10 and a gap beyond the parent's
+interquartile range; per side, the
 operations attempted and failed over all runs and the share that passed,
 as ``perfbench/run.py`` takes ``ops_ok_share``; and whether the outputs of
 the two sides were identical seed by seed.  It is printed as
@@ -63,15 +66,19 @@ def summarize(parent: list, change: list) -> dict:
         b = [r[name] for r in change]
         pa, pb = quartiles(a), quartiles(b)
         wins = sum(y < x for x, y in zip(a, b))
+        losses = sum(y > x for x, y in zip(a, b))
         iqr, gap = pa["q3"] - pa["q1"], pa["median"] - pb["median"]
         out[name] = {
             "parent": pa,
             "change": pb,
             "change_better_pairs": f"{wins}/{len(a)}",
+            "change_worse_pairs": f"{losses}/{len(a)}",
             "parent_iqr": iqr,
             "median_gap": gap,
-            # the rule for a claimed gain: 9 wins in 10 and a gap beyond the spread
+            # the rule for a claimed gain: 9 wins in 10 and a gap beyond the
+            # spread; and its mirror for a regression
             "gain_met": wins * 10 >= 9 * len(a) and gap > iqr,
+            "worse_met": losses * 10 >= 9 * len(a) and -gap > iqr,
         }
     out["ops"] = {}
     for side, reps in (("parent", parent), ("change", change)):
