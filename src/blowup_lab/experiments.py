@@ -34,7 +34,7 @@ from .semigroup import (
     verify_smoothing,
 )
 from .shooting import certificate_dict, initial_mode_map, initial_q, initial_rectangle, shoot
-from .solver import DivergenceError, duhamel_split_check, run_trajectories, run_trajectory, step_w
+from .solver import DivergenceError, duhamel_split_check, run_trajectories, run_trajectory, step_q
 from .physical import fit_line, integrate_u, profile_error, stability_probe
 from .similarity import _not_a_knot_spline
 from .trapset import COMPONENTS, check_derived_bounds, inside, mode_ode_check, reduction_witness
@@ -303,26 +303,25 @@ def run_shoot_experiment(run: Run):
 
 def _round_trip(run: Run, est) -> float:
     """Sup over |y| <= 10 of the gap between the run's data marched in
-    similarity variables on its grid (`solver.step_w`, in the fewest equal
-    steps of at most CHECK_DS) and its first snapshot, rescaled with the
-    exact blow-up time and splined."""
+    similarity variables on its grid (`solver.step_q`, in the fewest equal
+    steps of at most CHECK_DS, with phi added at s_snap) and its first
+    snapshot, rescaled with the exact blow-up time and splined."""
     params, grid, cfg = run.params, run.grid, run.physical
     t_snap, u_snap = est.snapshots[0]
     tau = cfg.T - t_snap
     s_snap = -np.log(tau)
-    # w = phi + q at s0
-    w = _initial(run, cfg.d0, cfg.d1, cfg.s0)
-    w.values += phi(params, grid.y, cfg.s0)
+    q = _initial(run, cfg.d0, cfg.d1, cfg.s0)
     # a step much shorter than the others would lose mass on its narrow
     # kernel (`config.kernel_mass_error`)
     n_steps = int(np.ceil((s_snap - cfg.s0) / CHECK_DS))
     fine = replace(run.solver, ds=(s_snap - cfg.s0) / n_steps)
     for _ in range(n_steps):
-        w = step_w(w, params, fine)
+        q = step_q(q, params, fine)
     mask = np.abs(grid.y) <= 10.0
+    w = phi(params, grid.y[mask], s_snap) + q.values[mask]
     rescaled = tau ** (1.0 / (params.p - 1.0)) * u_snap
     spline, _ = _not_a_knot_spline(est.x / np.sqrt(tau), rescaled, grid.y[mask])
-    return float(np.max(np.abs(w.values[mask] - spline)))
+    return float(np.max(np.abs(w - spline)))
 
 
 def run_physical_experiment(run: Run):

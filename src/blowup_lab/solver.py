@@ -1,35 +1,33 @@
 """Time integration in similarity variables.
 
-Two equivalent forms are advanced on a fixed grid in y:
-
-* the rescaled solution w, obeying
-      w_s = w_yy - (y/2) w_y - w/(p-1) + |w|^{p-1} w + (perturbations),
-* the deviation q = w - phi, obeying
+The deviation q = w - phi of the rescaled solution w from the profile
+ansatz phi is advanced on a fixed grid in y, obeying
       q_s = (L + V) q + B(q) + R + N,
-  with L = d^2/dy^2 - (y/2) d/dy + 1.
+with L = d^2/dy^2 - (y/2) d/dy + 1.
 
-Both use one scheme, Strang splitting: an explicit half step of the
-local-in-y terms, an exact application of the linear semigroup via the
-Gaussian kernel, and a second explicit half step.  After each step the two
-end nodes are pinned onto the profile ansatz: q to -kappa/(2ps) and w to
-phi, so w - (phi + q) is kappa/(2ps) there.  The local sources Vq, B, R
-and N of the q form come from one `SourceTerms` object, whose coefficient
-fields (profile, its gradient and powers, potential, residual) are built
-in one pass over the nodes y >= 0 and mirrored, at one time: the step
-midpoint s + ds/2 for both halves, which keeps the composition
-time-symmetric and the scheme second order.  Its B and N write into
-scratch arrays that the step and the integral-form check pass in; N sums
-through `model.perturbation_sum`, the one formula of N, which the
-observation's N sup runs too.  The w form adds the same perturbation N
-and integrates the power nonlinearity w' = |w|^{p-1} w in closed form, so
-the constant steady state kappa is preserved to O(ds^3) per step.
+The scheme is Strang splitting: an explicit half step of the local-in-y
+terms, an exact application of the linear semigroup via the Gaussian
+kernel, and a second explicit half step.  After each step the two end
+nodes are pinned onto the profile ansatz, q to -kappa/(2ps).  The local
+sources Vq, B, R and N come from one `SourceTerms` object, whose
+coefficient fields (profile, its gradient and powers, potential,
+residual) are built in one pass over the nodes y >= 0 and mirrored, at
+one time: the step midpoint s + ds/2 for both halves, which keeps the
+composition time-symmetric and the scheme second order.  Its B and N
+write into scratch arrays that the step and the integral-form check pass
+in; N sums through `model.perturbation_sum`, the one formula of N, which
+the observation's N sup runs too.  The rescaled solution w itself is
+never stepped: the round trip of the physical run
+(`experiments._round_trip`) marches q with this scheme as well and adds
+phi at the snapshot's time, so the certificate and the comparison with
+the original equation share one stepper.
 
 A trajectory run records the spectral decomposition of the deviation at
 every step, checks trap membership, and stops at the first exit or at any
 divergence of the field.  Each observation is one row of a table, its
 columns in the field order of `TrajectoryRecord`, and each record is
 built in one call from its rows: the series are the rows of one copied
-block.  The q form advances K trajectories of one grid and one starting
+block.  The solver advances K trajectories of one grid and one starting
 time together, as the rows of a C-contiguous (K, n) array: each step
 evaluates one `SourceTerms` for every row and applies the cached kernel
 to every row in one call, and each observation takes one cutoff and one
@@ -92,7 +90,6 @@ __all__ = [
     "DivergenceError",
     "TrajectoryRecord",
     "step_q",
-    "step_w",
     "window_steps",
     "run_trajectories",
     "run_trajectory",
@@ -107,10 +104,10 @@ OVERFLOW = 1e8
 @dataclass(frozen=True)
 class SolverConfig:
     """Step size of the one scheme: exact-kernel Strang splitting with the
-    ends pinned to -kappa/(2ps) (q form) and phi (w form).
+    ends pinned to -kappa/(2ps).
 
-    Every term of the equation is always on: the q form adds Vq, B and R,
-    plus N in a perturbed model.
+    Every term of the equation is always on: Vq, B and R, plus N in a
+    perturbed model.
     """
 
     ds: float
@@ -229,51 +226,6 @@ def step_q(q: Field, params: ModelParams, cfg: SolverConfig) -> Field:
     _apply_bc_q(v, params, s_new)
     _guard(v, s_new)
     return Field(grid=q.grid, values=v, s=s_new)
-
-
-def _power_flow(params: ModelParams, wv: np.ndarray, t: float, s: float) -> np.ndarray:
-    """Exact flow of w' = |w|^{p-1} w over time t (elementwise)."""
-    pm1 = params.p - 1.0
-    base = 1.0 - pm1 * t * np.abs(wv) ** pm1
-    bad = np.any(base <= 0.0, axis=-1)
-    if np.any(bad):
-        rows = np.flatnonzero(bad) if wv.ndim == 2 else None
-        raise DivergenceError(s, "power sub-flow reached its blow-up time inside a step", rows)
-    return wv * base ** (-1.0 / pm1)
-
-
-def step_w(w: Field, params: ModelParams, cfg: SolverConfig) -> Field:
-    """Advance the rescaled solution by one step of size cfg.ds.
-
-    The power nonlinearity is integrated exactly; lower-order perturbations
-    (when present) are sandwiched symmetrically between two quarter-step
-    power flows inside each half step.
-    """
-    ds = cfg.ds
-    s_new = w.s + ds
-    sm = w.s + 0.5 * ds
-    grid = w.grid
-    p = params
-    decay = perturbation_decay(params, sm)
-    work = [np.empty_like(w.values) for _ in range(4)]
-
-    def pert(wv, out, _, tmp):
-        w_grad = gradient(grid, wv, out) if params.mu != 0.0 else 0.0
-        return perturbation_sum(params, decay, w_grad, wv, out, tmp)
-
-    def half(wv: np.ndarray, h: float) -> np.ndarray:
-        if not params.perturbed:
-            return _power_flow(params, wv, h, sm)
-        v = _power_flow(params, wv, 0.5 * h, sm)
-        v = _midpoint_half(pert, v, h, work)
-        return _power_flow(params, v, 0.5 * h, sm)
-
-    v = half(w.values, 0.5 * ds)
-    v = np.exp(-ds * (p.p / (p.p - 1.0))) * apply_semigroup_values(ds, grid, v)
-    v = half(v, 0.5 * ds)
-    v[..., 0], v[..., -1] = phi(params, grid.y[[0, -1]], s_new)
-    _guard(v, s_new)
-    return Field(grid=grid, values=v, s=s_new)
 
 
 @dataclass

@@ -185,7 +185,7 @@ def test_criterion_7_physical_blowup_and_profile(capsys, pipeline):
     no_growth = scaled[-1] <= 1.05 * scaled[0] and np.max(scaled) <= 1.10 * scaled[0]
     # the round trip marches in equal steps of at most CHECK_DS, so it
     # measures the transform and the spline through the physical grid
-    # (1.5e-05 on this run), not a kernel too narrow for its grid
+    # (1.64e-06 on this run), not a kernel too narrow for its grid
     sup_diff = phys["transform_diff"]
     ok = (oracle["T_exact"] == 1.0 and oracle["rel_err"] <= 1e-4
           and phys["outcome"] == "blowup" and phys["rel_T_err"] <= 1e-4 and a_est <= 2.0 * dx

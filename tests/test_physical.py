@@ -358,12 +358,13 @@ def test_profile_error_rejects_snapshot_past_estimate(pure, tuned_run):
 
 def test_physical_matches_similarity_solver(tuned_run):
     """Transform the first snapshot to (y, w) with the exact T and compare
-    against the rescaled solver run from the matched initial data: the
-    round trip of full-pipeline's physical part, on its grid."""
+    against phi + q, with q marched by `solver.step_q` from the matched
+    initial data: the round trip of full-pipeline's physical part, on its
+    grid."""
     cfg, est = tuned_run
     run = validate_config(apply_overrides(default_config(), ["experiment.kind=full-pipeline"]))
     diff = experiments._round_trip(replace(run, physical=cfg), est)
-    assert diff < 5e-5  # measured 1.05e-5
+    assert diff < 5e-5  # measured 5.50e-6
 
 
 # ---------------------------------------------------------------------------
